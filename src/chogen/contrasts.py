@@ -16,7 +16,7 @@ import numpy as np
 
 from . import ratlinalg
 from .designs import ChoiceDesign, lex_index
-from .errors import EffectOutOfRange, SamePair, Unsupported
+from .errors import EffectOutOfRange, InvariantError, SamePair, Unsupported
 from .models import FactorialEffect, ModelSpec, require_within
 
 # dense 2^n-column paths are used up to this width; beyond it C* is
@@ -25,6 +25,9 @@ DENSE_MAX_N = 12
 
 # relative eigenvalue cutoff of the numeric pseudo-inverse branch
 PINV_CUTOFF = 1e-9
+
+# option indices and effect masks are int64 arrays: at most 63 factors
+MAX_SIGN_FACTORS = 63
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,8 +141,12 @@ def option_sign_matrix(d: ChoiceDesign, effects: Sequence[FactorialEffect]) -> n
     """Contrast signs of every effect at every option, shape (Q, N*m).
 
     Columns run through the design's options in (set, option) order.
+    Raises Unsupported beyond MAX_SIGN_FACTORS factors.
     """
     n = d.n
+    if n > MAX_SIGN_FACTORS:
+        raise Unsupported(f"sign matrices are limited to n <= "
+                          f"{MAX_SIGN_FACTORS} factors, got {n}")
     masks = np.array([_effect_mask(e, n) for e in effects], dtype=np.int64)
     orders = np.array([e.order for e in effects], dtype=np.int64)
     opts = np.array([lex_index(t) for t in d.treatments()], dtype=np.int64)
@@ -240,7 +247,8 @@ def exact_schur_cstar(d: ChoiceDesign,
     G = _cstar_by_sets(d, tuple(nuisance))
     X = cross_block_star(d, interest, nuisance)
     Y = ratlinalg.solve_consistent(G.tolist(), X.T.tolist())
-    assert Y is not None, "cross-block solve must be consistent"
+    if Y is None:
+        raise InvariantError("cross-block solve must be consistent")
     q1, q2 = X.shape
     return [
         [Fraction(int(C1[i, j])) - sum(Fraction(int(X[i, k])) * Y[k][j]

@@ -59,3 +59,11 @@ class RangeError(ChogenError):
 
 class FormatError(ChogenError):
     """Serialized design payload is malformed."""
+
+
+class InvariantError(AssertionError):
+    """An internal cross-check failed: a bug, never a bad input.
+
+    Raised explicitly rather than by `assert`, so the check also runs
+    under `python -O`.
+    """

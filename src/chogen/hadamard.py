@@ -14,7 +14,7 @@ import os
 
 import numpy as np
 
-from .errors import BadOrder, NotHadamard, Unsupported
+from .errors import BadOrder, InvariantError, NotHadamard, Unsupported
 
 DEFAULT_MAX_ORDER = 64
 
@@ -155,7 +155,8 @@ def _quadratic_character(q: int) -> tuple:
             if _is_irreducible(cand, p):
                 mod_poly = cand
                 break
-        assert mod_poly is not None
+        if mod_poly is None:
+            raise InvariantError(f"no irreducible of degree {k} over GF({p})")
 
         def mul(a, b):
             prod = _poly_mul(decode(a), decode(b), p)
@@ -195,7 +196,8 @@ def paley_type1(q: int) -> np.ndarray:
     S[1:, 0] = -1
     S[1:, 1:] = Qj
     H = S + np.eye(q + 1, dtype=np.int64)
-    assert is_hadamard(H)
+    if not is_hadamard(H):
+        raise InvariantError("Paley construction is not Hadamard")
     return _frozen(H)
 
 
@@ -210,7 +212,8 @@ def paley_type2(q: int) -> np.ndarray:
     S[1:, 1:] = Qj
     eye = np.eye(q + 1, dtype=np.int64)
     H = np.block([[S + eye, S - eye], [S - eye, -S - eye]])
-    assert is_hadamard(H)
+    if not is_hadamard(H):
+        raise InvariantError("Paley construction is not Hadamard")
     return _frozen(H)
 
 

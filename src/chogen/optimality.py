@@ -5,8 +5,14 @@ diagonal (every off-diagonal effective pair count balances), every
 per-set zero count is balanced, the trace reaches the attainable bound,
 and, when nuisance effects are present, the cross block vanishes
 exactly.  These conditions are sufficient; a design failing them is
-reported as not certified, with connectedness decided by an exact
-positive-definiteness test.
+reported as not certified, with connectedness decided by exact ranks.
+
+C* is the sum of d d' over the component pairs, so its rank is that of
+the within-set difference matrix A, whose rows are (x_{p,i} - x_{p,0})/2
+for the contrast-sign vectors x of set p.  Hence rank C* <= N(m-1), and
+a design with N(m-1) < Q is NotConnected at once.  Otherwise the design
+is connected iff rank A = Q, computed by ratlinalg.rank; with a nonzero
+cross block, iff rank [A_interest | A_nuisance] - rank A_nuisance = Q.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import numpy as np
 from . import contrasts, ratlinalg
 from .contrasts import ScaledIntMatrix
 from .designs import ChoiceDesign
-from .errors import SameEffect
+from .errors import InvariantError, SameEffect
 from .models import FactorialEffect, ModelSpec, require_within
 
 
@@ -142,15 +148,31 @@ def oracle_cstar(d: ChoiceDesign, F) -> ScaledIntMatrix:
     return ScaledIntMatrix(np.array(C, dtype=np.int64), scale)
 
 
-def _connected(d: ChoiceDesign, model: ModelSpec, Cstar: np.ndarray,
-               diagonal: bool, cross_zero: Optional[bool]) -> bool:
-    """Exact positive definiteness of the model's information matrix."""
-    if diagonal and (cross_zero is None or cross_zero):
-        return bool((np.diag(Cstar) > 0).all())
-    if cross_zero is None or cross_zero:
-        return ratlinalg.is_positive_definite(Cstar.tolist())
-    C2 = contrasts.exact_schur_cstar(d, model.interest, model.nuisance)
-    return ratlinalg.is_positive_definite(C2)
+def _differences(signs: np.ndarray) -> np.ndarray:
+    """The (N(m-1), Q) within-set difference matrix of a (Q, N, m) sign array.
+
+    Row (p, i) is (x_{p,i} - x_{p,0})/2, with entries in {-1, 0, 1}.
+    """
+    Q, N, m = signs.shape
+    A = (signs[:, :, 1:] - signs[:, :, :1]) // 2
+    return A.reshape(Q, N * (m - 1)).T
+
+
+def _connected(d: ChoiceDesign, model: ModelSpec, signs: np.ndarray,
+               diag: np.ndarray, diagonal: bool,
+               cross_zero: Optional[bool]) -> bool:
+    """Whether the model's information matrix has full rank, exactly."""
+    Q = model.Q
+    if d.N * (d.m - 1) < Q:
+        return False  # rank C* <= N(m-1)
+    if cross_zero in (None, True):
+        if diagonal:
+            return bool((diag > 0).all())
+        return ratlinalg.rank(_differences(signs)) == Q
+    nuisance = contrasts.option_sign_matrix(d, model.nuisance)
+    A_nuis = _differences(nuisance.reshape(len(model.nuisance), d.N, d.m))
+    A = np.hstack([_differences(signs), A_nuis])
+    return ratlinalg.rank(A) - ratlinalg.rank(A_nuis) == Q
 
 
 def _eta_from_signs(x: np.ndarray, y: np.ndarray) -> tuple:
@@ -175,9 +197,9 @@ def verify(d: ChoiceDesign, model: ModelSpec,
     The verdict is UniversallyOptimal iff the exact C is diagonal, every
     per-set count is balanced, the trace equals max_trace, and (for
     nonempty nuisance) the cross block vanishes; otherwise the exact
-    positive definiteness of C decides ConnectedNotOptimal versus
-    NotConnected.  Pass classify=False to skip that (possibly costly)
-    definiteness test; an uncertified design then gets verdict None.
+    rank of C decides ConnectedNotOptimal versus NotConnected.  Pass
+    classify=False to skip that rank test; an uncertified design then
+    gets verdict None.
     """
     effects = model.interest
     require_within(effects, d.n)
@@ -197,7 +219,8 @@ def verify(d: ChoiceDesign, model: ModelSpec,
              - contrasts.int_product(rowsums, rowsums.T))
     diag = np.diag(Cstar)
     # same diagonal via the per-set zero counts, as an internal cross-check
-    assert np.array_equal(diag, (4 * np_table * (m - np_table)).sum(axis=1))
+    if not np.array_equal(diag, (4 * np_table * (m - np_table)).sum(axis=1)):
+        raise InvariantError("C* diagonal disagrees with the zero counts")
 
     off = Cstar.copy()
     np.fill_diagonal(off, 0)
@@ -210,14 +233,16 @@ def verify(d: ChoiceDesign, model: ModelSpec,
         listed = []
         for q1, q2 in bad[:MAX_LISTED_PAIRS]:
             ep, em = _eta_from_signs(signs[q1], signs[q2])
-            assert 4 * (ep - em) == Cstar[q1, q2]
+            if 4 * (ep - em) != Cstar[q1, q2]:
+                raise InvariantError("C* entry disagrees with its eta counts")
             listed.append((effects[q1], effects[q2], ep, em))
         offending = tuple(listed)
 
     scale = Fraction(1, (1 << n) * N * m * m)
     trace = int(diag.sum()) * scale
     bound = max_trace(Q, n, m)
-    assert trace <= bound, "trace above the attainable bound"
+    if trace > bound:
+        raise InvariantError("trace above the attainable bound")
 
     cross_zero = None
     if model.nuisance:
@@ -230,7 +255,7 @@ def verify(d: ChoiceDesign, model: ModelSpec,
         verdict = Verdict.UNIVERSALLY_OPTIMAL
     elif not classify:
         verdict = None
-    elif _connected(d, model, Cstar, diagonal, cross_zero):
+    elif _connected(d, model, signs, diag, diagonal, cross_zero):
         verdict = Verdict.CONNECTED_NOT_OPTIMAL
     else:
         verdict = Verdict.NOT_CONNECTED

@@ -1,14 +1,128 @@
-"""Exact linear algebra for small integer and rational matrices.
+"""Exact linear algebra for integer and rational matrices.
 
-Certification verdicts must not depend on floating point, so the handful
-of dense routines needed (leading principal minors, definiteness, a
-consistent linear solve) are done with Python integers and Fractions.
+Certification verdicts must not depend on floating point or on chance.
+Connectedness is decided by `rank`: vectorised int64 elimination modulo
+word-size primes, with enough primes that their product exceeds the
+Hadamard bound on every minor that could still be nonzero, so the
+modular rank is the rational rank (cf. Dumas, Giorgi & Pernet, ACM TOMS
+2008, on dense linear algebra over word-size prime fields).
+
+The Python-integer and Fraction routines (leading principal minors,
+definiteness, a consistent linear solve) are kept as a slow reference
+for tests; no verdict goes through them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+
+import numpy as np
+
+# rank() works modulo primes below 2**31: a product of two residues stays
+# below 2**62, so every step of the elimination is exact in int64.
+_PRIME_CEILING = 1 << 31
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; bases 2, 3, 5, 7 decide n < 3.2e9."""
+    if n < 2:
+        return False
+    for b in (2, 3, 5, 7):
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in (2, 3, 5, 7):
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _primes():
+    """The primes below 2**31, largest first, found as they are needed."""
+    c = _PRIME_CEILING - 1
+    while True:
+        if _is_prime(c):
+            yield c
+        c -= 2
+
+
+def _rank_mod(A: np.ndarray, p: int) -> int:
+    """Rank of A modulo p; A holds residues in [0, p) and is overwritten."""
+    rows, cols = A.shape
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.flatnonzero(A[r:, c])
+        if nz.size == 0:
+            continue
+        if nz[0]:
+            A[[r, r + nz[0]]] = A[[r + nz[0], r]]
+        below = r + nz[1:]
+        if below.size:
+            pivot_row = A[r, c + 1:] * pow(int(A[r, c]), -1, p) % p
+            A[below, c + 1:] = (A[below, c + 1:]
+                                - np.outer(A[below, c], pivot_row)) % p
+        r += 1
+    return r
+
+
+def _minor_bound_squared(A: np.ndarray, k: int) -> int:
+    """Square of the Hadamard bound on every k x k minor of A.
+
+    A minor is at most the product of the norms of its rows, and each of
+    those is at most the norm of the whole row of A.
+    """
+    big = max(int(A.max()), -int(A.min()))
+    if big * big * A.shape[1] < 1 << 63:
+        norms = (A * A).sum(axis=1).tolist()
+    else:
+        norms = [sum(int(v) ** 2 for v in row) for row in A]
+    bound = 1
+    for v in sorted(norms, reverse=True)[:k]:
+        bound *= v
+    return bound
+
+
+def rank(M) -> int:
+    """Exact rank over the rationals of an integer matrix (int64 entries).
+
+    The rank modulo a prime never exceeds the rational rank, so a full
+    rank modulo the first prime is final.  Otherwise, with R the largest
+    modular rank seen, every (R+1)-minor is divisible by each prime used;
+    once the product of those primes exceeds the Hadamard bound on the
+    (R+1)-minors, they are all zero and the rank is R.
+    """
+    A = np.array(M, dtype=np.int64)
+    if A.size == 0:
+        return 0
+    if A.ndim != 2:
+        raise ValueError("rank needs a two-dimensional matrix")
+    if A.shape[0] < A.shape[1]:
+        A = A.T  # loop over, and bound minors by, the shorter rows
+    full = A.shape[1]
+    best, modulus, bound_squared = -1, 1, 0
+    for p in _primes():
+        r = _rank_mod(A % p, p)
+        if r == full:
+            return r
+        if r > best:
+            best = r
+            bound_squared = _minor_bound_squared(A, r + 1)
+        modulus *= p
+        if modulus * modulus > bound_squared:
+            return best
 
 
 def _as_rows(M) -> list:
@@ -56,28 +170,6 @@ def is_positive_definite(M) -> bool:
         return True
     minors = leading_principal_minors(ints)
     return len(minors) == len(ints) and all(d > 0 for d in minors)
-
-
-def is_positive_semidefinite(M) -> bool:
-    """Exact PSD test via symmetric elimination with diagonal pivoting."""
-    a = [[Fraction(v) for v in row] for row in _as_rows(M)]
-    remaining = list(range(len(a)))
-    while remaining:
-        piv = max(remaining, key=lambda i: a[i][i])
-        d = a[piv][piv]
-        if d < 0:
-            return False
-        if d == 0:
-            # all remaining diagonals are <= 0, hence 0; PSD iff the block is 0
-            return all(a[i][j] == 0 for i in remaining for j in remaining)
-        remaining.remove(piv)
-        for i in remaining:
-            if a[i][piv] == 0:
-                continue
-            f = a[i][piv] / d
-            for j in remaining:
-                a[i][j] -= f * a[piv][j]
-    return True
 
 
 def solve_consistent(G, B):

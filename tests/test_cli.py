@@ -131,6 +131,17 @@ def test_verify_uncertified_design_exits_2(capsys, tmp_path):
     assert "verdict: NotConnected" in out
 
 
+def test_verify_64_factor_design_exits_3(capsys, tmp_path):
+    n = 64
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"sets": [["0" * n, "1" * n]],
+                                "meta": {"model": "main-effects"}}))
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 3
+    assert "n <= 63" in err
+    assert "Traceback" not in err
+
+
 def test_verify_missing_file_exits_4(capsys):
     code, _, err = run(capsys, "verify", "/nonexistent/design.json")
     assert code == 4

@@ -1,18 +1,25 @@
 """The certifier: exact counts, trace bound, verdicts."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chogen.designs import ChoiceDesign
-from chogen.errors import SameEffect
+import chogen
+from chogen import ratlinalg
+from chogen.designs import ChoiceDesign, all_treatments
+from chogen.errors import SameEffect, Unsupported
 from chogen.models import ModelSpec, effect, main_effect_list
 from chogen.optimality import (MAX_LISTED_PAIRS, Verdict, eta_counts,
                                max_trace, np_counts, oracle_cstar, verify)
-from chogen.contrasts import cstar_matrix
+from chogen.contrasts import cross_block_star, cstar_matrix, exact_schur_cstar
 from chogen.constructions import specified_design
 from conftest import designs, random_design
 
@@ -150,3 +157,114 @@ def test_eta_and_np_identities_on_random_designs():
 def test_trace_never_exceeds_bound(d):
     report = verify(d, ModelSpec.main_effects(d.n), classify=False)
     assert report.trace <= report.trace_bound
+
+
+def _reference_connected(d, model) -> bool:
+    """Sylvester's criterion in Fractions on C*, or on the exact Schur C2*."""
+    if model.nuisance and cross_block_star(d, model.interest,
+                                           model.nuisance).any():
+        C = exact_schur_cstar(d, model.interest, model.nuisance)
+    else:
+        C = cstar_matrix(d, model.interest).ints.tolist()
+    return ratlinalg.is_positive_definite(C)
+
+
+@st.composite
+def designs_with_models(draw):
+    n = draw(st.integers(2, 4))
+    family = draw(st.sampled_from(
+        ("main-effects", "broader", "spec-all", "spec-2f", "spec-group")))
+    if family == "main-effects":
+        model = ModelSpec.main_effects(n)
+    elif family == "broader":
+        model = ModelSpec.broader_main_effects(n)
+    elif family == "spec-all":
+        model = ModelSpec.specified_one_factor(n)
+    elif family == "spec-2f":
+        model = ModelSpec.specified_two_factor(n)
+    else:
+        model = ModelSpec.specified_group(n, draw(st.integers(1, n - 1)))
+    m = draw(st.integers(2, 4))
+    # N up to Q + 2 covers both sides of the rank bound N(m-1) < Q
+    N = draw(st.integers(1, model.Q + 2))
+    pool = all_treatments(n)
+    sets = [tuple(draw(st.permutations(pool))[:m]) for _ in range(N)]
+    return ChoiceDesign.from_sets(sets), model
+
+
+@given(designs_with_models())
+@settings(max_examples=150, deadline=None)
+def test_rank_verdict_matches_fraction_reference(case):
+    d, model = case
+    report = verify(d, model)
+    connected = _reference_connected(d, model)
+    if report.certified:
+        assert connected
+    else:
+        assert (report.verdict is Verdict.CONNECTED_NOT_OPTIMAL) == connected
+
+
+@pytest.mark.parametrize("sets, verdict", [
+    ([("00", "10", "01")], Verdict.NOT_CONNECTED),
+    ([("01", "00", "10"), ("00", "01", "11")], Verdict.CONNECTED_NOT_OPTIMAL),
+])
+def test_nonzero_cross_block_route_both_outcomes(sets, verdict):
+    d = ChoiceDesign.from_sets(sets)
+    model = ModelSpec.broader_main_effects(2)
+    assert d.N * (d.m - 1) >= model.Q
+    report = verify(d, model)
+    assert report.cross_block_zero is False
+    assert report.verdict is verdict
+    assert _reference_connected(d, model) == (
+        verdict is Verdict.CONNECTED_NOT_OPTIMAL)
+
+
+def test_rank_bound_decides_without_rank(monkeypatch):
+    def refuse(M):
+        raise AssertionError("rank must not run below the rank bound")
+    monkeypatch.setattr(ratlinalg, "rank", refuse)
+    # N(m-1) = 3 < Q = 4, and C* is not diagonal
+    d = ChoiceDesign.from_sets([("0000", "1100"), ("0000", "0110"),
+                                ("0000", "0011")])
+    report = verify(d, ModelSpec.main_effects(4))
+    assert not report.diagonal
+    assert report.verdict is Verdict.NOT_CONNECTED
+
+
+def test_widest_supported_design_verifies():
+    n = 63
+    d = ChoiceDesign.from_sets([("0" * n, "1" * n),
+                                ("01" * 31 + "0", "10" * 31 + "1")])
+    report = verify(d, ModelSpec.main_effects(n))
+    assert report.verdict is Verdict.NOT_CONNECTED
+
+
+def test_64_factors_are_unsupported():
+    n = 64
+    d = ChoiceDesign.from_sets([("0" * n, "1" * n)])
+    with pytest.raises(Unsupported):
+        verify(d, ModelSpec.main_effects(n))
+
+
+def test_invariant_checks_survive_python_O():
+    # corrupt every exact product by one; the diagonal cross-check must fire
+    script = textwrap.dedent("""
+        from chogen import contrasts
+        from chogen.designs import ChoiceDesign
+        from chogen.errors import InvariantError
+        from chogen.models import ModelSpec
+        from chogen.optimality import verify
+        assert False, "asserts must be off under -O"
+        real = contrasts.int_product
+        contrasts.int_product = lambda A, B: real(A, B) + 1
+        d = ChoiceDesign.from_sets([("00", "11"), ("01", "10")])
+        try:
+            verify(d, ModelSpec.main_effects(2))
+        except InvariantError:
+            print("InvariantError")
+    """)
+    src = os.path.dirname(os.path.dirname(chogen.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "InvariantError"

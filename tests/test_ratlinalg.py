@@ -1,0 +1,95 @@
+"""Exact ranks modulo primes, with the Hadamard-bound stop rule."""
+
+import random
+
+import numpy as np
+import pytest
+
+from chogen import ratlinalg
+from chogen.ratlinalg import rank
+
+
+def _rank_by_fractions(M) -> int:
+    """Reference rank by Gaussian elimination over the rationals."""
+    from fractions import Fraction
+    a = [[Fraction(v) for v in row] for row in M]
+    r = 0
+    cols = len(a[0]) if a else 0
+    for c in range(cols):
+        piv = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        for i in range(r + 1, len(a)):
+            f = a[i][c] / a[r][c]
+            a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        r += 1
+    return r
+
+
+def test_rank_of_empty_matrices():
+    assert rank([]) == 0
+    assert rank([[]]) == 0
+    assert rank(np.zeros((0, 4), dtype=np.int64)) == 0
+    assert rank(np.zeros((3, 0), dtype=np.int64)) == 0
+
+
+def test_rank_of_zero_matrices():
+    assert rank([[0]]) == 0
+    assert rank(np.zeros((5, 3), dtype=np.int64)) == 0
+
+
+def test_rank_full():
+    assert rank(np.eye(6, dtype=np.int64)) == 6
+    assert rank([[1, 1, 0], [0, 1, 1]]) == 2
+    assert rank([[1, 0], [0, 1], [1, 1]]) == 2
+    assert rank([[-3]]) == 1
+    # squares of these entries overflow int64 in the minor bound
+    assert rank([[2**40, 0], [0, 2**40]]) == 2
+
+
+def test_rank_deficit():
+    assert rank([[1, 2], [2, 4]]) == 1
+    assert rank([[1, -1, 0], [0, 1, -1], [-1, 0, 1]]) == 2
+    assert rank([[2**40, 2**41], [1, 2]]) == 1
+    # a +-1 matrix of rank 3 with 40 rows and 30 columns
+    rng = np.random.default_rng(11)
+    M = rng.choice([-1, 1], (40, 3)) @ rng.choice([-1, 1], (3, 30))
+    assert rank(M) == 3
+    assert rank(M.T) == 3
+
+
+def test_rank_survives_a_prime_that_divides_the_minors():
+    # singular modulo the first prime, 2^31 - 1, but rank 2 over Q: the
+    # stop rule must not accept the modular deficit as final
+    assert next(ratlinalg._primes()) == 2**31 - 1
+    p = 2**31 - 1
+    assert rank([[1, 0], [0, p]]) == 2
+    assert rank([[p, 0, 0], [0, p, 0], [0, 0, 0]]) == 2
+
+
+def test_rank_matches_rational_elimination():
+    rng = random.Random(2031)
+    for _ in range(80):
+        rows, cols, k = (rng.randint(1, 9) for _ in range(3))
+        L = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(rows)]
+        R = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(k)]
+        M = (np.array(L) @ np.array(R)).tolist()
+        assert rank(M) == _rank_by_fractions(M)
+
+
+def test_rank_rejects_a_vector():
+    with pytest.raises(ValueError):
+        rank([1, 2, 3])
+
+
+def test_miller_rabin_against_trial_division():
+    def slow(n):
+        return n >= 2 and all(n % k for k in range(2, int(n ** 0.5) + 1))
+    assert [n for n in range(3000) if ratlinalg._is_prime(n)] == \
+        [n for n in range(3000) if slow(n)]
+    # strong pseudoprimes to bases (2), (2, 3) and (2, 3, 5)
+    for n in (2047, 1373653, 25326001):
+        assert not ratlinalg._is_prime(n)
+    assert ratlinalg._is_prime(2**31 - 1)
+    assert not ratlinalg._is_prime(2**31 - 3)
