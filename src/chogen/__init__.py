@@ -26,7 +26,7 @@ from .designs import (ChoiceDesign, add_generator, all_treatments,
                       equivalent, lex_index, make_choice_set, treatment,
                       truncate_factors)
 from .hadamard import (hadamard, is_hadamard, kronecker,
-                       least_hadamard_order, max_order, normalize,
+                       least_hadamard_order, normalize,
                        paley_type1, paley_type2, supported_orders, sylvester,
                        zero_one)
 from .models import (FactorialEffect, ModelKind, ModelSpec, effect,
@@ -50,7 +50,7 @@ __all__ = [
     # hadamard
     "hadamard", "sylvester", "paley_type1", "paley_type2", "kronecker",
     "normalize", "zero_one", "is_hadamard", "supported_orders",
-    "least_hadamard_order", "max_order",
+    "least_hadamard_order",
     # contrasts
     "ScaledIntMatrix", "contrast_vector", "contrast_matrix",
     "effective_position", "effective_choice_set", "pair_contribution",

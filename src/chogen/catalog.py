@@ -2,9 +2,10 @@
 
 The reference table lists, for each model block and each (m, n) cell with
 2 <= n <= 12, the number of choice sets N of the smallest known
-universally optimal design.  catalog_lookup materializes every applicable
-construction for a cell, certifies each one, and compares the smallest
-certified N against the reference value.
+universally optimal design.  candidate_recipes lists every construction
+that applies to a cell, first_certified builds and certifies them
+cheapest first, and catalog_lookup compares the winner's N against the
+reference value.  The command line uses the same two functions.
 """
 
 from __future__ import annotations
@@ -113,8 +114,48 @@ def _minimal_alpha(n: int, base: int) -> int:
     return alpha
 
 
-def candidate_recipes(kind: ModelKind, m: int, n: int) -> tuple:
-    """Every construction recipe whose claim covers the (kind, m, n) cell."""
+def _require_specified_m(m: int, family: str):
+    if m not in (3, 4):
+        raise Unsupported(
+            f"{family} constructions cover m in {{3,4}}, got {m}")
+
+
+def _seed_recipes(rid: str, model: ModelSpec, m: int, n: int,
+                  rescue_alpha: int, rescue_columns, rescue_note: str,
+                  r=None) -> list:
+    """Generator-shift recipes on Sylvester seeds of width 2^alpha.
+
+    The base width is the least 2^alpha >= n (alpha >= 2); order 2 is
+    added for n <= 2, and the seed of width 2^rescue_alpha on the columns
+    rescue_columns(n) when it is wider than the base.  m=3 doubles N.
+    """
+    doubling = 2 if m == 3 else 1
+    alpha = max(2, (n - 1).bit_length())
+    recipes = [ConstructionRecipe(rid, n, m, model, doubling << alpha,
+                                  alpha=alpha, r=r)]
+    if n <= 2:
+        recipes.append(ConstructionRecipe(
+            rid, n, m, model, doubling << 1, alpha=1, r=r,
+            note="seed order 2 sits below the usual seed range"))
+    if rescue_alpha > alpha:
+        recipes.append(ConstructionRecipe(
+            rid, n, m, model, doubling << rescue_alpha, alpha=rescue_alpha,
+            r=r, columns=rescue_columns(n), note=rescue_note))
+    return recipes
+
+
+def candidate_recipes(kind: ModelKind, m: int, n: int, r=None) -> tuple:
+    """Every construction recipe whose claim covers the (kind, m, n) cell.
+
+    r is the group size of the SPECIFIED_GROUP model, unused otherwise.
+    """
+    if kind is ModelKind.SPECIFIED_GROUP:
+        # the model refuses n < 2, so m in {3,4} always fits in 2^n options
+        _require_specified_m(m, "group-interaction")
+        return tuple(_seed_recipes(
+            f"spec-group-m{m}", ModelSpec.specified_group(n, r), m, n, n - 1,
+            independent_columns,
+            "certified on a wider seed with XOR-independent columns", r=r))
     if m > (1 << n):
         return ()
     recipes = []
@@ -151,38 +192,45 @@ def candidate_recipes(kind: ModelKind, m: int, n: int) -> tuple:
             recipes.append(ConstructionRecipe(
                 "T1-generator", n, m, model, nu if m % 2 == 0 else 2 * nu))
     elif kind is ModelKind.SPECIFIED_TWO_FACTOR:
-        if m not in (3, 4):
-            raise Unsupported(
-                f"two-factor interaction constructions cover m in {{3,4}}, got {m}")
+        _require_specified_m(m, "two-factor interaction")
         model = ModelSpec.specified_two_factor(n)
         nu = least_hadamard_order(n)
         recipes.append(ConstructionRecipe(
             f"spec-2f-m{m}", n, m, model, 2 * nu if m == 3 else nu))
     elif kind is ModelKind.SPECIFIED_ONE_FACTOR:
-        if m not in (3, 4):
-            raise Unsupported(
-                f"all-order interaction constructions cover m in {{3,4}}, got {m}")
-        model = ModelSpec.specified_one_factor(n)
-        doubling = 2 if m == 3 else 1
-        alpha = max(2, (n - 1).bit_length())
-        recipes.append(ConstructionRecipe(
-            f"spec-all-m{m}", n, m, model, doubling << alpha, alpha=alpha))
-        if n <= 2:
-            recipes.append(ConstructionRecipe(
-                f"spec-all-m{m}", n, m, model, doubling << 1, alpha=1,
-                note="seed order 2 sits below the usual seed range"))
-        rescue_alpha = n - 1 if m == 3 else n - 2
-        if rescue_alpha > alpha:
-            cols = independent_columns(n) if m == 3 else even_free_columns(n)
-            recipes.append(ConstructionRecipe(
-                f"spec-all-m{m}", n, m, model, doubling << rescue_alpha,
-                alpha=rescue_alpha, columns=cols,
-                note="no seed of the listed width balances every effect "
-                     "pair here; certified on a wider seed with "
-                     "XOR-independent columns"))
+        _require_specified_m(m, "all-order interaction")
+        recipes = _seed_recipes(
+            f"spec-all-m{m}", ModelSpec.specified_one_factor(n), m, n,
+            n - 1 if m == 3 else n - 2,
+            independent_columns if m == 3 else even_free_columns,
+            "no seed of the listed width balances every effect pair here; "
+            "certified on a wider seed with XOR-independent columns")
     else:
         raise Unsupported(f"no catalog block for model kind {kind!r}")
     return tuple(recipes)
+
+
+def first_certified(recipes) -> tuple:
+    """Build and verify recipes cheapest first; stop at the first certified.
+
+    Recipes are tried in a stable sort by claimed_N, so ties keep their
+    given order.  Returns (winner, rejected): winner is (recipe, design,
+    report) or None, and rejected lists (recipe, reason) for every recipe
+    tried before it, the reason being the build's ChogenError or the
+    uncertified report.  Errors raised by verify propagate.
+    """
+    rejected = []
+    for recipe in sorted(recipes, key=lambda rec: rec.claimed_N):
+        try:
+            design = build(recipe)
+        except ChogenError as exc:
+            rejected.append((recipe, exc))
+            continue
+        report = verify(design, recipe.model)
+        if report.certified:
+            return (recipe, design, report), rejected
+        rejected.append((recipe, report))
+    return None, rejected
 
 
 def catalog_lookup(kind: ModelKind, m: int, n: int) -> CatalogEntry:
@@ -199,22 +247,13 @@ def catalog_lookup(kind: ModelKind, m: int, n: int) -> CatalogEntry:
     if table_N is None:
         return CatalogEntry(kind, m, n, None, None, CellStatus.BLANK_CELL,
                             None, False, "reference table leaves this cell blank")
-    best = None
-    for recipe in candidate_recipes(kind, m, n):
-        if best is not None and recipe.claimed_N >= best[0].claimed_N:
-            continue
-        try:
-            design = build(recipe)
-        except ChogenError:
-            continue
-        report = verify(design, recipe.model, classify=False)
-        if report.certified:
-            best = (recipe, design.N)
-    if best is None:
+    winner, _ = first_certified(candidate_recipes(kind, m, n))
+    if winner is None:
         return CatalogEntry(kind, m, n, table_N, None,
                             CellStatus.NO_CONSTRUCTION, None, False,
                             "no candidate construction certified")
-    recipe, achieved = best
+    recipe, design, _ = winner
+    achieved = design.N
     status = CellStatus.MATCH if achieved == table_N else CellStatus.MISMATCH
     note = recipe.note
     if status is CellStatus.MISMATCH:

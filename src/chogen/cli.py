@@ -14,9 +14,8 @@ import sys
 
 from . import serialization
 from .catalog import (EXPECTED_DEVIATIONS, ModelKind, Table1Report,
-                      candidate_recipes, reproduce_table1)
-from .constructions import (ConstructionRecipe, build, default_generators,
-                            independent_columns)
+                      candidate_recipes, first_certified, reproduce_table1)
+from .constructions import ConstructionRecipe, default_generators
 from .designs import bits_string
 from .errors import ChogenError, FormatError, Unsupported
 from .hadamard import least_hadamard_order
@@ -73,36 +72,9 @@ def _parse_columns(text: str) -> tuple:
         raise Unsupported(f"bad --seed-columns value {text!r}") from None
 
 
-def _group_recipes(m: int, n: int, r, columns) -> list:
-    if m not in (3, 4):
-        raise Unsupported(
-            f"group-interaction constructions cover m in {{3,4}}, got {m}")
-    model = _model_for("spec-group", n, r)
-    doubling = 2 if m == 3 else 1
-    alpha = max(2, (n - 1).bit_length())
-    recipes = [ConstructionRecipe(f"spec-group-m{m}", n, m, model,
-                                  doubling << alpha, alpha=alpha, r=r,
-                                  columns=columns)]
-    if n <= 2:
-        recipes.append(ConstructionRecipe(
-            f"spec-group-m{m}", n, m, model, doubling << 1, alpha=1, r=r,
-            columns=columns,
-            note="seed order 2 sits below the usual seed range"))
-    if columns is None and n - 1 > alpha:
-        recipes.append(ConstructionRecipe(
-            f"spec-group-m{m}", n, m, model, doubling << (n - 1),
-            alpha=n - 1, r=r, columns=independent_columns(n),
-            note="certified on a wider seed with XOR-independent columns"))
-    return recipes
-
-
 def _generate_recipes(args) -> list:
     name, m, n = args.model, args.m, args.n
     columns = _parse_columns(args.seed_columns) if args.seed_columns else None
-    if name == "spec-group":
-        if args.generators:
-            raise Unsupported("--generators applies to main-effects and broader")
-        return _group_recipes(m, n, args.r, columns)
     if args.generators:
         if name not in ("main-effects", "broader"):
             raise Unsupported("--generators applies to main-effects and broader")
@@ -116,7 +88,9 @@ def _generate_recipes(args) -> list:
         claimed = nu if m % 2 == 0 else 2 * nu
         return [ConstructionRecipe("T1-generator", n, m, model, claimed,
                                    generators=gens, columns=columns)]
-    recipes = list(candidate_recipes(_KINDS[name], m, n))
+    if name == "spec-group" and args.r is None:
+        raise Unsupported("spec-group needs a group size --r")
+    recipes = list(candidate_recipes(_KINDS[name], m, n, args.r))
     if columns is not None:
         recipes = [dataclasses.replace(r, columns=columns)
                    for r in recipes if r.id != "T2-direct-add"]
@@ -142,23 +116,13 @@ def _recipe_generators(recipe: ConstructionRecipe) -> list:
 
 
 def _cmd_generate(args) -> int:
-    recipes = sorted(_generate_recipes(args), key=lambda r: r.claimed_N)
-    chosen = None
-    failures = []
-    for recipe in recipes:
-        try:
-            design = build(recipe)
-        except ChogenError as exc:
-            failures.append(f"{recipe.describe()}: {exc}")
-            continue
-        report = verify(design, recipe.model)
-        if report.certified:
-            chosen = (recipe, design, report)
-            break
-        failures.append(f"{recipe.describe()}: {report.verdict.value}")
+    chosen, rejected = first_certified(_generate_recipes(args))
     if chosen is None:
-        for line in failures:
-            print(f"not certified: {line}", file=sys.stderr)
+        for recipe, reason in rejected:
+            if not isinstance(reason, ChogenError):
+                reason = reason.verdict.value
+            print(f"not certified: {recipe.describe()}: {reason}",
+                  file=sys.stderr)
         print("error: no construction certified for these parameters",
               file=sys.stderr)
         return 2

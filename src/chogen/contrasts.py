@@ -17,10 +17,9 @@ import numpy as np
 from . import ratlinalg
 from .designs import ChoiceDesign, lex_index
 from .errors import EffectOutOfRange, InvariantError, SamePair, Unsupported
-from .models import FactorialEffect, ModelSpec, require_within
+from .models import FactorialEffect, ModelSpec
 
-# dense 2^n-column paths are used up to this width; beyond it C* is
-# accumulated per choice set (the component-pair route), never densely
+# lambda_star is a dense 2^n x 2^n matrix, so it is refused beyond this width
 DENSE_MAX_N = 12
 
 # relative eigenvalue cutoff of the numeric pseudo-inverse branch
@@ -148,10 +147,12 @@ def option_sign_matrix(d: ChoiceDesign, effects: Sequence[FactorialEffect]) -> n
         raise Unsupported(f"sign matrices are limited to n <= "
                           f"{MAX_SIGN_FACTORS} factors, got {n}")
     masks = np.array([_effect_mask(e, n) for e in effects], dtype=np.int64)
-    orders = np.array([e.order for e in effects], dtype=np.int64)
+    orders = np.array([e.order for e in effects], dtype=np.uint8)
     opts = np.array([lex_index(t) for t in d.treatments()], dtype=np.int64)
-    ones = np.bitwise_count(masks[:, None] & opts[None, :]).astype(np.int64)
-    return 1 - 2 * ((orders[:, None] - ones) & 1)
+    ones = np.bitwise_count(masks[:, None] & opts[None, :])
+    # the parity is taken in uint8, so only the result is a full int64 array
+    odd = ((orders[:, None] - ones) & 1).astype(bool)
+    return np.where(odd, np.int64(-1), np.int64(1))
 
 
 def lambda_star(d: ChoiceDesign) -> ScaledIntMatrix:
@@ -180,57 +181,54 @@ def int_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     Large products go through float64 BLAS: every partial sum is an
     integer bounded by inner_dim * max|A| * max|B|, far below 2^53, so
     the float result is exact and the cast back to int64 is lossless.
+    When B is the transpose of A, A is converted once and B is its view.
     """
     ops = A.shape[0] * A.shape[1] * B.shape[-1]
     if ops <= 2_000_000:
         return A @ B
-    bound = (A.shape[1] * int(np.abs(A).max(initial=0))
-             * int(np.abs(B).max(initial=0)))
+    bound = A.shape[1]
+    for M in (A, B):
+        bound *= max(int(M.max(initial=0)), -int(M.min(initial=0)))
     if bound >= (1 << 53):
         return A @ B
-    out = A.astype(np.float64) @ B.astype(np.float64)
-    return np.rint(out).astype(np.int64)
+    Af = A.astype(np.float64)
+    if B.base is A and B.shape == A.shape[::-1] and B.strides == A.strides[::-1]:
+        Bf = Af.T
+    else:
+        Bf = B.astype(np.float64)
+    return np.rint(Af @ Bf).astype(np.int64)
 
 
-def _cstar_by_sets(d: ChoiceDesign, effects: Sequence[FactorialEffect]) -> np.ndarray:
-    """C* accumulated per choice set: sum_p (m X_p X_p' - s_p s_p')."""
-    m = d.m
-    X = option_sign_matrix(d, effects)
-    S = X.reshape(len(effects), d.N, m).sum(axis=2)
-    return m * int_product(X, X.T) - int_product(S, S.T)
+def cstar_from_signs(Xa: np.ndarray, Xb: np.ndarray, m: int) -> np.ndarray:
+    """Exact integer block m Xa Xb' - Sa Sb' of two option sign matrices.
+
+    Xa and Xb are option_sign_matrix results of one design with m options
+    per set; S holds their per-set row sums.  With Xa = Xb this is C*,
+    otherwise the cross block B_a Lambda* B_b'.
+    """
+    C = m * int_product(Xa, Xb.T)
+    Sa = Xa.reshape(Xa.shape[0], -1, m).sum(axis=2)
+    Sb = Sa if Xb is Xa else Xb.reshape(Xb.shape[0], -1, m).sum(axis=2)
+    C -= int_product(Sa, Sb.T)
+    return C
 
 
 def cstar_matrix(d: ChoiceDesign, F: Sequence[FactorialEffect]) -> ScaledIntMatrix:
-    """Exact C* = B Lambda* B' with scale 1/(2^n N m^2).
-
-    Dense matrix product for n <= DENSE_MAX_N, per-set accumulation
-    beyond; the two paths agree exactly and are cross-checked in tests.
-    """
+    """Exact C* = B Lambda* B' with scale 1/(2^n N m^2), summed per set."""
     effects = tuple(F)
-    require_within(effects, d.n)
     if not effects:
         raise ValueError("need at least one effect")
-    n, m = d.n, d.m
-    if n <= DENSE_MAX_N:
-        B = contrast_matrix(effects, n)
-        C = int_product(int_product(B, lambda_star(d).ints), B.T)
-    else:
-        C = _cstar_by_sets(d, effects)
-    return ScaledIntMatrix(C, Fraction(1, (1 << n) * d.N * m * m))
+    X = option_sign_matrix(d, effects)
+    return ScaledIntMatrix(cstar_from_signs(X, X, d.m),
+                           Fraction(1, (1 << d.n) * d.N * d.m * d.m))
 
 
 def cross_block_star(d: ChoiceDesign,
                      interest: Sequence[FactorialEffect],
                      nuisance: Sequence[FactorialEffect]) -> np.ndarray:
     """Exact integer cross block B_(1) Lambda* B_(2)'."""
-    require_within(tuple(interest), d.n)
-    require_within(tuple(nuisance), d.n)
-    m = d.m
-    X1 = option_sign_matrix(d, interest)
-    X2 = option_sign_matrix(d, nuisance)
-    S1 = X1.reshape(len(interest), d.N, m).sum(axis=2)
-    S2 = X2.reshape(len(nuisance), d.N, m).sum(axis=2)
-    return m * int_product(X1, X2.T) - int_product(S1, S2.T)
+    return cstar_from_signs(option_sign_matrix(d, interest),
+                            option_sign_matrix(d, nuisance), d.m)
 
 
 def exact_schur_cstar(d: ChoiceDesign,
@@ -243,9 +241,11 @@ def exact_schur_cstar(d: ChoiceDesign,
     complement is then invariant to the choice of generalized inverse.
     Returns a list-of-lists Fraction matrix.
     """
-    C1 = _cstar_by_sets(d, tuple(interest))
-    G = _cstar_by_sets(d, tuple(nuisance))
-    X = cross_block_star(d, interest, nuisance)
+    X1 = option_sign_matrix(d, interest)
+    X2 = option_sign_matrix(d, nuisance)
+    C1 = cstar_from_signs(X1, X1, d.m)
+    G = cstar_from_signs(X2, X2, d.m)
+    X = cstar_from_signs(X1, X2, d.m)
     Y = ratlinalg.solve_consistent(G.tolist(), X.T.tolist())
     if Y is None:
         raise InvariantError("cross-block solve must be consistent")
@@ -270,15 +270,16 @@ def info_matrix(d: ChoiceDesign, model: ModelSpec, force_numeric: bool = False):
     force_numeric=True to take the numeric route even when the cross
     block vanishes, e.g. to compare the two paths.
     """
-    require_within(model.interest, d.n)
     if not model.nuisance:
         return cstar_matrix(d, model.interest)
-    X = cross_block_star(d, model.interest, model.nuisance)
+    X1 = option_sign_matrix(d, model.interest)
+    X2 = option_sign_matrix(d, model.nuisance)
+    X = cstar_from_signs(X1, X2, d.m)
+    C1 = cstar_from_signs(X1, X1, d.m)
+    scale = Fraction(1, (1 << d.n) * d.N * d.m * d.m)
     if not X.any() and not force_numeric:
-        return cstar_matrix(d, model.interest)
-    scale = 1.0 / float((1 << d.n) * d.N * d.m * d.m)
-    C1 = _cstar_by_sets(d, model.interest).astype(float)
-    G = _cstar_by_sets(d, model.nuisance).astype(float)
+        return ScaledIntMatrix(C1, scale)
+    G = cstar_from_signs(X2, X2, d.m).astype(float)
     Ginv = np.linalg.pinv(G, rcond=PINV_CUTOFF, hermitian=True)
     Xf = X.astype(float)
-    return (C1 - Xf @ Ginv @ Xf.T) * scale
+    return (C1.astype(float) - Xf @ Ginv @ Xf.T) * float(scale)

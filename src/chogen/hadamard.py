@@ -1,32 +1,24 @@
 """Hadamard matrices used as design seeds.
 
 Sylvester powers, Paley constructions over GF(q) for odd prime powers q,
-and Kronecker products together cover every order 4k up to the configured
-bound (64 by default, env var CHOGEN_MAX_HADAMARD overrides).  All checks
-are exact integer arithmetic.
+and Kronecker products together cover every order 4k up to
+MAX_SEARCH_ORDER; hadamard() itself builds larger orders on request.  All
+checks are exact integer arithmetic.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import os
 
 import numpy as np
 
 from .errors import BadOrder, InvariantError, NotHadamard, Unsupported
 
-DEFAULT_MAX_ORDER = 64
-
-
-def max_order() -> int:
-    """Largest supported order, CHOGEN_MAX_HADAMARD or 64."""
-    raw = os.environ.get("CHOGEN_MAX_HADAMARD", "")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = DEFAULT_MAX_ORDER
-    return cap if cap >= 1 else DEFAULT_MAX_ORDER
+# Bound of the seed-order search.  verify accepts at most 63 factors
+# (contrasts.MAX_SIGN_FACTORS) and least_hadamard_order(63) = 64, so no
+# design that can be certified needs a larger searched order.
+MAX_SEARCH_ORDER = 64
 
 
 def is_hadamard(M) -> bool:
@@ -282,11 +274,10 @@ def hadamard(order: int) -> np.ndarray:
     return normalize(H)
 
 
-def supported_orders(limit: int = None) -> list:
-    """All buildable orders up to limit (default: the configured cap)."""
-    cap = max_order() if limit is None else limit
-    orders = [nu for nu in (1, 2) if nu <= cap]
-    orders.extend(nu for nu in range(4, cap + 1, 4) if _buildable(nu))
+def supported_orders(limit: int = MAX_SEARCH_ORDER) -> list:
+    """All buildable orders up to limit."""
+    orders = [nu for nu in (1, 2) if nu <= limit]
+    orders.extend(nu for nu in range(4, limit + 1, 4) if _buildable(nu))
     return orders
 
 
@@ -294,10 +285,9 @@ def least_hadamard_order(n: int) -> int:
     """Smallest supported order >= n; the seed order for n-factor designs."""
     if n < 1:
         raise BadOrder(f"n must be positive, got {n}")
-    cap = max_order()
-    for nu in supported_orders(cap):
+    for nu in supported_orders():
         if nu >= n:
             return nu
     raise Unsupported(
-        f"no supported Hadamard order >= {n} within the cap {cap}"
+        f"no supported Hadamard order >= {n} within the cap {MAX_SEARCH_ORDER}"
     )

@@ -57,7 +57,7 @@ class OptimalityReport:
     trace_bound: Fraction
     cross_block_zero: Optional[bool]  # None when the model has no nuisance
     total_component_pairs: int
-    verdict: Optional[Verdict]  # None when classification was skipped
+    verdict: Verdict
 
     @property
     def certified(self) -> bool:
@@ -78,8 +78,7 @@ class OptimalityReport:
             lines.append(f"cross block zero: {self.cross_block_zero}")
         for e1, e2, ep, em in self.offending_pairs[:10]:
             lines.append(f"  unbalanced pair {e1},{e2}: eta+={ep}, eta-={em}")
-        verdict = "unclassified" if self.verdict is None else self.verdict.value
-        lines.append(f"verdict: {verdict}")
+        lines.append(f"verdict: {self.verdict.value}")
         return "\n".join(lines)
 
 
@@ -159,9 +158,12 @@ def _differences(signs: np.ndarray) -> np.ndarray:
 
 
 def _connected(d: ChoiceDesign, model: ModelSpec, signs: np.ndarray,
-               diag: np.ndarray, diagonal: bool,
-               cross_zero: Optional[bool]) -> bool:
-    """Whether the model's information matrix has full rank, exactly."""
+               nuisance: Optional[np.ndarray], diag: np.ndarray,
+               diagonal: bool, cross_zero: Optional[bool]) -> bool:
+    """Whether the model's information matrix has full rank, exactly.
+
+    nuisance is the nuisance option sign matrix, None without nuisance.
+    """
     Q = model.Q
     if d.N * (d.m - 1) < Q:
         return False  # rank C* <= N(m-1)
@@ -169,7 +171,6 @@ def _connected(d: ChoiceDesign, model: ModelSpec, signs: np.ndarray,
         if diagonal:
             return bool((diag > 0).all())
         return ratlinalg.rank(_differences(signs)) == Q
-    nuisance = contrasts.option_sign_matrix(d, model.nuisance)
     A_nuis = _differences(nuisance.reshape(len(model.nuisance), d.N, d.m))
     A = np.hstack([_differences(signs), A_nuis])
     return ratlinalg.rank(A) - ratlinalg.rank(A_nuis) == Q
@@ -190,16 +191,15 @@ def _eta_from_signs(x: np.ndarray, y: np.ndarray) -> tuple:
     return int((pp * mm).sum()), int((pm * mp).sum())
 
 
-def verify(d: ChoiceDesign, model: ModelSpec,
-           classify: bool = True) -> OptimalityReport:
+def verify(d: ChoiceDesign, model: ModelSpec) -> OptimalityReport:
     """Certify a design against a model with exact arithmetic only.
 
     The verdict is UniversallyOptimal iff the exact C is diagonal, every
     per-set count is balanced, the trace equals max_trace, and (for
     nonempty nuisance) the cross block vanishes; otherwise the exact
-    rank of C decides ConnectedNotOptimal versus NotConnected.  Pass
-    classify=False to skip that rank test; an uncertified design then
-    gets verdict None.
+    rank of C decides ConnectedNotOptimal versus NotConnected.  Each
+    sign matrix is built once and shared by C*, the cross block and the
+    rank test.
     """
     effects = model.interest
     require_within(effects, d.n)
@@ -207,6 +207,7 @@ def verify(d: ChoiceDesign, model: ModelSpec,
     n, m, N, Q = d.n, d.m, d.N, model.Q
 
     X = contrasts.option_sign_matrix(d, effects)
+    Cstar = contrasts.cstar_from_signs(X, X, m)
     signs = X.reshape(Q, N, m)
     rowsums = signs.sum(axis=2)  # (Q, N), value m - 2*n_p
     np_table = (m - rowsums) // 2
@@ -215,8 +216,6 @@ def verify(d: ChoiceDesign, model: ModelSpec,
     else:
         balance_ok = bool((np.abs(rowsums) == 1).all())
 
-    Cstar = (m * contrasts.int_product(X, X.T)
-             - contrasts.int_product(rowsums, rowsums.T))
     diag = np.diag(Cstar)
     # same diagonal via the per-set zero counts, as an internal cross-check
     if not np.array_equal(diag, (4 * np_table * (m - np_table)).sum(axis=1)):
@@ -245,17 +244,16 @@ def verify(d: ChoiceDesign, model: ModelSpec,
         raise InvariantError("trace above the attainable bound")
 
     cross_zero = None
+    nuisance = None
     if model.nuisance:
-        cross_zero = not contrasts.cross_block_star(
-            d, effects, model.nuisance).any()
+        nuisance = contrasts.option_sign_matrix(d, model.nuisance)
+        cross_zero = not contrasts.cstar_from_signs(X, nuisance, m).any()
 
     optimal = (diagonal and balance_ok and trace == bound
                and cross_zero in (None, True))
     if optimal:
         verdict = Verdict.UNIVERSALLY_OPTIMAL
-    elif not classify:
-        verdict = None
-    elif _connected(d, model, signs, diag, diagonal, cross_zero):
+    elif _connected(d, model, signs, nuisance, diag, diagonal, cross_zero):
         verdict = Verdict.CONNECTED_NOT_OPTIMAL
     else:
         verdict = Verdict.NOT_CONNECTED

@@ -1,12 +1,17 @@
 """Reference-table catalog: cell lookups and block reproduction."""
 
+import dataclasses
+import itertools
+
 import pytest
 
 from chogen.catalog import (EXPECTED_DEVIATIONS, TABLE1, TABLE_NS, CellStatus,
                             Table1Report, candidate_recipes, catalog_lookup,
-                            reproduce_table1)
-from chogen.errors import Unsupported
-from chogen.models import ModelKind
+                            first_certified, reproduce_table1)
+from chogen.constructions import ConstructionRecipe
+from chogen.errors import RangeError, Unsupported
+from chogen.models import ModelKind, ModelSpec
+from chogen.optimality import OptimalityReport
 
 
 def test_table_shape():
@@ -24,6 +29,72 @@ def test_candidate_recipes_unsupported_m():
         candidate_recipes(ModelKind.SPECIFIED_ONE_FACTOR, 5, 4)
     with pytest.raises(Unsupported):
         candidate_recipes(ModelKind.SPECIFIED_TWO_FACTOR, 2, 4)
+
+
+_RESCUE_NOTE = "certified on a wider seed with XOR-independent columns"
+
+
+@pytest.mark.parametrize("m, n, r, expected", [
+    (4, 10, 3, [
+        ("spec-group-m4 alpha=4 r=3", 16, None, ""),
+        ("spec-group-m4 alpha=9 r=3", 512,
+         (1, 2, 3, 5, 9, 17, 33, 65, 129, 257), _RESCUE_NOTE)]),
+    (3, 4, 2, [
+        ("spec-group-m3 alpha=2 r=2", 8, None, ""),
+        ("spec-group-m3 alpha=3 r=2", 16, (1, 2, 3, 5), _RESCUE_NOTE)]),
+    (4, 2, 1, [
+        ("spec-group-m4 alpha=2 r=1", 4, None, ""),
+        ("spec-group-m4 alpha=1 r=1", 2, None,
+         "seed order 2 sits below the usual seed range")]),
+    (3, 12, 5, [
+        ("spec-group-m3 alpha=4 r=5", 32, None, ""),
+        ("spec-group-m3 alpha=11 r=5", 4096,
+         (1, 2, 3, 5, 9, 17, 33, 65, 129, 257, 513, 1025), _RESCUE_NOTE)]),
+])
+def test_candidate_recipes_spec_group(m, n, r, expected):
+    recipes = candidate_recipes(ModelKind.SPECIFIED_GROUP, m, n, r)
+    got = [(x.describe(), x.claimed_N, x.columns, x.note) for x in recipes]
+    assert got == expected
+    assert all(x.model == ModelSpec.specified_group(n, r) for x in recipes)
+
+
+def test_candidate_recipes_spec_group_unsupported_m():
+    with pytest.raises(Unsupported, match="group-interaction"):
+        candidate_recipes(ModelKind.SPECIFIED_GROUP, 5, 4, 2)
+
+
+def test_first_certified_cheapest_whatever_the_order():
+    # main effects m=4 n=2: two certified N=1 recipes and one N=2 recipe
+    recipes = candidate_recipes(ModelKind.MAIN_EFFECTS, 4, 2)
+    assert sorted(x.claimed_N for x in recipes) == [1, 1, 2]
+    for perm in itertools.permutations(recipes):
+        winner, rejected = first_certified(perm)
+        first_cheap = next(x for x in perm if x.claimed_N == 1)
+        assert winner[0] == first_cheap  # ties keep the given order
+        assert winner[1].N == 1 and winner[2].certified
+        assert rejected == []
+
+
+def test_first_certified_reports_rejections():
+    base, rescue = candidate_recipes(ModelKind.SPECIFIED_ONE_FACTOR, 4, 6)
+    broken = dataclasses.replace(base, claimed_N=3)
+    winner, rejected = first_certified([rescue, broken, base])
+    assert winner[0] == rescue and winner[1].N == 16
+    assert [x for x, _ in rejected] == [broken, base]
+    assert isinstance(rejected[0][1], RangeError)  # a build error
+    assert isinstance(rejected[1][1], OptimalityReport)
+    assert not rejected[1][1].certified
+    winner, rejected = first_certified([broken])
+    assert winner is None and [x for x, _ in rejected] == [broken]
+
+
+def test_first_certified_propagates_verify_errors():
+    # 64 factors build, but verify refuses sign matrices past 63 factors
+    wide = ConstructionRecipe("foldover-pair", 64, 128,
+                              ModelSpec.main_effects(64), 1,
+                              variant="half", order=128)
+    with pytest.raises(Unsupported, match="n <= 63"):
+        first_certified([wide])
 
 
 def test_lookup_blank_cell():

@@ -1,6 +1,7 @@
 """Command-line behaviour: subcommands, formats, and exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -99,6 +100,33 @@ def test_generate_seed_columns_happy_path(capsys):
     assert code == 0
     design, _ = loads(out)
     assert design.N == 1
+
+
+def test_generate_spec_group_seed_columns_reach_the_rescue(capsys):
+    # the width-4 seed cannot hold column 5; the width-8 rescue seed can
+    code, out, err = run(capsys, "generate", "--model", "spec-group",
+                         "--m", "4", "--n", "4", "--r", "2",
+                         "--seed-columns", "1,2,3,5")
+    assert code == 0
+    design, meta = loads(out)
+    assert design.N == 8
+    assert meta["construction"] == "spec-group-m4 alpha=3 r=2"
+    assert "verdict: UniversallyOptimal" in err
+
+
+INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("broader-m6-n8", ["--model", "broader", "--m", "6", "--n", "8"]),
+    ("spec-group-m4-n10-r3",
+     ["--model", "spec-group", "--m", "4", "--n", "10", "--r", "3"]),
+])
+def test_generate_matches_committed_design_bytes(capsys, tmp_path, name, argv):
+    path = tmp_path / f"{name}.json"
+    code, _, _ = run(capsys, "generate", *argv, "--out", str(path))
+    assert code == 0
+    assert path.read_bytes() == (INPUTS / f"{name}.json").read_bytes()
 
 
 def test_generate_bad_flag_exits_3(capsys):

@@ -256,7 +256,7 @@ def test_rescue_columns_certify_where_defaults_cannot():
     assert report.certified and d.N == 16
     # the default seed of width 2^3 provably leaves unbalanced pairs
     bad = verify(specified_design(6, 4, "all-orders"),
-                 ModelSpec.specified_one_factor(6), classify=False)
+                 ModelSpec.specified_one_factor(6))
     assert not bad.certified and bad.offending_count > 0
 
 

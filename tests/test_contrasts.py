@@ -12,7 +12,7 @@ from chogen.contrasts import (DENSE_MAX_N, ScaledIntMatrix, contrast_matrix,
                               effective_choice_set, effective_position,
                               exact_schur_cstar, info_matrix, int_product,
                               lambda_star, option_sign_matrix,
-                              pair_contribution, _cstar_by_sets)
+                              pair_contribution)
 from chogen.designs import ChoiceDesign, all_treatments, lex_index, treatment
 from chogen.errors import EffectOutOfRange, SamePair, Unsupported
 from chogen.models import ModelSpec, effect, main_effect_list
@@ -160,8 +160,9 @@ def test_cstar_matrix_validation():
 @settings(max_examples=60)
 def test_cstar_dense_and_per_set_paths_agree(d):
     effects = tuple(all_effects(d.n))
-    dense = cstar_matrix(d, effects)
-    assert np.array_equal(dense.ints, _cstar_by_sets(d, effects))
+    B = contrast_matrix(effects, d.n)
+    dense = B @ lambda_star(d).ints @ B.T
+    assert np.array_equal(cstar_matrix(d, effects).ints, dense)
 
 
 def test_cstar_known_single_set():
@@ -188,7 +189,7 @@ def test_cross_block_star_detects_imbalance():
 def test_exact_schur_equals_plain_cstar_when_cross_is_zero():
     d = ChoiceDesign.from_sets([("00", "01"), ("11", "10")])
     C2 = exact_schur_cstar(d, main_effect_list(2), (effect(1, 2),))
-    C1 = _cstar_by_sets(d, main_effect_list(2))
+    C1 = cstar_matrix(d, main_effect_list(2)).ints
     for i in range(2):
         for j in range(2):
             assert C2[i][j] == C1[i, j]
@@ -197,7 +198,7 @@ def test_exact_schur_equals_plain_cstar_when_cross_is_zero():
 def test_exact_schur_reduces_information():
     d = ChoiceDesign.from_sets([("00", "01"), ("01", "11")])
     C2 = exact_schur_cstar(d, main_effect_list(2), (effect(1, 2),))
-    C1 = _cstar_by_sets(d, main_effect_list(2))
+    C1 = cstar_matrix(d, main_effect_list(2)).ints
     tr2 = C2[0][0] + C2[1][1]
     assert tr2 <= Fraction(int(C1[0, 0] + C1[1, 1]))
     assert all(isinstance(v, Fraction) for row in C2 for v in row)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from chogen.errors import BadOrder, NotHadamard, Unsupported
-from chogen.hadamard import (hadamard, is_hadamard, kronecker,
-                             least_hadamard_order, max_order, normalize,
+from chogen.hadamard import (MAX_SEARCH_ORDER, hadamard, is_hadamard,
+                             kronecker, least_hadamard_order, normalize,
                              paley_type1, paley_type2, supported_orders,
                              sylvester, zero_one)
 
@@ -22,7 +22,7 @@ def test_sylvester_small():
 
 def test_every_multiple_of_four_up_to_cap_is_supported():
     orders = supported_orders()
-    assert orders == [1, 2] + list(range(4, max_order() + 1, 4))
+    assert orders == [1, 2] + list(range(4, MAX_SEARCH_ORDER + 1, 4))
 
 
 def test_hadamard_exactness_all_supported_orders():
@@ -103,18 +103,12 @@ def test_least_hadamard_order():
         least_hadamard_order(0)
 
 
-def test_order_cap_bounds_searches_not_construction(monkeypatch):
-    monkeypatch.setenv("CHOGEN_MAX_HADAMARD", "16")
-    assert max_order() == 16
-    assert supported_orders() == [1, 2, 4, 8, 12, 16]
+def test_order_cap_bounds_searches_not_construction():
+    # 63 factors is the widest design verify accepts
+    assert MAX_SEARCH_ORDER == 64
+    assert least_hadamard_order(63) == 64
     with pytest.raises(Unsupported):
-        least_hadamard_order(17)
+        least_hadamard_order(65)
+    assert supported_orders(16) == [1, 2, 4, 8, 12, 16]
     # direct construction stays available past the search cap
     assert hadamard(128).shape == (128, 128)
-
-
-def test_max_order_ignores_garbage_env(monkeypatch):
-    monkeypatch.setenv("CHOGEN_MAX_HADAMARD", "junk")
-    assert max_order() == 64
-    monkeypatch.setenv("CHOGEN_MAX_HADAMARD", "-3")
-    assert max_order() == 64

@@ -106,21 +106,28 @@ def test_verify_broader_cross_block_flag():
     assert not report.certified
 
 
-def test_verify_classify_false_skips_the_verdict_only():
-    d = ChoiceDesign.from_sets([("00", "01"), ("00", "11")])
-    report = verify(d, ModelSpec.main_effects(2), classify=False)
-    assert report.verdict is None
-    assert not report.certified
-    assert "unclassified" in report.summary()
-    # optimal designs are still classified: no definiteness test needed
-    d_opt = ChoiceDesign.from_sets([("00", "11"), ("01", "10")])
-    assert verify(d_opt, ModelSpec.main_effects(2), classify=False).certified
+def test_verify_builds_each_sign_matrix_once(monkeypatch):
+    # a nonzero cross block sends the nuisance signs through the rank test
+    from chogen import contrasts
+    calls = []
+    original = contrasts.option_sign_matrix
+
+    def counted(d, effects):
+        calls.append(len(effects))
+        return original(d, effects)
+
+    monkeypatch.setattr(contrasts, "option_sign_matrix", counted)
+    d = ChoiceDesign.from_sets([("00", "01")])
+    report = verify(d, ModelSpec.broader_main_effects(2))
+    assert report.cross_block_zero is False
+    assert report.verdict is Verdict.NOT_CONNECTED
+    assert calls == [2, 1]
 
 
 def test_offending_pair_listing_is_capped():
     # a wide unbalanced design produces more bad pairs than the report lists
     d = specified_design(8, 4, "all-orders")
-    report = verify(d, ModelSpec.specified_one_factor(8), classify=False)
+    report = verify(d, ModelSpec.specified_one_factor(8))
     assert not report.diagonal
     assert report.offending_count > MAX_LISTED_PAIRS
     assert len(report.offending_pairs) == MAX_LISTED_PAIRS
@@ -155,7 +162,7 @@ def test_eta_and_np_identities_on_random_designs():
 @given(designs(min_n=2))
 @settings(max_examples=40)
 def test_trace_never_exceeds_bound(d):
-    report = verify(d, ModelSpec.main_effects(d.n), classify=False)
+    report = verify(d, ModelSpec.main_effects(d.n))
     assert report.trace <= report.trace_bound
 
 
