@@ -18,6 +18,7 @@ from . import ratlinalg
 from .designs import ChoiceDesign, lex_index
 from .errors import EffectOutOfRange, InvariantError, SamePair, Unsupported
 from .models import FactorialEffect, ModelSpec
+from .ratlinalg import int_product
 
 # lambda_star is a dense 2^n x 2^n matrix, so it is refused beyond this width
 DENSE_MAX_N = 12
@@ -173,30 +174,6 @@ def lambda_star(d: ChoiceDesign) -> ScaledIntMatrix:
         Z[np.ix_(mem, mem)] -= 1
         Z[mem, mem] += m
     return ScaledIntMatrix(Z, Fraction(1, d.N * m * m))
-
-
-def int_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Exact A @ B for small-integer matrices.
-
-    Large products go through float64 BLAS: every partial sum is an
-    integer bounded by inner_dim * max|A| * max|B|, far below 2^53, so
-    the float result is exact and the cast back to int64 is lossless.
-    When B is the transpose of A, A is converted once and B is its view.
-    """
-    ops = A.shape[0] * A.shape[1] * B.shape[-1]
-    if ops <= 2_000_000:
-        return A @ B
-    bound = A.shape[1]
-    for M in (A, B):
-        bound *= max(int(M.max(initial=0)), -int(M.min(initial=0)))
-    if bound >= (1 << 53):
-        return A @ B
-    Af = A.astype(np.float64)
-    if B.base is A and B.shape == A.shape[::-1] and B.strides == A.strides[::-1]:
-        Bf = Af.T
-    else:
-        Bf = B.astype(np.float64)
-    return np.rint(Af @ Bf).astype(np.int64)
 
 
 def cstar_from_signs(Xa: np.ndarray, Xb: np.ndarray, m: int) -> np.ndarray:

@@ -53,6 +53,10 @@ class BadGroup(ChogenError):
     """Group size r outside 1..n-1."""
 
 
+class BadModel(ChogenError, ValueError):
+    """A model specification is malformed or has too few factors."""
+
+
 class RangeError(ChogenError):
     """Construction parameter outside its stated admissible range."""
 

@@ -14,6 +14,7 @@ import itertools
 import numpy as np
 
 from .errors import BadOrder, InvariantError, NotHadamard, Unsupported
+from .ratlinalg import int_product
 
 # Bound of the seed-order search.  verify accepts at most 63 factors
 # (contrasts.MAX_SIGN_FACTORS) and least_hadamard_order(63) = 64, so no
@@ -22,15 +23,21 @@ MAX_SEARCH_ORDER = 64
 
 
 def is_hadamard(M) -> bool:
-    """Exact check: square, entries in {-1,+1}, M M' = order * I."""
+    """Exact check: square, entries in {-1,+1}, M M' = order * I.
+
+    Every partial sum of M M' is at most the order in magnitude, so
+    int_product forms it exactly through float64 BLAS.
+    """
     H = np.asarray(M)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         return False
     if not np.all(np.abs(H) == 1):
         return False
     nu = H.shape[0]
-    H = H.astype(np.int64)
-    return bool(np.array_equal(H @ H.T, nu * np.eye(nu, dtype=np.int64)))
+    H = H.astype(np.int64)  # an owned copy, so H.T is a view int_product reuses
+    P = int_product(H, H.T)
+    P[np.diag_indices(nu)] -= nu
+    return not P.any()
 
 
 def _frozen(H: np.ndarray) -> np.ndarray:

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional
 
-from .errors import BadGroup, EffectOutOfRange
+from .errors import BadGroup, BadModel, EffectOutOfRange
 
 
 @dataclass(frozen=True, order=True)
@@ -92,15 +92,15 @@ class ModelSpec:
 
     def __post_init__(self):
         if self.n < 1:
-            raise ValueError("n must be at least 1")
+            raise BadModel("n must be at least 1")
         if not self.interest:
-            raise ValueError("a model needs at least one effect of interest")
+            raise BadModel("a model needs at least one effect of interest")
         require_within(self.interest, self.n)
         require_within(self.nuisance, self.n)
         if len(set(self.interest)) != len(self.interest):
-            raise ValueError("duplicate effects of interest")
+            raise BadModel("duplicate effects of interest")
         if set(self.interest) & set(self.nuisance):
-            raise ValueError("interest and nuisance effects must be disjoint")
+            raise BadModel("interest and nuisance effects must be disjoint")
 
     @property
     def Q(self) -> int:
@@ -120,7 +120,7 @@ class ModelSpec:
     def broader_main_effects(cls, n: int) -> "ModelSpec":
         """Main effects of interest, all two-factor interactions as nuisance."""
         if n < 2:
-            raise ValueError("broader model needs n >= 2")
+            raise BadModel("broader model needs n >= 2")
         return cls(ModelKind.BROADER_MAIN_EFFECTS, n, main_effect_list(n),
                    nuisance=two_factor_list(n))
 
@@ -128,7 +128,7 @@ class ModelSpec:
     def specified_one_factor(cls, n: int) -> "ModelSpec":
         """Mains plus every interaction containing factor 1, any order."""
         if n < 2:
-            raise ValueError("specified interaction models need n >= 2")
+            raise BadModel("specified interaction models need n >= 2")
         inter = tuple(effect(1, *k) for k in _subsets(tuple(range(2, n + 1))))
         return cls(ModelKind.SPECIFIED_ONE_FACTOR, n,
                    main_effect_list(n) + _sorted_interactions(inter))
@@ -137,7 +137,7 @@ class ModelSpec:
     def specified_two_factor(cls, n: int) -> "ModelSpec":
         """Mains plus the two-factor interactions of factor 1: F_12..F_1n."""
         if n < 2:
-            raise ValueError("specified interaction models need n >= 2")
+            raise BadModel("specified interaction models need n >= 2")
         inter = tuple(effect(1, j) for j in range(2, n + 1))
         return cls(ModelKind.SPECIFIED_TWO_FACTOR, n, main_effect_list(n) + inter)
 
@@ -150,7 +150,7 @@ class ModelSpec:
         each h in group 1.
         """
         if n < 2:
-            raise ValueError("specified interaction models need n >= 2")
+            raise BadModel("specified interaction models need n >= 2")
         if not 1 <= (r or 0) <= n - 1:
             raise BadGroup(f"group size r must lie in 1..{n - 1}, got {r}")
         group2 = tuple(range(r + 1, n + 1))

@@ -135,6 +135,18 @@ def test_generate_bad_flag_exits_3(capsys):
     assert exc.value.code == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ("--model", "broader", "--m", "2", "--n", "1"),
+    ("--model", "spec-group", "--m", "4", "--n", "1", "--r", "1"),
+    ("--model", "broader", "--m", "4", "--n", "-1"),
+])
+def test_generate_too_few_factors_exits_3(capsys, argv):
+    code, _, err = run(capsys, "generate", *argv)
+    assert code == 3
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_verify_with_model_override(capsys, tmp_path):
     path = tmp_path / "d.json"
     run(capsys, "generate", "--model", "main-effects", "--m", "2", "--n", "2",

@@ -5,14 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from chogen.contrasts import (DENSE_MAX_N, ScaledIntMatrix, contrast_matrix,
                               contrast_vector, cross_block_star, cstar_matrix,
                               effective_choice_set, effective_position,
-                              exact_schur_cstar, info_matrix, int_product,
-                              lambda_star, option_sign_matrix,
-                              pair_contribution)
+                              exact_schur_cstar, info_matrix, lambda_star,
+                              option_sign_matrix, pair_contribution)
 from chogen.designs import ChoiceDesign, all_treatments, lex_index, treatment
 from chogen.errors import EffectOutOfRange, SamePair, Unsupported
 from chogen.models import ModelSpec, effect, main_effect_list
@@ -110,28 +108,6 @@ def test_lambda_star_width_cap():
     d = ChoiceDesign.from_sets([(t0, t1)])
     with pytest.raises(Unsupported):
         lambda_star(d)
-
-
-@given(st.data())
-def test_int_product_matches_numpy_small(data):
-    rows = data.draw(st.integers(1, 5))
-    inner = data.draw(st.integers(1, 5))
-    cols = data.draw(st.integers(1, 5))
-    elems = st.integers(-50, 50)
-    A = np.array(data.draw(st.lists(st.lists(elems, min_size=inner, max_size=inner),
-                                    min_size=rows, max_size=rows)), dtype=np.int64)
-    B = np.array(data.draw(st.lists(st.lists(elems, min_size=cols, max_size=cols),
-                                    min_size=inner, max_size=inner)), dtype=np.int64)
-    assert np.array_equal(int_product(A, B), A @ B)
-
-
-def test_int_product_large_goes_through_float_exactly():
-    rng = np.random.default_rng(7)
-    A = rng.integers(-3, 4, size=(60, 700)).astype(np.int64)
-    B = rng.integers(-3, 4, size=(700, 60)).astype(np.int64)
-    out = int_product(A, B)
-    assert out.dtype == np.int64
-    assert np.array_equal(out, A @ B)
 
 
 def test_scaled_int_matrix_api():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chogen.errors import BadOrder, NotHadamard, Unsupported
 from chogen.hadamard import (MAX_SEARCH_ORDER, hadamard, is_hadamard,
@@ -76,6 +78,52 @@ def test_is_hadamard_negatives():
     assert not is_hadamard(np.ones((2, 2)))
     assert not is_hadamard(np.array([[1, 1, 1], [1, -1, 1]]))
     assert not is_hadamard(np.array([[2, 1], [1, -2]]))
+
+
+def test_is_hadamard_negatives_on_the_blas_path():
+    # order 256 is past the small-product cut of int_product
+    H = sylvester(8)
+    flipped = H.copy()
+    flipped[17, 200] *= -1
+    assert not is_hadamard(flipped)
+    duplicated = H.copy()
+    duplicated[255] = duplicated[3]
+    assert not is_hadamard(duplicated)
+    two = H.copy()
+    two[40, 41] = 2
+    assert not is_hadamard(two)
+
+
+def test_is_hadamard_accepts_views_and_floats():
+    H = sylvester(8)
+    assert is_hadamard(H.T)
+    assert is_hadamard(np.hstack([H, H])[:, 256:])
+    assert is_hadamard(H.astype(float))
+
+
+def _reference_is_hadamard(M) -> bool:
+    H = np.asarray(M, dtype=np.int64)
+    nu = H.shape[0]
+    return bool(np.array_equal(H @ H.T, nu * np.eye(nu, dtype=np.int64)))
+
+
+@settings(max_examples=12, deadline=None)
+@given(order=st.sampled_from([nu for nu in supported_orders(256) if nu >= 128]),
+       seed=st.integers(0, 2**32 - 1), flips=st.integers(0, 3))
+def test_is_hadamard_matches_int64_reference(order, seed, flips):
+    """Random +-1 matrices, and Hadamard ones under signed permutations
+    with up to two flipped entries, agree with the plain int64 check."""
+    rng = np.random.default_rng(seed)
+    if flips == 3:
+        M = rng.choice(np.array([-1, 1]), size=(order, order))
+    else:
+        signs = rng.choice(np.array([-1, 1]), size=order)
+        M = (hadamard(order) * signs)[rng.permutation(order)]
+        for _ in range(flips):
+            M[rng.integers(order), rng.integers(order)] *= -1
+    assert is_hadamard(M) == _reference_is_hadamard(M)
+    if flips == 0:
+        assert is_hadamard(M)
 
 
 def test_normalize():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from chogen.errors import BadGroup, EffectOutOfRange
+from chogen.errors import BadGroup, BadModel, ChogenError, EffectOutOfRange
 from chogen.models import (FactorialEffect, ModelKind, ModelSpec, effect,
                            main_effect_list, require_within, two_factor_list)
 
@@ -99,3 +99,15 @@ def test_custom_model_checks():
         ModelSpec.custom(2, [effect(3)])
     with pytest.raises(ValueError):
         ModelSpec.custom(2, [])
+
+
+def test_model_errors_are_chogen_and_value_errors():
+    assert issubclass(BadModel, ChogenError) and issubclass(BadModel, ValueError)
+    for build in (lambda: ModelSpec.broader_main_effects(1),
+                  lambda: ModelSpec.specified_one_factor(1),
+                  lambda: ModelSpec.specified_two_factor(0),
+                  lambda: ModelSpec.specified_group(1, 1),
+                  lambda: ModelSpec.main_effects(0),
+                  lambda: ModelSpec.custom(3, [effect(1)], [effect(1)])):
+        with pytest.raises(BadModel):
+            build()

@@ -1,12 +1,15 @@
-"""Exact ranks modulo primes, with the Hadamard-bound stop rule."""
+"""Exact ranks modulo primes, with the Hadamard-bound stop rule, and the
+exact integer product."""
 
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from chogen import ratlinalg
-from chogen.ratlinalg import rank
+from chogen.ratlinalg import int_product, rank
 
 
 def _rank_by_fractions(M) -> int:
@@ -93,3 +96,25 @@ def test_miller_rabin_against_trial_division():
         assert not ratlinalg._is_prime(n)
     assert ratlinalg._is_prime(2**31 - 1)
     assert not ratlinalg._is_prime(2**31 - 3)
+
+
+@given(st.data())
+def test_int_product_matches_numpy_small(data):
+    rows = data.draw(st.integers(1, 5))
+    inner = data.draw(st.integers(1, 5))
+    cols = data.draw(st.integers(1, 5))
+    elems = st.integers(-50, 50)
+    A = np.array(data.draw(st.lists(st.lists(elems, min_size=inner, max_size=inner),
+                                    min_size=rows, max_size=rows)), dtype=np.int64)
+    B = np.array(data.draw(st.lists(st.lists(elems, min_size=cols, max_size=cols),
+                                    min_size=inner, max_size=inner)), dtype=np.int64)
+    assert np.array_equal(int_product(A, B), A @ B)
+
+
+def test_int_product_large_goes_through_float_exactly():
+    rng = np.random.default_rng(7)
+    A = rng.integers(-3, 4, size=(60, 700)).astype(np.int64)
+    B = rng.integers(-3, 4, size=(700, 60)).astype(np.int64)
+    out = int_product(A, B)
+    assert out.dtype == np.int64
+    assert np.array_equal(out, A @ B)
