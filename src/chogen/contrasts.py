@@ -2,8 +2,12 @@
 
 Everything that feeds a certification verdict is computed over the
 integers: the information matrix C of a design is held as an integer
-matrix C* plus the exact rational scale 1/(2^n N m^2).  Floating point
-appears only in the explicitly numeric branch of info_matrix.
+matrix C* plus the exact rational scale 1/(2^n N m^2).  Every block of C*
+comes from cstar_block: a Walsh transform of the option histogram for the
+Gram part and one product of per-set sign sums, so C* needs no (Q, N*m)
+sign matrix.  Floating point appears only in the explicitly numeric branch
+of info_matrix, and inside int_product, whose float values are integers
+held exactly.
 """
 
 from __future__ import annotations
@@ -28,6 +32,9 @@ PINV_CUTOFF = 1e-9
 
 # option indices and effect masks are int64 arrays: at most 63 factors
 MAX_SIGN_FACTORS = 63
+
+# elements per chunk of the per-set sums and of the direct Walsh sums
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,23 +144,101 @@ def pair_contribution(e1: FactorialEffect, e2: FactorialEffect,
     return (xi - xj) * (yi - yj)
 
 
+def _option_indices(d: ChoiceDesign) -> np.ndarray:
+    """(N, m) lexicographic indices of the design's options."""
+    return np.array([[lex_index(t) for t in S] for S in d.sets], dtype=np.int64)
+
+
+def _effect_masks(effects: Sequence[FactorialEffect], n: int) -> np.ndarray:
+    """Bit masks of the effects; Unsupported beyond MAX_SIGN_FACTORS factors."""
+    if n > MAX_SIGN_FACTORS:
+        raise Unsupported(f"sign matrices are limited to n <= "
+                          f"{MAX_SIGN_FACTORS} factors, got {n}")
+    return np.array([_effect_mask(e, n) for e in effects], dtype=np.int64)
+
+
+def _effect_signs(masks: np.ndarray) -> np.ndarray:
+    """sigma(e) = (-1)^|e|, the sign of an effect at the all-zero option."""
+    return 1 - 2 * (np.bitwise_count(masks) & 1).astype(np.int64)
+
+
 def option_sign_matrix(d: ChoiceDesign, effects: Sequence[FactorialEffect]) -> np.ndarray:
     """Contrast signs of every effect at every option, shape (Q, N*m).
 
     Columns run through the design's options in (set, option) order.
     Raises Unsupported beyond MAX_SIGN_FACTORS factors.
     """
-    n = d.n
-    if n > MAX_SIGN_FACTORS:
-        raise Unsupported(f"sign matrices are limited to n <= "
-                          f"{MAX_SIGN_FACTORS} factors, got {n}")
-    masks = np.array([_effect_mask(e, n) for e in effects], dtype=np.int64)
+    masks = _effect_masks(effects, d.n)
     orders = np.array([e.order for e in effects], dtype=np.uint8)
-    opts = np.array([lex_index(t) for t in d.treatments()], dtype=np.int64)
+    opts = _option_indices(d).ravel()
     ones = np.bitwise_count(masks[:, None] & opts[None, :])
     # the parity is taken in uint8, so only the result is a full int64 array
     odd = ((orders[:, None] - ones) & 1).astype(bool)
     return np.where(odd, np.int64(-1), np.int64(1))
+
+
+def set_sums(d: ChoiceDesign, effects: Sequence[FactorialEffect]) -> np.ndarray:
+    """S[q, p]: the sum of effect q's contrast signs over set p, shape (Q, N).
+
+    Each entry is m - 2 * (zeros of the effective choice set), held in the
+    smallest signed integer type that fits -m..m.  Effects are taken in
+    chunks, and the option sign matrix is never formed.
+    """
+    masks = _effect_masks(effects, d.n)
+    columns = np.ascontiguousarray(_option_indices(d).T)  # (m, N)
+    odd = np.zeros((len(masks), d.N), dtype=np.min_scalar_type(d.m))
+    step = max(1, _CHUNK // d.N)
+    for lo in range(0, len(masks), step):
+        block = masks[lo:lo + step, None]
+        acc = odd[lo:lo + step]
+        for col in columns:
+            bit = np.bitwise_count(block & col)
+            bit &= 1
+            acc += bit
+    # -(m+1) needs a signed type whose maximum is at least m; every
+    # intermediate of m - odd - odd stays within -m..m
+    odd = odd.astype(np.min_scalar_type(-d.m - 1))
+    S = d.m - odd
+    S -= odd
+    S *= _effect_signs(masks).astype(S.dtype)[:, None]
+    return S
+
+
+def _distinct(points: np.ndarray, n: int) -> np.ndarray:
+    """The sorted distinct values of points, masks of n bits."""
+    if (1 << n) <= points.size:
+        seen = np.zeros(1 << n, dtype=bool)
+        seen[points.ravel()] = True
+        return np.flatnonzero(seen)
+    return np.unique(points)
+
+
+def _walsh_at(options: np.ndarray, n: int, points: np.ndarray) -> np.ndarray:
+    """W[u] = sum over the options t of (-1)^|u & t|, at every u in points.
+
+    W is the unnormalised Walsh-Hadamard transform of the option histogram
+    (Fino & Algazi 1976).  A full fast transform costs about n 2^n; direct
+    character sums at the distinct points U cost |U| N m.  The cheaper one
+    is taken, so wide designs never allocate a 2^n histogram.
+    """
+    distinct = _distinct(points, n)
+    if n * (1 << n) <= distinct.size * options.size:
+        w = np.bincount(options, minlength=1 << n)
+        h = 1
+        while h < w.size:
+            v = w.reshape(-1, 2, h)
+            low = v[:, 0].copy()
+            v[:, 0] += v[:, 1]
+            v[:, 1] = low - v[:, 1]
+            h *= 2
+        return w[points]
+    values = np.empty(distinct.size, dtype=np.int64)
+    step = max(1, _CHUNK // options.size)
+    for lo in range(0, distinct.size, step):
+        odd = np.bitwise_count(distinct[lo:lo + step, None] & options)
+        odd &= 1
+        values[lo:lo + step] = options.size - 2 * odd.sum(axis=1, dtype=np.int64)
+    return values[np.searchsorted(distinct, points)]
 
 
 def lambda_star(d: ChoiceDesign) -> ScaledIntMatrix:
@@ -176,27 +261,36 @@ def lambda_star(d: ChoiceDesign) -> ScaledIntMatrix:
     return ScaledIntMatrix(Z, Fraction(1, d.N * m * m))
 
 
-def cstar_from_signs(Xa: np.ndarray, Xb: np.ndarray, m: int) -> np.ndarray:
-    """Exact integer block m Xa Xb' - Sa Sb' of two option sign matrices.
+def cstar_block(d: ChoiceDesign, rows: Sequence[FactorialEffect],
+                cols: Sequence[FactorialEffect],
+                row_sums: np.ndarray = None) -> np.ndarray:
+    """Exact integer block B_r Lambda* B_c' = m G - S_r S_c' of two effect lists.
 
-    Xa and Xb are option_sign_matrix results of one design with m options
-    per set; S holds their per-set row sums.  With Xa = Xb this is C*,
-    otherwise the cross block B_a Lambda* B_b'.
+    G[i, j] sums the product of the two effects' contrast signs over all
+    N*m options.  Every sign is a character of Z_2^n, so G[i, j] is
+    sigma(e_i) sigma(e_j) W[e_i xor e_j], with W the Walsh transform of the
+    option histogram (_walsh_at).  S_r and S_c are the per-set sign sums
+    of set_sums; row_sums, when given, is set_sums(d, rows), reused.  With
+    cols the same list as rows this is C*, otherwise a cross block.
     """
-    C = m * int_product(Xa, Xb.T)
-    Sa = Xa.reshape(Xa.shape[0], -1, m).sum(axis=2)
-    Sb = Sa if Xb is Xa else Xb.reshape(Xb.shape[0], -1, m).sum(axis=2)
-    C -= int_product(Sa, Sb.T)
-    return C
+    n, m = d.n, d.m
+    r = _effect_masks(rows, n)
+    c = r if cols is rows else _effect_masks(cols, n)
+    Sr = set_sums(d, rows) if row_sums is None else row_sums
+    Sc = Sr if cols is rows else set_sums(d, cols)
+    block = _walsh_at(_option_indices(d).ravel(), n, r[:, None] ^ c[None, :])
+    block *= m * _effect_signs(r)[:, None]
+    block *= _effect_signs(c)[None, :]
+    block -= int_product(Sr, Sc.T)
+    return block
 
 
 def cstar_matrix(d: ChoiceDesign, F: Sequence[FactorialEffect]) -> ScaledIntMatrix:
-    """Exact C* = B Lambda* B' with scale 1/(2^n N m^2), summed per set."""
+    """Exact C* = B Lambda* B' with scale 1/(2^n N m^2)."""
     effects = tuple(F)
     if not effects:
         raise ValueError("need at least one effect")
-    X = option_sign_matrix(d, effects)
-    return ScaledIntMatrix(cstar_from_signs(X, X, d.m),
+    return ScaledIntMatrix(cstar_block(d, effects, effects),
                            Fraction(1, (1 << d.n) * d.N * d.m * d.m))
 
 
@@ -204,8 +298,7 @@ def cross_block_star(d: ChoiceDesign,
                      interest: Sequence[FactorialEffect],
                      nuisance: Sequence[FactorialEffect]) -> np.ndarray:
     """Exact integer cross block B_(1) Lambda* B_(2)'."""
-    return cstar_from_signs(option_sign_matrix(d, interest),
-                            option_sign_matrix(d, nuisance), d.m)
+    return cstar_block(d, interest, nuisance)
 
 
 def exact_schur_cstar(d: ChoiceDesign,
@@ -218,11 +311,10 @@ def exact_schur_cstar(d: ChoiceDesign,
     complement is then invariant to the choice of generalized inverse.
     Returns a list-of-lists Fraction matrix.
     """
-    X1 = option_sign_matrix(d, interest)
-    X2 = option_sign_matrix(d, nuisance)
-    C1 = cstar_from_signs(X1, X1, d.m)
-    G = cstar_from_signs(X2, X2, d.m)
-    X = cstar_from_signs(X1, X2, d.m)
+    S1 = set_sums(d, interest)
+    C1 = cstar_block(d, interest, interest, S1)
+    G = cstar_block(d, nuisance, nuisance)
+    X = cstar_block(d, interest, nuisance, S1)
     Y = ratlinalg.solve_consistent(G.tolist(), X.T.tolist())
     if Y is None:
         raise InvariantError("cross-block solve must be consistent")
@@ -249,14 +341,13 @@ def info_matrix(d: ChoiceDesign, model: ModelSpec, force_numeric: bool = False):
     """
     if not model.nuisance:
         return cstar_matrix(d, model.interest)
-    X1 = option_sign_matrix(d, model.interest)
-    X2 = option_sign_matrix(d, model.nuisance)
-    X = cstar_from_signs(X1, X2, d.m)
-    C1 = cstar_from_signs(X1, X1, d.m)
+    S1 = set_sums(d, model.interest)
+    X = cstar_block(d, model.interest, model.nuisance, S1)
+    C1 = cstar_block(d, model.interest, model.interest, S1)
     scale = Fraction(1, (1 << d.n) * d.N * d.m * d.m)
     if not X.any() and not force_numeric:
         return ScaledIntMatrix(C1, scale)
-    G = cstar_from_signs(X2, X2, d.m).astype(float)
+    G = cstar_block(d, model.nuisance, model.nuisance).astype(float)
     Ginv = np.linalg.pinv(G, rcond=PINV_CUTOFF, hermitian=True)
     Xf = X.astype(float)
     return (C1.astype(float) - Xf @ Ginv @ Xf.T) * float(scale)

@@ -26,7 +26,7 @@ def is_hadamard(M) -> bool:
     """Exact check: square, entries in {-1,+1}, M M' = order * I.
 
     Every partial sum of M M' is at most the order in magnitude, so
-    int_product forms it exactly through float64 BLAS.
+    int_product forms it exactly through float BLAS.
     """
     H = np.asarray(M)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:

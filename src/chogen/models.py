@@ -66,6 +66,17 @@ def _subsets(pool: tuple, min_size: int = 1) -> list:
     return out
 
 
+# A model lists at most this many effects (interest plus nuisance).  The
+# largest catalog cell has 2059; spec-all at n = 13 has 4108.
+MAX_EFFECTS = 8192
+
+
+def _require_size(count: int) -> None:
+    if count > MAX_EFFECTS:
+        raise BadModel(f"the model has {count} effects, more than "
+                       f"MAX_EFFECTS = {MAX_EFFECTS}")
+
+
 class ModelKind(str, Enum):
     MAIN_EFFECTS = "main-effects"
     BROADER_MAIN_EFFECTS = "broader"
@@ -81,7 +92,8 @@ class ModelSpec:
 
     All remaining factorial effects are assumed absent.  The nuisance set
     is empty except for the broader main effects model, where it is every
-    two-factor interaction.
+    two-factor interaction.  The family constructors count their effects
+    in closed form and refuse more than MAX_EFFECTS before listing any.
     """
 
     kind: ModelKind
@@ -93,6 +105,7 @@ class ModelSpec:
     def __post_init__(self):
         if self.n < 1:
             raise BadModel("n must be at least 1")
+        _require_size(len(self.interest) + len(self.nuisance))
         if not self.interest:
             raise BadModel("a model needs at least one effect of interest")
         require_within(self.interest, self.n)
@@ -114,6 +127,7 @@ class ModelSpec:
 
     @classmethod
     def main_effects(cls, n: int) -> "ModelSpec":
+        _require_size(n)
         return cls(ModelKind.MAIN_EFFECTS, n, main_effect_list(n))
 
     @classmethod
@@ -121,6 +135,7 @@ class ModelSpec:
         """Main effects of interest, all two-factor interactions as nuisance."""
         if n < 2:
             raise BadModel("broader model needs n >= 2")
+        _require_size(n + n * (n - 1) // 2)
         return cls(ModelKind.BROADER_MAIN_EFFECTS, n, main_effect_list(n),
                    nuisance=two_factor_list(n))
 
@@ -129,6 +144,7 @@ class ModelSpec:
         """Mains plus every interaction containing factor 1, any order."""
         if n < 2:
             raise BadModel("specified interaction models need n >= 2")
+        _require_size(n + (1 << (n - 1)) - 1)
         inter = tuple(effect(1, *k) for k in _subsets(tuple(range(2, n + 1))))
         return cls(ModelKind.SPECIFIED_ONE_FACTOR, n,
                    main_effect_list(n) + _sorted_interactions(inter))
@@ -138,6 +154,7 @@ class ModelSpec:
         """Mains plus the two-factor interactions of factor 1: F_12..F_1n."""
         if n < 2:
             raise BadModel("specified interaction models need n >= 2")
+        _require_size(2 * n - 1)
         inter = tuple(effect(1, j) for j in range(2, n + 1))
         return cls(ModelKind.SPECIFIED_TWO_FACTOR, n, main_effect_list(n) + inter)
 
@@ -153,6 +170,7 @@ class ModelSpec:
             raise BadModel("specified interaction models need n >= 2")
         if not 1 <= (r or 0) <= n - 1:
             raise BadGroup(f"group size r must lie in 1..{n - 1}, got {r}")
+        _require_size(n + r * ((1 << (n - r)) - 1))
         group2 = tuple(range(r + 1, n + 1))
         inter = tuple(
             effect(h, *k) for h in range(1, r + 1) for k in _subsets(group2)

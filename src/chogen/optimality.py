@@ -147,22 +147,21 @@ def oracle_cstar(d: ChoiceDesign, F) -> ScaledIntMatrix:
     return ScaledIntMatrix(np.array(C, dtype=np.int64), scale)
 
 
-def _differences(signs: np.ndarray) -> np.ndarray:
-    """The (N(m-1), Q) within-set difference matrix of a (Q, N, m) sign array.
+def _differences(d: ChoiceDesign, effects) -> np.ndarray:
+    """The (N(m-1), Q) within-set difference matrix of the effects' signs.
 
     Row (p, i) is (x_{p,i} - x_{p,0})/2, with entries in {-1, 0, 1}.
     """
-    Q, N, m = signs.shape
+    signs = contrasts.option_sign_matrix(d, effects).reshape(-1, d.N, d.m)
     A = (signs[:, :, 1:] - signs[:, :, :1]) // 2
-    return A.reshape(Q, N * (m - 1)).T
+    return A.reshape(len(effects), -1).T
 
 
-def _connected(d: ChoiceDesign, model: ModelSpec, signs: np.ndarray,
-               nuisance: Optional[np.ndarray], diag: np.ndarray,
+def _connected(d: ChoiceDesign, model: ModelSpec, diag: np.ndarray,
                diagonal: bool, cross_zero: Optional[bool]) -> bool:
     """Whether the model's information matrix has full rank, exactly.
 
-    nuisance is the nuisance option sign matrix, None without nuisance.
+    The option sign matrices are built here, on the rank path only.
     """
     Q = model.Q
     if d.N * (d.m - 1) < Q:
@@ -170,9 +169,9 @@ def _connected(d: ChoiceDesign, model: ModelSpec, signs: np.ndarray,
     if cross_zero in (None, True):
         if diagonal:
             return bool((diag > 0).all())
-        return ratlinalg.rank(_differences(signs)) == Q
-    A_nuis = _differences(nuisance.reshape(len(model.nuisance), d.N, d.m))
-    A = np.hstack([_differences(signs), A_nuis])
+        return ratlinalg.rank(_differences(d, model.interest)) == Q
+    A_nuis = _differences(d, model.nuisance)
+    A = np.hstack([_differences(d, model.interest), A_nuis])
     return ratlinalg.rank(A) - ratlinalg.rank(A_nuis) == Q
 
 
@@ -197,28 +196,30 @@ def verify(d: ChoiceDesign, model: ModelSpec) -> OptimalityReport:
     The verdict is UniversallyOptimal iff the exact C is diagonal, every
     per-set count is balanced, the trace equals max_trace, and (for
     nonempty nuisance) the cross block vanishes; otherwise the exact
-    rank of C decides ConnectedNotOptimal versus NotConnected.  Each
-    sign matrix is built once and shared by C*, the cross block and the
-    rank test.
+    rank of C decides ConnectedNotOptimal versus NotConnected.  C*,
+    balance, the zero counts and the trace come from the per-set sign
+    sums and cstar_block; option sign matrices are built only for the
+    effects of the listed offending pairs and, on the rank path, in
+    _connected.
     """
     effects = model.interest
     require_within(effects, d.n)
     require_within(model.nuisance, d.n)
     n, m, N, Q = d.n, d.m, d.N, model.Q
 
-    X = contrasts.option_sign_matrix(d, effects)
-    Cstar = contrasts.cstar_from_signs(X, X, m)
-    signs = X.reshape(Q, N, m)
-    rowsums = signs.sum(axis=2)  # (Q, N), value m - 2*n_p
-    np_table = (m - rowsums) // 2
+    S = contrasts.set_sums(d, effects)  # (Q, N), value m - 2*n_p
+    Cstar = contrasts.cstar_block(d, effects, effects, S)
+    # n_p in a type that holds every intermediate below, at most 4 m^2
+    np_table = (m - S.astype(np.min_scalar_type(-4 * m * m))) // 2
     if m % 2 == 0:
-        balance_ok = bool((rowsums == 0).all())
+        balance_ok = bool((S == 0).all())
     else:
-        balance_ok = bool((np.abs(rowsums) == 1).all())
+        balance_ok = bool((np.abs(S) == 1).all())
 
     diag = np.diag(Cstar)
     # same diagonal via the per-set zero counts, as an internal cross-check
-    if not np.array_equal(diag, (4 * np_table * (m - np_table)).sum(axis=1)):
+    per_set = (4 * np_table * (m - np_table)).sum(axis=1, dtype=np.int64)
+    if not np.array_equal(diag, per_set):
         raise InvariantError("C* diagonal disagrees with the zero counts")
 
     off = Cstar.copy()
@@ -229,9 +230,14 @@ def verify(d: ChoiceDesign, model: ModelSpec) -> OptimalityReport:
     if not diagonal:
         bad = np.argwhere(np.triu(off, 1) != 0)
         offending_count = len(bad)
+        bad = bad[:MAX_LISTED_PAIRS]
+        # signs of just the effects in the listed pairs
+        used = np.unique(bad)
+        signs = contrasts.option_sign_matrix(
+            d, [effects[q] for q in used]).reshape(len(used), N, m)
         listed = []
-        for q1, q2 in bad[:MAX_LISTED_PAIRS]:
-            ep, em = _eta_from_signs(signs[q1], signs[q2])
+        for (q1, q2), (i1, i2) in zip(bad, np.searchsorted(used, bad)):
+            ep, em = _eta_from_signs(signs[i1], signs[i2])
             if 4 * (ep - em) != Cstar[q1, q2]:
                 raise InvariantError("C* entry disagrees with its eta counts")
             listed.append((effects[q1], effects[q2], ep, em))
@@ -244,21 +250,19 @@ def verify(d: ChoiceDesign, model: ModelSpec) -> OptimalityReport:
         raise InvariantError("trace above the attainable bound")
 
     cross_zero = None
-    nuisance = None
     if model.nuisance:
-        nuisance = contrasts.option_sign_matrix(d, model.nuisance)
-        cross_zero = not contrasts.cstar_from_signs(X, nuisance, m).any()
+        cross_zero = not contrasts.cstar_block(d, effects, model.nuisance, S).any()
 
     optimal = (diagonal and balance_ok and trace == bound
                and cross_zero in (None, True))
     if optimal:
         verdict = Verdict.UNIVERSALLY_OPTIMAL
-    elif _connected(d, model, signs, nuisance, diag, diagonal, cross_zero):
+    elif _connected(d, model, diag, diagonal, cross_zero):
         verdict = Verdict.CONNECTED_NOT_OPTIMAL
     else:
         verdict = Verdict.NOT_CONNECTED
 
-    table = np_table.T.copy()
+    table = np_table.T.astype(np.int64)
     table.setflags(write=False)
     return OptimalityReport(
         model=model, n=n, m=m, N=N,

@@ -7,8 +7,9 @@ Hadamard bound on every minor that could still be nonzero, so the
 modular rank is the rational rank (cf. Dumas, Giorgi & Pernet, ACM TOMS
 2008, on dense linear algebra over word-size prime fields).  Integer
 products (C* and the Hadamard seed check) go through `int_product`,
-which uses float64 BLAS where every partial sum is an integer below
-2^53 and so is exact, as in the same paper.
+which uses float32 BLAS where every partial sum is an integer below
+2^24, and float64 where it is below 2^53, and so is exact, as in the
+same paper.
 
 The Python-integer and Fraction routines (leading principal minors,
 definiteness, a consistent linear solve) are kept as a slow reference
@@ -129,26 +130,28 @@ def rank(M) -> int:
 
 
 def int_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Exact A @ B for integer matrices.
+    """Exact A @ B for integer matrices, as int64 whatever the input type.
 
-    Large products go through float64 BLAS when every partial sum, an
-    integer bounded by inner_dim * max|A| * max|B|, is below 2^53: the
-    float result is then exact and the cast back to int64 is lossless.
+    Large products go through BLAS when every partial sum, an integer
+    bounded by inner_dim * max|A| * max|B|, is exactly representable:
+    float32 when that bound is below 2^24, float64 when it is below 2^53.
+    The float result is then exact and the cast back to int64 is lossless.
     When B is the transpose of A, A is converted once and B is its view.
     """
     ops = A.shape[0] * A.shape[1] * B.shape[-1]
     if ops <= 2_000_000:
-        return A @ B
+        return np.matmul(A, B, dtype=np.int64)
     bound = A.shape[1]
     for M in (A, B):
         bound *= max(int(M.max(initial=0)), -int(M.min(initial=0)))
     if bound >= (1 << 53):
-        return A @ B
-    Af = A.astype(np.float64)
+        return np.matmul(A, B, dtype=np.int64)
+    dtype = np.float32 if bound < (1 << 24) else np.float64
+    Af = A.astype(dtype)
     if B.base is A and B.shape == A.shape[::-1] and B.strides == A.strides[::-1]:
         Bf = Af.T
     else:
-        Bf = B.astype(np.float64)
+        Bf = B.astype(dtype)
     return np.rint(Af @ Bf).astype(np.int64)
 
 

@@ -1,6 +1,7 @@
 """Command-line behaviour: subcommands, formats, and exit codes."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -171,14 +172,35 @@ def test_verify_uncertified_design_exits_2(capsys, tmp_path):
     assert "verdict: NotConnected" in out
 
 
-def test_verify_64_factor_design_exits_3(capsys, tmp_path):
-    n = 64
+def _wide_design_file(tmp_path, n):
     path = tmp_path / "wide.json"
     path.write_text(json.dumps({"sets": [["0" * n, "1" * n]],
                                 "meta": {"model": "main-effects"}}))
+    return path
+
+
+def test_verify_64_factor_design_exits_3(capsys, tmp_path):
+    path = _wide_design_file(tmp_path, 64)
     code, _, err = run(capsys, "verify", str(path))
     assert code == 3
     assert "n <= 63" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("generate", "--model", "spec-all", "--m", "3", "--n", "30"),
+    ("generate", "--model", "spec-group", "--m", "4", "--n", "40", "--r", "2"),
+    ("verify", "WIDE", "--model", "spec-all"),
+])
+def test_oversized_effect_family_exits_3_at_once(capsys, tmp_path, argv):
+    # 2^29 effects would be listed; the closed-form count refuses them first
+    argv = [str(_wide_design_file(tmp_path, 30)) if a == "WIDE" else a
+            for a in argv]
+    start = time.perf_counter()
+    code, _, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert "MAX_EFFECTS" in err
     assert "Traceback" not in err
 
 

@@ -1,20 +1,26 @@
 """Contrast algebra: effective positions, Lambda*, and the exact C*."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chogen.contrasts import (DENSE_MAX_N, ScaledIntMatrix, contrast_matrix,
-                              contrast_vector, cross_block_star, cstar_matrix,
+from chogen.contrasts import (DENSE_MAX_N, ScaledIntMatrix, _effect_masks,
+                              contrast_matrix, contrast_vector,
+                              cross_block_star, cstar_block, cstar_matrix,
                               effective_choice_set, effective_position,
                               exact_schur_cstar, info_matrix, lambda_star,
                               option_sign_matrix, pair_contribution)
 from chogen.designs import ChoiceDesign, all_treatments, lex_index, treatment
 from chogen.errors import EffectOutOfRange, SamePair, Unsupported
 from chogen.models import ModelSpec, effect, main_effect_list
+from chogen.serialization import load
 from conftest import designs
+
+INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
 
 
 def all_effects(n):
@@ -209,3 +215,98 @@ def test_info_matrix_force_numeric_matches_exact_path():
     assert isinstance(exact, ScaledIntMatrix)
     assert isinstance(numeric, np.ndarray)
     assert np.allclose(numeric, exact.to_float(), atol=1e-12)
+
+
+def _family(name, n, r=1):
+    return {"main-effects": ModelSpec.main_effects,
+            "broader": ModelSpec.broader_main_effects,
+            "spec-all": ModelSpec.specified_one_factor,
+            "spec-2f": ModelSpec.specified_two_factor,
+            "spec-group": lambda k: ModelSpec.specified_group(k, r)}[name](n)
+
+
+@st.composite
+def designs_with_repeats(draw, min_n, max_n, max_m=4, max_sets=4, max_N=6):
+    """A few distinct sets of random options, drawn with repetition."""
+    n = draw(st.integers(min_n, max_n))
+    m = draw(st.integers(2, max_m))
+    option = st.integers(0, (1 << n) - 1)
+    pool = draw(st.lists(st.lists(option, min_size=m, max_size=m, unique=True),
+                         min_size=1, max_size=max_sets))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1,
+                          max_size=max_N))
+    bits = lambda x: tuple((x >> (n - 1 - k)) & 1 for k in range(n))
+    return ChoiceDesign.from_sets([tuple(bits(x) for x in pool[i])
+                                   for i in picks])
+
+
+def _walsh_branch(d, rows, cols):
+    """Which branch _walsh_at takes for this block: 'fwht' or 'direct'."""
+    r, c = _effect_masks(rows, d.n), _effect_masks(cols, d.n)
+    points = len(np.unique(r[:, None] ^ c[None, :]))
+    fwht = d.n * (1 << d.n) <= points * d.N * d.m
+    return "fwht" if fwht else "direct"
+
+
+def _check_against_oracle(d, model):
+    from chogen.optimality import oracle_cstar
+    interest, nuisance = model.interest, model.nuisance
+    C = cstar_block(d, interest, interest)
+    assert np.array_equal(cstar_matrix(d, interest).ints, C)
+    full = oracle_cstar(d, interest + nuisance).ints
+    q = len(interest)
+    assert np.array_equal(C, full[:q, :q])
+    if nuisance:
+        assert np.array_equal(cross_block_star(d, interest, nuisance),
+                              full[:q, q:])
+
+
+FAMILIES = ("main-effects", "broader", "spec-all", "spec-2f", "spec-group")
+
+
+@given(designs_with_repeats(2, 7), st.sampled_from(FAMILIES), st.data())
+@settings(max_examples=80, deadline=None)
+def test_cstar_block_matches_oracle_on_every_family(d, family, data):
+    r = data.draw(st.integers(1, d.n - 1))
+    _check_against_oracle(d, _family(family, d.n, r))
+
+
+@given(designs_with_repeats(25, 40, max_m=3, max_sets=3, max_N=3),
+       st.sampled_from(("main-effects", "spec-2f")))
+@settings(max_examples=10, deadline=None)
+def test_cstar_block_matches_oracle_on_wide_designs(d, family):
+    model = _family(family, d.n)
+    assert _walsh_branch(d, model.interest, model.interest) == "direct"
+    _check_against_oracle(d, model)
+
+
+def test_walsh_branches_both_match_the_oracle():
+    # small widths and many options take the full transform, wide designs
+    # or few options the direct character sums
+    import random
+    from conftest import random_design
+    rng = random.Random(11)
+    seen = set()
+    for n, m, N, family in [(3, 4, 6, "spec-all"), (4, 3, 8, "broader"),
+                            (6, 2, 2, "main-effects"), (7, 3, 12, "spec-all"),
+                            (9, 2, 3, "spec-2f"), (5, 4, 5, "spec-group")]:
+        d = random_design(rng, n, m, N)
+        model = _family(family, n, 2)
+        seen.add(_walsh_branch(d, model.interest, model.interest))
+        if model.nuisance:
+            seen.add(_walsh_branch(d, model.interest, model.nuisance))
+        _check_against_oracle(d, model)
+    assert seen == {"fwht", "direct"}
+
+
+@pytest.mark.parametrize("name", ["spec-all-m3-n12", "spec-all-m4-n12"])
+def test_cstar_of_stored_cells_equals_the_sign_matrix_product(name):
+    # the former route: m X X' - S S' with X = option_sign_matrix(d, F),
+    # in float32, exact here since every partial sum is at most N*m < 2^24
+    d, meta = load(str(INPUTS / f"{name}.json"))
+    effects = ModelSpec.specified_one_factor(d.n).interest
+    X = np.vstack([option_sign_matrix(d, effects[lo:lo + 256]).astype(np.float32)
+                   for lo in range(0, len(effects), 256)])
+    S = X.reshape(len(effects), d.N, d.m).sum(axis=2, dtype=np.float64)
+    old = d.m * np.rint(X @ X.T).astype(np.int64) - np.rint(S @ S.T).astype(np.int64)
+    assert np.array_equal(cstar_matrix(d, effects).ints, old)

@@ -3,8 +3,9 @@
 import pytest
 
 from chogen.errors import BadGroup, BadModel, ChogenError, EffectOutOfRange
-from chogen.models import (FactorialEffect, ModelKind, ModelSpec, effect,
-                           main_effect_list, require_within, two_factor_list)
+from chogen.models import (MAX_EFFECTS, FactorialEffect, ModelKind, ModelSpec,
+                           effect, main_effect_list, require_within,
+                           two_factor_list)
 
 
 def test_effect_basics():
@@ -111,3 +112,37 @@ def test_model_errors_are_chogen_and_value_errors():
                   lambda: ModelSpec.custom(3, [effect(1)], [effect(1)])):
         with pytest.raises(BadModel):
             build()
+
+
+@pytest.mark.parametrize("make", [
+    ModelSpec.main_effects, ModelSpec.broader_main_effects,
+    ModelSpec.specified_one_factor, ModelSpec.specified_two_factor,
+    lambda n: ModelSpec.specified_group(n, 2),
+    lambda n: ModelSpec.specified_group(n, n - 1),
+])
+def test_family_sizes_match_their_closed_forms(make):
+    for n in range(3, 9):
+        model = make(n)
+        count = len(model.interest) + len(model.nuisance)
+        assert count <= MAX_EFFECTS
+        if model.kind is ModelKind.SPECIFIED_ONE_FACTOR:
+            assert model.Q == n + 2 ** (n - 1) - 1
+        if model.kind is ModelKind.SPECIFIED_GROUP:
+            assert model.Q == n + model.r * (2 ** (n - model.r) - 1)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ModelSpec.specified_one_factor(30),
+    lambda: ModelSpec.specified_one_factor(14),
+    lambda: ModelSpec.specified_group(40, 3),
+    lambda: ModelSpec.broader_main_effects(200),
+    lambda: ModelSpec.main_effects(MAX_EFFECTS + 1),
+    lambda: ModelSpec.custom(2, [effect(1)] * (MAX_EFFECTS + 1)),
+])
+def test_oversized_families_are_refused_before_listing(make):
+    with pytest.raises(BadModel, match="MAX_EFFECTS"):
+        make()
+
+
+def test_largest_allowed_spec_all_family():
+    assert ModelSpec.specified_one_factor(13).Q == 4108

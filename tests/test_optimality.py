@@ -6,6 +6,7 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from chogen.optimality import (MAX_LISTED_PAIRS, Verdict, eta_counts,
 from chogen.contrasts import cross_block_star, cstar_matrix, exact_schur_cstar
 from chogen.constructions import specified_design
 from conftest import designs, random_design
+
+INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
 
 
 def test_max_trace_values():
@@ -106,22 +109,50 @@ def test_verify_broader_cross_block_flag():
     assert not report.certified
 
 
-def test_verify_builds_each_sign_matrix_once(monkeypatch):
-    # a nonzero cross block sends the nuisance signs through the rank test
+def _count_sign_matrices(monkeypatch) -> list:
     from chogen import contrasts
     calls = []
     original = contrasts.option_sign_matrix
 
     def counted(d, effects):
-        calls.append(len(effects))
+        calls.append(tuple(effects))
         return original(d, effects)
 
     monkeypatch.setattr(contrasts, "option_sign_matrix", counted)
-    d = ChoiceDesign.from_sets([("00", "01")])
-    report = verify(d, ModelSpec.broader_main_effects(2))
+    return calls
+
+
+def test_verify_builds_each_sign_matrix_once(monkeypatch):
+    # diagonal C* with a nonzero cross block and N(m-1) >= Q: the rank path
+    # needs the interest and the nuisance signs, each built once
+    calls = _count_sign_matrices(monkeypatch)
+    d = ChoiceDesign.from_sets([("00", "01"), ("00", "10")])
+    model = ModelSpec.broader_main_effects(2)
+    report = verify(d, model)
+    assert report.diagonal
     assert report.cross_block_zero is False
     assert report.verdict is Verdict.NOT_CONNECTED
-    assert calls == [2, 1]
+    assert sorted(calls) == sorted([model.interest, model.nuisance])
+
+
+def test_certified_verify_builds_no_sign_matrix(monkeypatch):
+    calls = _count_sign_matrices(monkeypatch)
+    d, meta = chogen.load(str(INPUTS / "spec-group-m4-n10-r3.json"))
+    report = verify(d, ModelSpec.specified_group(d.n, meta["r"]))
+    assert report.certified
+    assert calls == []
+
+
+def test_offending_pairs_build_signs_of_listed_effects_only(monkeypatch):
+    calls = _count_sign_matrices(monkeypatch)
+    d = specified_design(8, 4, "all-orders")
+    model = ModelSpec.specified_one_factor(8)
+    report = verify(d, model)
+    assert d.N * (d.m - 1) < model.Q  # so no rank path
+    listed = {e for e1, e2, _, _ in report.offending_pairs for e in (e1, e2)}
+    assert len(calls) == 1
+    assert set(calls[0]) == listed
+    assert len(calls[0]) < model.Q
 
 
 def test_offending_pair_listing_is_capped():
@@ -275,3 +306,19 @@ def test_invariant_checks_survive_python_O():
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "InvariantError"
+
+
+@pytest.mark.parametrize("m", [64, 127, 128])
+def test_large_sets_keep_the_per_set_sums_exact(m):
+    # per-set sums of up to 127 options fit in int8, 128 needs int16;
+    # neither they nor the zero counts may wrap
+    from chogen.contrasts import contrast_matrix, lambda_star
+    rng = random.Random(m)
+    d = random_design(rng, 7, m, 3)
+    model = ModelSpec.specified_one_factor(7)
+    report = verify(d, model)
+    for q, e in enumerate(model.interest):
+        assert tuple(report.np_table[:, q]) == np_counts(d, e)
+    B = contrast_matrix(model.interest, 7)
+    assert np.array_equal(cstar_matrix(d, model.interest).ints,
+                          B @ lambda_star(d).ints @ B.T)

@@ -118,3 +118,45 @@ def test_int_product_large_goes_through_float_exactly():
     out = int_product(A, B)
     assert out.dtype == np.int64
     assert np.array_equal(out, A @ B)
+
+
+def _filled(rows, inner, cols, a, b):
+    """A (rows, inner) matrix of a's and an (inner, cols) matrix of b's."""
+    A = np.full((rows, inner), a, dtype=np.int64)
+    B = np.full((inner, cols), b, dtype=np.int64)
+    return A, B
+
+
+@pytest.mark.parametrize("inner, a, b", [
+    (256, 255, 255),  # bound 256 * 255^2 just below 2^24: float32
+    (256, 256, 256),  # bound exactly 2^24: float64
+    (64, 512, 512),   # bound exactly 2^24 again, other factors
+])
+def test_int_product_exact_near_the_float32_limit(inner, a, b):
+    A, B = _filled(120, inner, 130, a, b)
+    A[::7] *= -1
+    B[:, ::5] -= 1
+    assert inner * a * b <= 1 << 24
+    for left, right in [(A, B), (A[:, ::-1], B[::-1]), (B.T, A.T)]:
+        assert np.array_equal(int_product(left, right), left @ right)
+    # B is a view of A: the converted A is reused for it
+    assert np.array_equal(int_product(A, A.T), A @ A.T)
+
+
+def test_int_product_stays_exact_where_float32_would_round():
+    # one partial sum is 2^24 + 1, which float32 cannot hold
+    A, B = _filled(100, 257, 100, 256, 256)
+    A[:, -1] = 1
+    B[-1, :] = 1
+    expect = A @ B
+    assert expect[0, 0] == (1 << 24) + 1
+    rounded = np.rint(A.astype(np.float32) @ B.astype(np.float32))
+    assert not np.array_equal(rounded.astype(np.int64), expect)
+    assert np.array_equal(int_product(A, B), expect)
+
+
+def test_int_product_small_integer_types_do_not_overflow():
+    A = np.full((3, 40), 100, dtype=np.int8)
+    out = int_product(A, A.T)
+    assert out.dtype == np.int64
+    assert (out == 40 * 100 * 100).all()
