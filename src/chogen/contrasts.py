@@ -3,11 +3,14 @@
 Everything that feeds a certification verdict is computed over the
 integers: the information matrix C of a design is held as an integer
 matrix C* plus the exact rational scale 1/(2^n N m^2).  Every block of C*
-comes from cstar_block: a Walsh transform of the option histogram for the
-Gram part and one product of per-set sign sums, so C* needs no (Q, N*m)
-sign matrix.  Floating point appears only in the explicitly numeric branch
-of info_matrix, and inside int_product, whose float values are integers
-held exactly.
+comes from cstar_block, by one of two routes.  When the component pairs
+take few distinct differences, as in every translate-of-a-pattern
+construction, the block is gathered from per-difference Walsh tables.
+Otherwise it is a Walsh transform of the option histogram for the Gram
+part less one product of per-set sign sums.  Neither route forms a
+(Q, N*m) sign matrix.  Floating point appears only in the explicitly
+numeric branch of info_matrix, and inside int_product, whose float values
+are integers held exactly.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import ratlinalg
-from .designs import ChoiceDesign, lex_index
+from .designs import MAX_INDEX_FACTORS, ChoiceDesign
 from .errors import EffectOutOfRange, InvariantError, SamePair, Unsupported
 from .models import FactorialEffect, ModelSpec
 from .ratlinalg import int_product
@@ -29,9 +32,6 @@ DENSE_MAX_N = 12
 
 # relative eigenvalue cutoff of the numeric pseudo-inverse branch
 PINV_CUTOFF = 1e-9
-
-# option indices and effect masks are int64 arrays: at most 63 factors
-MAX_SIGN_FACTORS = 63
 
 # elements per chunk of the per-set sums and of the direct Walsh sums
 _CHUNK = 1 << 16
@@ -144,16 +144,11 @@ def pair_contribution(e1: FactorialEffect, e2: FactorialEffect,
     return (xi - xj) * (yi - yj)
 
 
-def _option_indices(d: ChoiceDesign) -> np.ndarray:
-    """(N, m) lexicographic indices of the design's options."""
-    return np.array([[lex_index(t) for t in S] for S in d.sets], dtype=np.int64)
-
-
 def _effect_masks(effects: Sequence[FactorialEffect], n: int) -> np.ndarray:
-    """Bit masks of the effects; Unsupported beyond MAX_SIGN_FACTORS factors."""
-    if n > MAX_SIGN_FACTORS:
+    """Bit masks of the effects; Unsupported beyond MAX_INDEX_FACTORS factors."""
+    if n > MAX_INDEX_FACTORS:
         raise Unsupported(f"sign matrices are limited to n <= "
-                          f"{MAX_SIGN_FACTORS} factors, got {n}")
+                          f"{MAX_INDEX_FACTORS} factors, got {n}")
     return np.array([_effect_mask(e, n) for e in effects], dtype=np.int64)
 
 
@@ -170,7 +165,7 @@ def option_sign_matrix(d: ChoiceDesign, effects: Sequence[FactorialEffect]) -> n
     """
     masks = _effect_masks(effects, d.n)
     orders = np.array([e.order for e in effects], dtype=np.uint8)
-    opts = _option_indices(d).ravel()
+    opts = d.indices.ravel()
     ones = np.bitwise_count(masks[:, None] & opts[None, :])
     # the parity is taken in uint8, so only the result is a full int64 array
     odd = ((orders[:, None] - ones) & 1).astype(bool)
@@ -185,7 +180,7 @@ def set_sums(d: ChoiceDesign, effects: Sequence[FactorialEffect]) -> np.ndarray:
     chunks, and the option sign matrix is never formed.
     """
     masks = _effect_masks(effects, d.n)
-    columns = np.ascontiguousarray(_option_indices(d).T)  # (m, N)
+    columns = np.ascontiguousarray(d.indices.T)  # (m, N)
     odd = np.zeros((len(masks), d.N), dtype=np.min_scalar_type(d.m))
     step = max(1, _CHUNK // d.N)
     for lo in range(0, len(masks), step):
@@ -213,25 +208,38 @@ def _distinct(points: np.ndarray, n: int) -> np.ndarray:
     return np.unique(points)
 
 
+def _fwht(w: np.ndarray) -> np.ndarray:
+    """The unnormalised Walsh-Hadamard transform of every row, in place.
+
+    w is a C-contiguous integer array whose last axis has 2^n entries
+    (Fino & Algazi 1976); a (k, 2^n) array transforms k histograms at once.
+    """
+    h = 1
+    while h < w.shape[-1]:
+        v = w.reshape(-1, 2, h)
+        low = v[:, 0].copy()
+        v[:, 0] += v[:, 1]
+        np.subtract(low, v[:, 1], out=v[:, 1])
+        h *= 2
+    return w
+
+
+def _transform_pays(n: int, points: int, options: int) -> bool:
+    """Whether a full transform (n 2^n) costs no more than direct sums."""
+    return n * (1 << n) <= points * options
+
+
 def _walsh_at(options: np.ndarray, n: int, points: np.ndarray) -> np.ndarray:
     """W[u] = sum over the options t of (-1)^|u & t|, at every u in points.
 
-    W is the unnormalised Walsh-Hadamard transform of the option histogram
-    (Fino & Algazi 1976).  A full fast transform costs about n 2^n; direct
-    character sums at the distinct points U cost |U| N m.  The cheaper one
-    is taken, so wide designs never allocate a 2^n histogram.
+    W is the Walsh transform of the option histogram.  A full fast
+    transform costs about n 2^n; direct character sums at the distinct
+    points U cost |U| N m.  The cheaper one is taken, so wide designs never
+    allocate a 2^n histogram.
     """
     distinct = _distinct(points, n)
-    if n * (1 << n) <= distinct.size * options.size:
-        w = np.bincount(options, minlength=1 << n)
-        h = 1
-        while h < w.size:
-            v = w.reshape(-1, 2, h)
-            low = v[:, 0].copy()
-            v[:, 0] += v[:, 1]
-            v[:, 1] = low - v[:, 1]
-            h *= 2
-        return w[points]
+    if _transform_pays(n, distinct.size, options.size):
+        return _fwht(np.bincount(options, minlength=1 << n))[points]
     values = np.empty(distinct.size, dtype=np.int64)
     step = max(1, _CHUNK // options.size)
     for lo in range(0, distinct.size, step):
@@ -254,31 +262,103 @@ def lambda_star(d: ChoiceDesign) -> ScaledIntMatrix:
         )
     size = 1 << n
     Z = np.zeros((size, size), dtype=np.int64)
-    for S in d.sets:
-        mem = [lex_index(t) for t in S]
+    for mem in d.indices:
         Z[np.ix_(mem, mem)] -= 1
         Z[mem, mem] += m
     return ScaledIntMatrix(Z, Fraction(1, d.N * m * m))
 
 
+def _pair_differences(d: ChoiceDesign, n_rows: int, n_cols: int):
+    """The distinct pair differences when the difference route pays, else None.
+
+    The differences are t_a xor t_b over the component pairs, sorted.  With
+    k of them the route's tables hold 2^k 2^n entries, which must not exceed
+    the n_rows x n_cols block they fill, and its transforms cost about
+    (k n + 2^k) 2^n, which must stay below the N n_rows n_cols of the sign-sum
+    product.  The pairs are scanned only until k passes the largest size
+    both bounds admit, so designs with many differences cost little here.
+    """
+    n, size, block = d.n, 1 << d.n, n_rows * n_cols
+    limit = 0
+    while ((2 << limit) * size <= block
+           and ((limit + 1) * n + (2 << limit)) * size < d.N * block):
+        limit += 1
+    if limit == 0:
+        return None
+    found = np.empty(0, dtype=np.int64)
+    idx = d.indices
+    for a in range(d.m - 1):
+        found = np.union1d(found, idx[:, a, None] ^ idx[:, a + 1:])
+        if found.size > limit:
+            return None
+    return found
+
+
+def _parity_sets(masks: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """P(e): bit k set when effect e is odd on the difference deltas[k]."""
+    odd = np.bitwise_count(masks[:, None] & deltas[None, :]) & 1
+    return odd.astype(np.int64) @ (1 << np.arange(deltas.size, dtype=np.int64))
+
+
+def _cstar_by_differences(d: ChoiceDesign, r: np.ndarray, c: np.ndarray,
+                          deltas: np.ndarray) -> np.ndarray:
+    """The block from per-difference Walsh tables, with no sign-sum product.
+
+    A component pair (t, t xor delta) adds 4 sigma(u) (-1)^|u & t| to entry
+    [i, j], u = e_i xor e_j, when both effects are odd on delta, and 0
+    otherwise (pair_contribution).  So the entry is 4 sigma(u) times the sum
+    of H_delta[u] over the deltas odd on both effects, H_delta being the Walsh
+    transform of the histogram of the first options of the pairs with
+    difference delta.  The table T[A] = 4 sigma sum_(delta in A) H_delta over
+    every subset A of the deltas turns the block into one gather,
+    T[P(e_i) & P(e_j), e_i xor e_j].
+    """
+    n, k, size = d.n, deltas.size, 1 << d.n
+    idx = d.indices
+    H = np.zeros(k * size, dtype=np.int64)
+    for a in range(d.m - 1):
+        diff = idx[:, a, None] ^ idx[:, a + 1:]
+        cell = np.searchsorted(deltas, diff) << n
+        cell |= idx[:, a, None]
+        H += np.bincount(cell.ravel(), minlength=H.size)
+    H = _fwht(H.reshape(k, size))
+    H *= 4 * _effect_signs(np.arange(size, dtype=np.int64))
+    T = np.zeros((1 << k, size), dtype=np.int64)
+    for b in range(k):
+        np.add(T[:1 << b], H[b], out=T[1 << b:2 << b])
+    Pr = _parity_sets(r, deltas)
+    Pc = Pr if c is r else _parity_sets(c, deltas)
+    flat = Pr[:, None] & Pc[None, :]
+    flat <<= n
+    flat ^= r[:, None]
+    flat ^= c[None, :]
+    return np.take(T.ravel(), flat, out=flat)
+
+
 def cstar_block(d: ChoiceDesign, rows: Sequence[FactorialEffect],
                 cols: Sequence[FactorialEffect],
                 row_sums: np.ndarray = None) -> np.ndarray:
-    """Exact integer block B_r Lambda* B_c' = m G - S_r S_c' of two effect lists.
+    """Exact integer block B_r Lambda* B_c' of two effect lists.
 
-    G[i, j] sums the product of the two effects' contrast signs over all
-    N*m options.  Every sign is a character of Z_2^n, so G[i, j] is
-    sigma(e_i) sigma(e_j) W[e_i xor e_j], with W the Walsh transform of the
-    option histogram (_walsh_at).  S_r and S_c are the per-set sign sums
-    of set_sums; row_sums, when given, is set_sums(d, rows), reused.  With
-    cols the same list as rows this is C*, otherwise a cross block.
+    When _pair_differences finds few distinct pair differences, the block
+    is gathered from per-difference Walsh tables (_cstar_by_differences).
+    Otherwise it is m G - S_r S_c'.  G[i, j] sums the product of the two
+    effects' contrast signs over all N*m options.  Every sign is a
+    character of Z_2^n, so G[i, j] is sigma(e_i) sigma(e_j) W[e_i xor e_j],
+    with W the Walsh transform of the option histogram (_walsh_at).  S_r
+    and S_c are the per-set sign sums of set_sums; row_sums, when given, is
+    set_sums(d, rows), reused.  With cols the same list as rows this is C*,
+    otherwise a cross block.
     """
     n, m = d.n, d.m
     r = _effect_masks(rows, n)
     c = r if cols is rows else _effect_masks(cols, n)
+    deltas = _pair_differences(d, len(r), len(c))
+    if deltas is not None:
+        return _cstar_by_differences(d, r, c, deltas)
     Sr = set_sums(d, rows) if row_sums is None else row_sums
     Sc = Sr if cols is rows else set_sums(d, cols)
-    block = _walsh_at(_option_indices(d).ravel(), n, r[:, None] ^ c[None, :])
+    block = _walsh_at(d.indices.ravel(), n, r[:, None] ^ c[None, :])
     block *= m * _effect_signs(r)[:, None]
     block *= _effect_signs(c)[None, :]
     block -= int_product(Sr, Sc.T)

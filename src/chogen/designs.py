@@ -10,21 +10,36 @@ are not.  All values are immutable and hashable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence, Union, overload
 
-from .errors import DuplicateOption, MixedWidth, ShapeMismatch, WidthMismatch
+import numpy as np
+
+from .errors import (DuplicateOption, MixedWidth, ShapeMismatch, Unsupported,
+                     WidthMismatch)
 
 Treatment = tuple  # tuple[int, ...], bits of one profile, factor 1 first
 ChoiceSet = tuple  # tuple[Treatment, ...]
 
+# option indices are int64 arrays: at most 63 factors
+MAX_INDEX_FACTORS = 63
+
+_BITS = {"0": 0, "1": 1, 0: 0, 1: 1}
+
 
 def treatment(bits: Union[str, Iterable[int]]) -> Treatment:
     """Build a treatment from a bitstring like "1010" or an iterable of 0/1."""
-    vals = tuple(int(b) for b in bits)
+    if not isinstance(bits, (str, tuple, list)):
+        bits = tuple(bits)
+    try:
+        vals = tuple(map(_BITS.__getitem__, bits))
+    except (KeyError, TypeError):
+        # anything else: int() reads each bit, and names a bad one
+        vals = tuple(map(int, bits))
+        if any(v not in (0, 1) for v in vals):
+            raise ValueError(f"treatment bits must be 0 or 1, got {vals!r}")
     if not vals:
         raise ValueError("a treatment needs at least one factor")
-    if any(v not in (0, 1) for v in vals):
-        raise ValueError(f"treatment bits must be 0 or 1, got {vals!r}")
     return vals
 
 
@@ -96,9 +111,23 @@ class ChoiceDesign:
     def N(self) -> int:
         return len(self.sets)
 
+    @cached_property
+    def indices(self) -> np.ndarray:
+        """Read-only (N, m) int64 lexicographic indices of the options.
+
+        Built once per design; Unsupported beyond MAX_INDEX_FACTORS factors.
+        """
+        if self.n > MAX_INDEX_FACTORS:
+            raise Unsupported(f"option indices are limited to n <= "
+                              f"{MAX_INDEX_FACTORS} factors, got {self.n}")
+        weights = 1 << np.arange(self.n - 1, -1, -1, dtype=np.int64)
+        idx = np.array(self.sets, dtype=np.int64) @ weights
+        idx.setflags(write=False)
+        return idx
+
     @classmethod
     def from_sets(cls, sets: Iterable[Sequence]) -> "ChoiceDesign":
-        return cls(tuple(make_choice_set(s) for s in sets))
+        return cls(tuple(sets))
 
     @classmethod
     def from_components(cls, components: Sequence[Sequence]) -> "ChoiceDesign":

@@ -17,7 +17,7 @@ from .errors import BadOrder, InvariantError, NotHadamard, Unsupported
 from .ratlinalg import int_product
 
 # Bound of the seed-order search.  verify accepts at most 63 factors
-# (contrasts.MAX_SIGN_FACTORS) and least_hadamard_order(63) = 64, so no
+# (designs.MAX_INDEX_FACTORS) and least_hadamard_order(63) = 64, so no
 # design that can be certified needs a larger searched order.
 MAX_SEARCH_ORDER = 64
 

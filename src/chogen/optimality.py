@@ -52,7 +52,9 @@ class OptimalityReport:
     offending_pairs: tuple  # (effect, effect, eta_plus, eta_minus) per bad pair
     offending_count: int  # all unbalanced pairs, even past the listing cap
     balance_ok: bool
-    np_table: np.ndarray  # np_table[p, q]: zeros of interest effect q in set p
+    # np_table[p, q]: zeros of interest effect q in set p; a read-only view,
+    # in the smallest signed integer dtype that holds -4 m^2 (int8 up to m = 5)
+    np_table: np.ndarray
     trace: Fraction
     trace_bound: Fraction
     cross_block_zero: Optional[bool]  # None when the model has no nuisance
@@ -222,13 +224,12 @@ def verify(d: ChoiceDesign, model: ModelSpec) -> OptimalityReport:
     if not np.array_equal(diag, per_set):
         raise InvariantError("C* diagonal disagrees with the zero counts")
 
-    off = Cstar.copy()
-    np.fill_diagonal(off, 0)
-    diagonal = not off.any()
+    # off the diagonal, C* is zero iff its nonzeros all lie on the diagonal
+    diagonal = np.count_nonzero(Cstar) == np.count_nonzero(diag)
     offending = ()
     offending_count = 0
     if not diagonal:
-        bad = np.argwhere(np.triu(off, 1) != 0)
+        bad = np.argwhere(np.triu(Cstar, 1) != 0)
         offending_count = len(bad)
         bad = bad[:MAX_LISTED_PAIRS]
         # signs of just the effects in the listed pairs
@@ -262,7 +263,7 @@ def verify(d: ChoiceDesign, model: ModelSpec) -> OptimalityReport:
     else:
         verdict = Verdict.NOT_CONNECTED
 
-    table = np_table.T.astype(np.int64)
+    table = np_table.T
     table.setflags(write=False)
     return OptimalityReport(
         model=model, n=n, m=m, N=N,

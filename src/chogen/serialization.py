@@ -36,21 +36,21 @@ def design_from_dict(doc) -> tuple:
         raise FormatError("design document lacks the 'sets' field") from None
     if not isinstance(sets_field, list) or not sets_field:
         raise FormatError("'sets' must be a non-empty list")
-    decoded = []
     for s in sets_field:
         if not isinstance(s, list):
             raise FormatError("each choice set must be a list of bit strings")
-        options = []
         for opt in s:
             if not isinstance(opt, str):
                 raise FormatError(f"option {opt!r} is not a bit string")
-            try:
-                options.append(treatment(opt))
-            except (ChogenError, ValueError) as exc:
-                raise FormatError(f"bad option {opt!r}: {exc}") from None
-        decoded.append(tuple(options))
+            if opt.strip("01") or not opt:
+                # not plain bits: treatment() judges it, and names the fault
+                try:
+                    treatment(opt)
+                except (ChogenError, ValueError) as exc:
+                    raise FormatError(f"bad option {opt!r}: {exc}") from None
+    # every option is now known to decode; the design decodes each once
     try:
-        design = ChoiceDesign.from_sets(decoded)
+        design = ChoiceDesign.from_sets(sets_field)
     except (ChogenError, ValueError) as exc:
         raise FormatError(f"sets do not form a design: {exc}") from None
     for field in ("n", "m"):

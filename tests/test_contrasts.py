@@ -5,10 +5,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chogen.contrasts import (DENSE_MAX_N, ScaledIntMatrix, _effect_masks,
+                              _pair_differences, _transform_pays,
                               contrast_matrix, contrast_vector,
                               cross_block_star, cstar_block, cstar_matrix,
                               effective_choice_set, effective_position,
@@ -241,11 +242,15 @@ def designs_with_repeats(draw, min_n, max_n, max_m=4, max_sets=4, max_N=6):
 
 
 def _walsh_branch(d, rows, cols):
-    """Which branch _walsh_at takes for this block: 'fwht' or 'direct'."""
+    """How cstar_block forms this block: 'differences', 'fwht' or 'direct'.
+
+    The last two are the branches of _walsh_at on the product route.
+    """
+    if _pair_differences(d, len(rows), len(cols)) is not None:
+        return "differences"
     r, c = _effect_masks(rows, d.n), _effect_masks(cols, d.n)
     points = len(np.unique(r[:, None] ^ c[None, :]))
-    fwht = d.n * (1 << d.n) <= points * d.N * d.m
-    return "fwht" if fwht else "direct"
+    return "fwht" if _transform_pays(d.n, points, d.N * d.m) else "direct"
 
 
 def _check_against_oracle(d, model):
@@ -275,9 +280,70 @@ def test_cstar_block_matches_oracle_on_every_family(d, family, data):
        st.sampled_from(("main-effects", "spec-2f")))
 @settings(max_examples=10, deadline=None)
 def test_cstar_block_matches_oracle_on_wide_designs(d, family):
+    # never the difference route: its tables would hold 2^n entries
     model = _family(family, d.n)
     assert _walsh_branch(d, model.interest, model.interest) == "direct"
     _check_against_oracle(d, model)
+
+
+@st.composite
+def translated_designs(draw):
+    """Sets t xor P of one random pattern P, some translates repeated.
+
+    A spec-all or spec-group model on 6-7 factors with m <= 3 has at most
+    three pair differences and enough effects for the difference route.
+    """
+    n = draw(st.integers(6, 7))
+    m = draw(st.integers(2, 3))
+    option = st.integers(0, (1 << n) - 1)
+    pattern = draw(st.lists(option, min_size=m, max_size=m, unique=True))
+    shifts = draw(st.lists(option, min_size=1, max_size=4))
+    picks = draw(st.lists(st.integers(0, len(shifts) - 1), min_size=4,
+                          max_size=7))
+    bits = lambda x: tuple((x >> (n - 1 - k)) & 1 for k in range(n))
+    return ChoiceDesign.from_sets([tuple(bits(shifts[i] ^ p) for p in pattern)
+                                   for i in picks])
+
+
+@given(translated_designs(), st.sampled_from(("spec-all", "spec-group")),
+       st.integers(1, 3))
+@settings(max_examples=30, deadline=None)
+def test_translated_designs_take_the_difference_route(d, family, r):
+    # these families have no nuisance, so the cross block is taken against
+    # the same effects in reverse order, a second list of masks
+    from chogen.optimality import oracle_cstar
+    F = _family(family, d.n, r).interest
+    reverse = F[::-1]
+    assert _walsh_branch(d, F, F) == "differences"
+    assert _walsh_branch(d, F, reverse) == "differences"
+    full = oracle_cstar(d, F).ints
+    assert np.array_equal(cstar_block(d, F, F), full)
+    assert np.array_equal(cstar_matrix(d, F).ints, full)
+    assert np.array_equal(cross_block_star(d, F, reverse), full[:, ::-1])
+
+
+@given(designs_with_repeats(5, 7, max_sets=8, max_N=8),
+       st.sampled_from(FAMILIES), st.integers(1, 3))
+@settings(max_examples=30, deadline=None)
+def test_random_designs_take_the_product_route(d, family, r):
+    model = _family(family, d.n, r)
+    blocks = [(model.interest, model.interest)]
+    if model.nuisance:
+        blocks.append((model.interest, model.nuisance))
+    # sets of random options rarely share few differences; skip those that do
+    assume(all(_walsh_branch(d, *b) != "differences" for b in blocks))
+    _check_against_oracle(d, model)
+
+
+@pytest.mark.parametrize("n", [25, 32, 40])
+def test_wide_designs_never_take_the_difference_route(n):
+    # one set {0, 1...1}: a single pair difference, yet 2^n table entries
+    # exceed any block the effect cap allows
+    d = ChoiceDesign.from_sets([((0,) * n, (1,) * n)] * 4)
+    for model in (ModelSpec.main_effects(n), ModelSpec.specified_two_factor(n)):
+        F = model.interest
+        assert _pair_differences(d, len(F), len(F)) is None
+        _check_against_oracle(d, model)
 
 
 def test_walsh_branches_both_match_the_oracle():
@@ -297,6 +363,17 @@ def test_walsh_branches_both_match_the_oracle():
             seen.add(_walsh_branch(d, model.interest, model.nuisance))
         _check_against_oracle(d, model)
     assert seen == {"fwht", "direct"}
+
+
+@pytest.mark.parametrize("name", ["spec-all-m3-n12", "spec-all-m4-n12",
+                                  "spec-group-m4-n10-r3"])
+def test_stored_cells_take_the_difference_route(name):
+    d, meta = load(str(INPUTS / f"{name}.json"))
+    model = (ModelSpec.specified_group(d.n, 3) if "group" in name
+             else ModelSpec.specified_one_factor(d.n))
+    F = model.interest
+    # every set is a translate of {0, 1...1, g, 1...1 xor g}
+    assert len(_pair_differences(d, len(F), len(F))) == 3
 
 
 @pytest.mark.parametrize("name", ["spec-all-m3-n12", "spec-all-m4-n12"])

@@ -1,5 +1,6 @@
 """Treatments, choice sets, and the design-level operators."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -152,3 +153,41 @@ def test_canonical_design_is_idempotent_and_equivalent(d):
     c = canonical_design(d)
     assert canonical_design(c) == c
     assert equivalent(d, c)
+
+
+def test_treatment_keeps_the_int_semantics():
+    # bools, float bits and one-shot iterators decode as int() reads them
+    assert treatment((True, False)) == (1, 0)
+    assert all(type(b) is int for b in treatment((True, 1.0, 0)))
+    assert treatment(iter([0, 1])) == (0, 1)
+    with pytest.raises(ValueError, match=r"got \(1, 2\)"):
+        treatment(iter([1, 2]))
+    with pytest.raises(ValueError, match="invalid literal"):
+        treatment("0x")
+    with pytest.raises(TypeError):
+        treatment(5)
+
+
+@given(designs(max_n=6))
+def test_indices_are_the_lexicographic_indices(d):
+    idx = d.indices
+    assert idx.dtype == np.int64 and idx.shape == (d.N, d.m)
+    assert idx.tolist() == [[lex_index(t) for t in s] for s in d.sets]
+    assert d.indices is idx  # built once per design
+    with pytest.raises(ValueError):
+        idx[0, 0] = 1
+
+
+def test_indices_of_63_factors_and_the_cap():
+    d = ChoiceDesign.from_sets([((1,) * 63, (0,) * 62 + (1,))])
+    assert d.indices.tolist() == [[(1 << 63) - 1, 1]]
+    wide = ChoiceDesign.from_sets([((1,) * 64, (0,) * 64)])
+    with pytest.raises(errors.Unsupported):
+        wide.indices
+
+
+def test_from_sets_and_the_constructor_agree():
+    sets = [["00", "11"], [(0, 1), [1, 0]]]
+    assert ChoiceDesign.from_sets(sets) == ChoiceDesign(tuple(sets))
+    assert ChoiceDesign.from_sets(sets).sets == (((0, 0), (1, 1)),
+                                                 ((0, 1), (1, 0)))

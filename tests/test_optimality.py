@@ -98,6 +98,21 @@ def test_verify_np_table():
         report.np_table[0, 0] = 9
 
 
+def test_np_table_is_a_small_read_only_view():
+    # the zero counts stay in the small type verify computed them in: an
+    # int64 copy would take 67 MB on this cell
+    from chogen.serialization import load
+    d, _ = load(str(INPUTS / "spec-all-m3-n12.json"))
+    model = ModelSpec.specified_one_factor(d.n)
+    report = verify(d, model)
+    table = report.np_table
+    assert table.shape == (d.N, model.Q) and table.dtype == np.int8
+    assert not table.flags.writeable
+    assert ((table >= 0) & (table <= d.m)).all()
+    # balanced m = 3 sets: one or two zeros per set
+    assert set(np.unique(table).tolist()) <= {1, 2}
+
+
 def test_verify_broader_cross_block_flag():
     d = ChoiceDesign.from_sets([("00", "11"), ("01", "10")])
     report = verify(d, ModelSpec.broader_main_effects(2))

@@ -77,3 +77,53 @@ def test_invalid_json_text():
 def test_load_missing_file(tmp_path):
     with pytest.raises(FormatError):
         load(tmp_path / "absent.json")
+
+
+def _document(N):
+    return {"sets": [["0" * 12, "1" * 12, "01" * 6] for _ in range(N)]}
+
+
+def test_large_malformed_documents_name_the_first_fault():
+    # a repeated option early and a bad character late: the bad option is
+    # reported, as every option is read before any set is checked
+    doc = _document(4000)
+    doc["sets"][10][0] = "1" * 12
+    doc["sets"][3999][2] = "01010101010x"
+    with pytest.raises(FormatError) as info:
+        design_from_dict(doc)
+    assert str(info.value) == ("bad option '01010101010x': invalid literal "
+                               "for int() with base 10: 'x'")
+    doc["sets"][3999][2] = "01010101012"
+    with pytest.raises(FormatError) as info:
+        design_from_dict(doc)
+    assert str(info.value) == ("bad option '01010101012': treatment bits "
+                               "must be 0 or 1, got (0, 1, 0, 1, 0, 1, 0, 1, "
+                               "0, 1, 2)")
+    doc["sets"][3999][2] = 7
+    with pytest.raises(FormatError) as info:
+        design_from_dict(doc)
+    assert str(info.value) == "option 7 is not a bit string"
+    doc["sets"][3999][2] = "01" * 6
+    with pytest.raises(FormatError) as info:
+        design_from_dict(doc)
+    assert str(info.value) == ("sets do not form a design: option "
+                               "111111111111 repeated in a choice set")
+    doc["sets"][10][0] = "0" * 12
+    doc["sets"][2000] = ["0" * 12, "1" * 11]
+    with pytest.raises(FormatError) as info:
+        design_from_dict(doc)
+    assert str(info.value) == ("sets do not form a design: options of "
+                               "widths 12 and 11 in one set")
+
+
+def test_loaded_designs_read_each_option_once(monkeypatch):
+    # plain bit strings never reach the error-reporting decode
+    import chogen.serialization as serialization
+    calls = []
+    monkeypatch.setattr(serialization, "treatment",
+                        lambda opt: calls.append(opt))
+    design, _ = design_from_dict(_document(50))
+    assert design.N == 50 and calls == []
+    with pytest.raises(FormatError):
+        design_from_dict({"sets": [["00", " 1"]]})
+    assert calls == [" 1"]

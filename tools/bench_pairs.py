@@ -13,9 +13,14 @@ in both checkouts PAIRS times, T being the `run_seconds` of the change
 checkout's BENCHMARK.json, the parent first in even pairs and the
 change first in odd ones.  The file records the machine, each checkout's
 commit and source hash, every run's end-to-end metrics, and per metric the
-median and quartiles of each side and the number of pairs the change won
-(strictly better, in the direction BENCHMARK.json declares).  It is
+median and quartiles of each side, the number of pairs the change won
+(strictly better, in the direction BENCHMARK.json declares), and whether a
+gain could be claimed: the change wins at least 9 of 10 pairs and its median
+beats the parent's by more than the parent's interquartile range.  It is
 rewritten after every pair, so an interrupted run keeps the pairs it finished.
+
+The script exits 1 when any run reports `correct: false` or a failed
+operation; those runs stay in the file and are listed under "problems".
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ import sys
 from pathlib import Path
 
 RUN_TIMEOUT_S = 3600
+CLAIM_SHARE = 0.9  # least share of pairs the change must win for a claim
 
 
 def git_state(root: Path) -> dict:
@@ -84,16 +90,29 @@ def spread(values) -> dict:
 
 
 def summarize(pairs, better: dict) -> dict:
-    """Per metric: each side's median and quartiles, and pairs won."""
+    """Per metric: each side's median and quartiles, pairs won, the claim."""
     out = {}
     for name in pairs[0]["parent"]["metrics"]:
         before = [p["parent"]["metrics"][name] for p in pairs]
         after = [p["change"]["metrics"][name] for p in pairs]
         sign = -1 if better.get(name, "lower") == "higher" else 1
         won = sum(sign * a < sign * b for a, b in zip(after, before))
-        out[name] = {"parent": spread(before), "change": spread(after),
-                     "change_won": won, "pairs": len(pairs)}
+        parent, change = spread(before), spread(after)
+        gap = sign * (parent["median"] - change["median"])
+        iqr = parent["q3"] - parent["q1"]
+        out[name] = {"parent": parent, "change": change,
+                     "change_won": won, "pairs": len(pairs),
+                     "median_gap": gap, "parent_iqr": iqr,
+                     "claim_holds": won >= CLAIM_SHARE * len(pairs) and gap > iqr}
     return out
+
+
+def run_problem(workload: str, side: str, result: dict):
+    """A description of what went wrong in one run, or None."""
+    if result.get("correct") is True and not result.get("failed"):
+        return None
+    return (f"{workload} {side}: correct={result.get('correct')}, "
+            f"failed={result.get('failed')} of {result.get('attempted')}")
 
 
 def main() -> int:
@@ -119,6 +138,7 @@ def main() -> int:
         "machine": machine(),
         "checkouts": {side: git_state(root) for side, root in sides.items()},
         "workloads": {},
+        "problems": [],
     }
     for workload, count in plan:
         entry = doc["workloads"].setdefault(workload, {"pairs": []})
@@ -129,13 +149,19 @@ def main() -> int:
                 result = run_once(sides[side], workload, args.seed, seconds)
                 doc["checkouts"][side]["run_record"] = result.pop("record")
                 pair[side] = result
+                problem = run_problem(workload, side, result)
+                if problem:
+                    doc["problems"].append(problem)
                 print(f"{workload} pair {i + 1}/{count} {side}: "
                       f"run_s={result['metrics'].get('run_s', 0):.3f} "
-                      f"correct={result['correct']}", flush=True)
+                      f"correct={result['correct']} "
+                      f"failed={result.get('failed')}", flush=True)
             entry["pairs"].append(pair)
             entry["summary"] = summarize(entry["pairs"], better)
             args.out.write_text(json.dumps(doc, indent=1) + "\n")
-    return 0
+    for problem in doc["problems"]:
+        print(f"error: {problem}", file=sys.stderr)
+    return 1 if doc["problems"] else 0
 
 
 if __name__ == "__main__":
