@@ -156,7 +156,7 @@ def candidate_recipes(kind: ModelKind, m: int, n: int, r=None) -> tuple:
             f"spec-group-m{m}", ModelSpec.specified_group(n, r), m, n, n - 1,
             independent_columns,
             "certified on a wider seed with XOR-independent columns", r=r))
-    if n < 1 or m > (1 << n):
+    if n < 1 or m < 2 or m > (1 << n):
         return ()
     recipes = []
     if kind is ModelKind.MAIN_EFFECTS:

@@ -15,7 +15,7 @@ import sys
 from . import serialization
 from .catalog import (EXPECTED_DEVIATIONS, ModelKind, Table1Report,
                       candidate_recipes, first_certified, reproduce_table1)
-from .constructions import ConstructionRecipe, default_generators
+from .constructions import ConstructionRecipe
 from .designs import bits_string
 from .errors import ChogenError, FormatError, Unsupported
 from .hadamard import least_hadamard_order
@@ -62,7 +62,10 @@ def _model_for(name: str, n: int, r=None) -> ModelSpec:
 
 
 def _parse_bits(text: str) -> tuple:
-    return tuple(tuple(int(c) for c in part) for part in text.split(","))
+    parts = text.split(",")
+    if any(not p or p.strip("01") for p in parts):
+        raise Unsupported(f"bad --generators value {text!r}")
+    return tuple(tuple(int(c) for c in p) for p in parts)
 
 
 def _parse_columns(text: str) -> tuple:
@@ -78,6 +81,8 @@ def _generate_recipes(args) -> list:
     if args.generators:
         if name not in ("main-effects", "broader"):
             raise Unsupported("--generators applies to main-effects and broader")
+        if m < 2:
+            raise Unsupported(f"--generators needs m >= 2, got m={m}")
         gens = _parse_bits(args.generators)
         model = _model_for(name, n)
         nu = least_hadamard_order(n)
@@ -100,21 +105,6 @@ def _generate_recipes(args) -> list:
     return recipes
 
 
-def _recipe_generators(recipe: ConstructionRecipe) -> list:
-    if recipe.id == "T1-generator":
-        gens = recipe.generators
-        if gens is None:
-            gens = default_generators(recipe.n, (recipe.m - 1) // 2)
-        return [bits_string(g) for g in gens]
-    if recipe.id.startswith("spec-group"):
-        return [bits_string(tuple(1 if k < recipe.r else 0
-                                  for k in range(recipe.n)))]
-    if recipe.id.startswith("spec-"):
-        return [bits_string(tuple(1 if k == 0 else 0
-                                  for k in range(recipe.n)))]
-    return []
-
-
 def _cmd_generate(args) -> int:
     chosen, rejected = first_certified(_generate_recipes(args))
     if chosen is None:
@@ -128,7 +118,7 @@ def _cmd_generate(args) -> int:
         return 2
     recipe, design, report = chosen
     meta = {"construction": recipe.describe(), "model": args.model}
-    gens = _recipe_generators(recipe)
+    gens = [bits_string(g) for g in recipe.applied_generators()]
     if gens:
         meta["generators"] = gens
     if args.model == "spec-group":

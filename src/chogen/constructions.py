@@ -12,11 +12,13 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .designs import (ChoiceDesign, add_generator, complement, direct_add,
-                      treatment, truncate_factors)
-from .errors import (BadGenerators, BadGroup, DuplicateOption, RangeError,
-                     Unsupported, WidthMismatch)
-from .hadamard import hadamard, least_hadamard_order, zero_one
+import numpy as np
+
+from .designs import (ChoiceDesign, bits_string, complement, direct_add,
+                      lex_index, pack_bits, treatment, truncate_factors)
+from .errors import (BadGenerators, BadGroup, RangeError, Unsupported,
+                     WidthMismatch)
+from .hadamard import hadamard, least_hadamard_order
 from .models import ModelSpec
 
 
@@ -24,9 +26,7 @@ def default_generators(n: int, alpha: int) -> tuple:
     """The first alpha unit vectors e_1..e_alpha of width n."""
     if alpha > n:
         raise RangeError(f"cannot form {alpha} unit generators on {n} factors")
-    return tuple(
-        tuple(1 if k == u else 0 for k in range(n)) for u in range(alpha)
-    )
+    return tuple(tuple(int(k == u) for k in range(n)) for u in range(alpha))
 
 
 def validate_generators(gens: Sequence, n: int) -> tuple:
@@ -46,7 +46,7 @@ def validate_generators(gens: Sequence, n: int) -> tuple:
             raise BadGenerators("all-ones generator")
         if g in seen:
             raise BadGenerators(f"repeated generator {g}")
-        comp = tuple(1 - b for b in g)
+        comp = complement(g)
         if comp in seen:
             raise BadGenerators(f"generators {comp} and {g} are complements")
         seen.add(g)
@@ -81,22 +81,38 @@ def even_free_columns(n: int) -> tuple:
     return (1, 4) + tuple((3 ^ (1 << (i - 3))) + 1 for i in range(3, n + 1))
 
 
-def _seed_rows(order: int, cols: Sequence[int]) -> tuple:
-    """Rows of zero_one(normalized Hadamard) restricted to 1-based columns."""
-    A = zero_one(hadamard(order))
-    return tuple(
-        tuple(int(A[i, c - 1]) for c in cols) for i in range(order)
-    )
+def spec_generator(n: int, r: int = 1) -> tuple:
+    """The generator with r leading ones; r = 1 gives e_1."""
+    return (1,) * r + (0,) * (n - r)
+
+
+def _seed_rows(order: int, cols: Sequence[int]) -> np.ndarray:
+    """Option indices of the seed's rows on 1-based columns, +1 as bit 1."""
+    return pack_bits(hadamard(order)[:, np.asarray(cols) - 1] > 0)
+
+
+def _shifted(A1: np.ndarray, n: int, gens) -> np.ndarray:
+    """Components A_1, its complement A_2, then A_1 + g and A_2 + g for
+    each generator g in turn, as the columns of an index array."""
+    shifts = [0] + [lex_index(g) for g in gens]
+    return np.stack([A1 ^ g ^ c for g in shifts for c in (0, (1 << n) - 1)],
+                    axis=1)
+
+
+def _design(x, n: int, fold: bool = False) -> ChoiceDesign:
+    """The sets of index array x, then their complements if fold."""
+    x = np.asarray(x)
+    return ChoiceDesign.from_indices(
+        np.vstack((x, x ^ ((1 << n) - 1))) if fold else x, n)
 
 
 def _resolve_columns(order: int, n: int, columns: Optional[Sequence[int]],
                      first_column: str) -> tuple:
     """Column indices (1-based) into the seed matrix.
 
-    first_column is "required", "excluded", or "free".  Defaults: the
-    first n columns when the first column is allowed, else 2..n+1; if the
-    default collides two seed rows, the lexicographically first column
-    set with distinct rows is used instead.
+    first_column is "required", "excluded", or "free".  The default is the
+    first n allowed columns or, if that collides two seed rows, the
+    lexicographically first allowed column set with distinct rows.
     """
     if columns is not None:
         cols = tuple(int(c) for c in columns)
@@ -109,54 +125,38 @@ def _resolve_columns(order: int, n: int, columns: Optional[Sequence[int]],
         if first_column == "excluded" and 1 in cols:
             raise RangeError("this seed excludes column 1")
         return cols
-    if first_column == "excluded":
-        pool = range(2, order + 1)
-        default = tuple(range(2, n + 2))
-    else:
-        pool = range(1, order + 1)
-        default = tuple(range(1, n + 1))
+    first = 2 if first_column == "excluded" else 1
+    pool = range(first, order + 1)
+    default = tuple(pool[:n])
     if order > (1 << n):
         raise RangeError(
             f"{order} distinct options cannot fit in {n} two-level factors"
         )
-    if len(set(_seed_rows(order, default))) == order:
-        return default
-    for cols in itertools.combinations(pool, n):
+    for cols in itertools.chain([default], itertools.combinations(pool, n)):
         if first_column == "required" and cols[0] != 1:
             continue
-        if len(set(_seed_rows(order, cols))) == order:
+        if np.unique(_seed_rows(order, cols)).size == order:
             return cols
     raise RangeError(
         f"no {n} columns of the order-{order} seed give distinct rows"
     )
 
 
-def _theorem1_components(n: int, m: int, generators, order, columns) -> list:
+def _theorem1_components(n: int, m: int, generators, order,
+                         columns) -> np.ndarray:
     if m < 2:
         raise RangeError(f"set size m must be at least 2, got {m}")
     nu = least_hadamard_order(n) if order is None else order
     if n > nu:
         raise RangeError(f"n={n} exceeds the seed order {nu}")
     alpha_needed = (m - 1) // 2
-    if generators is None:
-        gens = default_generators(n, alpha_needed)
-    else:
-        gens = tuple(treatment(g) for g in generators)
-        if len(gens) < alpha_needed:
-            raise RangeError(
-                f"m={m} needs at least {alpha_needed} generators, got {len(gens)}"
-            )
-    gens = validate_generators(gens, n)
+    gens = validate_generators(default_generators(n, alpha_needed)
+                               if generators is None else generators, n)
+    if len(gens) < alpha_needed:
+        raise RangeError(
+            f"m={m} needs at least {alpha_needed} generators, got {len(gens)}")
     cols = _resolve_columns(nu, n, columns, "free")
-    A1 = _seed_rows(nu, cols)
-    A2 = complement(A1)
-    comps = [A1, A2]
-    for g in gens:
-        comps.append(add_generator(A1, g))
-        comps.append(add_generator(A2, g))
-        if len(comps) >= m:
-            break
-    return comps[:m]
+    return _shifted(_seed_rows(nu, cols), n, gens)[:, :m]
 
 
 def theorem1_design(n: int, m: int, generators=None, order: int = None,
@@ -169,18 +169,14 @@ def theorem1_design(n: int, m: int, generators=None, order: int = None,
     (N doubles).
     """
     comps = _theorem1_components(n, m, generators, order, columns)
-    d = ChoiceDesign.from_components(comps)
-    if m % 2 == 0:
-        return d
-    return ChoiceDesign(d.sets + complement(d).sets)
+    return _design(comps, n, fold=m % 2 == 1)
 
 
 def theorem1_main_design(n: int, m: int, generators=None, order: int = None,
                          columns=None) -> ChoiceDesign:
     """The half of theorem1_design (no complement sets), optimal for
     main effects only; N = seed order for every m."""
-    comps = _theorem1_components(n, m, generators, order, columns)
-    return ChoiceDesign.from_components(comps)
+    return _design(_theorem1_components(n, m, generators, order, columns), n)
 
 
 def single_set_design(n: int, order: int = None, columns=None) -> ChoiceDesign:
@@ -195,47 +191,24 @@ def single_set_design(n: int, order: int = None, columns=None) -> ChoiceDesign:
     mode = "free" if n == nu else "excluded"
     cols = _resolve_columns(nu, n, columns, mode)
     rows = _seed_rows(nu, cols)
-    return ChoiceDesign.from_sets([rows + complement(rows)])
+    return _design([np.append(rows, rows ^ ((1 << n) - 1))], n)
 
 
 def hadamard_single_set_design(n: int, order: int = None,
                                columns=None) -> ChoiceDesign:
-    """One choice set of the order-many seed rows: N=1, m=order, n < order.
-
-    Optimal for main effects; the foldover pair built on top of it covers
-    the broader model.
-    """
+    """One choice set of the order-many seed rows: N=1, m=order, n < order;
+    optimal for main effects (the foldover pair covers the broader model)."""
     nu = least_hadamard_order(n + 1) if order is None else order
     if n > nu - 1:
         raise RangeError(f"single Hadamard set needs n <= order-1, got n={n}")
     cols = _resolve_columns(nu, n, columns, "excluded")
-    return ChoiceDesign.from_sets([_seed_rows(nu, cols)])
+    return _design([_seed_rows(nu, cols)], n)
 
 
 def foldover_pair_design(n: int, order: int = None, columns=None) -> ChoiceDesign:
     """Seed rows and their complements as two sets: N=2, m=order, n < order."""
-    half = hadamard_single_set_design(n, order, columns)
-    return ChoiceDesign(half.sets + complement(half).sets)
-
-
-def _theorem2_half(n: int, nu: int) -> ChoiceDesign:
-    if nu < 2:
-        raise RangeError(f"set size must be at least 2, got {nu}")
-    if n <= nu - 1:
-        raise RangeError(
-            f"direct-addition designs need n > {nu - 1}; use a single-set "
-            f"or foldover construction for n={n}"
-        )
-    alpha = 1
-    while (1 << alpha) * (nu - 1) < n:
-        alpha += 1
-    base = ChoiceDesign.from_sets([_seed_rows(nu, range(2, nu + 1))])
-    d = base
-    for _ in range(alpha):
-        left = direct_add(d, d)
-        right = direct_add(d, complement(d))
-        d = ChoiceDesign(left.sets + right.sets)
-    return truncate_factors(d, n)
+    return _design(hadamard_single_set_design(n, order, columns).array, n,
+                   fold=True)
 
 
 def theorem2_half_design(n: int, m: int) -> ChoiceDesign:
@@ -244,13 +217,26 @@ def theorem2_half_design(n: int, m: int) -> ChoiceDesign:
     m must be a supported Hadamard order; alpha is minimal with
     n <= 2^alpha (m-1).  Optimal for main effects.
     """
-    return _theorem2_half(n, m)
+    if m < 2:
+        raise RangeError(f"set size must be at least 2, got {m}")
+    if n <= m - 1:
+        raise RangeError(
+            f"direct-addition designs need n > {m - 1}; use a single-set "
+            f"or foldover construction for n={n}"
+        )
+    alpha = 1
+    while (1 << alpha) * (m - 1) < n:
+        alpha += 1
+    d = _design([_seed_rows(m, range(2, m + 1))], m - 1)
+    for _ in range(alpha):
+        d = _design(np.vstack((direct_add(d, d).array,
+                               direct_add(d, complement(d)).array)), 2 * d.n)
+    return truncate_factors(d, n)
 
 
 def theorem2_design(n: int, m: int) -> ChoiceDesign:
     """The direct-addition design with its complement: N = 2^(alpha+1)."""
-    half = _theorem2_half(n, m)
-    return ChoiceDesign(half.sets + complement(half).sets)
+    return _design(theorem2_half_design(n, m).array, n, fold=True)
 
 
 SPEC_SCOPES = ("all-orders", "two-factor", "group")
@@ -285,21 +271,14 @@ def specified_design(n: int, m: int, scope: str, r: int = None,
             raise RangeError(f"alpha={alpha} does not admit n={n}")
         nu = 1 << alpha
 
-    if scope == "group":
-        if r is None or not 1 <= r <= n - 1:
-            raise BadGroup(f"group size r must lie in 1..{n - 1}, got {r}")
-        g = tuple(1 if k < r else 0 for k in range(n))
-    else:
-        g = tuple(1 if k == 0 else 0 for k in range(n))
+    if scope != "group":
+        r = 1
+    elif r is None or not 1 <= r <= n - 1:
+        raise BadGroup(f"group size r must lie in 1..{n - 1}, got {r}")
 
     cols = _resolve_columns(nu, n, columns, "required")
-    A1 = _seed_rows(nu, cols)
-    A2 = complement(A1)
-    comps = [A1, A2, add_generator(A1, g), add_generator(A2, g)]
-    if m == 4:
-        return ChoiceDesign.from_components(comps)
-    d = ChoiceDesign.from_components(comps[:3])
-    return ChoiceDesign(d.sets + complement(d).sets)
+    comps = _shifted(_seed_rows(nu, cols), n, [spec_generator(n, r)])[:, :m]
+    return _design(comps, n, fold=m == 3)
 
 
 @dataclass(frozen=True)
@@ -328,11 +307,20 @@ class ConstructionRecipe:
         if self.alpha is not None:
             bits.append(f"alpha={self.alpha}")
         if self.generators:
-            bits.append("generators=" + ",".join(
-                "".join(str(b) for b in g) for g in self.generators))
+            bits.append("generators=" + ",".join(map(bits_string, self.generators)))
         if self.r is not None:
             bits.append(f"r={self.r}")
         return " ".join(bits)
+
+    def applied_generators(self) -> tuple:
+        """The generators the construction shifts by; () if it uses none."""
+        if self.id == "T1-generator":
+            if self.generators is not None:
+                return self.generators
+            return default_generators(self.n, (self.m - 1) // 2)
+        if self.id.startswith("spec-"):
+            return (spec_generator(self.n, self.r if "group" in self.id else 1),)
+        return ()
 
 
 def build(recipe: ConstructionRecipe) -> ChoiceDesign:
@@ -340,14 +328,14 @@ def build(recipe: ConstructionRecipe) -> ChoiceDesign:
     rid, n, m = recipe.id, recipe.n, recipe.m
     if rid == "T1-generator":
         fn = theorem1_design if recipe.variant == "full" else theorem1_main_design
-        d = fn(n, m, recipe.generators, recipe.order, recipe.columns)
+        d = fn(n, m, recipe.applied_generators(), recipe.order,
+               recipe.columns)
     elif rid == "single-set":
         d = single_set_design(n, recipe.order, recipe.columns)
     elif rid == "foldover-pair":
-        if recipe.variant == "full":
-            d = foldover_pair_design(n, recipe.order, recipe.columns)
-        else:
-            d = hadamard_single_set_design(n, recipe.order, recipe.columns)
+        fn = (foldover_pair_design if recipe.variant == "full"
+              else hadamard_single_set_design)
+        d = fn(n, recipe.order, recipe.columns)
     elif rid == "T2-direct-add":
         fn = theorem2_design if recipe.variant == "full" else theorem2_half_design
         d = fn(n, m)

@@ -2,32 +2,30 @@
 
 A treatment is a tuple of n bits with factor 1 leftmost.  A choice set is
 an ordered tuple of m pairwise distinct treatments of common width.  A
-choice design is an ordered tuple of N choice sets; repeated sets are
-allowed (a design is a multiset of sets), repeated options within a set
-are not.  All values are immutable and hashable.
+choice design is an ordered multiset of N choice sets, held as n and a
+read-only (N, m) array of lexicographic option indices (factor 1 the most
+significant bit, so integer order is treatment order): int64 up to
+MAX_INDEX_FACTORS factors, Python ints in an object array beyond.  The
+operators are XORs and shifts on that array.  All values are immutable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence, Union, overload
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
 from .errors import (DuplicateOption, MixedWidth, ShapeMismatch, Unsupported,
                      WidthMismatch)
 
-Treatment = tuple  # tuple[int, ...], bits of one profile, factor 1 first
-ChoiceSet = tuple  # tuple[Treatment, ...]
-
-# option indices are int64 arrays: at most 63 factors
+# int64 option indices hold at most 63 factors
 MAX_INDEX_FACTORS = 63
 
 _BITS = {"0": 0, "1": 1, 0: 0, 1: 1}
 
 
-def treatment(bits: Union[str, Iterable[int]]) -> Treatment:
+def treatment(bits: Union[str, Iterable[int]]) -> tuple:
     """Build a treatment from a bitstring like "1010" or an iterable of 0/1."""
     if not isinstance(bits, (str, tuple, list)):
         bits = tuple(bits)
@@ -43,16 +41,13 @@ def treatment(bits: Union[str, Iterable[int]]) -> Treatment:
     return vals
 
 
-def bits_string(t: Treatment) -> str:
+def bits_string(t: tuple) -> str:
     return "".join(str(b) for b in t)
 
 
-def lex_index(t: Treatment) -> int:
+def lex_index(t: tuple) -> int:
     """Lexicographic index of a treatment, factor 1 as most significant bit."""
-    idx = 0
-    for b in t:
-        idx = (idx << 1) | b
-    return idx
+    return int(bits_string(t), 2)
 
 
 def all_treatments(n: int) -> list:
@@ -62,12 +57,9 @@ def all_treatments(n: int) -> list:
     return [tuple((i >> (n - 1 - k)) & 1 for k in range(n)) for i in range(1 << n)]
 
 
-def make_choice_set(options: Sequence) -> ChoiceSet:
-    """Validate and freeze a choice set, keeping the given option order.
-
-    Raises MixedWidth if the options disagree on factor count and
-    DuplicateOption if any two options coincide.
-    """
+def make_choice_set(options: Sequence) -> tuple:
+    """Validate and freeze a choice set, keeping the given option order;
+    MixedWidth or DuplicateOption name the fault."""
     opts = tuple(treatment(o) for o in options)
     if len(opts) < 2:
         raise ValueError("a choice set needs at least 2 options")
@@ -81,53 +73,117 @@ def make_choice_set(options: Sequence) -> ChoiceSet:
     return opts
 
 
-@dataclass(frozen=True)
+def _checked_sets(sets) -> tuple:
+    """Decode and check the sets one by one; raises on the first fault."""
+    if not sets:
+        raise ValueError("a design needs at least one choice set")
+    validated = tuple(make_choice_set(s) for s in sets)
+    n, m = len(validated[0][0]), len(validated[0])
+    for s in validated[1:]:
+        if len(s[0]) != n:
+            raise MixedWidth("choice sets disagree on factor count")
+        if len(s) != m:
+            raise ShapeMismatch("choice sets disagree on set size m")
+    return validated
+
+
+def _plain_bits(sets):
+    """(N, m, n) bits of equal-size sets whose options are all 0/1 strings
+    or all 0/1 integer sequences of one width; None for anything else."""
+    try:
+        a = np.array(sets)
+    except (ValueError, TypeError):
+        return None
+    if a.dtype.kind == "U" and a.ndim == 2:
+        # a shorter string pads with code 0, which fails the check below
+        a = a.view(np.uint32).reshape(a.shape + (-1,)) - 48
+    elif a.dtype.kind not in "biu" or a.ndim != 3:
+        return None
+    return None if ((a | 1) != 1).any() else a.astype(np.uint8)
+
+
+def _index_array(x, n: int) -> np.ndarray:
+    return np.array(x, dtype=np.int64 if n <= MAX_INDEX_FACTORS else object)
+
+
+def pack_bits(bits: np.ndarray) -> np.ndarray:
+    """Lexicographic indices of the 0/1 vectors along the last axis."""
+    n = bits.shape[-1]
+    weights = _index_array([1 << k for k in range(n - 1, -1, -1)], n)
+    return bits.astype(weights.dtype) @ weights
+
+
+def _unpack(x: np.ndarray, n: int) -> tuple:
+    """The treatment tuples of an index array, nested as the array is."""
+    bits = (x[..., None] >> np.arange(n - 1, -1, -1)) & 1
+    return tuple(tuple(map(tuple, s)) for s in bits.tolist())
+
+
 class ChoiceDesign:
-    """An ordered multiset of N choice sets over n two-level factors."""
+    """An ordered multiset of N choice sets over n two-level factors.
 
-    sets: tuple
+    ChoiceDesign(sets) reads treatments or bit strings, from_indices the
+    index array.  Each set is checked by one sort; a faulty design is then
+    decoded set by set, so make_choice_set names the fault.
+    """
 
-    def __post_init__(self):
-        if not self.sets:
-            raise ValueError("a design needs at least one choice set")
-        validated = tuple(make_choice_set(s) for s in self.sets)
-        object.__setattr__(self, "sets", validated)
-        n, m = len(validated[0][0]), len(validated[0])
-        for s in validated[1:]:
-            if len(s[0]) != n:
-                raise MixedWidth("choice sets disagree on factor count")
-            if len(s) != m:
-                raise ShapeMismatch("choice sets disagree on set size m")
+    def __init__(self, sets):
+        sets = tuple(sets)
+        bits = _plain_bits(sets)
+        if bits is None:  # anything else decodes, or fails, set by set
+            bits = np.array(_checked_sets(sets), dtype=np.uint8)
+        self._freeze(pack_bits(bits), bits.shape[-1])
+
+    @classmethod
+    def from_indices(cls, indices, n: int) -> "ChoiceDesign":
+        """A design from an (N, m) array of option indices in 0..2^n - 1."""
+        x = _index_array(indices, n)
+        if x.size and (x.min() < 0 or x.max() >> n):
+            raise ValueError(f"option indices must lie in 0..2^{n} - 1")
+        d = cls.__new__(cls)
+        d._freeze(x, n)
+        return d
+
+    def _freeze(self, x: np.ndarray, n: int):
+        s = np.sort(x, axis=1)
+        if not x.size or x.shape[1] < 2 or (s[:, 1:] == s[:, :-1]).any():
+            _checked_sets(_unpack(x, n))  # names the fault, as for tuples
+        x.setflags(write=False)
+        self.__dict__.update(array=x, n=n, N=x.shape[0], m=x.shape[1])
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ChoiceDesign is immutable")
+
+    def __reduce__(self):  # copies and pickles rebuild a read-only array
+        return ChoiceDesign.from_indices, (self.array, self.n)
 
     @property
-    def n(self) -> int:
-        return len(self.sets[0][0])
-
-    @property
-    def m(self) -> int:
-        return len(self.sets[0])
-
-    @property
-    def N(self) -> int:
-        return len(self.sets)
-
-    @cached_property
     def indices(self) -> np.ndarray:
-        """Read-only (N, m) int64 lexicographic indices of the options.
-
-        Built once per design; Unsupported beyond MAX_INDEX_FACTORS factors.
-        """
+        """The index array as int64; Unsupported beyond MAX_INDEX_FACTORS."""
         if self.n > MAX_INDEX_FACTORS:
             raise Unsupported(f"option indices are limited to n <= "
                               f"{MAX_INDEX_FACTORS} factors, got {self.n}")
-        weights = 1 << np.arange(self.n - 1, -1, -1, dtype=np.int64)
-        idx = np.array(self.sets, dtype=np.int64) @ weights
-        idx.setflags(write=False)
-        return idx
+        return self.array
+
+    @cached_property
+    def sets(self) -> tuple:
+        """The sets as tuples of treatments, built once on demand."""
+        return _unpack(self.array, self.n)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ChoiceDesign):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.array, other.array)
+
+    def __hash__(self) -> int:
+        return hash(self.sets)
+
+    def __repr__(self) -> str:
+        return f"ChoiceDesign(sets={self.sets!r})"
 
     @classmethod
     def from_sets(cls, sets: Iterable[Sequence]) -> "ChoiceDesign":
-        return cls(tuple(sets))
+        return cls(sets)
 
     @classmethod
     def from_components(cls, components: Sequence[Sequence]) -> "ChoiceDesign":
@@ -138,55 +194,39 @@ class ChoiceDesign:
         mats = [tuple(treatment(row) for row in a) for a in components]
         if len(mats) < 2:
             raise ShapeMismatch("need at least 2 component matrices")
-        rows = len(mats[0])
-        if any(len(a) != rows for a in mats):
+        if any(len(a) != len(mats[0]) for a in mats):
             raise ShapeMismatch("component matrices disagree on row count")
-        return cls.from_sets(
-            tuple(a[p] for a in mats) for p in range(rows)
-        )
+        return cls(tuple(zip(*mats)))
 
     def components(self) -> tuple:
         """The component view: m matrices, each a tuple of N treatment rows."""
-        return tuple(
-            tuple(s[i] for s in self.sets) for i in range(self.m)
-        )
+        return tuple(zip(*self.sets))
 
     def treatments(self) -> tuple:
         """All N*m options in (set, option) order, duplicates included."""
         return tuple(t for s in self.sets for t in s)
 
 
-def _complement_treatment(t: Treatment) -> Treatment:
-    return tuple(1 - b for b in t)
-
-
-@overload
-def complement(x: ChoiceDesign) -> ChoiceDesign: ...
-@overload
-def complement(x: tuple) -> tuple: ...
-
-
 def complement(x):
     """Flip every bit; works on a treatment, a choice set, or a design."""
     if isinstance(x, ChoiceDesign):
-        return ChoiceDesign(tuple(complement(s) for s in x.sets))
+        return ChoiceDesign.from_indices(x.array ^ ((1 << x.n) - 1), x.n)
     if x and isinstance(x[0], tuple):
-        return tuple(_complement_treatment(t) for t in x)
-    return _complement_treatment(x)
+        return tuple(complement(t) for t in x)
+    return tuple(1 - b for b in x)
 
 
-def add_generator(rows: Sequence, g: Sequence) -> tuple:
-    """XOR every row of a binary matrix with the generator g."""
+def add_generator(x, g: Sequence):
+    """XOR every option of a design, or every row of a binary matrix, with g."""
     gen = treatment(g)
-    out = []
-    for row in rows:
-        r = treatment(row)
-        if len(r) != len(gen):
+    rows = None if isinstance(x, ChoiceDesign) else [treatment(r) for r in x]
+    for width in [x.n] if rows is None else map(len, rows):
+        if width != len(gen):
             raise WidthMismatch(
-                f"generator width {len(gen)} does not match row width {len(r)}"
-            )
-        out.append(tuple(b ^ gb for b, gb in zip(r, gen)))
-    return tuple(out)
+                f"generator width {len(gen)} does not match row width {width}")
+    if rows is None:
+        return ChoiceDesign.from_indices(x.array ^ lex_index(gen), x.n)
+    return tuple(tuple(b ^ gb for b, gb in zip(r, gen)) for r in rows)
 
 
 def direct_add(d1: ChoiceDesign, d2: ChoiceDesign) -> ChoiceDesign:
@@ -199,19 +239,16 @@ def direct_add(d1: ChoiceDesign, d2: ChoiceDesign) -> ChoiceDesign:
         raise ShapeMismatch(
             f"direct_add needs equal shapes, got N={d1.N},m={d1.m} and N={d2.N},m={d2.m}"
         )
-    return ChoiceDesign.from_sets(
-        tuple(t1 + t2 for t1, t2 in zip(s1, s2))
-        for s1, s2 in zip(d1.sets, d2.sets)
-    )
+    n = d1.n + d2.n
+    x1, x2 = _index_array(d1.array, n), _index_array(d2.array, n)
+    return ChoiceDesign.from_indices((x1 << d2.n) | x2, n)
 
 
 def truncate_factors(d: ChoiceDesign, n_new: int) -> ChoiceDesign:
     """Keep only the first n_new factors of every treatment."""
     if not 1 <= n_new <= d.n:
         raise ValueError(f"cannot truncate width-{d.n} design to {n_new} factors")
-    return ChoiceDesign.from_sets(
-        tuple(t[:n_new] for t in s) for s in d.sets
-    )
+    return ChoiceDesign.from_indices(d.array >> (d.n - n_new), n_new)
 
 
 def canonical_design(d: ChoiceDesign) -> ChoiceDesign:
@@ -219,11 +256,12 @@ def canonical_design(d: ChoiceDesign) -> ChoiceDesign:
 
     Choice sets are semantically unordered, as is the design's multiset of
     sets; two designs are equivalent exactly when their canonical forms
-    are equal.
+    are equal.  Index order is treatment order, so this sorts integers.
     """
-    return ChoiceDesign(tuple(sorted(tuple(sorted(s)) for s in d.sets)))
+    x = np.sort(d.array, axis=1)
+    return ChoiceDesign.from_indices(x[np.lexsort(x.T[::-1])], d.n)
 
 
 def equivalent(d1: ChoiceDesign, d2: ChoiceDesign) -> bool:
     """Equality up to within-set option order and set order."""
-    return canonical_design(d1).sets == canonical_design(d2).sets
+    return canonical_design(d1) == canonical_design(d2)

@@ -11,15 +11,21 @@ import csv
 import io
 import json
 
-from .designs import ChoiceDesign, bits_string, treatment
+from .designs import ChoiceDesign, treatment
 from .errors import ChogenError, FormatError
+
+
+def _bit_strings(design: ChoiceDesign) -> list:
+    """The options as bit strings, one list per set, from the index array."""
+    fmt = f"0{design.n}b"
+    return [[format(v, fmt) for v in s] for s in design.array.tolist()]
 
 
 def design_to_dict(design: ChoiceDesign, meta: dict = None) -> dict:
     doc = {
         "n": design.n,
         "m": design.m,
-        "sets": [[bits_string(t) for t in s] for s in design.sets],
+        "sets": _bit_strings(design),
     }
     if meta:
         doc["meta"] = dict(meta)
@@ -48,7 +54,8 @@ def design_from_dict(doc) -> tuple:
                     treatment(opt)
                 except (ChogenError, ValueError) as exc:
                     raise FormatError(f"bad option {opt!r}: {exc}") from None
-    # every option is now known to decode; the design decodes each once
+    # every option is now known to decode; the design reads the strings
+    # straight into its index array
     try:
         design = ChoiceDesign.from_sets(sets_field)
     except (ChogenError, ValueError) as exc:
@@ -94,9 +101,9 @@ def design_to_csv(design: ChoiceDesign) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["set", "option", "treatment"])
-    for p, s in enumerate(design.sets, start=1):
+    for p, s in enumerate(_bit_strings(design), start=1):
         for i, t in enumerate(s, start=1):
-            writer.writerow([p, i, bits_string(t)])
+            writer.writerow([p, i, t])
     return out.getvalue()
 
 

@@ -1,4 +1,7 @@
-"""Shared generators for the test suite."""
+"""Shared generators and helpers for the test suite."""
+
+import contextlib
+import signal
 
 from hypothesis import strategies as st
 
@@ -23,3 +26,18 @@ def designs(draw, max_n=4, max_m=4, max_N=5, min_n=1):
         perm = draw(st.permutations(pool))
         sets.append(tuple(perm[:m]))
     return ChoiceDesign.from_sets(sets)
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the body if it runs past the deadline, so a
+    regression to an endless loop fails instead of hanging the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no return within {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

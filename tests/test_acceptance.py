@@ -147,7 +147,7 @@ def test_criterion_2_table_reproduction():
               and e.status is not CellStatus.BLANK_CELL]
     ok = (report.deviations_expected and not uncertified
           and all(e.recipe.alpha == 1 for e in alpha1)
-          and dt < 30.0)
+          and dt < 10.0)
     _check("criterion 2 (reference table)", ok,
            f"{report.checked_count} cells, {report.match_count} match, "
            f"{report.mismatch_count} documented deviations "

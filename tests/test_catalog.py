@@ -12,6 +12,7 @@ from chogen.constructions import ConstructionRecipe
 from chogen.errors import RangeError, Unsupported
 from chogen.models import ModelKind, ModelSpec
 from chogen.optimality import OptimalityReport
+from conftest import deadline
 
 
 def test_table_shape():
@@ -181,3 +182,12 @@ def test_expected_deviation_values():
     assert EXPECTED_DEVIATIONS[(ModelKind.SPECIFIED_ONE_FACTOR, 3, 5)] == 32
     assert EXPECTED_DEVIATIONS[(ModelKind.SPECIFIED_ONE_FACTOR, 4, 6)] == 16
     assert len(EXPECTED_DEVIATIONS) == 17
+
+
+@pytest.mark.parametrize("kind", [ModelKind.MAIN_EFFECTS,
+                                  ModelKind.BROADER_MAIN_EFFECTS])
+@pytest.mark.parametrize("m", [1, 0, -2])
+def test_candidate_recipes_empty_below_two_options(kind, m):
+    # m = 1 once offered direct addition, whose alpha search never ended
+    with deadline(10):
+        assert candidate_recipes(kind, m, 4) == ()

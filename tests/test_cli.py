@@ -9,6 +9,7 @@ import pytest
 from chogen.cli import main
 from chogen.designs import ChoiceDesign, equivalent
 from chogen.serialization import loads
+from conftest import deadline
 
 
 def run(capsys, *argv):
@@ -241,3 +242,26 @@ def test_table_block_csv_to_file(capsys, tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0].startswith("model,m,n,")
     assert len(lines) == 1 + 7 * 11
+
+
+@pytest.mark.parametrize("argv", [
+    ("--model", "main-effects", "--m", "1", "--n", "3"),
+    ("--model", "broader", "--m", "1", "--n", "4"),
+    ("--model", "main-effects", "--m", "0", "--n", "3"),
+    ("--model", "broader", "--m", "-2", "--n", "3"),
+    ("--model", "broader", "--m", "4", "--n", "4", "--generators", "1x00"),
+    ("--model", "broader", "--m", "6", "--n", "4",
+     "--generators", "12,0100"),
+    ("--model", "broader", "--m", "6", "--n", "4", "--generators", "1100,"),
+    ("--model", "broader", "--m", "1", "--n", "4", "--generators", "1000"),
+])
+def test_bad_set_size_or_generators_exit_3_at_once(capsys, argv):
+    # m < 2 once sent the direct-addition recipe into an endless search,
+    # and bad generator bits escaped as a ValueError traceback
+    start = time.perf_counter()
+    with deadline(10):
+        code, _, err = run(capsys, "generate", *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert err.startswith("error: ")
+    assert "Traceback" not in err

@@ -21,6 +21,7 @@ from chogen.constructions import (build, ConstructionRecipe,
 from chogen.designs import ChoiceDesign, complement, equivalent
 from chogen.errors import (BadGenerators, BadGroup, RangeError, Unsupported,
                            WidthMismatch)
+from chogen.hadamard import hadamard, least_hadamard_order, zero_one
 from chogen.models import ModelSpec, effect
 from chogen.optimality import Verdict, verify
 
@@ -307,3 +308,138 @@ def test_recipe_describe_mentions_parameters():
                                 r=2, columns=independent_columns(5))
     text = recipe.describe()
     assert "spec-group-m4" in text and "alpha=4" in text and "r=2" in text
+
+
+# A tuple reference for every construction: seed rows read from
+# zero_one(hadamard(order)) one entry at a time, complements and generator
+# shifts bit by bit, and direct addition by tuple concatenation.  The
+# index-array constructions must give exactly these sets, in this order.
+
+def _ref_rows(order, cols):
+    A = zero_one(hadamard(order))
+    return [tuple(int(A[i, c - 1]) for c in cols) for i in range(order)]
+
+
+def _ref_columns(order, n, mode):
+    pool = range(2 if mode == "excluded" else 1, order + 1)
+    for cols in itertools.chain([tuple(pool[:n])],
+                                itertools.combinations(pool, n)):
+        if mode == "required" and cols[0] != 1:
+            continue
+        if len(set(_ref_rows(order, cols))) == order:
+            return cols
+
+
+def _flip(t):
+    return tuple(1 - b for b in t)
+
+
+def _xor(t, g):
+    return tuple(a ^ b for a, b in zip(t, g))
+
+
+def _fold(sets):
+    return sets + [tuple(map(_flip, s)) for s in sets]
+
+
+def _ref_shift_design(rows, gens, m, fold):
+    comps = [rows, [_flip(t) for t in rows]]
+    for g in gens:
+        comps += [[_xor(t, g) for t in c] for c in comps[:2]]
+    sets = [tuple(c[p] for c in comps[:m]) for p in range(len(rows))]
+    return _fold(sets) if fold else sets
+
+
+def _ref_theorem1(n, m, gens, fold):
+    nu = least_hadamard_order(n)
+    rows = _ref_rows(nu, _ref_columns(nu, n, "free"))
+    gens = [tuple(int(b) for b in g) for g in gens]
+    return _ref_shift_design(rows, gens, m, fold and m % 2 == 1)
+
+
+def _ref_theorem2(n, m, fold):
+    sets = [tuple(_ref_rows(m, range(2, m + 1)))]
+    while len(sets[0][0]) < n:
+        sets = ([tuple(a + a for a in s) for s in sets]
+                + [tuple(a + _flip(a) for a in s) for s in sets])
+    sets = [tuple(t[:n] for t in s) for s in sets]
+    return _fold(sets) if fold else sets
+
+
+def _ref_specified(n, m, scope, r=None, alpha=None, columns=None):
+    if scope == "two-factor":
+        nu = least_hadamard_order(n)
+    else:
+        nu = 1 << (max(2, (n - 1).bit_length()) if alpha is None else alpha)
+    cols = columns or _ref_columns(nu, n, "required")
+    k = r if scope == "group" else 1
+    g = tuple(1 if i < k else 0 for i in range(n))
+    return _ref_shift_design(_ref_rows(nu, cols), [g], m, m == 3)
+
+
+@pytest.mark.parametrize("n, m, gens", [
+    (8, 6, GENERATORS_8), (8, 5, GENERATORS_8), (6, 4, None), (5, 3, None),
+    (12, 7, None), (3, 2, None), (11, 5, ("11000000000", "00000000011")),
+])
+def test_generator_designs_equal_the_tuple_reference(n, m, gens):
+    default = default_generators(n, (m - 1) // 2)
+    for fn, fold in ((theorem1_design, True), (theorem1_main_design, False)):
+        d = fn(n, m, generators=gens)
+        assert d.sets == tuple(_ref_theorem1(n, m, gens or default, fold))
+
+
+@pytest.mark.parametrize("n, m", [(5, 4), (7, 4), (13, 4), (9, 2), (11, 8),
+                                  (30, 12)])
+def test_direct_add_designs_equal_the_tuple_reference(n, m):
+    assert theorem2_half_design(n, m).sets == tuple(_ref_theorem2(n, m, False))
+    assert theorem2_design(n, m).sets == tuple(_ref_theorem2(n, m, True))
+
+
+@pytest.mark.parametrize("n, order", [(3, 4), (4, 4), (7, 8), (8, 8),
+                                      (11, 12), (20, 32)])
+def test_seed_set_designs_equal_the_tuple_reference(n, order):
+    if n < order:
+        rows = _ref_rows(order, _ref_columns(order, n, "excluded"))
+        d = hadamard_single_set_design(n, order=order)
+        assert d.sets == (tuple(rows),)
+        assert foldover_pair_design(n, order=order).sets == tuple(_fold([tuple(rows)]))
+    if 2 * order <= 1 << n:
+        mode = "free" if n == order else "excluded"
+        rows = _ref_rows(order, _ref_columns(order, n, mode))
+        assert single_set_design(n, order=order).sets == (
+            tuple(rows + [_flip(t) for t in rows]),)
+
+
+@pytest.mark.parametrize("n, m, scope, r, alpha, columns", [
+    (4, 4, "all-orders", None, 2, None),
+    (4, 3, "all-orders", None, None, None),
+    (6, 4, "all-orders", None, 4, (1, 4, 3, 2, 6, 10)),
+    (12, 3, "all-orders", None, 11, tuple(independent_columns(12))),
+    (5, 4, "two-factor", None, None, None),
+    (9, 3, "two-factor", None, None, None),
+    (4, 4, "group", 2, 2, None),
+    (10, 4, "group", 3, None, None),
+    (7, 3, "group", 4, 3, None),
+])
+def test_specified_designs_equal_the_tuple_reference(n, m, scope, r, alpha,
+                                                     columns):
+    d = specified_design(n, m, scope, r=r, alpha=alpha, columns=columns)
+    assert d.sets == tuple(_ref_specified(n, m, scope, r, alpha, columns))
+
+
+def test_applied_generators_are_the_ones_the_builds_use():
+    model = ModelSpec.broader_main_effects(8)
+    t1 = ConstructionRecipe("T1-generator", 8, 6, model, 8)
+    assert t1.applied_generators() == default_generators(8, 2)
+    assert build(t1) == theorem1_design(8, 6, generators=default_generators(8, 2))
+    given_gens = ConstructionRecipe("T1-generator", 8, 6, model, 8,
+                                    generators=GENERATORS_8)
+    assert given_gens.applied_generators() == GENERATORS_8
+    group = ConstructionRecipe("spec-group-m4", 10, 4,
+                               ModelSpec.specified_group(10, 3), 16, r=3)
+    assert group.applied_generators() == ((1, 1, 1) + (0,) * 7,)
+    spec_all = ConstructionRecipe("spec-all-m3", 5, 3,
+                                  ModelSpec.specified_one_factor(5), 16)
+    assert spec_all.applied_generators() == ((1, 0, 0, 0, 0),)
+    fold = ConstructionRecipe("foldover-pair", 4, 8, model, 2, order=8)
+    assert fold.applied_generators() == ()

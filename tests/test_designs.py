@@ -191,3 +191,139 @@ def test_from_sets_and_the_constructor_agree():
     assert ChoiceDesign.from_sets(sets) == ChoiceDesign(tuple(sets))
     assert ChoiceDesign.from_sets(sets).sets == (((0, 0), (1, 1)),
                                                  ((0, 1), (1, 0)))
+
+
+# Tuple references for the index-array operators: each works on the
+# `.sets` view (tuples of treatment tuples) exactly as the operators are
+# specified, with no index arithmetic.
+
+def _ref_complement(sets):
+    return tuple(tuple(tuple(1 - b for b in t) for t in s) for s in sets)
+
+
+def _ref_shift(sets, g):
+    return tuple(tuple(tuple(b ^ c for b, c in zip(t, g)) for t in s)
+                 for s in sets)
+
+
+def _ref_direct_add(sets1, sets2):
+    return tuple(tuple(t1 + t2 for t1, t2 in zip(s1, s2))
+                 for s1, s2 in zip(sets1, sets2))
+
+
+def _ref_truncate(sets, k):
+    return tuple(tuple(t[:k] for t in s) for s in sets)
+
+
+def _ref_canonical(sets):
+    return tuple(sorted(tuple(sorted(s)) for s in sets))
+
+
+# narrow designs use int64 indices, wide ones Python ints in object arrays
+_WIDTHS = st.one_of(st.integers(1, 8), st.integers(60, 70))
+
+
+@st.composite
+def _index_designs(draw, m=None, N=None):
+    if m is None:
+        n = draw(_WIDTHS)
+        m = draw(st.integers(2, min(4, 1 << n)))
+    else:
+        n = draw(_WIDTHS.filter(lambda k: 1 << k >= m))
+    N = draw(st.integers(1, 4)) if N is None else N
+    sets = [draw(st.lists(st.integers(0, (1 << n) - 1), min_size=m,
+                          max_size=m, unique=True)) for _ in range(N)]
+    return ChoiceDesign.from_sets([[format(v, f"0{n}b") for v in s]
+                                   for s in sets])
+
+
+@given(_index_designs(), st.data())
+def test_operators_match_the_tuple_reference(d, data):
+    dtype = np.dtype(np.int64) if d.n <= 63 else np.dtype(object)
+    assert d.array.dtype == dtype and not d.array.flags.writeable
+    assert complement(d).sets == _ref_complement(d.sets)
+    g = data.draw(st.tuples(*[st.integers(0, 1)] * d.n))
+    assert add_generator(d, g).sets == _ref_shift(d.sets, g)
+    other = data.draw(_index_designs(m=d.m, N=d.N))
+    joined = direct_add(d, other)
+    assert joined.sets == _ref_direct_add(d.sets, other.sets)
+    assert joined.n == d.n + other.n
+    k = data.draw(st.integers(1, joined.n))
+    want = _ref_truncate(joined.sets, k)
+    if any(len(set(s)) < len(s) for s in want):
+        with pytest.raises(errors.DuplicateOption) as info:
+            truncate_factors(joined, k)
+        with pytest.raises(errors.DuplicateOption) as ref_info:
+            ChoiceDesign(want)
+        assert str(info.value) == str(ref_info.value)
+    else:
+        cut = truncate_factors(joined, k)
+        assert cut.sets == want
+        assert cut.array.dtype == (np.int64 if k <= 63 else object)
+    assert canonical_design(d).sets == _ref_canonical(d.sets)
+
+
+@given(_index_designs(), st.randoms(use_true_random=False))
+def test_equivalent_matches_the_tuple_reference(d, rnd):
+    sets = [list(s) for s in d.sets]
+    for s in sets:
+        rnd.shuffle(s)
+    rnd.shuffle(sets)
+    shuffled = ChoiceDesign(sets)
+    assert equivalent(d, shuffled) and equivalent(shuffled, d)
+    assert (shuffled == d) == (shuffled.sets == d.sets)
+    other = complement(d)
+    assert equivalent(d, other) == (_ref_canonical(d.sets)
+                                    == _ref_canonical(other.sets))
+
+
+@pytest.mark.parametrize("sets, exc, text", [
+    ([["00", "00"]], errors.DuplicateOption,
+     "option 00 repeated in a choice set"),
+    ([["00", "11"], ["10", "01", "10"], ["0", "1"]], errors.DuplicateOption,
+     "option 10 repeated in a choice set"),
+    ([[(0, 1), (1, 1)], [(1, 1), (1, 1)]], errors.DuplicateOption,
+     "option 11 repeated in a choice set"),
+    ([["0" * 64, "1" * 64, "0" * 64]], errors.DuplicateOption,
+     "option " + "0" * 64 + " repeated in a choice set"),
+    ([["00", "111"]], errors.MixedWidth, "options of widths 2 and 3 in one set"),
+    ([["00", "11"], ["010", "101"]], errors.MixedWidth,
+     "choice sets disagree on factor count"),
+    ([["00", "11"], ["01", "10", "00"]], errors.ShapeMismatch,
+     "choice sets disagree on set size m"),
+    ([["00", "11"], ["01"]], ValueError, "a choice set needs at least 2 options"),
+    ([["00", "2x"]], ValueError, "invalid literal for int() with base 10: 'x'"),
+    ([["00", "12"]], ValueError, "treatment bits must be 0 or 1, got (1, 2)"),
+    ([[(0, 1), (0, 2)]], ValueError, "treatment bits must be 0 or 1, got (0, 2)"),
+    ([["", "1"]], ValueError, "a treatment needs at least one factor"),
+    ([], ValueError, "a design needs at least one choice set"),
+])
+def test_malformed_sets_keep_their_errors(sets, exc, text):
+    with pytest.raises(exc) as info:
+        ChoiceDesign(sets)
+    assert type(info.value) is exc and str(info.value) == text
+
+
+def test_from_indices_checks_like_the_constructor():
+    d = ChoiceDesign.from_indices([[0, 3], [1, 2]], 2)
+    assert d == ChoiceDesign.from_sets([("00", "11"), ("01", "10")])
+    with pytest.raises(errors.DuplicateOption, match="^option 10 repeated"):
+        ChoiceDesign.from_indices([[0, 3], [2, 2]], 2)
+    with pytest.raises(ValueError, match="at least 2 options"):
+        ChoiceDesign.from_indices([[0], [1]], 2)
+    with pytest.raises(ValueError, match="0..2"):
+        ChoiceDesign.from_indices([[0, 4]], 2)
+    with pytest.raises(AttributeError):
+        d.n = 3
+
+
+def test_operators_cross_the_int64_boundary():
+    narrow = ChoiceDesign.from_sets([("0" * 40, "1" * 40), ("01" * 20, "10" * 20)])
+    wide = direct_add(narrow, narrow)
+    assert wide.n == 80 and wide.array.dtype == object
+    assert wide.sets == _ref_direct_add(narrow.sets, narrow.sets)
+    assert complement(wide).array[0, 0] == (1 << 80) - 1
+    back = truncate_factors(wide, 40)
+    assert back == narrow and back.array.dtype == np.int64
+    with pytest.raises(errors.Unsupported):
+        wide.indices

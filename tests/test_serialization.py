@@ -1,5 +1,7 @@
 """JSON and CSV round trips plus the malformed-input taxonomy."""
 
+import json
+
 import pytest
 
 from chogen.designs import ChoiceDesign
@@ -127,3 +129,44 @@ def test_loaded_designs_read_each_option_once(monkeypatch):
     with pytest.raises(FormatError):
         design_from_dict({"sets": [["00", " 1"]]})
     assert calls == [" 1"]
+
+
+@pytest.mark.parametrize("sets, text", [
+    ([["00", "00"]], "sets do not form a design: option 00 repeated in a "
+                     "choice set"),
+    ([["0" * 64, "1" * 64, "0" * 64]],
+     "sets do not form a design: option " + "0" * 64 + " repeated in a "
+     "choice set"),
+    ([["00", "111"]], "sets do not form a design: options of widths 2 and 3 "
+                      "in one set"),
+    ([["00", "11"], ["010", "101"]], "sets do not form a design: choice sets "
+                                     "disagree on factor count"),
+    ([["00", "11"], ["01", "10", "00"]], "sets do not form a design: choice "
+                                         "sets disagree on set size m"),
+    ([["00", "11"], ["01"]], "sets do not form a design: a choice set needs "
+                             "at least 2 options"),
+    ([["00", "2x"]], "bad option '2x': invalid literal for int() with base "
+                     "10: 'x'"),
+    ([["00", "12"]], "bad option '12': treatment bits must be 0 or 1, got "
+                     "(1, 2)"),
+    ([["", "1"]], "bad option '': a treatment needs at least one factor"),
+    ([["00", "11"], "01"], "each choice set must be a list of bit strings"),
+])
+def test_malformed_sets_keep_their_format_errors(sets, text):
+    with pytest.raises(FormatError) as info:
+        design_from_dict({"sets": sets})
+    assert str(info.value) == text
+
+
+def test_64_factor_design_round_trips():
+    wide = ["0" * 64, "1" * 64, "01" * 32]
+    d = ChoiceDesign.from_sets([wide, wide[::-1]])
+    assert d.n == 64 and d.array.dtype == object
+    assert d.sets[0][1] == (1,) * 64
+    text = dumps(d, {"model": "main-effects"})
+    assert json.loads(text)["sets"] == [wide, wide[::-1]]
+    again, meta = loads(text)
+    assert again == d and meta == {"model": "main-effects"}
+    rows = design_to_csv(d).splitlines()
+    assert rows[1:4] == [f"1,{i},{t}" for i, t in enumerate(wide, start=1)]
+    assert rows[-1] == f"2,3,{wide[0]}"
