@@ -25,10 +25,9 @@ from .designs import (ChoiceDesign, add_generator, all_treatments,
                       bits_string, canonical_design, complement, direct_add,
                       equivalent, lex_index, make_choice_set, treatment,
                       truncate_factors)
-from .hadamard import (hadamard, is_hadamard, kronecker,
-                       least_hadamard_order, normalize,
-                       paley_type1, paley_type2, supported_orders, sylvester,
-                       zero_one)
+from .hadamard import (is_hadamard, kronecker, least_hadamard_order,
+                       normalize, paley_type1, paley_type2, supported_orders,
+                       sylvester, zero_one)
 from .models import (FactorialEffect, ModelKind, ModelSpec, effect,
                      main_effect_list, two_factor_list)
 from .optimality import (OptimalityReport, Verdict, eta_counts, max_trace,
@@ -48,7 +47,7 @@ __all__ = [
     "FactorialEffect", "effect", "ModelKind", "ModelSpec",
     "main_effect_list", "two_factor_list",
     # hadamard
-    "hadamard", "sylvester", "paley_type1", "paley_type2", "kronecker",
+    "sylvester", "paley_type1", "paley_type2", "kronecker",
     "normalize", "zero_one", "is_hadamard", "supported_orders",
     "least_hadamard_order",
     # contrasts

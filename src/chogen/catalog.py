@@ -5,7 +5,9 @@ The reference table lists, for each model block and each (m, n) cell with
 universally optimal design.  candidate_recipes lists every construction
 that applies to a cell, first_certified builds and certifies them
 cheapest first, and catalog_lookup compares the winner's N against the
-reference value.  The command line uses the same two functions.
+reference value.  The command line uses the same two functions, and
+t1_generator_recipe, the recipe rule the catalog lists for Theorem 1, when
+it is given generators.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from typing import Optional
 from .constructions import (ConstructionRecipe, build, default_generators,
                             even_free_columns, independent_columns,
                             validate_generators)
-from .errors import BadOrder, ChogenError, Unsupported
-from .hadamard import hadamard, least_hadamard_order
+from .errors import ChogenError, Unsupported
+from .hadamard import hadamard_plan, least_hadamard_order
 from .models import ModelKind, ModelSpec
 from .optimality import verify
 
@@ -89,11 +91,7 @@ class CatalogEntry:
 
 
 def _supported_order(order: int) -> bool:
-    try:
-        hadamard(order)
-    except (BadOrder, Unsupported):
-        return False
-    return True
+    return hadamard_plan(order) is not None
 
 
 def _t1_generators_ok(n: int, m: int) -> bool:
@@ -118,6 +116,26 @@ def _require_specified_m(m: int, family: str):
     if m not in (3, 4):
         raise Unsupported(
             f"{family} constructions cover m in {{3,4}}, got {m}")
+
+
+# The model kinds that take the Theorem 1 generator recipe.
+T1_KINDS = (ModelKind.MAIN_EFFECTS, ModelKind.BROADER_MAIN_EFFECTS)
+
+
+def t1_generator_recipe(model: ModelSpec, m: int, generators=None,
+                        columns=None) -> ConstructionRecipe:
+    """The Theorem 1 generator-shift recipe for a model of a T1_KINDS kind.
+
+    Main effects take the half design, N = nu, the least Hadamard order
+    >= n; the broader model takes the full one, N = nu for even m and
+    2 nu for odd m.  generators=None shifts by the default unit vectors.
+    """
+    nu = least_hadamard_order(model.n)
+    half = model.kind is ModelKind.MAIN_EFFECTS
+    return ConstructionRecipe("T1-generator", model.n, m, model,
+                              nu if half or m % 2 == 0 else 2 * nu,
+                              variant="half" if half else "full",
+                              generators=generators, columns=columns)
 
 
 def _seed_recipes(rid: str, model: ModelSpec, m: int, n: int,
@@ -152,15 +170,31 @@ def candidate_recipes(kind: ModelKind, m: int, n: int, r=None) -> tuple:
     if kind is ModelKind.SPECIFIED_GROUP:
         # the model refuses n < 2, so m in {3,4} always fits in 2^n options
         _require_specified_m(m, "group-interaction")
-        return tuple(_seed_recipes(
-            f"spec-group-m{m}", ModelSpec.specified_group(n, r), m, n, n - 1,
-            independent_columns,
-            "certified on a wider seed with XOR-independent columns", r=r))
-    if n < 1 or m < 2 or m > (1 << n):
+    elif n < 1 or m < 2 or m > (1 << n):
         return ()
+    elif kind is ModelKind.SPECIFIED_TWO_FACTOR:
+        _require_specified_m(m, "two-factor interaction")
+    elif kind is ModelKind.SPECIFIED_ONE_FACTOR:
+        _require_specified_m(m, "all-order interaction")
+    elif all(kind is not k for k in T1_KINDS):
+        raise Unsupported(f"no catalog block for model kind {kind!r}")
+    model = ModelSpec.family(kind, n, r)
+    if kind is ModelKind.SPECIFIED_GROUP:
+        return tuple(_seed_recipes(
+            f"spec-group-m{m}", model, m, n, n - 1, independent_columns,
+            "certified on a wider seed with XOR-independent columns", r=r))
+    if kind is ModelKind.SPECIFIED_TWO_FACTOR:
+        nu = least_hadamard_order(n)
+        return (ConstructionRecipe(f"spec-2f-m{m}", n, m, model,
+                                   2 * nu if m == 3 else nu),)
+    if kind is ModelKind.SPECIFIED_ONE_FACTOR:
+        return tuple(_seed_recipes(
+            f"spec-all-m{m}", model, m, n, n - 1 if m == 3 else n - 2,
+            independent_columns if m == 3 else even_free_columns,
+            "no seed of the listed width balances every effect pair here; "
+            "certified on a wider seed with XOR-independent columns"))
     recipes = []
     if kind is ModelKind.MAIN_EFFECTS:
-        model = ModelSpec.main_effects(n)
         if _supported_order(m) and n <= m - 1:
             recipes.append(ConstructionRecipe(
                 "foldover-pair", n, m, model, 1, variant="half", order=m))
@@ -171,12 +205,7 @@ def candidate_recipes(kind: ModelKind, m: int, n: int, r=None) -> tuple:
             recipes.append(ConstructionRecipe(
                 "T2-direct-add", n, m, model,
                 1 << _minimal_alpha(n, m - 1), variant="half"))
-        if _t1_generators_ok(n, m):
-            recipes.append(ConstructionRecipe(
-                "T1-generator", n, m, model, least_hadamard_order(n),
-                variant="half"))
-    elif kind is ModelKind.BROADER_MAIN_EFFECTS:
-        model = ModelSpec.broader_main_effects(n)
+    else:
         if m % 2 == 0 and _supported_order(m // 2) and n <= m // 2:
             recipes.append(ConstructionRecipe(
                 "single-set", n, m, model, 1, order=m // 2))
@@ -187,26 +216,8 @@ def candidate_recipes(kind: ModelKind, m: int, n: int, r=None) -> tuple:
             recipes.append(ConstructionRecipe(
                 "T2-direct-add", n, m, model,
                 1 << (_minimal_alpha(n, m - 1) + 1)))
-        if _t1_generators_ok(n, m):
-            nu = least_hadamard_order(n)
-            recipes.append(ConstructionRecipe(
-                "T1-generator", n, m, model, nu if m % 2 == 0 else 2 * nu))
-    elif kind is ModelKind.SPECIFIED_TWO_FACTOR:
-        _require_specified_m(m, "two-factor interaction")
-        model = ModelSpec.specified_two_factor(n)
-        nu = least_hadamard_order(n)
-        recipes.append(ConstructionRecipe(
-            f"spec-2f-m{m}", n, m, model, 2 * nu if m == 3 else nu))
-    elif kind is ModelKind.SPECIFIED_ONE_FACTOR:
-        _require_specified_m(m, "all-order interaction")
-        recipes = _seed_recipes(
-            f"spec-all-m{m}", ModelSpec.specified_one_factor(n), m, n,
-            n - 1 if m == 3 else n - 2,
-            independent_columns if m == 3 else even_free_columns,
-            "no seed of the listed width balances every effect pair here; "
-            "certified on a wider seed with XOR-independent columns")
-    else:
-        raise Unsupported(f"no catalog block for model kind {kind!r}")
+    if _t1_generators_ok(n, m):
+        recipes.append(t1_generator_recipe(model, m))
     return tuple(recipes)
 
 

@@ -13,29 +13,16 @@ import json
 import sys
 
 from . import serialization
-from .catalog import (EXPECTED_DEVIATIONS, ModelKind, Table1Report,
-                      candidate_recipes, first_certified, reproduce_table1)
-from .constructions import ConstructionRecipe
+from .catalog import (EXPECTED_DEVIATIONS, T1_KINDS, TABLE1, candidate_recipes,
+                      first_certified, reproduce_table1, t1_generator_recipe)
 from .designs import bits_string
 from .errors import ChogenError, FormatError, Unsupported
-from .hadamard import least_hadamard_order
-from .models import ModelSpec
+from .models import ModelKind, ModelSpec
 from .optimality import verify
 
-_KINDS = {
-    "main-effects": ModelKind.MAIN_EFFECTS,
-    "broader": ModelKind.BROADER_MAIN_EFFECTS,
-    "spec-2f": ModelKind.SPECIFIED_TWO_FACTOR,
-    "spec-all": ModelKind.SPECIFIED_ONE_FACTOR,
-    "spec-group": ModelKind.SPECIFIED_GROUP,
-}
-
-_BLOCKS = {
-    "main": ModelKind.MAIN_EFFECTS,
-    "broader": ModelKind.BROADER_MAIN_EFFECTS,
-    "spec-2f": ModelKind.SPECIFIED_TWO_FACTOR,
-    "spec-all": ModelKind.SPECIFIED_ONE_FACTOR,
-}
+# `table --block` names: the kinds of TABLE1, main-effects shortened to main
+_BLOCK_KINDS = {("main" if kind is ModelKind.MAIN_EFFECTS else kind.value): kind
+                for kind in TABLE1}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -45,20 +32,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
-def _model_for(name: str, n: int, r=None) -> ModelSpec:
-    if name == "main-effects":
-        return ModelSpec.main_effects(n)
-    if name == "broader":
-        return ModelSpec.broader_main_effects(n)
-    if name == "spec-2f":
-        return ModelSpec.specified_two_factor(n)
-    if name == "spec-all":
-        return ModelSpec.specified_one_factor(n)
-    if name == "spec-group":
-        if r is None:
-            raise Unsupported("spec-group needs a group size --r")
-        return ModelSpec.specified_group(n, r)
-    raise Unsupported(f"unknown model {name!r}")
+def _require_group_size(kind, r) -> None:
+    if r is None and kind == ModelKind.SPECIFIED_GROUP:
+        raise Unsupported(
+            f"{ModelKind.SPECIFIED_GROUP.value} needs a group size --r")
 
 
 def _parse_bits(text: str) -> tuple:
@@ -76,32 +53,25 @@ def _parse_columns(text: str) -> tuple:
 
 
 def _generate_recipes(args) -> list:
-    name, m, n = args.model, args.m, args.n
+    kind, m, n = ModelKind(args.model), args.m, args.n
     columns = _parse_columns(args.seed_columns) if args.seed_columns else None
     if args.generators:
-        if name not in ("main-effects", "broader"):
-            raise Unsupported("--generators applies to main-effects and broader")
+        if kind not in T1_KINDS:
+            raise Unsupported("--generators applies to "
+                              + " and ".join(k.value for k in T1_KINDS))
         if m < 2:
             raise Unsupported(f"--generators needs m >= 2, got m={m}")
         gens = _parse_bits(args.generators)
-        model = _model_for(name, n)
-        nu = least_hadamard_order(n)
-        if name == "main-effects":
-            return [ConstructionRecipe("T1-generator", n, m, model, nu,
-                                       variant="half", generators=gens,
-                                       columns=columns)]
-        claimed = nu if m % 2 == 0 else 2 * nu
-        return [ConstructionRecipe("T1-generator", n, m, model, claimed,
-                                   generators=gens, columns=columns)]
-    if name == "spec-group" and args.r is None:
-        raise Unsupported("spec-group needs a group size --r")
-    recipes = list(candidate_recipes(_KINDS[name], m, n, args.r))
+        return [t1_generator_recipe(ModelSpec.family(kind, n), m, gens,
+                                    columns)]
+    _require_group_size(kind, args.r)
+    recipes = list(candidate_recipes(kind, m, n, args.r))
     if columns is not None:
         recipes = [dataclasses.replace(r, columns=columns)
                    for r in recipes if r.id != "T2-direct-add"]
     if not recipes:
         raise Unsupported(
-            f"no applicable construction for model={name}, m={m}, n={n}")
+            f"no applicable construction for model={args.model}, m={m}, n={n}")
     return recipes
 
 
@@ -121,8 +91,8 @@ def _cmd_generate(args) -> int:
     gens = [bits_string(g) for g in recipe.applied_generators()]
     if gens:
         meta["generators"] = gens
-    if args.model == "spec-group":
-        meta["r"] = args.r
+    if recipe.model.r is not None:
+        meta["r"] = recipe.model.r
     if args.format == "csv":
         payload = serialization.design_to_csv(design)
     else:
@@ -145,20 +115,18 @@ def _cmd_verify(args) -> int:
     if not name:
         raise Unsupported(
             "no --model given and the file's meta block names none")
-    if name not in _KINDS:
-        raise Unsupported(f"unknown model {name!r}")
     r = args.r if args.r is not None else meta.get("r")
-    model = _model_for(name, design.n, r)
-    report = verify(design, model)
+    _require_group_size(name, r)
+    report = verify(design, ModelSpec.family(name, design.n, r))
     print(report.summary())
     return 0 if report.certified else 2
 
 
 def _cmd_table(args) -> int:
     if args.block == "all":
-        kinds = None
+        kinds = tuple(TABLE1)
     else:
-        kinds = (_BLOCKS[args.block],)
+        kinds = (_BLOCK_KINDS[args.block],)
     report = reproduce_table1(kinds)
     if args.format == "csv":
         payload = report.to_csv()
@@ -179,16 +147,9 @@ def _cmd_table(args) -> int:
         print(report.summary())
     else:
         sys.stdout.write(payload)
-    if args.block == "all":
-        return 0 if report.deviations_expected else 2
-    expected = _expected_within(report, _BLOCKS[args.block])
-    return 0 if expected else 2
-
-
-def _expected_within(report: Table1Report, kind: ModelKind) -> bool:
     got = {(e.kind, e.m, e.n): e.achieved_N for e in report.deviations()}
-    want = {k: v for k, v in EXPECTED_DEVIATIONS.items() if k[0] is kind}
-    return got == want
+    want = {key: N for key, N in EXPECTED_DEVIATIONS.items() if key[0] in kinds}
+    return 0 if got == want else 2
 
 
 def _build_parser() -> _Parser:
@@ -197,12 +158,16 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
+    models = sorted(kind.value for kind in ModelKind
+                    if kind is not ModelKind.CUSTOM)
+    r_help = f"group size for {ModelKind.SPECIFIED_GROUP.value}"
+
     gen = sub.add_parser("generate",
                          help="construct a certified design and emit it")
-    gen.add_argument("--model", required=True, choices=sorted(_KINDS))
+    gen.add_argument("--model", required=True, choices=models)
     gen.add_argument("--m", type=int, required=True, help="options per set")
     gen.add_argument("--n", type=int, required=True, help="number of factors")
-    gen.add_argument("--r", type=int, help="group size for spec-group")
+    gen.add_argument("--r", type=int, help=r_help)
     gen.add_argument("--generators",
                      help="comma-separated generator bitstrings")
     gen.add_argument("--seed-columns",
@@ -213,13 +178,13 @@ def _build_parser() -> _Parser:
     ver = sub.add_parser("verify",
                          help="certify a design stored in a JSON file")
     ver.add_argument("file", help="design JSON path")
-    ver.add_argument("--model", choices=sorted(_KINDS),
+    ver.add_argument("--model", choices=models,
                      help="model to certify against (default: file meta)")
-    ver.add_argument("--r", type=int, help="group size for spec-group")
+    ver.add_argument("--r", type=int, help=r_help)
 
     tab = sub.add_parser("table",
                          help="reproduce the reference N table and diff it")
-    tab.add_argument("--block", choices=sorted(_BLOCKS) + ["all"],
+    tab.add_argument("--block", choices=sorted(_BLOCK_KINDS) + ["all"],
                      default="all")
     tab.add_argument("--format", choices=("text", "csv", "json"),
                      default="text")

@@ -319,7 +319,7 @@ class ConstructionRecipe:
                 return self.generators
             return default_generators(self.n, (self.m - 1) // 2)
         if self.id.startswith("spec-"):
-            return (spec_generator(self.n, self.r if "group" in self.id else 1),)
+            return (spec_generator(self.n, self.r or 1),)
         return ()
 
 

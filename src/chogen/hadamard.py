@@ -34,7 +34,9 @@ def is_hadamard(M) -> bool:
     if not np.all(np.abs(H) == 1):
         return False
     nu = H.shape[0]
-    H = H.astype(np.int64)  # an owned copy, so H.T is a view int_product reuses
+    # no copy of an int64 seed; H.T is then a view of H, which int_product
+    # recognises and converts once for both operands
+    H = H.astype(np.int64, copy=False)
     P = int_product(H, H.T)
     P[np.diag_indices(nu)] -= nu
     return not P.any()
@@ -232,25 +234,31 @@ def zero_one(H) -> np.ndarray:
     return _frozen((M + 1) // 2)
 
 
+def _kronecker_of_orders(a: int, b: int) -> np.ndarray:
+    return kronecker(hadamard(a), hadamard(b))
+
+
 @functools.lru_cache(maxsize=None)
-def _buildable(order: int) -> bool:
-    if order in (1, 2):
-        return True
+def hadamard_plan(order: int):
+    """How hadamard(order) builds its matrix, as (builder, args), or None.
+
+    In order of preference: Sylvester for a power of 2, Paley I for
+    order-1 a prime power = 3 mod 4, Paley II for order/2-1 a prime power
+    = 1 mod 4, else the Kronecker product of two planned orders a * b,
+    with the least such a.  Nothing is built.
+    """
+    if order >= 1 and order & (order - 1) == 0:
+        return sylvester, (order.bit_length() - 1,)
     if order < 4 or order % 4 != 0:
-        return False
-    if order & (order - 1) == 0:
-        return True
-    pk = _prime_power(order - 1)
-    if pk is not None and (order - 1) % 4 == 3:
-        return True
-    if order % 2 == 0:
-        pk = _prime_power(order // 2 - 1)
-        if pk is not None and (order // 2 - 1) % 4 == 1:
-            return True
+        return None
+    if (order - 1) % 4 == 3 and _prime_power(order - 1) is not None:
+        return paley_type1, (order - 1,)
+    if (order // 2 - 1) % 4 == 1 and _prime_power(order // 2 - 1) is not None:
+        return paley_type2, (order // 2 - 1,)
     for a in range(2, int(order ** 0.5) + 1):
-        if order % a == 0 and _buildable(a) and _buildable(order // a):
-            return True
-    return False
+        if order % a == 0 and hadamard_plan(a) and hadamard_plan(order // a):
+            return _kronecker_of_orders, (a, order // a)
+    return None
 
 
 @functools.lru_cache(maxsize=None)
@@ -258,33 +266,17 @@ def hadamard(order: int) -> np.ndarray:
     """A normalized Hadamard matrix of the given supported order."""
     if order < 1:
         raise BadOrder(f"order must be positive, got {order}")
-    if not _buildable(order):
+    plan = hadamard_plan(order)
+    if plan is None:
         raise Unsupported(f"no supported Hadamard construction for order {order}")
-    if order == 1:
-        return _frozen(np.array([[1]]))
-    if order == 2:
-        return _frozen(np.array([[1, 1], [1, -1]]))
-    if order & (order - 1) == 0:
-        H = sylvester(order.bit_length() - 1)
-    elif _prime_power(order - 1) is not None and (order - 1) % 4 == 3:
-        H = paley_type1(order - 1)
-    elif (order % 2 == 0 and _prime_power(order // 2 - 1) is not None
-          and (order // 2 - 1) % 4 == 1):
-        H = paley_type2(order // 2 - 1)
-    else:
-        for a in range(2, int(order ** 0.5) + 1):
-            if order % a == 0 and _buildable(a) and _buildable(order // a):
-                H = kronecker(hadamard(a), hadamard(order // a))
-                break
-        else:  # pragma: no cover - _buildable guarantees a factorization
-            raise Unsupported(f"order {order}")
-    return normalize(H)
+    build, args = plan
+    return normalize(build(*args))
 
 
 def supported_orders(limit: int = MAX_SEARCH_ORDER) -> list:
     """All buildable orders up to limit."""
     orders = [nu for nu in (1, 2) if nu <= limit]
-    orders.extend(nu for nu in range(4, limit + 1, 4) if _buildable(nu))
+    orders.extend(nu for nu in range(4, limit + 1, 4) if hadamard_plan(nu))
     return orders
 
 

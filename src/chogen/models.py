@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional
 
-from .errors import BadGroup, BadModel, EffectOutOfRange
+from .errors import BadGroup, BadModel, EffectOutOfRange, Unsupported
 
 
 @dataclass(frozen=True, order=True)
@@ -177,6 +177,30 @@ class ModelSpec:
         )
         return cls(ModelKind.SPECIFIED_GROUP, n,
                    main_effect_list(n) + _sorted_interactions(inter), r=r)
+
+    @classmethod
+    def family(cls, kind, n: int, r: Optional[int] = None) -> "ModelSpec":
+        """The model of a named family on n factors.
+
+        kind is a ModelKind or its value; r is the group size of
+        SPECIFIED_GROUP and is ignored by the other families.  CUSTOM
+        and unknown names raise Unsupported.
+        """
+        try:
+            kind = ModelKind(kind)
+        except ValueError:
+            raise Unsupported(f"unknown model {kind!r}") from None
+        if kind is ModelKind.MAIN_EFFECTS:
+            return cls.main_effects(n)
+        if kind is ModelKind.BROADER_MAIN_EFFECTS:
+            return cls.broader_main_effects(n)
+        if kind is ModelKind.SPECIFIED_TWO_FACTOR:
+            return cls.specified_two_factor(n)
+        if kind is ModelKind.SPECIFIED_ONE_FACTOR:
+            return cls.specified_one_factor(n)
+        if kind is ModelKind.SPECIFIED_GROUP:
+            return cls.specified_group(n, r)
+        raise Unsupported(f"unknown model {kind.value!r}")
 
     @classmethod
     def custom(cls, n: int, interest: Iterable[FactorialEffect],

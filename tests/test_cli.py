@@ -1,15 +1,25 @@
 """Command-line behaviour: subcommands, formats, and exit codes."""
 
+import dataclasses
 import json
 import time
 from pathlib import Path
 
 import pytest
 
+from chogen import cli
+from chogen.catalog import EXPECTED_DEVIATIONS, TABLE1, candidate_recipes
 from chogen.cli import main
 from chogen.designs import ChoiceDesign, equivalent
+from chogen.models import ModelKind
 from chogen.serialization import loads
 from conftest import deadline
+
+# `table --block` name -> the catalog block it rebuilds
+BLOCKS = {"main": ModelKind.MAIN_EFFECTS,
+          "broader": ModelKind.BROADER_MAIN_EFFECTS,
+          "spec-2f": ModelKind.SPECIFIED_TWO_FACTOR,
+          "spec-all": ModelKind.SPECIFIED_ONE_FACTOR}
 
 
 def run(capsys, *argv):
@@ -55,6 +65,37 @@ def test_generate_with_generators_matches_reference(capsys):
     assert meta["generators"] == ["11100000", "00000011"]
     from test_constructions import GEN6_SETS
     assert equivalent(design, ChoiceDesign.from_sets(GEN6_SETS))
+
+
+def _choices(command, flag):
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if a.dest == "command")
+    return next(a.choices for a in sub.choices[command]._actions
+                if flag in a.option_strings)
+
+
+def test_model_and_block_choices_come_from_the_model_kinds():
+    models = ["broader", "main-effects", "spec-2f", "spec-all", "spec-group"]
+    assert models == sorted(k.value for k in ModelKind
+                            if k is not ModelKind.CUSTOM)
+    assert _choices("generate", "--model") == models
+    assert _choices("verify", "--model") == models
+    assert set(BLOCKS.values()) == set(TABLE1)
+    assert _choices("table", "--block") == sorted(BLOCKS) + ["all"]
+
+
+@pytest.mark.parametrize("model, m", [("broader", 6), ("broader", 5),
+                                      ("main-effects", 6)])
+def test_generators_recipe_is_the_catalog_t1_recipe(model, m):
+    gens = "11100000,00000011"
+    args = cli._build_parser().parse_args(
+        ["generate", "--model", model, "--m", str(m), "--n", "8",
+         "--generators", gens])
+    t1 = next(r for r in candidate_recipes(ModelKind(model), m, 8)
+              if r.id == "T1-generator")
+    bits = tuple(tuple(int(c) for c in g) for g in gens.split(","))
+    assert cli._generate_recipes(args) == [
+        dataclasses.replace(t1, generators=bits)]
 
 
 def test_generate_spec_group_requires_r(capsys):
@@ -165,6 +206,21 @@ def test_verify_rejects_design_without_model(capsys, tmp_path):
     assert "no --model" in err
 
 
+@pytest.mark.parametrize("meta, message", [
+    ({"model": "custom"}, "unknown model 'custom'"),
+    ({"model": "bogus"}, "unknown model 'bogus'"),
+    ({"model": ["x"]}, "unknown model ['x']"),
+    ({"model": "spec-group"}, "spec-group needs a group size --r"),
+])
+def test_verify_rejects_unknown_model_or_missing_group_size(
+        capsys, tmp_path, meta, message):
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps({"sets": [["0000", "1111"]], "meta": meta}))
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 3
+    assert err == f"error: {message}\n"
+
+
 def test_verify_uncertified_design_exits_2(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"sets": [["00", "11"]], "meta": {"model": "main-effects"}}')
@@ -217,31 +273,46 @@ def test_verify_malformed_json_exits_4(capsys, tmp_path):
     assert code == 4
 
 
+def _known_deviations(kind):
+    return {(m, n): N for (k, m, n), N in EXPECTED_DEVIATIONS.items()
+            if k is kind}
+
+
+# each table test runs every block, so one test id covers all four
 def test_table_block_json(capsys):
-    code, out, _ = run(capsys, "table", "--block", "spec-2f",
-                       "--format", "json")
-    assert code == 0
-    rows = json.loads(out)
-    assert len(rows) == 22
-    assert all(r["status"] in ("Match", "BlankCell") for r in rows)
+    for block, kind in BLOCKS.items():
+        code, out, _ = run(capsys, "table", "--block", block,
+                           "--format", "json")
+        assert code == 0
+        rows = json.loads(out)
+        assert len(rows) == 11 * len(TABLE1[kind])
+        assert {r["model"] for r in rows} == {kind.value}
+        differ = {(r["m"], r["n"]): r["achieved_N"] for r in rows
+                  if r["status"] not in ("Match", "BlankCell")}
+        assert differ == _known_deviations(kind)
 
 
 def test_table_block_text_marks_deviations(capsys):
-    code, out, _ = run(capsys, "table", "--block", "spec-all",
-                       "--format", "text")
-    assert code == 0  # all deviations in this block are the known ones
-    assert "32!" in out
-    assert "known deviation" in out
+    for block, kind in BLOCKS.items():
+        code, out, _ = run(capsys, "table", "--block", block,
+                           "--format", "text")
+        assert code == 0  # all deviations in a block are the known ones
+        known = _known_deviations(kind)
+        assert all(f"{N}!" in out for N in known.values())
+        assert out.count("known deviation") == len(known)
+        assert "UNEXPECTED" not in out
 
 
 def test_table_block_csv_to_file(capsys, tmp_path):
     path = tmp_path / "table.csv"
-    code, out, _ = run(capsys, "table", "--block", "broader",
-                       "--format", "csv", "--out", str(path))
-    assert code == 0
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("model,m,n,")
-    assert len(lines) == 1 + 7 * 11
+    for block, kind in BLOCKS.items():
+        code, out, _ = run(capsys, "table", "--block", block,
+                           "--format", "csv", "--out", str(path))
+        assert code == 0
+        lines = path.read_text().splitlines()
+        assert lines[0].startswith("model,m,n,")
+        assert len(lines) == 1 + 11 * len(TABLE1[kind])
+        assert {line.split(",")[0] for line in lines[1:]} == {kind.value}
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,15 +1,38 @@
 """Hadamard seed matrices: constructions and exact checks."""
 
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chogen.errors import BadOrder, NotHadamard, Unsupported
-from chogen.hadamard import (MAX_SEARCH_ORDER, hadamard, is_hadamard,
-                             kronecker, least_hadamard_order, normalize,
-                             paley_type1, paley_type2, supported_orders,
-                             sylvester, zero_one)
+from chogen.hadamard import (MAX_SEARCH_ORDER, hadamard, hadamard_plan,
+                             is_hadamard, kronecker, least_hadamard_order,
+                             normalize, paley_type1, paley_type2,
+                             supported_orders, sylvester, zero_one)
+
+
+def test_package_attribute_is_the_hadamard_submodule():
+    import chogen
+    import chogen.hadamard as hm
+    assert isinstance(chogen.hadamard, types.ModuleType)
+    assert hm.sylvester is sylvester and hm.hadamard is hadamard
+
+
+def test_hadamard_plan_names_the_construction():
+    assert hadamard_plan(1) == (sylvester, (0,))
+    assert hadamard_plan(8) == (sylvester, (3,))
+    assert hadamard_plan(12) == (paley_type1, (11,))
+    assert hadamard_plan(36)[0] is paley_type2  # 35 is no prime power
+    assert hadamard_plan(36)[1] == (17,)
+    for order in (-4, 0, 3, 6, 92):
+        assert hadamard_plan(order) is None
+    # 39 is no prime power and 19 = 3 mod 4, so 40 is the product 2 * 20
+    assert hadamard_plan(40)[1] == (2, 20)
+    assert np.array_equal(hadamard(40),
+                          normalize(kronecker(hadamard(2), hadamard(20))))
 
 
 def test_sylvester_small():

@@ -2,7 +2,8 @@
 
 import pytest
 
-from chogen.errors import BadGroup, BadModel, ChogenError, EffectOutOfRange
+from chogen.errors import (BadGroup, BadModel, ChogenError, EffectOutOfRange,
+                           Unsupported)
 from chogen.models import (MAX_EFFECTS, FactorialEffect, ModelKind, ModelSpec,
                            effect, main_effect_list, require_within,
                            two_factor_list)
@@ -112,6 +113,26 @@ def test_model_errors_are_chogen_and_value_errors():
                   lambda: ModelSpec.custom(3, [effect(1)], [effect(1)])):
         with pytest.raises(BadModel):
             build()
+
+
+@pytest.mark.parametrize("name, make", [
+    ("main-effects", ModelSpec.main_effects),
+    ("broader", ModelSpec.broader_main_effects),
+    ("spec-2f", ModelSpec.specified_two_factor),
+    ("spec-all", ModelSpec.specified_one_factor),
+    ("spec-group", lambda n: ModelSpec.specified_group(n, 2)),
+])
+def test_family_builds_the_named_model(name, make):
+    # r is read by spec-group only
+    assert ModelSpec.family(name, 5, 2) == make(5)
+    assert ModelSpec.family(ModelKind(name), 5, 2) == make(5)
+
+
+@pytest.mark.parametrize("name", ["custom", ModelKind.CUSTOM, "bogus", 5])
+def test_family_refuses_custom_and_unknown_names(name):
+    with pytest.raises(Unsupported) as exc:
+        ModelSpec.family(name, 3)
+    assert str(exc.value) == f"unknown model {getattr(name, 'value', name)!r}"
 
 
 @pytest.mark.parametrize("make", [
