@@ -11,8 +11,11 @@ C* is the sum of d d' over the component pairs, so its rank is that of
 the within-set difference matrix A, whose rows are (x_{p,i} - x_{p,0})/2
 for the contrast-sign vectors x of set p.  Hence rank C* <= N(m-1), and
 a design with N(m-1) < Q is NotConnected at once.  Otherwise the design
-is connected iff rank A = Q, computed by ratlinalg.rank; with a nonzero
-cross block, iff rank [A_interest | A_nuisance] - rank A_nuisance = Q.
+is connected iff rank C* = Q, computed by ratlinalg.rank on the C* that
+verify already holds; with a nonzero cross block, iff
+rank [A_interest | A_nuisance] - rank A_nuisance = Q.  ratlinalg.rank
+decides a deficit from one prime when a kernel lifted from it checks
+exactly, and otherwise falls back to more primes; it is exact either way.
 """
 
 from __future__ import annotations
@@ -159,19 +162,22 @@ def _differences(d: ChoiceDesign, effects) -> np.ndarray:
     return A.reshape(len(effects), -1).T
 
 
-def _connected(d: ChoiceDesign, model: ModelSpec, diag: np.ndarray,
+def _connected(d: ChoiceDesign, model: ModelSpec, Cstar: np.ndarray,
                diagonal: bool, cross_zero: Optional[bool]) -> bool:
     """Whether the model's information matrix has full rank, exactly.
 
-    The option sign matrices are built here, on the rank path only.
+    With no cross block, that is rank C* = Q, and C* is never larger than
+    A once N(m-1) >= Q.  With a nonzero cross block, the option sign
+    matrices are built here for [A_interest | A_nuisance] and A_nuisance,
+    whose Gram matrices could be far larger than A.
     """
     Q = model.Q
     if d.N * (d.m - 1) < Q:
         return False  # rank C* <= N(m-1)
     if cross_zero in (None, True):
         if diagonal:
-            return bool((diag > 0).all())
-        return ratlinalg.rank(_differences(d, model.interest)) == Q
+            return bool((np.diag(Cstar) > 0).all())
+        return ratlinalg.rank(Cstar) == Q
     A_nuis = _differences(d, model.nuisance)
     A = np.hstack([_differences(d, model.interest), A_nuis])
     return ratlinalg.rank(A) - ratlinalg.rank(A_nuis) == Q
@@ -200,9 +206,10 @@ def verify(d: ChoiceDesign, model: ModelSpec) -> OptimalityReport:
     nonempty nuisance) the cross block vanishes; otherwise the exact
     rank of C decides ConnectedNotOptimal versus NotConnected.  C*,
     balance, the zero counts and the trace come from the per-set sign
-    sums and cstar_block; option sign matrices are built only for the
-    effects of the listed offending pairs and, on the rank path, in
-    _connected.
+    sums and cstar_block.  The rank path ranks that same C*, through
+    ratlinalg.rank's one-prime kernel certificate or its prime loop.
+    Option sign matrices are built only for the effects of the listed
+    offending pairs and, when the cross block is nonzero, in _connected.
     """
     effects = model.interest
     require_within(effects, d.n)
@@ -258,7 +265,7 @@ def verify(d: ChoiceDesign, model: ModelSpec) -> OptimalityReport:
                and cross_zero in (None, True))
     if optimal:
         verdict = Verdict.UNIVERSALLY_OPTIMAL
-    elif _connected(d, model, diag, diagonal, cross_zero):
+    elif _connected(d, model, Cstar, diagonal, cross_zero):
         verdict = Verdict.CONNECTED_NOT_OPTIMAL
     else:
         verdict = Verdict.NOT_CONNECTED

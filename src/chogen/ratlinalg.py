@@ -2,14 +2,19 @@
 
 Certification verdicts must not depend on floating point or on chance.
 Connectedness is decided by `rank`: vectorised int64 elimination modulo
-word-size primes, with enough primes that their product exceeds the
-Hadamard bound on every minor that could still be nonzero, so the
-modular rank is the rational rank (cf. Dumas, Giorgi & Pernet, ACM TOMS
-2008, on dense linear algebra over word-size prime fields).  Integer
-products (C* and the Hadamard seed check) go through `int_product`,
-which uses float32 BLAS where every partial sum is an integer below
-2^24, and float64 where it is below 2^53, and so is exact, as in the
-same paper.
+word-size primes (cf. Dumas, Giorgi & Pernet, ACM TOMS 2008, on dense
+linear algebra over word-size prime fields).  A modular rank never
+exceeds the rational one, so full rank modulo the first prime is final.
+A deficit modulo that prime is certified by a kernel: its reduced-echelon
+kernel basis is lifted to integers by rational reconstruction (Wang 1981;
+on small lifted solutions, Dixon 1982) and checked exactly.  Only when
+that check fails does `rank` go on to more primes, until their product
+exceeds the Hadamard bound on every minor that could still be nonzero,
+so the modular rank is the rational rank.  Integer products (C*, the
+Hadamard seed check and the kernel check) go through `int_product`,
+which refuses a product whose partial sums could leave int64, and uses
+float32 BLAS where every partial sum is an integer below 2^24, and
+float64 where it is below 2^53, and so is exact, as in the same paper.
 
 The Python-integer and Fraction routines (leading principal minors,
 definiteness, a consistent linear solve) are kept as a slow reference
@@ -19,7 +24,7 @@ for tests; no verdict goes through them.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
 import numpy as np
 
@@ -61,11 +66,17 @@ def _primes():
         c -= 2
 
 
-def _rank_mod(A: np.ndarray, p: int) -> int:
-    """Rank of A modulo p; A holds residues in [0, p) and is overwritten."""
+def _echelon(A: np.ndarray, p: int) -> list:
+    """Row echelon form of A modulo p, in place; the pivot columns.
+
+    A holds residues in [0, p).  Row i of the result, for i below the
+    number of pivots, is 0 before pivot column i and 1 on it; the rows
+    after them are zero.
+    """
     rows, cols = A.shape
-    r = 0
+    pivots = []
     for c in range(cols):
+        r = len(pivots)
         if r == rows:
             break
         nz = np.flatnonzero(A[r:, c])
@@ -73,13 +84,75 @@ def _rank_mod(A: np.ndarray, p: int) -> int:
             continue
         if nz[0]:
             A[[r, r + nz[0]]] = A[[r + nz[0], r]]
+        A[r, c:] = A[r, c:] * pow(int(A[r, c]), -1, p) % p
         below = r + nz[1:]
         if below.size:
-            pivot_row = A[r, c + 1:] * pow(int(A[r, c]), -1, p) % p
-            A[below, c + 1:] = (A[below, c + 1:]
-                                - np.outer(A[below, c], pivot_row)) % p
-        r += 1
-    return r
+            A[below, c:] = (A[below, c:]
+                            - np.outer(A[below, c], A[r, c:])) % p
+        pivots.append(c)
+    return pivots
+
+
+def _reconstruct(x: np.ndarray, p: int) -> tuple:
+    """Fractions a/b = x mod p with |a| and b at most sqrt(p/2), or None.
+
+    Wang's rational reconstruction, elementwise: the extended Euclidean
+    algorithm on (p, x), stopped at the first remainder within the bound,
+    keeps a = t x (mod p) for its cofactor t, so a/t = x.  Entries whose
+    cofactor leaves the bound have no such fraction.
+    """
+    bound = isqrt(p // 2)
+    r0, r1 = np.full_like(x, p), x.copy()
+    t0, t1 = np.zeros_like(x), np.ones_like(x)
+    active = r1 > bound
+    while active.any():
+        q = np.zeros_like(x)
+        q[active] = r0[active] // r1[active]
+        r0, r1 = np.where(active, r1, r0), np.where(active, r0 - q * r1, r1)
+        t0, t1 = np.where(active, t1, t0), np.where(active, t0 - q * t1, t1)
+        active = r1 > bound
+    if (np.abs(t1) > bound).any():
+        return None
+    sign = np.where(t1 < 0, -1, 1)
+    return r1 * sign, t1 * sign
+
+
+def _kernel_certified(A: np.ndarray, U: np.ndarray, pivots: list,
+                      p: int) -> bool:
+    """Whether A K = 0 exactly for a kernel basis K lifted from modulo p.
+
+    U is the row echelon form of A modulo p, with R pivots; it is reduced
+    here, each pivot column cleared above its pivot.  Column j of K has 1
+    on the j-th free column, 0 on the other free ones, and on pivot column
+    i the fraction that reconstructs -U[i, free j]; it is then scaled by
+    the lcm of its denominators.  Those cols - R columns are independent
+    over the rationals, so A K = 0 proves rank A <= R.  False when an
+    entry does not reconstruct, the product could leave int64, or A K is
+    not zero.
+    """
+    for i in range(len(pivots) - 1, 0, -1):
+        c = pivots[i]
+        above = np.flatnonzero(U[:i, c])
+        if above.size:
+            U[above, c:] = (U[above, c:]
+                            - np.outer(U[above, c], U[i, c:])) % p
+    cols = A.shape[1]
+    free = np.setdiff1d(np.arange(cols), pivots)
+    fractions = _reconstruct(-U[:len(pivots), free] % p, p)
+    if fractions is None:
+        return False
+    num, den = fractions
+    K = np.zeros((cols, free.size), dtype=np.int64)
+    for j in range(free.size):
+        scale = lcm(*den[:, j].tolist())
+        if scale >= 1 << 47:  # |num| * scale would leave int64
+            return False
+        K[pivots, j] = num[:, j] * (scale // den[:, j])
+        K[free[j], j] = scale
+    try:
+        return not int_product(A, K).any()
+    except OverflowError:
+        return False
 
 
 def _minor_bound_squared(A: np.ndarray, k: int) -> int:
@@ -103,10 +176,14 @@ def rank(M) -> int:
     """Exact rank over the rationals of an integer matrix (int64 entries).
 
     The rank modulo a prime never exceeds the rational rank, so a full
-    rank modulo the first prime is final.  Otherwise, with R the largest
-    modular rank seen, every (R+1)-minor is divisible by each prime used;
-    once the product of those primes exceeds the Hadamard bound on the
-    (R+1)-minors, they are all zero and the rank is R.
+    rank R modulo the first prime is final.  Otherwise a kernel basis
+    modulo that prime, lifted to integers by rational reconstruction, is
+    checked exactly (_kernel_certified): if it holds, the rank is R.  If
+    an entry does not reconstruct, the check's bound reaches 2^63, or the
+    lifted vectors are not a kernel, the primes go on: with R the largest
+    modular rank seen, every (R+1)-minor is divisible by each prime used,
+    and once the product of those primes exceeds the Hadamard bound on
+    the (R+1)-minors, they are all zero and the rank is R.
     """
     A = np.array(M, dtype=np.int64)
     if A.size == 0:
@@ -118,8 +195,12 @@ def rank(M) -> int:
     full = A.shape[1]
     best, modulus, bound_squared = -1, 1, 0
     for p in _primes():
-        r = _rank_mod(A % p, p)
+        U = A % p
+        pivots = _echelon(U, p)
+        r = len(pivots)
         if r == full:
+            return r
+        if best < 0 and _kernel_certified(A, U, pivots, p):  # first prime
             return r
         if r > best:
             best = r
@@ -132,19 +213,21 @@ def rank(M) -> int:
 def int_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Exact A @ B for integer matrices, as int64 whatever the input type.
 
-    Large products go through BLAS when every partial sum, an integer
-    bounded by inner_dim * max|A| * max|B|, is exactly representable:
-    float32 when that bound is below 2^24, float64 when it is below 2^53.
-    The float result is then exact and the cast back to int64 is lossless.
-    When B is the transpose of A, A is converted once and B is its view.
+    Every partial sum is an integer bounded by inner_dim * max|A| * max|B|.
+    When that bound reaches 2^63, int64 could overflow, so OverflowError
+    is raised.  Large products go through BLAS when the bound makes every
+    partial sum exactly representable: float32 when it is below 2^24,
+    float64 when it is below 2^53.  The float result is then exact and the
+    cast back to int64 is lossless.  When B is the transpose of A, A is
+    converted once and B is its view.
     """
-    ops = A.shape[0] * A.shape[1] * B.shape[-1]
-    if ops <= 2_000_000:
-        return np.matmul(A, B, dtype=np.int64)
     bound = A.shape[1]
     for M in (A, B):
         bound *= max(int(M.max(initial=0)), -int(M.min(initial=0)))
-    if bound >= (1 << 53):
+    if bound >= 1 << 63:
+        raise OverflowError("integer product could exceed int64")
+    ops = A.shape[0] * A.shape[1] * B.shape[-1]
+    if ops <= 2_000_000 or bound >= (1 << 53):
         return np.matmul(A, B, dtype=np.int64)
     dtype = np.float32 if bound < (1 << 24) else np.float64
     Af = A.astype(dtype)

@@ -18,11 +18,13 @@ from chogen import ratlinalg
 from chogen.designs import ChoiceDesign, all_treatments
 from chogen.errors import SameEffect, Unsupported
 from chogen.models import ModelSpec, effect, main_effect_list
-from chogen.optimality import (MAX_LISTED_PAIRS, Verdict, eta_counts,
-                               max_trace, np_counts, oracle_cstar, verify)
+from chogen.optimality import (MAX_LISTED_PAIRS, Verdict, _differences,
+                               eta_counts, max_trace, np_counts, oracle_cstar,
+                               verify)
 from chogen.contrasts import cross_block_star, cstar_matrix, exact_schur_cstar
 from chogen.constructions import specified_design
 from conftest import designs, random_design
+from test_ratlinalg import _rank_by_fractions
 
 INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
 
@@ -150,6 +152,21 @@ def test_verify_builds_each_sign_matrix_once(monkeypatch):
     assert sorted(calls) == sorted([model.interest, model.nuisance])
 
 
+def test_rank_path_without_cross_block_builds_no_sign_matrix(monkeypatch):
+    # the rank test ranks the C* that verify holds; the one sign matrix
+    # built is that of the listed offending pairs' effects
+    calls = _count_sign_matrices(monkeypatch)
+    d = ChoiceDesign.from_sets([("000", "011"), ("000", "101"),
+                                ("000", "110"), ("001", "111")])
+    model = ModelSpec.main_effects(3)
+    report = verify(d, model)
+    assert d.N * (d.m - 1) >= model.Q and not report.diagonal
+    assert report.verdict is Verdict.CONNECTED_NOT_OPTIMAL
+    listed = {e for e1, e2, _, _ in report.offending_pairs for e in (e1, e2)}
+    assert len(calls) == 1
+    assert set(calls[0]) == listed
+
+
 def test_certified_verify_builds_no_sign_matrix(monkeypatch):
     calls = _count_sign_matrices(monkeypatch)
     d, meta = chogen.load(str(INPUTS / "spec-group-m4-n10-r3.json"))
@@ -251,6 +268,45 @@ def test_rank_verdict_matches_fraction_reference(case):
     d, model = case
     report = verify(d, model)
     connected = _reference_connected(d, model)
+    if report.certified:
+        assert connected
+    else:
+        assert (report.verdict is Verdict.CONNECTED_NOT_OPTIMAL) == connected
+
+
+@st.composite
+def designs_on_the_rank_path(draw):
+    """Random designs of all five families, n = 4-6, with N(m-1) >= Q."""
+    n = draw(st.integers(4, 6))
+    family = draw(st.sampled_from(
+        ("main-effects", "broader", "spec-all", "spec-2f", "spec-group")))
+    r = draw(st.integers(1, n - 1)) if family == "spec-group" else None
+    model = ModelSpec.family(family, n, r)
+    m = draw(st.integers(2, 4))
+    N = -(-model.Q // (m - 1)) + draw(st.integers(0, 2))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return random_design(rng, n, m, N), model
+
+
+@given(designs_on_the_rank_path())
+@settings(max_examples=60, deadline=None)
+def test_rank_path_verdict_matches_fraction_rank_of_differences(case):
+    # verify ranks C*; the reference ranks the difference matrix A in
+    # Fractions, so this pins rank C* = rank A where the route changed
+    d, model = case
+    Q = model.Q
+    assert d.N * (d.m - 1) >= Q
+    A = _differences(d, model.interest)
+    assert ratlinalg.rank(cstar_matrix(d, model.interest).ints) == \
+        _rank_by_fractions(A.tolist())
+    report = verify(d, model)
+    if report.cross_block_zero is False:
+        A_nuis = _differences(d, model.nuisance)
+        full = np.hstack([A, A_nuis]).tolist()
+        connected = (_rank_by_fractions(full)
+                     - _rank_by_fractions(A_nuis.tolist()) == Q)
+    else:
+        connected = _rank_by_fractions(A.tolist()) == Q
     if report.certified:
         assert connected
     else:

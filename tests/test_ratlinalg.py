@@ -1,5 +1,5 @@
-"""Exact ranks modulo primes, with the Hadamard-bound stop rule, and the
-exact integer product."""
+"""Exact ranks modulo primes, with the one-prime kernel certificate and the
+Hadamard-bound stop rule, and the exact integer product."""
 
 import random
 
@@ -9,7 +9,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chogen import ratlinalg
+from chogen.designs import ChoiceDesign
+from chogen.models import ModelSpec
+from chogen.optimality import Verdict, verify
 from chogen.ratlinalg import int_product, rank
+
+P = 2**31 - 1  # the first prime rank() draws
 
 
 def _rank_by_fractions(M) -> int:
@@ -79,6 +84,94 @@ def test_rank_matches_rational_elimination():
         R = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(k)]
         M = (np.array(L) @ np.array(R)).tolist()
         assert rank(M) == _rank_by_fractions(M)
+
+
+@pytest.fixture
+def primes_drawn(monkeypatch):
+    """Counts the primes rank() draws, over every call in the test."""
+    drawn = []
+    original = ratlinalg._primes
+
+    def counted():
+        for p in original():
+            drawn.append(p)
+            yield p
+
+    monkeypatch.setattr(ratlinalg, "_primes", counted)
+    return drawn
+
+
+def test_certificate_decides_a_deficit_with_one_prime(primes_drawn):
+    # the kernel (-3/2, 1) reconstructs and, scaled to (-3, 2), checks
+    assert rank([[2, 3], [4, 6]]) == 1
+    # rank 20 of 30; the Hadamard bound on its 21-minors needs several
+    # primes, but the kernel of [I | B] is (-B, I) and checks at once
+    rng = np.random.default_rng(5)
+    R = np.hstack([np.eye(20, dtype=np.int64),
+                   rng.integers(-1, 2, (20, 10))])
+    M = rng.choice([-1, 1], (40, 20)) @ R
+    assert rank(M) == 20
+    assert rank(M.T) == 20
+    assert primes_drawn == [P, P, P]
+
+
+def test_kernel_entry_that_does_not_reconstruct_falls_back(primes_drawn):
+    # the kernel (-40000, 1) needs a numerator above sqrt(p/2) = 32767
+    assert ratlinalg._reconstruct(np.array([P - 40000]), P) is None
+    assert rank([[1, 40000], [2, 80000]]) == 1
+    assert len(primes_drawn) > 1
+
+
+def test_modular_kernel_that_fails_the_exact_check_falls_back(primes_drawn):
+    # modulo p the kernel is (0, 1), but M (0, 1)' = (0, p)' is not zero
+    assert rank([[1, 0], [0, P]]) == 2
+    assert len(primes_drawn) > 1
+
+
+def test_check_bound_past_int64_falls_back(primes_drawn):
+    # the kernel (-1, 1) is found, but 2 * 2^62 * 1 reaches 2^63
+    big = 2**62
+    assert rank([[big, big], [big, big]]) == 1
+    assert len(primes_drawn) > 1
+
+
+def test_reconstruction_bounds():
+    # 1/3, -5/7 and 0 come back; the largest admissible numerator too
+    x = np.array([pow(3, -1, P), -5 * pow(7, -1, P) % P, 0, 32767])
+    num, den = ratlinalg._reconstruct(x, P)
+    assert num.tolist() == [1, -5, 0, 32767]
+    assert den.tolist() == [3, 7, 1, 1]
+    assert ratlinalg._reconstruct(np.array([32768]), P) is None
+
+
+@st.composite
+def low_rank_products(draw):
+    """L R with entries of L and R in -5..5 and an inner size below both
+    outer sizes, so the rank is deficient and kernels need denominators."""
+    rows = draw(st.integers(2, 8))
+    cols = draw(st.integers(2, 8))
+    k = draw(st.integers(1, min(rows, cols) - 1))
+    elems = st.integers(-5, 5)
+    L = draw(st.lists(st.lists(elems, min_size=k, max_size=k),
+                      min_size=rows, max_size=rows))
+    R = draw(st.lists(st.lists(elems, min_size=cols, max_size=cols),
+                      min_size=k, max_size=k))
+    return (np.array(L, dtype=np.int64) @ np.array(R, dtype=np.int64)).tolist()
+
+
+@given(low_rank_products())
+def test_rank_of_low_rank_products_matches_fractions(M):
+    assert rank(M) == _rank_by_fractions(M)
+
+
+def test_audit_draw_is_decided_with_one_prime(primes_drawn):
+    # a random spec-all n=8 m=3 N=128 design: rank C* is 125-132 of 135
+    rng = random.Random(303)
+    d = ChoiceDesign.from_indices(
+        [rng.sample(range(256), 3) for _ in range(128)], 8)
+    report = verify(d, ModelSpec.specified_one_factor(8))
+    assert report.verdict is Verdict.NOT_CONNECTED
+    assert primes_drawn == [P]
 
 
 def test_rank_rejects_a_vector():
@@ -160,3 +253,23 @@ def test_int_product_small_integer_types_do_not_overflow():
     out = int_product(A, A.T)
     assert out.dtype == np.int64
     assert (out == 40 * 100 * 100).all()
+
+
+def test_int_product_refuses_overflow_on_the_small_path():
+    with pytest.raises(OverflowError):
+        int_product(np.array([[2**40]]), np.array([[2**40]]))
+    # 2^31 * 2^31 * 2 = 2^63 partial sums may overflow; one term below fits
+    A = np.array([[2**31, 2**31]], dtype=np.int64)
+    with pytest.raises(OverflowError):
+        int_product(A, A.T)
+    assert int_product(A[:, :1], A[:, :1].T).tolist() == [[2**62]]
+
+
+def test_int_product_refuses_overflow_on_the_large_path():
+    A, B = _filled(200, 200, 200, 2**30, 2**30)
+    assert A.shape[0] * A.shape[1] * B.shape[1] > 2_000_000
+    with pytest.raises(OverflowError):
+        int_product(A, B)
+    # inner * 2^25 * 2^25 is above 2^53 but below 2^63: int64, exact
+    A, B = _filled(200, 200, 200, 2**25, -(2**25))
+    assert np.array_equal(int_product(A, B), A @ B)
