@@ -20,10 +20,10 @@ from typing import Optional
 from .constructions import (ConstructionRecipe, build, default_generators,
                             even_free_columns, independent_columns,
                             validate_generators)
-from .errors import ChogenError, Unsupported
+from .errors import BelowRankBound, ChogenError, Unsupported
 from .hadamard import hadamard_plan, least_hadamard_order
 from .models import ModelKind, ModelSpec
-from .optimality import verify
+from .optimality import below_rank_bound, verify
 
 TABLE_NS = tuple(range(2, 13))
 
@@ -227,11 +227,22 @@ def first_certified(recipes) -> tuple:
     Recipes are tried in a stable sort by claimed_N, so ties keep their
     given order.  Returns (winner, rejected): winner is (recipe, design,
     report) or None, and rejected lists (recipe, reason) for every recipe
-    tried before it, the reason being the build's ChogenError or the
-    uncertified report.  Errors raised by verify propagate.
+    tried before it, the reason being a BelowRankBound refusal, the
+    build's ChogenError or the uncertified report.  Errors raised by
+    verify propagate.
+
+    A recipe whose claimed_N(m-1) is below the model's Q is refused
+    without being built: build raises unless the design has the claimed
+    N, and such a design has rank C* < Q, so it could only be
+    NotConnected.
     """
     rejected = []
     for recipe in sorted(recipes, key=lambda rec: rec.claimed_N):
+        N, m, Q = recipe.claimed_N, recipe.m, recipe.model.Q
+        if below_rank_bound(N, m, Q):
+            rejected.append((recipe, BelowRankBound(
+                f"NotConnected: N(m-1) = {N * (m - 1)} < Q = {Q}")))
+            continue
         try:
             design = build(recipe)
         except ChogenError as exc:

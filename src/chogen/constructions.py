@@ -18,7 +18,7 @@ from .designs import (ChoiceDesign, bits_string, complement, direct_add,
                       lex_index, pack_bits, treatment, truncate_factors)
 from .errors import (BadGenerators, BadGroup, RangeError, Unsupported,
                      WidthMismatch)
-from .hadamard import hadamard, least_hadamard_order
+from .hadamard import is_sylvester, least_hadamard_order, positive_columns
 from .models import ModelSpec
 
 
@@ -87,8 +87,12 @@ def spec_generator(n: int, r: int = 1) -> tuple:
 
 
 def _seed_rows(order: int, cols: Sequence[int]) -> np.ndarray:
-    """Option indices of the seed's rows on 1-based columns, +1 as bit 1."""
-    return pack_bits(hadamard(order)[:, np.asarray(cols) - 1] > 0)
+    """Option indices of the seed's rows on 1-based columns, +1 as bit 1.
+
+    The entries come from hadamard.positive_columns: Walsh characters for
+    a Sylvester seed, the checked hadamard(order) for any other.
+    """
+    return pack_bits(positive_columns(order, np.asarray(cols) - 1))
 
 
 def _shifted(A1: np.ndarray, n: int, gens) -> np.ndarray:
@@ -106,13 +110,51 @@ def _design(x, n: int, fold: bool = False) -> ChoiceDesign:
         np.vstack((x, x ^ ((1 << n) - 1))) if fold else x, n)
 
 
+def _gf2_reduce(basis: list, v: int) -> int:
+    """v reduced by a GF(2) basis, each vector already reduced by those
+    before it; 0 iff v lies in the span."""
+    for b in basis:
+        v = min(v, v ^ b)
+    return v
+
+
+def _spanning_columns(order: int, n: int, first: int) -> Optional[tuple]:
+    """The lexicographically first n columns of first..order whose seed
+    rows are distinct, for a Sylvester seed of order 2^k.
+
+    Row i on 0-based column c reads the parity of |i & c|, so the rows
+    are distinct iff the 0-based column indices span GF(2)^k.  Each slot
+    takes the next column, or, when the slots left could not make up the
+    missing rank without it, the next column outside the span so far.
+    While a spanning completion exists that is the least column leaving
+    one, so a spanning set found this way is the first; when none exists
+    the result does not span, or is None if the columns run out.
+    """
+    k = order.bit_length() - 1
+    basis, chosen, c = [], [], first - 1
+    for slot in range(n):
+        if len(basis) + n - slot - 1 < k:
+            while c < order and not _gf2_reduce(basis, c):
+                c += 1
+        if c >= order:
+            return None
+        v = _gf2_reduce(basis, c)
+        if v:
+            basis.append(v)
+        c += 1
+        chosen.append(c)
+    return tuple(chosen)
+
+
 def _resolve_columns(order: int, n: int, columns: Optional[Sequence[int]],
                      first_column: str) -> tuple:
     """Column indices (1-based) into the seed matrix.
 
     first_column is "required", "excluded", or "free".  The default is the
     first n allowed columns or, if that collides two seed rows, the
-    lexicographically first allowed column set with distinct rows.
+    lexicographically first allowed column set with distinct rows.  On a
+    Sylvester seed that set is chosen column by column by GF(2) rank
+    (_spanning_columns); other orders walk the column combinations.
     """
     if columns is not None:
         cols = tuple(int(c) for c in columns)
@@ -132,8 +174,13 @@ def _resolve_columns(order: int, n: int, columns: Optional[Sequence[int]],
         raise RangeError(
             f"{order} distinct options cannot fit in {n} two-level factors"
         )
-    for cols in itertools.chain([default], itertools.combinations(pool, n)):
-        if first_column == "required" and cols[0] != 1:
+    if is_sylvester(order):
+        candidates = [default, _spanning_columns(order, n, first)]
+    else:
+        candidates = itertools.chain([default],
+                                     itertools.combinations(pool, n))
+    for cols in candidates:
+        if cols is None or first_column == "required" and cols[0] != 1:
             continue
         if np.unique(_seed_rows(order, cols)).size == order:
             return cols

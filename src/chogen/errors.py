@@ -57,6 +57,10 @@ class BadModel(ChogenError, ValueError):
     """A model specification is malformed or has too few factors."""
 
 
+class BelowRankBound(ChogenError):
+    """A recipe's N(m-1) is below Q, so its C* cannot reach full rank."""
+
+
 class RangeError(ChogenError):
     """Construction parameter outside its stated admissible range."""
 

@@ -2,8 +2,11 @@
 
 Sylvester powers, Paley constructions over GF(q) for odd prime powers q,
 and Kronecker products together cover every order 4k up to
-MAX_SEARCH_ORDER; hadamard() itself builds larger orders on request.  All
-checks are exact integer arithmetic.
+MAX_SEARCH_ORDER; hadamard() itself builds larger orders on request.
+Every matrix hadamard() returns passes the exact integer check
+is_hadamard.  Seed rows are read through positive_columns, which gives
+Sylvester columns as Walsh characters, Hadamard by construction, and
+builds and checks no matrix for them.
 """
 
 from __future__ import annotations
@@ -271,6 +274,27 @@ def hadamard(order: int) -> np.ndarray:
         raise Unsupported(f"no supported Hadamard construction for order {order}")
     build, args = plan
     return normalize(build(*args))
+
+
+def is_sylvester(order: int) -> bool:
+    """Whether hadamard(order) is the Sylvester matrix of that order."""
+    plan = hadamard_plan(order)
+    return plan is not None and plan[0] is sylvester
+
+
+def positive_columns(order: int, cols) -> np.ndarray:
+    """Where hadamard(order)[:, cols] is +1, for 0-based columns cols.
+
+    The Sylvester matrix of order 2^k has entry (-1)^|i & j| (Fino and
+    Algazi 1976), so for those orders the entries are computed directly,
+    order * len(cols) work with no order^2 matrix.  Other orders slice
+    hadamard(order), which runs the exact check.
+    """
+    cols = np.asarray(cols, dtype=np.int64)
+    if is_sylvester(order):
+        rows = np.arange(order, dtype=np.int64)[:, None]
+        return np.bitwise_count(rows & cols) & 1 == 0
+    return hadamard(order)[:, cols] > 0
 
 
 def supported_orders(limit: int = MAX_SEARCH_ORDER) -> list:

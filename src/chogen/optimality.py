@@ -162,18 +162,29 @@ def _differences(d: ChoiceDesign, effects) -> np.ndarray:
     return A.reshape(len(effects), -1).T
 
 
+def below_rank_bound(N: int, m: int, Q: int) -> bool:
+    """Whether N sets of m options are too few to connect Q effects.
+
+    rank C* <= N(m-1), so N(m-1) < Q leaves C* singular: such a design is
+    NotConnected, and catalog.first_certified refuses a recipe claiming
+    such an N before it builds it.
+    """
+    return N * (m - 1) < Q
+
+
 def _connected(d: ChoiceDesign, model: ModelSpec, Cstar: np.ndarray,
                diagonal: bool, cross_zero: Optional[bool]) -> bool:
     """Whether the model's information matrix has full rank, exactly.
 
-    With no cross block, that is rank C* = Q, and C* is never larger than
-    A once N(m-1) >= Q.  With a nonzero cross block, the option sign
-    matrices are built here for [A_interest | A_nuisance] and A_nuisance,
-    whose Gram matrices could be far larger than A.
+    A design below_rank_bound is not.  Otherwise, with no cross block,
+    that is rank C* = Q, and C* is never larger than A once N(m-1) >= Q.
+    With a nonzero cross block, the option sign matrices are built here
+    for [A_interest | A_nuisance] and A_nuisance, whose Gram matrices
+    could be far larger than A.
     """
     Q = model.Q
-    if d.N * (d.m - 1) < Q:
-        return False  # rank C* <= N(m-1)
+    if below_rank_bound(d.N, d.m, Q):
+        return False
     if cross_zero in (None, True):
         if diagonal:
             return bool((np.diag(Cstar) > 0).all())

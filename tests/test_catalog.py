@@ -8,10 +8,12 @@ import pytest
 from chogen.catalog import (EXPECTED_DEVIATIONS, TABLE1, TABLE_NS, CellStatus,
                             Table1Report, candidate_recipes, catalog_lookup,
                             first_certified, reproduce_table1)
-from chogen.constructions import ConstructionRecipe
-from chogen.errors import RangeError, Unsupported
+from chogen import catalog
+from chogen.constructions import ConstructionRecipe, build
+from chogen.errors import BelowRankBound, RangeError, Unsupported
 from chogen.models import ModelKind, ModelSpec
-from chogen.optimality import OptimalityReport
+from chogen.optimality import (OptimalityReport, Verdict, below_rank_bound,
+                               verify)
 from conftest import deadline
 
 
@@ -76,17 +78,59 @@ def test_first_certified_cheapest_whatever_the_order():
         assert rejected == []
 
 
-def test_first_certified_reports_rejections():
-    base, rescue = candidate_recipes(ModelKind.SPECIFIED_ONE_FACTOR, 4, 6)
-    broken = dataclasses.replace(base, claimed_N=3)
+def _counting_build(monkeypatch):
+    """Route catalog.build through a wrapper; returns the recipes built."""
+    built = []
+
+    def counted(recipe):
+        built.append(recipe)
+        return build(recipe)
+    monkeypatch.setattr(catalog, "build", counted)
+    return built
+
+
+def test_first_certified_reports_rejections(monkeypatch):
+    built = _counting_build(monkeypatch)
+    # spec-all m=3 n=4: N(m-1) = 16 >= Q = 11 for the base recipe, which
+    # builds and connects without certifying
+    base, rescue = candidate_recipes(ModelKind.SPECIFIED_ONE_FACTOR, 3, 4)
+    broken = dataclasses.replace(base, claimed_N=6)  # 12 >= 11, tried first
     winner, rejected = first_certified([rescue, broken, base])
     assert winner[0] == rescue and winner[1].N == 16
     assert [x for x, _ in rejected] == [broken, base]
     assert isinstance(rejected[0][1], RangeError)  # a build error
     assert isinstance(rejected[1][1], OptimalityReport)
-    assert not rejected[1][1].certified
+    assert rejected[1][1].verdict is Verdict.CONNECTED_NOT_OPTIMAL
     winner, rejected = first_certified([broken])
     assert winner is None and [x for x, _ in rejected] == [broken]
+    # spec-all m=4 n=6: the base recipe's N(m-1) = 24 < Q = 37 is refused
+    # before it is built
+    below, rescue = candidate_recipes(ModelKind.SPECIFIED_ONE_FACTOR, 4, 6)
+    built.clear()
+    winner, rejected = first_certified([rescue, below])
+    assert winner[0] == rescue and winner[1].N == 16
+    assert [x for x, _ in rejected] == [below]
+    assert isinstance(rejected[0][1], BelowRankBound)
+    assert str(rejected[0][1]) == "NotConnected: N(m-1) = 24 < Q = 37"
+    assert built == [rescue]
+
+
+def test_recipes_below_the_rank_bound_cannot_certify():
+    # first_certified refuses these without building them; built and
+    # verified here, none certifies, so the refusal changes no cell
+    below = []
+    for kind, block in TABLE1.items():
+        for m, row in block.items():
+            for n, table_N in zip(TABLE_NS, row):
+                if table_N is None:
+                    continue
+                below += [x for x in candidate_recipes(kind, m, n)
+                          if below_rank_bound(x.claimed_N, x.m, x.model.Q)]
+    assert len(below) == 14
+    assert {x.model.kind for x in below} == {ModelKind.SPECIFIED_ONE_FACTOR}
+    for recipe in below:
+        report = verify(build(recipe), recipe.model)
+        assert report.verdict is Verdict.NOT_CONNECTED
 
 
 def test_first_certified_propagates_verify_errors():

@@ -135,6 +135,22 @@ def test_generate_seed_columns_override_can_fail_honestly(capsys):
                        "--seed-columns", "1,2,3,4,5,6")
     assert code == 2
     assert "no construction certified" in err
+    # the width-8 seed gives N(m-1) = 24 < Q = 37 and is refused unbuilt
+    assert err.splitlines()[0] == ("not certified: spec-all-m4 alpha=3: "
+                                   "NotConnected: N(m-1) = 24 < Q = 37")
+
+
+@pytest.mark.parametrize("m, n", [(128, 7), (256, 10)])
+def test_generate_main_effects_on_wide_sylvester_seeds(capsys, m, n):
+    # the default seed columns collide rows here, and a walk over the
+    # C(m-1, n) column sets would not finish
+    with deadline(10):
+        code, out, err = run(capsys, "generate", "--model", "main-effects",
+                             "--m", str(m), "--n", str(n))
+    assert code == 0
+    design, _ = loads(out)
+    assert (design.N, design.m, design.n) == (1, m, n)
+    assert "verdict: UniversallyOptimal" in err
 
 
 def test_generate_seed_columns_happy_path(capsys):

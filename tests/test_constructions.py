@@ -8,6 +8,7 @@ rows in a different order.
 
 import itertools
 
+import numpy as np
 import pytest
 
 from chogen.constructions import (build, ConstructionRecipe,
@@ -18,12 +19,14 @@ from chogen.constructions import (build, ConstructionRecipe,
                                   specified_design, theorem1_design,
                                   theorem1_main_design, theorem2_design,
                                   theorem2_half_design, validate_generators)
+from chogen.constructions import _resolve_columns, _seed_rows
 from chogen.designs import ChoiceDesign, complement, equivalent
 from chogen.errors import (BadGenerators, BadGroup, RangeError, Unsupported,
                            WidthMismatch)
 from chogen.hadamard import hadamard, least_hadamard_order, zero_one
 from chogen.models import ModelSpec, effect
 from chogen.optimality import Verdict, verify
+from conftest import deadline
 
 # m=6 generator design on 8 factors, generators 11100000 and 00000011;
 # published as optimal for the broader main effects model in D_{8,8,6}
@@ -216,6 +219,45 @@ def test_seed_columns_are_validated():
         single_set_design(3, order=8, columns=(1, 2, 3))
     with pytest.raises(RangeError):
         specified_design(4, 4, "all-orders", alpha=2, columns=(1, 2, 3, 9))
+
+
+def _walk_columns(order, n, mode):
+    """The column walk by brute force: the default columns, then every
+    combination in order, until one gives the seed distinct rows."""
+    A = zero_one(hadamard(order))
+    weights = 1 << np.arange(n, dtype=np.int64)
+    pool = range(2 if mode == "excluded" else 1, order + 1)
+    for cols in itertools.chain([tuple(pool[:n])],
+                                itertools.combinations(pool, n)):
+        if mode == "required" and cols[0] != 1:
+            continue
+        rows = A[:, np.array(cols, dtype=int) - 1] @ weights[:len(cols)]
+        if np.unique(rows).size == order:
+            return cols
+    return None
+
+
+def test_sylvester_column_search_matches_the_walk():
+    # the rank-guided search returns the walk's first column set, or
+    # fails where the walk finds none, on every order up to 32
+    for order in (1, 2, 4, 8, 16, 32):
+        for n in range(1, order + 1):
+            for mode in ("required", "excluded", "free"):
+                try:
+                    got = _resolve_columns(order, n, None, mode)
+                except RangeError:
+                    got = None
+                assert got == _walk_columns(order, n, mode), (order, n, mode)
+
+
+def test_sylvester_column_search_on_wide_seeds():
+    # the walk would try C(127, 7) and C(255, 10) column sets here
+    with deadline(10):
+        assert _resolve_columns(128, 7, None, "excluded") == \
+            (2, 3, 5, 9, 17, 33, 65)
+        cols = _resolve_columns(256, 10, None, "excluded")
+    assert cols == (2, 3, 4, 5, 6, 9, 17, 33, 65, 129)
+    assert np.unique(_seed_rows(256, cols)).size == 256
 
 
 def test_independent_columns_property():

@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chogen.errors import BadOrder, NotHadamard, Unsupported
+from chogen import hadamard as hm
 from chogen.hadamard import (MAX_SEARCH_ORDER, hadamard, hadamard_plan,
-                             is_hadamard, kronecker, least_hadamard_order,
-                             normalize, paley_type1, paley_type2,
-                             supported_orders, sylvester, zero_one)
+                             is_hadamard, is_sylvester, kronecker,
+                             least_hadamard_order, normalize, paley_type1,
+                             paley_type2, positive_columns, supported_orders,
+                             sylvester, zero_one)
 
 
 def test_package_attribute_is_the_hadamard_submodule():
@@ -183,3 +185,49 @@ def test_order_cap_bounds_searches_not_construction():
     assert supported_orders(16) == [1, 2, 4, 8, 12, 16]
     # direct construction stays available past the search cap
     assert hadamard(128).shape == (128, 128)
+
+
+def _count_calls(monkeypatch, name):
+    """Wrap hadamard-module function `name`; returns the list of its
+    first arguments, one per call."""
+    calls = []
+    original = getattr(hm, name)
+
+    def counted(arg):
+        calls.append(arg)
+        return original(arg)
+    monkeypatch.setattr(hm, name, counted)
+    return calls
+
+
+def test_positive_columns_are_sylvester_characters(monkeypatch):
+    rng = np.random.default_rng(2048)
+    orders = [1 << k for k in range(12)]  # every power of 2 up to 2048
+    dense = {nu: zero_one(hadamard(nu)) for nu in orders}
+    built = _count_calls(monkeypatch, "hadamard")
+    checked = _count_calls(monkeypatch, "is_hadamard")
+    for nu in orders:
+        assert is_sylvester(nu)
+        for _ in range(5):
+            cols = rng.choice(nu, size=rng.integers(1, min(nu, 16) + 1),
+                              replace=False)
+            got = positive_columns(nu, cols)
+            assert got.dtype == bool and got.shape == (nu, len(cols))
+            assert np.array_equal(got, dense[nu][:, cols] == 1)
+    assert built == [] and checked == []  # no matrix, no H H' check
+
+
+def test_positive_columns_of_other_orders_slice_the_checked_matrix(
+        monkeypatch):
+    rng = np.random.default_rng(40)
+    built = _count_calls(monkeypatch, "hadamard")
+    for nu in (12, 20, 24, 28, 40):
+        assert not is_sylvester(nu)
+        cols = rng.choice(nu, size=6, replace=False)
+        assert np.array_equal(positive_columns(nu, cols),
+                              zero_one(hadamard(nu))[:, cols] == 1)
+    assert built == [12, 20, 24, 28, 40]
+    with pytest.raises(BadOrder):
+        positive_columns(0, [0])
+    with pytest.raises(Unsupported):
+        positive_columns(6, [0])

@@ -19,8 +19,8 @@ from chogen.designs import ChoiceDesign, all_treatments
 from chogen.errors import SameEffect, Unsupported
 from chogen.models import ModelSpec, effect, main_effect_list
 from chogen.optimality import (MAX_LISTED_PAIRS, Verdict, _differences,
-                               eta_counts, max_trace, np_counts, oracle_cstar,
-                               verify)
+                               below_rank_bound, eta_counts, max_trace,
+                               np_counts, oracle_cstar, verify)
 from chogen.contrasts import cross_block_star, cstar_matrix, exact_schur_cstar
 from chogen.constructions import specified_design
 from conftest import designs, random_design
@@ -272,6 +272,31 @@ def test_rank_verdict_matches_fraction_reference(case):
         assert connected
     else:
         assert (report.verdict is Verdict.CONNECTED_NOT_OPTIMAL) == connected
+
+
+@st.composite
+def designs_below_the_rank_bound(draw):
+    """Random designs of all five families, n = 2-6, with N(m-1) < Q."""
+    n = draw(st.integers(2, 6))
+    family = draw(st.sampled_from(
+        ("main-effects", "broader", "spec-all", "spec-2f", "spec-group")))
+    r = draw(st.integers(1, n - 1)) if family == "spec-group" else None
+    model = ModelSpec.family(family, n, r)
+    m = draw(st.integers(2, min(6, model.Q, 1 << n)))
+    N = draw(st.integers(1, (model.Q - 1) // (m - 1)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return random_design(rng, n, m, N), model
+
+
+@given(designs_below_the_rank_bound())
+@settings(max_examples=100, deadline=None)
+def test_designs_below_the_rank_bound_never_certify(case):
+    # what lets catalog.first_certified refuse such recipes unbuilt
+    d, model = case
+    assert below_rank_bound(d.N, d.m, model.Q)
+    report = verify(d, model)
+    assert not report.certified
+    assert report.verdict is Verdict.NOT_CONNECTED
 
 
 @st.composite
