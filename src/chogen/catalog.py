@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .constructions import (ConstructionRecipe, build, default_generators,
-                            even_free_columns, independent_columns,
+                            direct_add_alpha, even_free_columns,
+                            independent_columns, seed_alpha,
                             validate_generators)
 from .errors import BelowRankBound, ChogenError, Unsupported
 from .hadamard import hadamard_plan, least_hadamard_order
@@ -105,13 +106,6 @@ def _t1_generators_ok(n: int, m: int) -> bool:
     return True
 
 
-def _minimal_alpha(n: int, base: int) -> int:
-    alpha = 1
-    while (1 << alpha) * base < n:
-        alpha += 1
-    return alpha
-
-
 def _require_specified_m(m: int, family: str):
     if m not in (3, 4):
         raise Unsupported(
@@ -148,7 +142,7 @@ def _seed_recipes(rid: str, model: ModelSpec, m: int, n: int,
     rescue_columns(n) when it is wider than the base.  m=3 doubles N.
     """
     doubling = 2 if m == 3 else 1
-    alpha = max(2, (n - 1).bit_length())
+    alpha = seed_alpha(n)
     recipes = [ConstructionRecipe(rid, n, m, model, doubling << alpha,
                                   alpha=alpha, r=r)]
     if n <= 2:
@@ -193,29 +187,22 @@ def candidate_recipes(kind: ModelKind, m: int, n: int, r=None) -> tuple:
             independent_columns if m == 3 else even_free_columns,
             "no seed of the listed width balances every effect pair here; "
             "certified on a wider seed with XOR-independent columns"))
+    # main effects take the half designs, the broader model the full ones
+    half = kind is ModelKind.MAIN_EFFECTS
+    variant = "half" if half else "full"
     recipes = []
-    if kind is ModelKind.MAIN_EFFECTS:
-        if _supported_order(m) and n <= m - 1:
-            recipes.append(ConstructionRecipe(
-                "foldover-pair", n, m, model, 1, variant="half", order=m))
-        if m % 2 == 0 and _supported_order(m // 2) and n <= m // 2:
-            recipes.append(ConstructionRecipe(
-                "single-set", n, m, model, 1, order=m // 2))
-        if _supported_order(m) and n > m - 1:
-            recipes.append(ConstructionRecipe(
-                "T2-direct-add", n, m, model,
-                1 << _minimal_alpha(n, m - 1), variant="half"))
-    else:
-        if m % 2 == 0 and _supported_order(m // 2) and n <= m // 2:
-            recipes.append(ConstructionRecipe(
-                "single-set", n, m, model, 1, order=m // 2))
-        if _supported_order(m) and n <= m - 1:
-            recipes.append(ConstructionRecipe(
-                "foldover-pair", n, m, model, 2, order=m))
-        if _supported_order(m) and n > m - 1:
-            recipes.append(ConstructionRecipe(
-                "T2-direct-add", n, m, model,
-                1 << (_minimal_alpha(n, m - 1) + 1)))
+    if _supported_order(m) and n <= m - 1:
+        recipes.append(ConstructionRecipe(
+            "foldover-pair", n, m, model, 1 if half else 2, variant=variant,
+            order=m))
+    if m % 2 == 0 and _supported_order(m // 2) and n <= m // 2:
+        recipes.append(ConstructionRecipe(
+            "single-set", n, m, model, 1, order=m // 2))
+    if _supported_order(m) and n > m - 1:
+        alpha = direct_add_alpha(n, m)
+        recipes.append(ConstructionRecipe(
+            "T2-direct-add", n, m, model, 1 << (alpha if half else alpha + 1),
+            variant=variant))
     if _t1_generators_ok(n, m):
         recipes.append(t1_generator_recipe(model, m))
     return tuple(recipes)

@@ -53,6 +53,16 @@ def validate_generators(gens: Sequence, n: int) -> tuple:
     return tuple(out)
 
 
+def seed_alpha(n: int) -> int:
+    """The default Sylvester seed width 2^alpha: the least >= n, alpha >= 2."""
+    return max(2, (n - 1).bit_length())
+
+
+def direct_add_alpha(n: int, m: int) -> int:
+    """The direct-addition depth: the least alpha >= 1 with n <= 2^alpha (m-1)."""
+    return max(1, ((n - 1) // (m - 1)).bit_length())
+
+
 def independent_columns(n: int) -> tuple:
     """1-based seed columns for width 2^(n-1): the constant column, then
     the columns at unit 0-based indices 1, 2, 4, ..., 2^(n-2).
@@ -271,11 +281,8 @@ def theorem2_half_design(n: int, m: int) -> ChoiceDesign:
             f"direct-addition designs need n > {m - 1}; use a single-set "
             f"or foldover construction for n={n}"
         )
-    alpha = 1
-    while (1 << alpha) * (m - 1) < n:
-        alpha += 1
     d = _design([_seed_rows(m, range(2, m + 1))], m - 1)
-    for _ in range(alpha):
+    for _ in range(direct_add_alpha(n, m)):
         d = _design(np.vstack((direct_add(d, d).array,
                                direct_add(d, complement(d)).array)), 2 * d.n)
     return truncate_factors(d, n)
@@ -313,7 +320,7 @@ def specified_design(n: int, m: int, scope: str, r: int = None,
         nu = least_hadamard_order(n)
     else:
         if alpha is None:
-            alpha = max(2, (n - 1).bit_length())
+            alpha = seed_alpha(n)
         if alpha < 1 or n > (1 << alpha):
             raise RangeError(f"alpha={alpha} does not admit n={n}")
         nu = 1 << alpha

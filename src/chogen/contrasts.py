@@ -88,11 +88,10 @@ class ScaledIntMatrix:
         return bool(np.array_equal(a, b))
 
 
-def effective_position(T: Sequence, e: FactorialEffect, n: int = None) -> int:
+def effective_position(T: Sequence, e: FactorialEffect) -> int:
     """The derived binary coordinate (r+1 - sum of levels) mod 2."""
-    width = len(T) if n is None else n
-    if not e.within(width):
-        raise EffectOutOfRange(f"{e} does not fit in {width} factors")
+    if not e.within(len(T)):
+        raise EffectOutOfRange(f"{e} does not fit in {len(T)} factors")
     s = sum(T[h - 1] for h in e.factors)
     return (e.order + 1 - s) % 2
 
@@ -147,7 +146,7 @@ def pair_contribution(e1: FactorialEffect, e2: FactorialEffect,
 def _effect_masks(effects: Sequence[FactorialEffect], n: int) -> np.ndarray:
     """Bit masks of the effects; Unsupported beyond MAX_INDEX_FACTORS factors."""
     if n > MAX_INDEX_FACTORS:
-        raise Unsupported(f"sign matrices are limited to n <= "
+        raise Unsupported(f"option indices are limited to n <= "
                           f"{MAX_INDEX_FACTORS} factors, got {n}")
     return np.array([_effect_mask(e, n) for e in effects], dtype=np.int64)
 
@@ -161,7 +160,7 @@ def option_sign_matrix(d: ChoiceDesign, effects: Sequence[FactorialEffect]) -> n
     """Contrast signs of every effect at every option, shape (Q, N*m).
 
     Columns run through the design's options in (set, option) order.
-    Raises Unsupported beyond MAX_SIGN_FACTORS factors.
+    Raises Unsupported beyond MAX_INDEX_FACTORS factors.
     """
     masks = _effect_masks(effects, d.n)
     orders = np.array([e.order for e in effects], dtype=np.uint8)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional
@@ -168,8 +169,8 @@ class ModelSpec:
         """
         if n < 2:
             raise BadModel("specified interaction models need n >= 2")
-        if not 1 <= (r or 0) <= n - 1:
-            raise BadGroup(f"group size r must lie in 1..{n - 1}, got {r}")
+        if not isinstance(r, numbers.Integral) or not 1 <= r <= n - 1:
+            raise BadGroup(f"group size r must lie in 1..{n - 1}, got {r!r}")
         _require_size(n + r * ((1 << (n - r)) - 1))
         group2 = tuple(range(r + 1, n + 1))
         inter = tuple(

@@ -178,9 +178,9 @@ def _connected(d: ChoiceDesign, model: ModelSpec, Cstar: np.ndarray,
 
     A design below_rank_bound is not.  Otherwise, with no cross block,
     that is rank C* = Q, and C* is never larger than A once N(m-1) >= Q.
-    With a nonzero cross block, the option sign matrices are built here
-    for [A_interest | A_nuisance] and A_nuisance, whose Gram matrices
-    could be far larger than A.
+    With a nonzero cross block, verify's one option sign matrix is built
+    here, for [A_interest | A_nuisance]; its last columns are A_nuisance.
+    Their Gram matrices could be far larger than A.
     """
     Q = model.Q
     if below_rank_bound(d.N, d.m, Q):
@@ -189,24 +189,13 @@ def _connected(d: ChoiceDesign, model: ModelSpec, Cstar: np.ndarray,
         if diagonal:
             return bool((np.diag(Cstar) > 0).all())
         return ratlinalg.rank(Cstar) == Q
-    A_nuis = _differences(d, model.nuisance)
-    A = np.hstack([_differences(d, model.interest), A_nuis])
-    return ratlinalg.rank(A) - ratlinalg.rank(A_nuis) == Q
+    A = _differences(d, model.interest + model.nuisance)
+    return ratlinalg.rank(A) - ratlinalg.rank(A[:, Q:]) == Q
 
 
-def _eta_from_signs(x: np.ndarray, y: np.ndarray) -> tuple:
-    """eta counts from two (N, m) sign slices of the option matrix.
-
-    Per set, pairs split by the sign quadrants of the two effects: the
-    concordant count is (#++)(#--), the discordant one (#+-)(#-+).
-    """
-    p1 = x > 0
-    p2 = y > 0
-    pp = (p1 & p2).sum(axis=1)
-    pm = (p1 & ~p2).sum(axis=1)
-    mp = (~p1 & p2).sum(axis=1)
-    mm = (~p1 & ~p2).sum(axis=1)
-    return int((pp * mm).sum()), int((pm * mp).sum())
+def _joint(e1: FactorialEffect, e2: FactorialEffect) -> FactorialEffect:
+    """The effect on factors e1 xor e2, whose contrast is e1's times e2's."""
+    return FactorialEffect(tuple(sorted(set(e1.factors) ^ set(e2.factors))))
 
 
 def verify(d: ChoiceDesign, model: ModelSpec) -> OptimalityReport:
@@ -219,8 +208,9 @@ def verify(d: ChoiceDesign, model: ModelSpec) -> OptimalityReport:
     balance, the zero counts and the trace come from the per-set sign
     sums and cstar_block.  The rank path ranks that same C*, through
     ratlinalg.rank's one-prime kernel certificate or its prime loop.
-    Option sign matrices are built only for the effects of the listed
-    offending pairs and, when the cross block is nonzero, in _connected.
+    The eta counts of the listed offending pairs come from the same sums
+    plus those of each pair's joint effect.  At most one option sign
+    matrix is built, in _connected, when the cross block is nonzero.
     """
     effects = model.interest
     require_within(effects, d.n)
@@ -250,17 +240,24 @@ def verify(d: ChoiceDesign, model: ModelSpec) -> OptimalityReport:
         bad = np.argwhere(np.triu(Cstar, 1) != 0)
         offending_count = len(bad)
         bad = bad[:MAX_LISTED_PAIRS]
-        # signs of just the effects in the listed pairs
-        used = np.unique(bad)
-        signs = contrasts.option_sign_matrix(
-            d, [effects[q] for q in used]).reshape(len(used), N, m)
-        listed = []
-        for (q1, q2), (i1, i2) in zip(bad, np.searchsorted(used, bad)):
-            ep, em = _eta_from_signs(signs[i1], signs[i2])
-            if 4 * (ep - em) != Cstar[q1, q2]:
-                raise InvariantError("C* entry disagrees with its eta counts")
-            listed.append((effects[q1], effects[q2], ep, em))
-        offending = tuple(listed)
+        q1, q2 = bad.T
+        # per set, the quadrant counts of the signs x, y of a pair follow
+        # from the sums of x, y and their product xy, the joint effect's
+        s1 = S[q1].astype(np.int64)
+        s2 = S[q2].astype(np.int64)
+        s12 = contrasts.set_sums(
+            d, [_joint(effects[a], effects[b]) for a, b in bad]).astype(np.int64)
+        pp = (m + s1 + s2 + s12) // 4
+        mm = (m - s1 - s2 + s12) // 4
+        pm = (m + s1 - s2 - s12) // 4
+        mp = (m - s1 + s2 - s12) // 4
+        eta_plus = (pp * mm).sum(axis=1)
+        eta_minus = (pm * mp).sum(axis=1)
+        if not np.array_equal(4 * (eta_plus - eta_minus), Cstar[q1, q2]):
+            raise InvariantError("C* entry disagrees with its eta counts")
+        offending = tuple(
+            (effects[a], effects[b], ep, em) for (a, b), ep, em in
+            zip(bad.tolist(), eta_plus.tolist(), eta_minus.tolist()))
 
     scale = Fraction(1, (1 << n) * N * m * m)
     trace = int(diag.sum()) * scale

@@ -63,7 +63,7 @@ def design_from_dict(doc) -> tuple:
     for field in ("n", "m"):
         if field in doc and doc[field] != getattr(design, field):
             raise FormatError(
-                f"declared {field}={doc[field]} but sets give "
+                f"declared {field}={doc[field]!r} but sets give "
                 f"{field}={getattr(design, field)}")
     meta = doc.get("meta", {})
     if not isinstance(meta, dict):
@@ -78,7 +78,9 @@ def dumps(design: ChoiceDesign, meta: dict = None) -> str:
 def loads(text: str) -> tuple:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # besides JSONDecodeError: integer literals past Python's digit
+        # limit, and nesting deeper than the recursion limit
         raise FormatError(f"invalid JSON: {exc}") from None
     return design_from_dict(doc)
 
@@ -92,7 +94,7 @@ def load(path) -> tuple:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return loads(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read {path}: {exc}") from None
 
 

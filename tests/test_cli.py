@@ -1,11 +1,16 @@
 """Command-line behaviour: subcommands, formats, and exit codes."""
 
+import contextlib
 import dataclasses
+import io
 import json
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chogen import cli
 from chogen.catalog import EXPECTED_DEVIATIONS, TABLE1, candidate_recipes
@@ -352,3 +357,73 @@ def test_bad_set_size_or_generators_exit_3_at_once(capsys, argv):
     assert code == 3
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+# any JSON value, NaN and the infinities included
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12)
+_options = st.text(alphabet="01", max_size=10) | st.text(max_size=4)
+_sets = st.lists(st.lists(_options, max_size=5), max_size=5) | _json_values
+_models = st.sampled_from([k.value for k in ModelKind]) | _json_values
+
+
+@st.composite
+def _verify_documents(draw):
+    """A design document with random values under sets, n, m and meta."""
+    doc = {"sets": draw(_sets)}
+    for field in ("n", "m"):
+        if draw(st.booleans()):
+            doc[field] = draw(_json_values | st.integers(0, 12))
+    meta = {}
+    if draw(st.booleans()):
+        meta["model"] = draw(_models)
+    if draw(st.booleans()):
+        meta["r"] = draw(_json_values | st.integers(-2, 12))
+    doc["meta"] = meta if draw(st.booleans()) else draw(_json_values)
+    return json.dumps(doc).encode()
+
+
+@given(_verify_documents())
+@example(b'\xff\xfe{"sets": [["00", "11"]]}')  # not UTF-8
+@example(b'{"sets": [["00", "11"]], "n": ' + b"9" * 5000 + b"}")  # digit limit
+@example(b"[" * 100000)  # deeper than the recursion limit
+@example(b'{"sets": [["00", "11"]], "meta": {"model": "spec-group", "r": "2"}}')
+@example(b'{"sets": [["00", "11"]], "meta": {"model": "spec-group", "r": 1.5}}')
+@example(b'{"sets": [["00", "11"]], "meta": {"model": "spec-group", "r": [1]}}')
+@settings(max_examples=200, deadline=None)
+def test_verify_of_malformed_documents_exits_cleanly(payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.json"
+        path.write_bytes(payload)
+        out, err = io.StringIO(), io.StringIO()
+        with (deadline(10), contextlib.redirect_stdout(out),
+              contextlib.redirect_stderr(err)):
+            code = main(["verify", str(path)])
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("meta, code, message", [
+    ({"model": "spec-group", "r": "2"}, 3,
+     "error: group size r must lie in 1..3, got '2'\n"),
+    ({"model": "spec-group", "r": 1.5}, 3,
+     "error: group size r must lie in 1..3, got 1.5\n"),
+    ({"model": "spec-group", "r": [1]}, 3,
+     "error: group size r must lie in 1..3, got [1]\n"),
+])
+def test_verify_non_integer_group_size_exits_3(capsys, tmp_path, meta, code,
+                                               message):
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps({"sets": [["0000", "1111"]], "meta": meta}))
+    assert run(capsys, "verify", str(path)) == (code, "", message)
+
+
+def test_verify_reports_the_declared_value_as_written(capsys, tmp_path):
+    path = tmp_path / "d.json"
+    path.write_text('{"sets": [["000", "111"]], "n": "3"}')
+    assert run(capsys, "verify", str(path)) == (
+        4, "", "error: declared n='3' but sets give n=3\n")
+

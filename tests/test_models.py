@@ -1,5 +1,6 @@
 """Factorial effects and model specifications."""
 
+import numpy as np
 import pytest
 
 from chogen.errors import (BadGroup, BadModel, ChogenError, EffectOutOfRange,
@@ -83,6 +84,17 @@ def test_specified_group_model():
         ModelSpec.specified_group(4, 4)
     with pytest.raises(BadGroup):
         ModelSpec.specified_group(4, 0)
+
+
+@pytest.mark.parametrize("r", ["2", 1.5, [1], None])
+def test_group_size_must_be_an_integer(r):
+    with pytest.raises(BadGroup, match="group size r must lie in 1..3"):
+        ModelSpec.specified_group(4, r)
+
+
+def test_group_size_takes_numpy_integers():
+    assert (ModelSpec.specified_group(4, np.int64(2)).interest
+            == ModelSpec.specified_group(4, 2).interest)
 
 
 def test_group_model_with_r_1_matches_one_factor_model():

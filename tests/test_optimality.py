@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chogen
@@ -141,7 +141,7 @@ def _count_sign_matrices(monkeypatch) -> list:
 
 def test_verify_builds_each_sign_matrix_once(monkeypatch):
     # diagonal C* with a nonzero cross block and N(m-1) >= Q: the rank path
-    # needs the interest and the nuisance signs, each built once
+    # builds one sign matrix, over the interest and then the nuisance
     calls = _count_sign_matrices(monkeypatch)
     d = ChoiceDesign.from_sets([("00", "01"), ("00", "10")])
     model = ModelSpec.broader_main_effects(2)
@@ -149,12 +149,12 @@ def test_verify_builds_each_sign_matrix_once(monkeypatch):
     assert report.diagonal
     assert report.cross_block_zero is False
     assert report.verdict is Verdict.NOT_CONNECTED
-    assert sorted(calls) == sorted([model.interest, model.nuisance])
+    assert calls == [model.interest + model.nuisance]
 
 
 def test_rank_path_without_cross_block_builds_no_sign_matrix(monkeypatch):
-    # the rank test ranks the C* that verify holds; the one sign matrix
-    # built is that of the listed offending pairs' effects
+    # the rank test ranks the C* that verify holds, and the listed pairs'
+    # eta counts come from per-set sums: no sign matrix at all
     calls = _count_sign_matrices(monkeypatch)
     d = ChoiceDesign.from_sets([("000", "011"), ("000", "101"),
                                 ("000", "110"), ("001", "111")])
@@ -162,9 +162,8 @@ def test_rank_path_without_cross_block_builds_no_sign_matrix(monkeypatch):
     report = verify(d, model)
     assert d.N * (d.m - 1) >= model.Q and not report.diagonal
     assert report.verdict is Verdict.CONNECTED_NOT_OPTIMAL
-    listed = {e for e1, e2, _, _ in report.offending_pairs for e in (e1, e2)}
-    assert len(calls) == 1
-    assert set(calls[0]) == listed
+    assert report.offending_pairs
+    assert calls == []
 
 
 def test_certified_verify_builds_no_sign_matrix(monkeypatch):
@@ -176,15 +175,23 @@ def test_certified_verify_builds_no_sign_matrix(monkeypatch):
 
 
 def test_offending_pairs_build_signs_of_listed_effects_only(monkeypatch):
+    # the listing reads the eta counts from per-set sums, so a design with
+    # offending pairs and a nonzero cross block builds only the rank path's
+    # one sign matrix; with no cross block it builds none
     calls = _count_sign_matrices(monkeypatch)
     d = specified_design(8, 4, "all-orders")
     model = ModelSpec.specified_one_factor(8)
     report = verify(d, model)
     assert d.N * (d.m - 1) < model.Q  # so no rank path
-    listed = {e for e1, e2, _, _ in report.offending_pairs for e in (e1, e2)}
-    assert len(calls) == 1
-    assert set(calls[0]) == listed
-    assert len(calls[0]) < model.Q
+    assert len(report.offending_pairs) == MAX_LISTED_PAIRS
+    assert calls == []
+    d = ChoiceDesign.from_sets([("000", "011"), ("000", "101"),
+                                ("000", "110"), ("001", "111")])
+    model = ModelSpec.broader_main_effects(3)
+    report = verify(d, model)
+    assert d.N * (d.m - 1) >= model.Q and report.offending_pairs
+    assert report.cross_block_zero is False
+    assert calls == [model.interest + model.nuisance]
 
 
 def test_offending_pair_listing_is_capped():
@@ -220,6 +227,35 @@ def test_eta_and_np_identities_on_random_designs():
         for q in range(n):
             zeros = np_counts(d, effects[q])
             assert C[q, q] == sum(4 * z * (m - z) for z in zeros)
+
+
+@st.composite
+def designs_with_listings(draw):
+    """Random designs of all five families, n = 2-8, m = 2-130, N = 1-3.
+
+    Up to m = 127 the per-set sums are int8; from 128 on they are int16.
+    """
+    n = draw(st.integers(2, 8))
+    family = draw(st.sampled_from(
+        ("main-effects", "broader", "spec-all", "spec-2f", "spec-group")))
+    r = draw(st.integers(1, n - 1)) if family == "spec-group" else None
+    model = ModelSpec.family(family, n, r)
+    m = draw(st.integers(2, min(130, 1 << n)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return random_design(rng, n, m, draw(st.integers(1, 3))), model
+
+
+@given(designs_with_listings())
+@example((random_design(random.Random(130), 8, 130, 2),
+          ModelSpec.specified_one_factor(8)))
+@example((random_design(random.Random(127), 7, 127, 3),
+          ModelSpec.specified_group(7, 2)))
+@settings(max_examples=60, deadline=None)
+def test_listed_eta_counts_match_the_per_treatment_reference(case):
+    d, model = case
+    report = verify(d, model)
+    for e1, e2, eta_plus, eta_minus in report.offending_pairs:
+        assert (eta_plus, eta_minus) == eta_counts(d, e1, e2)
 
 
 @given(designs(min_n=2))

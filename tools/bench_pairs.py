@@ -16,8 +16,13 @@ commit and source hash, every run's end-to-end metrics, and per metric the
 median and quartiles of each side, the number of pairs the change won
 (strictly better, in the direction BENCHMARK.json declares), and whether a
 gain could be claimed: the change wins at least 9 of 10 pairs and its median
-beats the parent's by more than the parent's interquartile range.  It is
-rewritten after every pair, so an interrupted run keeps the pairs it finished.
+beats the parent's by more than the parent's interquartile range.  Each
+end-to-end metric also records whether it regressed: the change's median is
+worse than the parent's by more than the metric's relative `bound`.  It is
+unresolved when the parent's interquartile range is wider than that bound,
+unless every change run beats every parent run.  The file is rewritten after
+every pair, so an interrupted run keeps the pairs it finished, and the
+regressed and unresolved metrics are printed at the end.
 
 The script exits 1 when any run reports `correct: false` or a failed
 operation; those runs stay in the file and are listed under "problems".
@@ -89,8 +94,9 @@ def spread(values) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(pairs, better: dict) -> dict:
-    """Per metric: each side's median and quartiles, pairs won, the claim."""
+def summarize(pairs, better: dict, bounds: dict) -> dict:
+    """Per metric: each side's median and quartiles, pairs won, the claim,
+    and for the metrics with a relative bound, regressed and unresolved."""
     out = {}
     for name in pairs[0]["parent"]["metrics"]:
         before = [p["parent"]["metrics"][name] for p in pairs]
@@ -104,6 +110,11 @@ def summarize(pairs, better: dict) -> dict:
                      "change_won": won, "pairs": len(pairs),
                      "median_gap": gap, "parent_iqr": iqr,
                      "claim_holds": won >= CLAIM_SHARE * len(pairs) and gap > iqr}
+        if name in bounds:
+            allowed = bounds[name] * abs(parent["median"])
+            apart = max(sign * a for a in after) < min(sign * b for b in before)
+            out[name]["regressed"] = -gap > allowed
+            out[name]["unresolved"] = iqr > allowed and not apart
     return out
 
 
@@ -130,6 +141,7 @@ def main() -> int:
         plan.append((workload, int(count or 1)))
     spec_doc = json.loads((sides["change"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec_doc["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec_doc["end_to_end"]}
     seconds = spec_doc["run_seconds"]
 
     doc = {
@@ -157,8 +169,13 @@ def main() -> int:
                       f"correct={result['correct']} "
                       f"failed={result.get('failed')}", flush=True)
             entry["pairs"].append(pair)
-            entry["summary"] = summarize(entry["pairs"], better)
+            entry["summary"] = summarize(entry["pairs"], better, bounds)
             args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    for flag in ("regressed", "unresolved"):
+        names = [f"{workload} {name}"
+                 for workload, entry in doc["workloads"].items()
+                 for name, stats in entry["summary"].items() if stats.get(flag)]
+        print(f"{flag}: {', '.join(names) or 'none'}")
     for problem in doc["problems"]:
         print(f"error: {problem}", file=sys.stderr)
     return 1 if doc["problems"] else 0
