@@ -8,8 +8,8 @@ one is a known aliased case and is shown as it really is, together with
 the wider seed that fixes it.
 """
 
-from chogen import (ModelSpec, bits_string, foldover_pair_design,
-                    independent_columns, single_set_design, specified_design,
+from chogen import (ModelSpec, bits_string, coset_columns,
+                    foldover_pair_design, single_set_design, specified_design,
                     theorem1_design, theorem2_design, verify)
 
 
@@ -57,11 +57,12 @@ def main():
          specified_design(4, 4, "group", r=2, alpha=2),
          ModelSpec.specified_group(4, 2))
 
-    # A width-8 seed on XOR-independent columns restores estimability at
-    # twice the number of sets.
-    show("group interaction design, 4 factors, width-8 seed",
-         specified_design(4, 4, "group", r=2, alpha=3,
-                          columns=independent_columns(4)),
+    # coset_columns gives the least seed that restores estimability: group
+    # 2's two columns span a line E, factors 1 and 2 need two cosets of E
+    # besides group 2's own, so width 8 and twice the number of sets.
+    alpha, columns = coset_columns(4, 2, 4)
+    show(f"group interaction design, 4 factors, width-{1 << alpha} seed",
+         specified_design(4, 4, "group", r=2, alpha=alpha, columns=columns),
          ModelSpec.specified_group(4, 2))
 
 

@@ -10,12 +10,15 @@ the effects no matter how the rows are ordered.  Certification catches
 this.  Choosing the columns so the relevant XOR combinations are all
 nonzero restores optimality at the cost of a wider (heavier) seed.
 
-Shown below for the one-factor family on six factors and the grouped
-family on four factors.
+coset_columns gives the least such width and its columns: group 2's
+columns must be affinely independent, spanning a space E of dimension
+n-r-1, and each group-1 factor needs its own coset of E.  Shown below for
+the one-factor family on six factors (r = 1) and the grouped family on
+four factors.
 """
 
-from chogen import (ModelSpec, effect, eta_counts, even_free_columns,
-                    independent_columns, specified_design, verify)
+from chogen import (ModelSpec, coset_columns, effect, eta_counts,
+                    specified_design, verify)
 
 
 def report_line(design, model):
@@ -40,9 +43,9 @@ def main():
     plus, minus = eta_counts(bad, effect(1), effect(1, 3, 4, 5, 6))
     print(f"  F1 vs F1.3.4.5.6: eta+={plus}, eta-={minus}")
 
-    cols = even_free_columns(6)
-    good = specified_design(6, 4, "all-orders", alpha=4, columns=cols)
-    print(f"six factors, width-16 seed, columns {cols}")
+    alpha, cols = coset_columns(6, 1, 4)
+    good = specified_design(6, 4, "all-orders", alpha=alpha, columns=cols)
+    print(f"six factors, width-{1 << alpha} seed, columns {cols}")
     print(" ", report_line(good, model6))
     print()
 
@@ -58,9 +61,9 @@ def main():
     plus, minus = eta_counts(bad4, effect(1), effect(2, 3, 4))
     print(f"  F1 vs F2.3.4: eta+={plus}, eta-={minus}")
 
-    cols4 = independent_columns(4)
-    good4 = specified_design(4, 4, "group", r=2, alpha=3, columns=cols4)
-    print(f"four factors, width-8 seed, columns {cols4}")
+    alpha4, cols4 = coset_columns(4, 2, 4)
+    good4 = specified_design(4, 4, "group", r=2, alpha=alpha4, columns=cols4)
+    print(f"four factors, width-{1 << alpha4} seed, columns {cols4}")
     print(" ", report_line(good4, model4))
 
 

@@ -10,13 +10,12 @@ from . import errors
 from .catalog import (EXPECTED_DEVIATIONS, TABLE1, CatalogEntry, CellStatus,
                       Table1Report, candidate_recipes, catalog_lookup,
                       reproduce_table1)
-from .constructions import (ConstructionRecipe, build, default_generators,
-                            even_free_columns, foldover_pair_design,
-                            hadamard_single_set_design, independent_columns,
-                            single_set_design, specified_design,
-                            theorem1_design, theorem1_main_design,
-                            theorem2_design, theorem2_half_design,
-                            validate_generators)
+from .constructions import (ConstructionRecipe, build, coset_columns,
+                            default_generators, foldover_pair_design,
+                            hadamard_single_set_design, single_set_design,
+                            specified_design, theorem1_design,
+                            theorem1_main_design, theorem2_design,
+                            theorem2_half_design, validate_generators)
 from .contrasts import (ScaledIntMatrix, contrast_matrix, contrast_vector,
                         cross_block_star, cstar_matrix, effective_choice_set,
                         effective_position, exact_schur_cstar, info_matrix,
@@ -62,7 +61,7 @@ __all__ = [
     "theorem1_design", "theorem1_main_design", "single_set_design",
     "hadamard_single_set_design", "foldover_pair_design", "theorem2_design",
     "theorem2_half_design", "specified_design", "default_generators",
-    "validate_generators", "independent_columns", "even_free_columns",
+    "validate_generators", "coset_columns",
     "ConstructionRecipe", "build",
     # catalog
     "CatalogEntry", "CellStatus", "Table1Report", "catalog_lookup",

@@ -17,9 +17,8 @@ import io
 from dataclasses import dataclass
 from typing import Optional
 
-from .constructions import (ConstructionRecipe, build, default_generators,
-                            direct_add_alpha, even_free_columns,
-                            independent_columns, seed_alpha,
+from .constructions import (ConstructionRecipe, build, coset_columns,
+                            default_generators, direct_add_alpha, seed_alpha,
                             validate_generators)
 from .errors import BelowRankBound, ChogenError, Unsupported
 from .hadamard import hadamard_plan, least_hadamard_order
@@ -60,9 +59,11 @@ TABLE1 = {
 
 # Cells where the constructions provably certify at a different N than the
 # reference lists; reproduction treats exactly these deviations as expected.
-# The all-order interaction family needs seed width 2^(n-1) at m=3 and
-# 2^(n-2) at m=4: any narrower seed leaves some effect pair unbalanced, so
-# the listed smaller N values are unattainable by this construction.
+# Broader m=3 n=2 certifies at N=4.  For spec-all, the coset bound
+# (constructions.coset_columns at r=1) puts the least generator-shift seed
+# at width 2^(n-1) at m=3 and 2^(n-2) at m=4, so N = 2^n and 2^(n-2); at
+# n >= 6 the listed N also fall below the rank bound N(m-1) >= Q, which no
+# design of any construction passes.
 EXPECTED_DEVIATIONS = {
     (ModelKind.BROADER_MAIN_EFFECTS, 3, 2): 4,
     **{(ModelKind.SPECIFIED_ONE_FACTOR, 3, n): 1 << n for n in range(4, 13)},
@@ -132,15 +133,17 @@ def t1_generator_recipe(model: ModelSpec, m: int, generators=None,
                               generators=generators, columns=columns)
 
 
-def _seed_recipes(rid: str, model: ModelSpec, m: int, n: int,
-                  rescue_alpha: int, rescue_columns, rescue_note: str,
-                  r=None) -> list:
-    """Generator-shift recipes on Sylvester seeds of width 2^alpha.
+COSET_NOTE = ("no seed of the listed width balances every effect pair here; "
+              "certified on a wider seed with XOR-independent columns")
 
-    The base width is the least 2^alpha >= n (alpha >= 2); order 2 is
-    added for n <= 2, and the seed of width 2^rescue_alpha on the columns
-    rescue_columns(n) when it is wider than the base.  m=3 doubles N.
+
+def _seed_recipes(model: ModelSpec, m: int) -> list:
+    """Generator-shift recipes on Sylvester seeds of width 2^alpha: the
+    least 2^alpha >= n (alpha >= 2) on columns 1..n, order 2 for n <= 2,
+    and the coset_columns seed when it is another design at least as wide.
+    m=3 doubles N.
     """
+    rid, n, r = f"{model.kind.value}-m{m}", model.n, model.r
     doubling = 2 if m == 3 else 1
     alpha = seed_alpha(n)
     recipes = [ConstructionRecipe(rid, n, m, model, doubling << alpha,
@@ -149,10 +152,11 @@ def _seed_recipes(rid: str, model: ModelSpec, m: int, n: int,
         recipes.append(ConstructionRecipe(
             rid, n, m, model, doubling << 1, alpha=1, r=r,
             note="seed order 2 sits below the usual seed range"))
-    if rescue_alpha > alpha:
+    k, columns = coset_columns(n, r or 1, m)
+    if k >= alpha and columns != tuple(range(1, n + 1)):
         recipes.append(ConstructionRecipe(
-            rid, n, m, model, doubling << rescue_alpha, alpha=rescue_alpha,
-            r=r, columns=rescue_columns(n), note=rescue_note))
+            rid, n, m, model, doubling << k, alpha=k, r=r, columns=columns,
+            note=COSET_NOTE))
     return recipes
 
 
@@ -161,32 +165,22 @@ def candidate_recipes(kind: ModelKind, m: int, n: int, r=None) -> tuple:
 
     r is the group size of the SPECIFIED_GROUP model, unused otherwise.
     """
-    if kind is ModelKind.SPECIFIED_GROUP:
-        # the model refuses n < 2, so m in {3,4} always fits in 2^n options
+    if kind in (ModelKind.SPECIFIED_ONE_FACTOR, ModelKind.SPECIFIED_GROUP):
+        # the models refuse n < 2, so m in {3,4} always fits in 2^n options;
+        # spec-all is the group model at r = 1
         _require_specified_m(m, "group-interaction")
-    elif n < 1 or m < 2 or m > (1 << n):
+        return tuple(_seed_recipes(ModelSpec.family(kind, n, r), m))
+    if n < 1 or m < 2 or m > (1 << n):
         return ()
-    elif kind is ModelKind.SPECIFIED_TWO_FACTOR:
-        _require_specified_m(m, "two-factor interaction")
-    elif kind is ModelKind.SPECIFIED_ONE_FACTOR:
-        _require_specified_m(m, "all-order interaction")
-    elif all(kind is not k for k in T1_KINDS):
-        raise Unsupported(f"no catalog block for model kind {kind!r}")
-    model = ModelSpec.family(kind, n, r)
-    if kind is ModelKind.SPECIFIED_GROUP:
-        return tuple(_seed_recipes(
-            f"spec-group-m{m}", model, m, n, n - 1, independent_columns,
-            "certified on a wider seed with XOR-independent columns", r=r))
     if kind is ModelKind.SPECIFIED_TWO_FACTOR:
+        _require_specified_m(m, "two-factor interaction")
         nu = least_hadamard_order(n)
-        return (ConstructionRecipe(f"spec-2f-m{m}", n, m, model,
+        return (ConstructionRecipe(f"spec-2f-m{m}", n, m,
+                                   ModelSpec.specified_two_factor(n),
                                    2 * nu if m == 3 else nu),)
-    if kind is ModelKind.SPECIFIED_ONE_FACTOR:
-        return tuple(_seed_recipes(
-            f"spec-all-m{m}", model, m, n, n - 1 if m == 3 else n - 2,
-            independent_columns if m == 3 else even_free_columns,
-            "no seed of the listed width balances every effect pair here; "
-            "certified on a wider seed with XOR-independent columns"))
+    if all(kind is not k for k in T1_KINDS):
+        raise Unsupported(f"no catalog block for model kind {kind!r}")
+    model = ModelSpec.family(kind, n)
     # main effects take the half designs, the broader model the full ones
     half = kind is ModelKind.MAIN_EFFECTS
     variant = "half" if half else "full"

@@ -63,32 +63,39 @@ def direct_add_alpha(n: int, m: int) -> int:
     return max(1, ((n - 1) // (m - 1)).bit_length())
 
 
-def independent_columns(n: int) -> tuple:
-    """1-based seed columns for width 2^(n-1): the constant column, then
-    the columns at unit 0-based indices 1, 2, 4, ..., 2^(n-2).
+def coset_columns(n: int, r: int, m: int) -> tuple:
+    """The least seed width k and the 1-based columns of a generator-shift
+    design for the group model on a Sylvester seed of width 2^k.
 
-    Every nonempty subset of factors 2..n has a nonzero XOR of 0-based
-    column indices, so no effective contrast column of a generator-shift
-    design degenerates to a constant.  Used when the first-n-columns
-    default fails certification.
+    Column c_j gives effect e the label L(e), the xor of c_j over j in e,
+    and C* is diagonal iff no two effects of one coupled sign pattern
+    share a label.  So group 2 (factors r+1..n) needs affinely independent
+    columns, whose pairwise xors span E of dimension d = n-r-1, and each
+    group-1 factor its own coset of E, avoiding group 2's coset at m=3 and
+    wherever group 2 fills it (d <= 1).  Hence k = d + ceil(log2 r), or
+    d + ceil(log2(r+1)) when avoiding; there N(m-1) >= 3 r 2^d >= Q, so
+    the rank bound never asks for more.  Spec-all is r = 1.
+
+    Sharing, group 2 takes 0-based columns 3, 3^1, 3^2, 3^4, ... in E (the
+    low d bits) and factor h takes (h-1) 2^d; avoiding, group 2 takes 1,
+    2, 4, ..., 2^d and group 1 the cosets 0, 2, 3, ... of (bits above d,
+    parity).  Factor 1 takes column 1.
     """
-    if n < 2:
-        raise RangeError(f"independent columns need n >= 2, got {n}")
-    return (1,) + tuple((1 << (i - 2)) + 1 for i in range(2, n + 1))
-
-
-def even_free_columns(n: int) -> tuple:
-    """1-based seed columns for width 2^(n-2): the constant column, then
-    0-based indices 3, 3 xor 1, 3 xor 2, 3 xor 4, ...
-
-    The pairwise XORs of the last n-1 indices are distinct units, so no
-    even-sized subset of factors 2..n XORs to zero.  That weaker
-    condition is all the four-option generator-shift design needs, and it
-    fits a seed half the width of independent_columns.
-    """
-    if n < 4:
-        raise RangeError(f"even-free columns need n >= 4, got {n}")
-    return (1, 4) + tuple((3 ^ (1 << (i - 3))) + 1 for i in range(3, n + 1))
+    if m not in (3, 4):
+        raise Unsupported(f"coset columns cover m in {{3,4}}, got {m}")
+    if not 1 <= r < n:
+        raise RangeError(f"coset columns need 1 <= r < n, got r={r}, n={n}")
+    d = n - r - 1
+    if m == 4 and d >= 2:
+        group1 = [h << d for h in range(r)]
+        group2 = [3] + [3 ^ (1 << t) for t in range(d)]
+        k = d + (r - 1).bit_length()
+    else:
+        group1 = [((i >> 1) << (d + 1)) | (i & 1)
+                  for i in (0, *range(2, r + 1))]
+        group2 = [1 << t for t in range(d + 1)]
+        k = d + r.bit_length()
+    return k, tuple(c + 1 for c in group1 + group2)
 
 
 def spec_generator(n: int, r: int = 1) -> tuple:
@@ -393,14 +400,12 @@ def build(recipe: ConstructionRecipe) -> ChoiceDesign:
     elif rid == "T2-direct-add":
         fn = theorem2_design if recipe.variant == "full" else theorem2_half_design
         d = fn(n, m)
-    elif rid in ("spec-all-m4", "spec-all-m3"):
-        d = specified_design(n, m, "all-orders", alpha=recipe.alpha,
-                             columns=recipe.columns)
     elif rid in ("spec-2f-m4", "spec-2f-m3"):
         d = specified_design(n, m, "two-factor", columns=recipe.columns)
-    elif rid in ("spec-group-m4", "spec-group-m3"):
-        d = specified_design(n, m, "group", r=recipe.r, alpha=recipe.alpha,
-                             columns=recipe.columns)
+    elif rid in ("spec-all-m3", "spec-all-m4", "spec-group-m3",
+                 "spec-group-m4"):
+        d = specified_design(n, m, "group", r=recipe.r or 1,
+                             alpha=recipe.alpha, columns=recipe.columns)
     else:
         raise Unsupported(f"unknown construction id {rid!r}")
     if d.N != recipe.claimed_N or d.m != m or d.n != n:

@@ -142,13 +142,8 @@ class ModelSpec:
 
     @classmethod
     def specified_one_factor(cls, n: int) -> "ModelSpec":
-        """Mains plus every interaction containing factor 1, any order."""
-        if n < 2:
-            raise BadModel("specified interaction models need n >= 2")
-        _require_size(n + (1 << (n - 1)) - 1)
-        inter = tuple(effect(1, *k) for k in _subsets(tuple(range(2, n + 1))))
-        return cls(ModelKind.SPECIFIED_ONE_FACTOR, n,
-                   main_effect_list(n) + _sorted_interactions(inter))
+        """Mains plus every interaction of factor 1: the group model at r=1."""
+        return cls(ModelKind.SPECIFIED_ONE_FACTOR, n, _group_effects(n, 1))
 
     @classmethod
     def specified_two_factor(cls, n: int) -> "ModelSpec":
@@ -167,17 +162,7 @@ class ModelSpec:
         interactions are {h} with every nonempty subset of group 2, for
         each h in group 1.
         """
-        if n < 2:
-            raise BadModel("specified interaction models need n >= 2")
-        if not isinstance(r, numbers.Integral) or not 1 <= r <= n - 1:
-            raise BadGroup(f"group size r must lie in 1..{n - 1}, got {r!r}")
-        _require_size(n + r * ((1 << (n - r)) - 1))
-        group2 = tuple(range(r + 1, n + 1))
-        inter = tuple(
-            effect(h, *k) for h in range(1, r + 1) for k in _subsets(group2)
-        )
-        return cls(ModelKind.SPECIFIED_GROUP, n,
-                   main_effect_list(n) + _sorted_interactions(inter), r=r)
+        return cls(ModelKind.SPECIFIED_GROUP, n, _group_effects(n, r), r=r)
 
     @classmethod
     def family(cls, kind, n: int, r: Optional[int] = None) -> "ModelSpec":
@@ -207,6 +192,21 @@ class ModelSpec:
     def custom(cls, n: int, interest: Iterable[FactorialEffect],
                nuisance: Iterable[FactorialEffect] = ()) -> "ModelSpec":
         return cls(ModelKind.CUSTOM, n, tuple(interest), tuple(nuisance))
+
+
+def _group_effects(n: int, r: int) -> tuple:
+    """The group model's effects of interest; r must be an int, not a bool."""
+    if n < 2:
+        raise BadModel("specified interaction models need n >= 2")
+    if (isinstance(r, bool) or not isinstance(r, numbers.Integral)
+            or not 1 <= r <= n - 1):
+        raise BadGroup(f"group size r must lie in 1..{n - 1}, got {r!r}")
+    _require_size(n + r * ((1 << (n - r)) - 1))
+    group2 = tuple(range(r + 1, n + 1))
+    inter = tuple(
+        effect(h, *k) for h in range(1, r + 1) for k in _subsets(group2)
+    )
+    return main_effect_list(n) + _sorted_interactions(inter)
 
 
 def _sorted_interactions(effects: tuple) -> tuple:

@@ -9,7 +9,7 @@ from chogen.catalog import (EXPECTED_DEVIATIONS, TABLE1, TABLE_NS, CellStatus,
                             Table1Report, candidate_recipes, catalog_lookup,
                             first_certified, reproduce_table1)
 from chogen import catalog
-from chogen.constructions import ConstructionRecipe, build
+from chogen.constructions import ConstructionRecipe, build, coset_columns
 from chogen.errors import BelowRankBound, RangeError, Unsupported
 from chogen.models import ModelKind, ModelSpec
 from chogen.optimality import (OptimalityReport, Verdict, below_rank_bound,
@@ -34,31 +34,41 @@ def test_candidate_recipes_unsupported_m():
         candidate_recipes(ModelKind.SPECIFIED_TWO_FACTOR, 2, 4)
 
 
-_RESCUE_NOTE = "certified on a wider seed with XOR-independent columns"
-
-
 @pytest.mark.parametrize("m, n, r, expected", [
     (4, 10, 3, [
         ("spec-group-m4 alpha=4 r=3", 16, None, ""),
-        ("spec-group-m4 alpha=9 r=3", 512,
-         (1, 2, 3, 5, 9, 17, 33, 65, 129, 257), _RESCUE_NOTE)]),
+        ("spec-group-m4 alpha=8 r=3", 256,
+         (1, 65, 129, 4, 3, 2, 8, 12, 20, 36), catalog.COSET_NOTE)]),
     (3, 4, 2, [
         ("spec-group-m3 alpha=2 r=2", 8, None, ""),
-        ("spec-group-m3 alpha=3 r=2", 16, (1, 2, 3, 5), _RESCUE_NOTE)]),
+        ("spec-group-m3 alpha=3 r=2", 16, (1, 5, 2, 3), catalog.COSET_NOTE)]),
     (4, 2, 1, [
         ("spec-group-m4 alpha=2 r=1", 4, None, ""),
         ("spec-group-m4 alpha=1 r=1", 2, None,
          "seed order 2 sits below the usual seed range")]),
     (3, 12, 5, [
         ("spec-group-m3 alpha=4 r=5", 32, None, ""),
-        ("spec-group-m3 alpha=11 r=5", 4096,
-         (1, 2, 3, 5, 9, 17, 33, 65, 129, 257, 513, 1025), _RESCUE_NOTE)]),
+        ("spec-group-m3 alpha=9 r=5", 1024,
+         (1, 129, 130, 257, 258, 2, 3, 5, 9, 17, 33, 65),
+         catalog.COSET_NOTE)]),
 ])
 def test_candidate_recipes_spec_group(m, n, r, expected):
     recipes = candidate_recipes(ModelKind.SPECIFIED_GROUP, m, n, r)
     got = [(x.describe(), x.claimed_N, x.columns, x.note) for x in recipes]
     assert got == expected
     assert all(x.model == ModelSpec.specified_group(n, r) for x in recipes)
+
+
+def test_spec_group_catalog_picks_the_coset_width():
+    # n=5 r=2 m=4: the default width-8 columns alias pairs, and the coset
+    # columns certify on a seed of the same width
+    for m in (3, 4):
+        for n in range(2, 10):
+            for r in range(1, n):
+                winner, _ = first_certified(candidate_recipes(
+                    ModelKind.SPECIFIED_GROUP, m, n, r))
+                k = coset_columns(n, r, m)[0]
+                assert winner[1].N == (2 << k if m == 3 else 1 << k)
 
 
 def test_candidate_recipes_spec_group_unsupported_m():
@@ -219,6 +229,26 @@ def test_deviations_expected_is_exact():
     clean = reproduce_table1([ModelKind.SPECIFIED_TWO_FACTOR])
     assert not clean.deviations_expected
     assert clean.match_count == clean.checked_count
+
+
+def test_spec_all_deviations_are_the_coset_widths():
+    # the least generator-shift seed has width 2^(n-1) at m=3 and 2^(n-2)
+    # at m=4 (n >= 4); every listed spec-all N below that is a deviation
+    derived = {}
+    for m, row in TABLE1[ModelKind.SPECIFIED_ONE_FACTOR].items():
+        for n, table_N in zip(TABLE_NS, row):
+            k = coset_columns(n, 1, m)[0]
+            N = 2 << k if m == 3 else 1 << k
+            if table_N is not None and N != table_N:
+                assert N > table_N
+                derived[(ModelKind.SPECIFIED_ONE_FACTOR, m, n)] = N
+    assert derived == {key: N for key, N in EXPECTED_DEVIATIONS.items()
+                       if key[0] is ModelKind.SPECIFIED_ONE_FACTOR}
+    assert derived == {
+        **{(ModelKind.SPECIFIED_ONE_FACTOR, 3, n): 1 << n
+           for n in range(4, 13)},
+        **{(ModelKind.SPECIFIED_ONE_FACTOR, 4, n): 1 << (n - 2)
+           for n in range(6, 13)}}
 
 
 def test_expected_deviation_values():

@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import tempfile
@@ -133,7 +134,7 @@ def test_generate_unsupported_m(capsys):
 
 
 def test_generate_seed_columns_override_can_fail_honestly(capsys):
-    # explicit seed columns replace the engineered rescue columns too, and
+    # explicit seed columns replace the coset columns too, and
     # these particular ones provably cannot balance every effect pair
     code, _, err = run(capsys, "generate", "--model", "spec-all",
                        "--m", "4", "--n", "6",
@@ -167,7 +168,7 @@ def test_generate_seed_columns_happy_path(capsys):
 
 
 def test_generate_spec_group_seed_columns_reach_the_rescue(capsys):
-    # the width-4 seed cannot hold column 5; the width-8 rescue seed can
+    # the width-4 seed cannot hold column 5; the width-8 coset seed can
     code, out, err = run(capsys, "generate", "--model", "spec-group",
                          "--m", "4", "--n", "4", "--r", "2",
                          "--seed-columns", "1,2,3,5")
@@ -187,10 +188,33 @@ INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
      ["--model", "spec-group", "--m", "4", "--n", "10", "--r", "3"]),
 ])
 def test_generate_matches_committed_design_bytes(capsys, tmp_path, name, argv):
+    # the committed spec-group input is the N=512 design of the former
+    # width-2^(n-1) seed; generate now writes the N=256 coset design, pinned
+    # here by its sha256, and the committed one still certifies
+    pinned = {"spec-group-m4-n10-r3": "0216588f367eddbf449c071bfd8d536c"
+                                      "8623828b5e602e2d3b778c385d150369"}
     path = tmp_path / f"{name}.json"
     code, _, _ = run(capsys, "generate", *argv, "--out", str(path))
     assert code == 0
-    assert path.read_bytes() == (INPUTS / f"{name}.json").read_bytes()
+    if name in pinned:
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == pinned[name]
+        assert loads(path.read_text())[0].N == 256
+        code, out, _ = run(capsys, "verify", str(INPUTS / f"{name}.json"))
+        assert code == 0 and "N=512" in out
+    else:
+        assert path.read_bytes() == (INPUTS / f"{name}.json").read_bytes()
+
+
+def test_generate_spec_group_beyond_the_old_seed_memory(capsys):
+    # the former fallback seed here had order 2^19 and ran out of memory
+    with deadline(30):
+        code, out, err = run(capsys, "generate", "--model", "spec-group",
+                             "--m", "4", "--n", "20", "--r", "12")
+    assert code == 0
+    design, meta = loads(out)
+    assert (design.N, design.m, design.n) == (2048, 4, 20)
+    assert meta["construction"] == "spec-group-m4 alpha=11 r=12"
+    assert "verdict: UniversallyOptimal" in err
 
 
 def test_generate_bad_flag_exits_3(capsys):
@@ -393,6 +417,7 @@ def _verify_documents(draw):
 @example(b'{"sets": [["00", "11"]], "meta": {"model": "spec-group", "r": "2"}}')
 @example(b'{"sets": [["00", "11"]], "meta": {"model": "spec-group", "r": 1.5}}')
 @example(b'{"sets": [["00", "11"]], "meta": {"model": "spec-group", "r": [1]}}')
+@example(b'{"sets": [["00", "11"]], "meta": {"model": "spec-group", "r": true}}')
 @settings(max_examples=200, deadline=None)
 def test_verify_of_malformed_documents_exits_cleanly(payload):
     with tempfile.TemporaryDirectory() as tmp:
@@ -413,6 +438,8 @@ def test_verify_of_malformed_documents_exits_cleanly(payload):
      "error: group size r must lie in 1..3, got 1.5\n"),
     ({"model": "spec-group", "r": [1]}, 3,
      "error: group size r must lie in 1..3, got [1]\n"),
+    ({"model": "spec-group", "r": True}, 3,
+     "error: group size r must lie in 1..3, got True\n"),
 ])
 def test_verify_non_integer_group_size_exits_3(capsys, tmp_path, meta, code,
                                                message):

@@ -11,15 +11,14 @@ import itertools
 import numpy as np
 import pytest
 
-from chogen.constructions import (build, ConstructionRecipe,
-                                  default_generators, even_free_columns,
-                                  foldover_pair_design,
-                                  hadamard_single_set_design,
-                                  independent_columns, single_set_design,
-                                  specified_design, theorem1_design,
-                                  theorem1_main_design, theorem2_design,
-                                  theorem2_half_design, validate_generators)
-from chogen.constructions import _resolve_columns, _seed_rows
+from chogen.constructions import (build, ConstructionRecipe, coset_columns,
+                                  default_generators, foldover_pair_design,
+                                  hadamard_single_set_design, seed_alpha,
+                                  single_set_design, specified_design,
+                                  theorem1_design, theorem1_main_design,
+                                  theorem2_design, theorem2_half_design,
+                                  validate_generators)
+from chogen.constructions import _gf2_reduce, _resolve_columns, _seed_rows
 from chogen.designs import ChoiceDesign, complement, equivalent
 from chogen.errors import (BadGenerators, BadGroup, RangeError, Unsupported,
                            WidthMismatch)
@@ -260,41 +259,118 @@ def test_sylvester_column_search_on_wide_seeds():
     assert np.unique(_seed_rows(256, cols)).size == 256
 
 
-def test_independent_columns_property():
-    for n in range(2, 9):
-        cols = independent_columns(n)
-        assert len(cols) == n and cols[0] == 1
-        vs = [c - 1 for c in cols[1:]]
-        # no nonempty subset of the 0-based indices has XOR zero
-        for size in range(1, len(vs) + 1):
-            for sub in itertools.combinations(vs, size):
-                acc = 0
-                for v in sub:
-                    acc ^= v
-                assert acc != 0
-    with pytest.raises(RangeError):
-        independent_columns(1)
+def _reduced_basis(vectors) -> list:
+    basis = []
+    for v in vectors:
+        v = _gf2_reduce(basis, v)
+        if v:
+            basis.append(v)
+    return basis
 
 
-def test_even_free_columns_property():
-    for n in range(4, 10):
-        cols = even_free_columns(n)
-        assert len(cols) == n and cols[0] == 1
-        vs = [c - 1 for c in cols[1:]]
-        # no even-size subset of the 0-based indices has XOR zero
-        for size in range(2, len(vs) + 1, 2):
-            for sub in itertools.combinations(vs, size):
-                acc = 0
-                for v in sub:
-                    acc ^= v
-                assert acc != 0
+def test_coset_columns_property():
+    for m in (3, 4):
+        for n in range(2, 10):
+            for r in range(1, n):
+                k, cols = coset_columns(n, r, m)
+                assert len(set(cols)) == n and cols[0] == 1
+                assert max(cols) <= 1 << k
+                vs = [c - 1 for c in cols]
+                # the columns span GF(2)^k, so the 2^k seed rows are distinct
+                assert len(_reduced_basis(vs)) == k
+                group1, group2 = vs[:r], vs[r:]
+                # group 2 is affinely independent: its pairwise xors span E
+                # of dimension d = n-r-1, with no even subset xoring to zero
+                d = n - r - 1
+                E = _reduced_basis(group2[0] ^ v for v in group2[1:])
+                assert len(E) == d
+                # group 1 takes distinct cosets of E, and avoids group 2's
+                # at m=3 and wherever group 2 fills its coset (d <= 1)
+                cosets = [_gf2_reduce(E, v) for v in group1]
+                assert len(set(cosets)) == r
+                if m == 3 or d <= 1:
+                    assert _gf2_reduce(E, group2[0]) not in cosets
+                # k is the least width that holds the cosets group 1 needs
+                needed = r + (m == 3 or d <= 1)
+                assert k == d + (needed - 1).bit_length()
     with pytest.raises(RangeError):
-        even_free_columns(3)
+        coset_columns(4, 4, 4)
+    with pytest.raises(Unsupported):
+        coset_columns(4, 1, 5)
+
+
+def test_coset_columns_at_r1_are_the_spec_all_columns():
+    # the columns the spec-all catalog cells have always used: the
+    # constant column then unit columns at m=3 (width 2^(n-1)), and the
+    # constant column then 3, 3^1, 3^2, 3^4, ... at m=4 (width 2^(n-2))
+    assert coset_columns(12, 1, 3) == (
+        11, (1, 2, 3, 5, 9, 17, 33, 65, 129, 257, 513, 1025))
+    assert coset_columns(5, 1, 3) == (4, (1, 2, 3, 5, 9))
+    assert coset_columns(11, 1, 4) == (
+        9, (1, 4, 3, 2, 8, 12, 20, 36, 68, 132, 260))
+    assert coset_columns(6, 1, 4) == (4, (1, 4, 3, 2, 8, 12))
+    assert coset_columns(4, 1, 4) == (2, (1, 4, 3, 2))
+    for n in range(2, 14):
+        assert coset_columns(n, 1, 3)[0] == n - 1
+        if n >= 4:
+            assert coset_columns(n, 1, 4)[0] == n - 2
+
+
+def test_coset_width_always_meets_the_rank_bound():
+    for m in (3, 4):
+        for n in range(2, 41):
+            for r in range(1, n):
+                k = coset_columns(n, r, m)[0]
+                N = 2 << k if m == 3 else 1 << k
+                assert N * (m - 1) >= n + r * ((1 << (n - r)) - 1)
+
+
+def test_coset_designs_certify_at_the_predicted_N():
+    # every cell with n <= 11: the coset design is UniversallyOptimal, and
+    # it is never larger than the default seed when that certifies, nor
+    # than the width-2^(n-1) seed the catalog fell back on before
+    for m in (3, 4):
+        doubling = 2 if m == 3 else 1
+        for n in range(2, 12):
+            for r in range(1, n):
+                model = ModelSpec.specified_group(n, r)
+                k, cols = coset_columns(n, r, m)
+                d = specified_design(n, m, "group", r=r, alpha=k,
+                                     columns=cols)
+                assert d.N == doubling << k
+                assert verify(d, model).certified, (n, r, m)
+                assert k <= max(n - 1, seed_alpha(n))
+                try:
+                    base = specified_design(n, m, "group", r=r)
+                except RangeError:
+                    continue
+                if verify(base, model).certified:
+                    assert k <= seed_alpha(n), (n, r, m)
+
+
+def test_no_narrower_seed_certifies():
+    # exhaustive for n <= 4: no distinct columns of width 2^(k-1) give a
+    # certified design, so coset_columns' width is the least
+    tried = 0
+    for m in (3, 4):
+        for n in range(2, 5):
+            for r in range(1, n):
+                k = coset_columns(n, r, m)[0]
+                model = ModelSpec.specified_group(n, r)
+                for cols in itertools.permutations(range(1, (1 << k - 1) + 1),
+                                                   n):
+                    if 1 not in cols:
+                        continue  # the spec seeds require column 1
+                    d = specified_design(n, m, "group", r=r, alpha=k - 1,
+                                         columns=cols)
+                    assert not verify(d, model).certified, (n, r, m, cols)
+                    tried += 1
+    assert tried == 72
 
 
 def test_rescue_columns_certify_where_defaults_cannot():
     d = specified_design(6, 4, "all-orders", alpha=4,
-                         columns=even_free_columns(6))
+                         columns=coset_columns(6, 1, 4)[1])
     report = verify(d, ModelSpec.specified_one_factor(6))
     assert report.certified and d.N == 16
     # the default seed of width 2^3 provably leaves unbalanced pairs
@@ -308,7 +384,7 @@ def test_group_reference_design_aliasing_and_rescue():
 
     Every option it uses has even weight, so the F1.2.3.4 contrast is +1 on
     the whole support and each listed pair differs by exactly that effect.
-    A width-8 seed on independent columns restores estimability.
+    A width-8 seed on coset columns restores estimability.
     """
     d = specified_design(4, 4, "group", r=2, alpha=2)
     assert {sum(opt) % 2 for s in d.sets for opt in s} == {0}
@@ -323,7 +399,7 @@ def test_group_reference_design_aliasing_and_rescue():
         (effect(1, 4), effect(2, 3), 16, 0),
     }
     rescued = specified_design(4, 4, "group", r=2, alpha=3,
-                               columns=independent_columns(4))
+                               columns=coset_columns(4, 2, 4)[1])
     assert rescued.N == 8
     assert verify(rescued, ModelSpec.specified_group(4, 2)).certified
 
@@ -347,7 +423,7 @@ def test_build_checks_claimed_sets():
 def test_recipe_describe_mentions_parameters():
     model = ModelSpec.specified_group(5, 2)
     recipe = ConstructionRecipe("spec-group-m4", 5, 4, model, 16, alpha=4,
-                                r=2, columns=independent_columns(5))
+                                r=2, columns=(1, 2, 3, 5, 9))
     text = recipe.describe()
     assert "spec-group-m4" in text and "alpha=4" in text and "r=2" in text
 
@@ -456,7 +532,8 @@ def test_seed_set_designs_equal_the_tuple_reference(n, order):
     (4, 4, "all-orders", None, 2, None),
     (4, 3, "all-orders", None, None, None),
     (6, 4, "all-orders", None, 4, (1, 4, 3, 2, 6, 10)),
-    (12, 3, "all-orders", None, 11, tuple(independent_columns(12))),
+    (12, 3, "all-orders", None, 11,
+     (1, 2, 3, 5, 9, 17, 33, 65, 129, 257, 513, 1025)),
     (5, 4, "two-factor", None, None, None),
     (9, 3, "two-factor", None, None, None),
     (4, 4, "group", 2, 2, None),
