@@ -299,6 +299,42 @@ def test_coset_columns_property():
         coset_columns(4, 1, 5)
 
 
+def test_independent_columns_property():
+    # at m=3 and r=1 the coset rule gives the constant column then
+    # columns whose 0-based indices are linearly independent
+    for n in range(2, 9):
+        cols = coset_columns(n, 1, 3)[1]
+        assert len(cols) == n and cols[0] == 1
+        vs = [c - 1 for c in cols[1:]]
+        # no nonempty subset of the 0-based indices has XOR zero
+        for size in range(1, len(vs) + 1):
+            for sub in itertools.combinations(vs, size):
+                acc = 0
+                for v in sub:
+                    acc ^= v
+                assert acc != 0
+    with pytest.raises(RangeError):
+        coset_columns(1, 1, 3)
+
+
+def test_even_free_columns_property():
+    # at m=4 and r=1 the coset rule gives the constant column then
+    # columns with no even-size subset xoring to zero
+    for n in range(4, 10):
+        cols = coset_columns(n, 1, 4)[1]
+        assert len(cols) == n and cols[0] == 1
+        vs = [c - 1 for c in cols[1:]]
+        # no even-size subset of the 0-based indices has XOR zero
+        for size in range(2, len(vs) + 1, 2):
+            for sub in itertools.combinations(vs, size):
+                acc = 0
+                for v in sub:
+                    acc ^= v
+                assert acc != 0
+    with pytest.raises(RangeError):
+        coset_columns(1, 1, 4)
+
+
 def test_coset_columns_at_r1_are_the_spec_all_columns():
     # the columns the spec-all catalog cells have always used: the
     # constant column then unit columns at m=3 (width 2^(n-1)), and the
