@@ -45,7 +45,7 @@ def main():
          ModelSpec.broader_main_effects(5))
 
     show("one-factor interaction design, 4 factors, sets of 4",
-         specified_design(4, 4, "all-orders", alpha=2),
+         specified_design(4, 4, order=4),
          ModelSpec.specified_one_factor(4))
 
     # The width-4 group design is listed as optimal for its ten-effect
@@ -54,7 +54,7 @@ def main():
     # F2.3.4, F2 with F1.3.4, F1.3 with F2.4 and F1.4 with F2.3.  verify()
     # reports exactly that.
     show("group interaction design, 4 factors, width-4 seed (aliased)",
-         specified_design(4, 4, "group", r=2, alpha=2),
+         specified_design(4, 4, r=2, order=4),
          ModelSpec.specified_group(4, 2))
 
     # coset_columns gives the least seed that restores estimability: group
@@ -62,7 +62,7 @@ def main():
     # besides group 2's own, so width 8 and twice the number of sets.
     alpha, columns = coset_columns(4, 2, 4)
     show(f"group interaction design, 4 factors, width-{1 << alpha} seed",
-         specified_design(4, 4, "group", r=2, alpha=alpha, columns=columns),
+         specified_design(4, 4, r=2, order=1 << alpha, columns=columns),
          ModelSpec.specified_group(4, 2))
 
 

@@ -33,7 +33,7 @@ def main():
     # one-factor family: mains plus every interaction containing factor 1
     model6 = ModelSpec.specified_one_factor(6)
 
-    bad = specified_design(6, 4, "all-orders")
+    bad = specified_design(6, 4)
     print("six factors, default width-8 seed, columns 1..6")
     print(" ", report_line(bad, model6))
 
@@ -44,7 +44,7 @@ def main():
     print(f"  F1 vs F1.3.4.5.6: eta+={plus}, eta-={minus}")
 
     alpha, cols = coset_columns(6, 1, 4)
-    good = specified_design(6, 4, "all-orders", alpha=alpha, columns=cols)
+    good = specified_design(6, 4, order=1 << alpha, columns=cols)
     print(f"six factors, width-{1 << alpha} seed, columns {cols}")
     print(" ", report_line(good, model6))
     print()
@@ -55,14 +55,15 @@ def main():
     # happens to dodge it)
     model4 = ModelSpec.specified_group(4, 2)
 
-    bad4 = specified_design(4, 4, "group", r=2)
+    bad4 = specified_design(4, 4, r=2)
     print("four factors in groups {1,2}x{3,4}, default width-4 seed")
     print(" ", report_line(bad4, model4))
     plus, minus = eta_counts(bad4, effect(1), effect(2, 3, 4))
     print(f"  F1 vs F2.3.4: eta+={plus}, eta-={minus}")
 
     alpha4, cols4 = coset_columns(4, 2, 4)
-    good4 = specified_design(4, 4, "group", r=2, alpha=alpha4, columns=cols4)
+    good4 = specified_design(4, 4, r=2, order=1 << alpha4,
+                             columns=cols4)
     print(f"four factors, width-{1 << alpha4} seed, columns {cols4}")
     print(" ", report_line(good4, model4))
 

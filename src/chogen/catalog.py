@@ -127,7 +127,7 @@ def t1_generator_recipe(model: ModelSpec, m: int, generators=None,
     """
     nu = least_hadamard_order(model.n)
     half = model.kind is ModelKind.MAIN_EFFECTS
-    return ConstructionRecipe("T1-generator", model.n, m, model,
+    return ConstructionRecipe("T1-generator", m, model,
                               nu if half or m % 2 == 0 else 2 * nu,
                               variant="half" if half else "full",
                               generators=generators, columns=columns)
@@ -143,19 +143,19 @@ def _seed_recipes(model: ModelSpec, m: int) -> list:
     and the coset_columns seed when it is another design at least as wide.
     m=3 doubles N.
     """
-    rid, n, r = f"{model.kind.value}-m{m}", model.n, model.r
+    rid, n = f"{model.kind.value}-m{m}", model.n
     doubling = 2 if m == 3 else 1
     alpha = seed_alpha(n)
-    recipes = [ConstructionRecipe(rid, n, m, model, doubling << alpha,
-                                  alpha=alpha, r=r)]
+    recipes = [ConstructionRecipe(rid, m, model, doubling << alpha,
+                                  alpha=alpha)]
     if n <= 2:
         recipes.append(ConstructionRecipe(
-            rid, n, m, model, doubling << 1, alpha=1, r=r,
+            rid, m, model, doubling << 1, alpha=1,
             note="seed order 2 sits below the usual seed range"))
-    k, columns = coset_columns(n, r or 1, m)
+    k, columns = coset_columns(n, model.r or 1, m)
     if k >= alpha and columns != tuple(range(1, n + 1)):
         recipes.append(ConstructionRecipe(
-            rid, n, m, model, doubling << k, alpha=k, r=r, columns=columns,
+            rid, m, model, doubling << k, alpha=k, columns=columns,
             note=COSET_NOTE))
     return recipes
 
@@ -175,7 +175,7 @@ def candidate_recipes(kind: ModelKind, m: int, n: int, r=None) -> tuple:
     if kind is ModelKind.SPECIFIED_TWO_FACTOR:
         _require_specified_m(m, "two-factor interaction")
         nu = least_hadamard_order(n)
-        return (ConstructionRecipe(f"spec-2f-m{m}", n, m,
+        return (ConstructionRecipe(f"spec-2f-m{m}", m,
                                    ModelSpec.specified_two_factor(n),
                                    2 * nu if m == 3 else nu),)
     if all(kind is not k for k in T1_KINDS):
@@ -187,15 +187,15 @@ def candidate_recipes(kind: ModelKind, m: int, n: int, r=None) -> tuple:
     recipes = []
     if _supported_order(m) and n <= m - 1:
         recipes.append(ConstructionRecipe(
-            "foldover-pair", n, m, model, 1 if half else 2, variant=variant,
+            "foldover-pair", m, model, 1 if half else 2, variant=variant,
             order=m))
     if m % 2 == 0 and _supported_order(m // 2) and n <= m // 2:
         recipes.append(ConstructionRecipe(
-            "single-set", n, m, model, 1, order=m // 2))
+            "single-set", m, model, 1, order=m // 2))
     if _supported_order(m) and n > m - 1:
         alpha = direct_add_alpha(n, m)
         recipes.append(ConstructionRecipe(
-            "T2-direct-add", n, m, model, 1 << (alpha if half else alpha + 1),
+            "T2-direct-add", m, model, 1 << (alpha if half else alpha + 1),
             variant=variant))
     if _t1_generators_ok(n, m):
         recipes.append(t1_generator_recipe(model, m))

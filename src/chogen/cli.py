@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (certified design / matching table), 2
 certification failure or unexpected table deviation, 3 unsupported
-parameters, 4 I/O or parse errors.
+parameters (including those too large to allocate), 4 I/O or parse
+errors.
 """
 
 from __future__ import annotations
@@ -199,14 +200,12 @@ def main(argv=None) -> int:
                 "table": _cmd_table}
     try:
         return handlers[args.command](args)
-    except FormatError as exc:
+    except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except ChogenError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ChogenError, MemoryError) as exc:
+        # MemoryError: the parameters need more memory than there is
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
 
 

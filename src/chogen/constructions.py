@@ -206,8 +206,12 @@ def _resolve_columns(order: int, n: int, columns: Optional[Sequence[int]],
     )
 
 
-def _theorem1_components(n: int, m: int, generators, order,
-                         columns) -> np.ndarray:
+def _generator_shift(n: int, m: int, generators, order, columns,
+                     first_column: str, fold: bool) -> ChoiceDesign:
+    """The Theorem 1 shift, the one route of every generator-shift design:
+    seed rows A_1 (order None: the least Hadamard order >= n), A_2 = its
+    complement and (A_1+g, A_2+g) per generator g; the first m of them
+    are the sets, followed by their complements if fold."""
     if m < 2:
         raise RangeError(f"set size m must be at least 2, got {m}")
     nu = least_hadamard_order(n) if order is None else order
@@ -219,8 +223,8 @@ def _theorem1_components(n: int, m: int, generators, order,
     if len(gens) < alpha_needed:
         raise RangeError(
             f"m={m} needs at least {alpha_needed} generators, got {len(gens)}")
-    cols = _resolve_columns(nu, n, columns, "free")
-    return _shifted(_seed_rows(nu, cols), n, gens)[:, :m]
+    cols = _resolve_columns(nu, n, columns, first_column)
+    return _design(_shifted(_seed_rows(nu, cols), n, gens)[:, :m], n, fold)
 
 
 def theorem1_design(n: int, m: int, generators=None, order: int = None,
@@ -232,15 +236,15 @@ def theorem1_design(n: int, m: int, generators=None, order: int = None,
     components (N = seed order); odd m appends the full complement design
     (N doubles).
     """
-    comps = _theorem1_components(n, m, generators, order, columns)
-    return _design(comps, n, fold=m % 2 == 1)
+    return _generator_shift(n, m, generators, order, columns, "free",
+                            m % 2 == 1)
 
 
 def theorem1_main_design(n: int, m: int, generators=None, order: int = None,
                          columns=None) -> ChoiceDesign:
     """The half of theorem1_design (no complement sets), optimal for
     main effects only; N = seed order for every m."""
-    return _design(_theorem1_components(n, m, generators, order, columns), n)
+    return _generator_shift(n, m, generators, order, columns, "free", False)
 
 
 def single_set_design(n: int, order: int = None, columns=None) -> ChoiceDesign:
@@ -300,54 +304,39 @@ def theorem2_design(n: int, m: int) -> ChoiceDesign:
     return _design(theorem2_half_design(n, m).array, n, fold=True)
 
 
-SPEC_SCOPES = ("all-orders", "two-factor", "group")
+def specified_design(n: int, m: int, r: int = 1, order: int = None,
+                     columns=None) -> ChoiceDesign:
+    """The generator-shift design for the specified-interaction models.
 
-
-def specified_design(n: int, m: int, scope: str, r: int = None,
-                     alpha: int = None, columns=None) -> ChoiceDesign:
-    """Generator-shift designs for the specified-interaction models.
-
-    scope "all-orders": interactions of factor 1 at every order, Sylvester
-    seed of width 2^alpha, generator e_1.  scope "two-factor": F_12..F_1n
-    only, seed from the least Hadamard order >= n, generator e_1.  scope
-    "group": factor groups {1..r} x {r+1..n}, Sylvester seed, generator
-    with r leading ones.  m=4 gives (A_1, comp, A_1+g, comp+g); m=3 keeps
-    three components and appends the complement design.
+    It is the Theorem 1 shift by the one generator with r leading ones,
+    on seed columns that include column 1, for m in {3,4}: m=4 gives
+    (A_1, comp, A_1+g, comp+g), and m=3 keeps three components and
+    appends the complement design.  r = 1 serves the spec-all and spec-2f
+    models, larger r the groups {1..r} x {r+1..n}.  order is the seed
+    order, by default the least Hadamard order >= n; the catalog's
+    spec-all and spec-group recipes take Sylvester orders 2^alpha.
     """
     if m not in (3, 4):
         raise Unsupported(f"specified-interaction constructions cover m in {{3,4}}, got {m}")
-    if scope not in SPEC_SCOPES:
-        raise ValueError(f"scope must be one of {SPEC_SCOPES}, got {scope!r}")
     if n < 2:
         raise RangeError("specified-interaction designs need n >= 2")
-
-    if scope == "two-factor":
-        if alpha is not None:
-            raise ValueError("alpha applies only to Sylvester-seeded scopes")
-        nu = least_hadamard_order(n)
-    else:
-        if alpha is None:
-            alpha = seed_alpha(n)
-        if alpha < 1 or n > (1 << alpha):
-            raise RangeError(f"alpha={alpha} does not admit n={n}")
-        nu = 1 << alpha
-
-    if scope != "group":
-        r = 1
-    elif r is None or not 1 <= r <= n - 1:
+    if not 1 <= r <= n - 1:
         raise BadGroup(f"group size r must lie in 1..{n - 1}, got {r}")
+    return _generator_shift(n, m, (spec_generator(n, r),), order, columns,
+                            "required", m == 3)
 
-    cols = _resolve_columns(nu, n, columns, "required")
-    comps = _shifted(_seed_rows(nu, cols), n, [spec_generator(n, r)])[:, :m]
-    return _design(comps, n, fold=m == 3)
+
+# Recipe ids of the generator shift; all but T1-generator need column 1
+SHIFT_IDS = ("T1-generator", "spec-2f-m3", "spec-2f-m4", "spec-all-m3",
+             "spec-all-m4", "spec-group-m3", "spec-group-m4")
 
 
 @dataclass(frozen=True)
 class ConstructionRecipe:
-    """A fully determined construction call plus the model it claims."""
+    """A fully determined construction call plus the model it claims;
+    the model's n and r are the design's."""
 
     id: str
-    n: int
     m: int
     model: ModelSpec
     claimed_N: int
@@ -355,7 +344,6 @@ class ConstructionRecipe:
     order: Optional[int] = None
     alpha: Optional[int] = None
     generators: Optional[tuple] = None
-    r: Optional[int] = None
     columns: Optional[tuple] = None
     note: str = ""
 
@@ -369,28 +357,34 @@ class ConstructionRecipe:
             bits.append(f"alpha={self.alpha}")
         if self.generators:
             bits.append("generators=" + ",".join(map(bits_string, self.generators)))
-        if self.r is not None:
-            bits.append(f"r={self.r}")
+        if self.model.r is not None:
+            bits.append(f"r={self.model.r}")
         return " ".join(bits)
 
     def applied_generators(self) -> tuple:
         """The generators the construction shifts by; () if it uses none."""
-        if self.id == "T1-generator":
-            if self.generators is not None:
-                return self.generators
-            return default_generators(self.n, (self.m - 1) // 2)
-        if self.id.startswith("spec-"):
-            return (spec_generator(self.n, self.r or 1),)
-        return ()
+        if self.id not in SHIFT_IDS:
+            return ()
+        if self.id != "T1-generator":
+            return (spec_generator(self.model.n, self.model.r or 1),)
+        if self.generators is not None:
+            return self.generators
+        return default_generators(self.model.n, (self.m - 1) // 2)
 
 
 def build(recipe: ConstructionRecipe) -> ChoiceDesign:
-    """Materialize a recipe; the result is checked against its claimed N."""
-    rid, n, m = recipe.id, recipe.n, recipe.m
-    if rid == "T1-generator":
-        fn = theorem1_design if recipe.variant == "full" else theorem1_main_design
-        d = fn(n, m, recipe.applied_generators(), recipe.order,
-               recipe.columns)
+    """Materialize a recipe; the result is checked against its claimed N.
+
+    A SHIFT_IDS recipe shifts by its applied_generators on a seed of
+    order 2^alpha, else its order; the full variant folds at odd m.
+    """
+    rid, n, m = recipe.id, recipe.model.n, recipe.m
+    if rid in SHIFT_IDS:
+        order = recipe.order if recipe.alpha is None else 1 << recipe.alpha
+        d = _generator_shift(
+            n, m, recipe.applied_generators(), order, recipe.columns,
+            "free" if rid == "T1-generator" else "required",
+            recipe.variant == "full" and m % 2 == 1)
     elif rid == "single-set":
         d = single_set_design(n, recipe.order, recipe.columns)
     elif rid == "foldover-pair":
@@ -400,12 +394,6 @@ def build(recipe: ConstructionRecipe) -> ChoiceDesign:
     elif rid == "T2-direct-add":
         fn = theorem2_design if recipe.variant == "full" else theorem2_half_design
         d = fn(n, m)
-    elif rid in ("spec-2f-m4", "spec-2f-m3"):
-        d = specified_design(n, m, "two-factor", columns=recipe.columns)
-    elif rid in ("spec-all-m3", "spec-all-m4", "spec-group-m3",
-                 "spec-group-m4"):
-        d = specified_design(n, m, "group", r=recipe.r or 1,
-                             alpha=recipe.alpha, columns=recipe.columns)
     else:
         raise Unsupported(f"unknown construction id {rid!r}")
     if d.N != recipe.claimed_N or d.m != m or d.n != n:

@@ -63,7 +63,7 @@ def test_criterion_1_reference_designs():
         ("direct addition", theorem2_design(5, 4),
          ChoiceDesign.from_sets(DIRECT_ADD_SETS), False,
          ModelSpec.broader_main_effects(5)),
-        ("one-factor interactions", specified_design(4, 4, "all-orders", alpha=2),
+        ("one-factor interactions", specified_design(4, 4, order=4),
          ChoiceDesign.from_sets(SPEC_ALL_SETS), False,
          ModelSpec.custom(4, spec_all_F)),
     )
@@ -86,7 +86,7 @@ def test_criterion_1_reference_designs():
     # Balance and the trace bound are still met.  The exact aliasing
     # signature is pinned here; the recorded claim itself is asserted, and
     # honestly fails, in test_criterion_1_group_example_claim below.
-    group = specified_design(4, 4, "group", r=2, alpha=2)
+    group = specified_design(4, 4, r=2, order=4)
     if not equivalent(group, ChoiceDesign.from_sets(SPEC_GROUP_SETS)):
         problems.append("group interactions: canonical mismatch")
     greport = verify(group, ModelSpec.specified_group(4, 2))
@@ -126,7 +126,7 @@ def test_criterion_1_group_example_claim():
     model certifies from an eight-row seed instead, pinned in the
     construction tests.
     """
-    report = verify(specified_design(4, 4, "group", r=2, alpha=2),
+    report = verify(specified_design(4, 4, r=2, order=4),
                     ModelSpec.specified_group(4, 2))
     confounded = ", ".join(f"{e1}~{e2}" for e1, e2, _, _ in
                            report.offending_pairs)

@@ -10,6 +10,7 @@ from chogen.catalog import (EXPECTED_DEVIATIONS, TABLE1, TABLE_NS, CellStatus,
                             first_certified, reproduce_table1)
 from chogen import catalog
 from chogen.constructions import ConstructionRecipe, build, coset_columns
+from chogen.designs import ChoiceDesign, all_treatments
 from chogen.errors import BelowRankBound, RangeError, Unsupported
 from chogen.models import ModelKind, ModelSpec
 from chogen.optimality import (OptimalityReport, Verdict, below_rank_bound,
@@ -145,7 +146,7 @@ def test_recipes_below_the_rank_bound_cannot_certify():
 
 def test_first_certified_propagates_verify_errors():
     # 64 factors build, but verify refuses sign matrices past 63 factors
-    wide = ConstructionRecipe("foldover-pair", 64, 128,
+    wide = ConstructionRecipe("foldover-pair", 128,
                               ModelSpec.main_effects(64), 1,
                               variant="half", order=128)
     with pytest.raises(Unsupported, match="n <= 63"):
@@ -249,6 +250,36 @@ def test_spec_all_deviations_are_the_coset_widths():
            for n in range(4, 13)},
         **{(ModelKind.SPECIFIED_ONE_FACTOR, 4, n): 1 << (n - 2)
            for n in range(6, 13)}}
+
+
+def test_spec_all_deviations_below_the_rank_bound():
+    # no design of any construction connects a model at N(m-1) < Q; of
+    # all listed N only the spec-all m=3 and m=4 cells at n >= 6 fall
+    # below it, and each is an expected deviation
+    below = {(kind, m, n)
+             for kind, block in TABLE1.items()
+             for m, row in block.items()
+             for n, table_N in zip(TABLE_NS, row)
+             if table_N is not None
+             and below_rank_bound(table_N, m, ModelSpec.family(kind, n).Q)}
+    assert below == {(ModelKind.SPECIFIED_ONE_FACTOR, m, n)
+                     for m in (3, 4) for n in range(6, 13)}
+    assert below <= EXPECTED_DEVIATIONS.keys()
+
+
+def test_broader_m3_n2_deviation_is_forced():
+    # every design of N <= 3 sets of three distinct options on 2 factors,
+    # a multiset of the 4 such sets, fails, so the catalog's N=4 is least
+    model = ModelSpec.broader_main_effects(2)
+    sets = list(itertools.combinations(all_treatments(2), 3))
+    tried = 0
+    for N in (1, 2, 3):
+        for chosen in itertools.combinations_with_replacement(sets, N):
+            report = verify(ChoiceDesign.from_sets(chosen), model)
+            assert not report.certified, chosen
+            tried += 1
+    assert tried == 4 + 10 + 20
+    assert EXPECTED_DEVIATIONS[(ModelKind.BROADER_MAIN_EFFECTS, 3, 2)] == 4
 
 
 def test_expected_deviation_values():

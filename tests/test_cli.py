@@ -5,6 +5,10 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -304,6 +308,24 @@ def test_oversized_effect_family_exits_3_at_once(capsys, tmp_path, argv):
     assert code == 3
     assert "MAX_EFFECTS" in err
     assert "Traceback" not in err
+
+
+def test_generate_too_large_to_allocate_exits_3():
+    # a 10^12-row seed cannot be allocated; the child's address space is
+    # capped so the refusal does not depend on the machine's overcommit
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    argv = [sys.executable, "-c", "import sys; from chogen.cli import main; "
+            "sys.exit(main())", "generate", "--model", "main-effects",
+            "--m", "1000000000000", "--n", "44"]
+    with deadline(30):
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True,
+                              preexec_fn=cap, timeout=30)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1
 
 
 def test_verify_missing_file_exits_4(capsys):

@@ -11,6 +11,7 @@ import itertools
 import numpy as np
 import pytest
 
+from chogen.catalog import candidate_recipes
 from chogen.constructions import (build, ConstructionRecipe, coset_columns,
                                   default_generators, foldover_pair_design,
                                   hadamard_single_set_design, seed_alpha,
@@ -23,7 +24,7 @@ from chogen.designs import ChoiceDesign, complement, equivalent
 from chogen.errors import (BadGenerators, BadGroup, RangeError, Unsupported,
                            WidthMismatch)
 from chogen.hadamard import hadamard, least_hadamard_order, zero_one
-from chogen.models import ModelSpec, effect
+from chogen.models import ModelKind, ModelSpec, effect
 from chogen.optimality import Verdict, verify
 from conftest import deadline
 
@@ -129,12 +130,12 @@ def test_direct_add_design_matches_reference_canonically():
 
 
 def test_spec_all_design_matches_reference_canonically():
-    d = specified_design(4, 4, "all-orders", alpha=2)
+    d = specified_design(4, 4, order=4)
     assert equivalent(d, ChoiceDesign.from_sets(SPEC_ALL_SETS))
 
 
 def test_spec_group_design_matches_reference_canonically():
-    d = specified_design(4, 4, "group", r=2, alpha=2)
+    d = specified_design(4, 4, r=2, order=4)
     assert equivalent(d, ChoiceDesign.from_sets(SPEC_GROUP_SETS))
 
 
@@ -186,38 +187,38 @@ def test_validate_generators():
 
 def test_specified_design_parameter_checks():
     with pytest.raises(Unsupported):
-        specified_design(4, 5, "all-orders")
-    with pytest.raises(ValueError):
-        specified_design(4, 4, "bogus")
+        specified_design(4, 5)
+    with pytest.raises(Unsupported):
+        specified_design(4, 4, order=6)  # no Hadamard matrix of order 6
     with pytest.raises(RangeError):
-        specified_design(1, 4, "all-orders")
+        specified_design(1, 4)
     with pytest.raises(RangeError):
-        specified_design(9, 4, "all-orders", alpha=3)
-    with pytest.raises(ValueError):
-        specified_design(4, 4, "two-factor", alpha=2)
+        specified_design(9, 4, order=8)
+    with pytest.raises(RangeError):
+        specified_design(3, 4, order=16)  # 16 rows cannot differ on 3 bits
     with pytest.raises(BadGroup):
-        specified_design(4, 4, "group", r=0)
+        specified_design(4, 4, r=0)
     with pytest.raises(BadGroup):
-        specified_design(4, 4, "group", r=4)
+        specified_design(4, 4, r=4)
 
 
 def test_specified_design_shapes():
-    d3 = specified_design(4, 3, "all-orders", alpha=2)
+    d3 = specified_design(4, 3, order=4)
     assert (d3.N, d3.m) == (8, 3)
-    d2f = specified_design(5, 4, "two-factor")
+    d2f = specified_design(5, 4)
     assert (d2f.N, d2f.m) == (8, 4)
     assert verify(d2f, ModelSpec.specified_two_factor(5)).certified
 
 
 def test_seed_columns_are_validated():
     with pytest.raises(RangeError):
-        specified_design(4, 4, "all-orders", alpha=2, columns=(2, 3, 4, 1, 1))
+        specified_design(4, 4, order=4, columns=(2, 3, 4, 1, 1))
     with pytest.raises(RangeError):
-        specified_design(4, 4, "all-orders", alpha=2, columns=(2, 3, 4, 5))
+        specified_design(4, 4, order=4, columns=(2, 3, 4, 5))
     with pytest.raises(RangeError):
         single_set_design(3, order=8, columns=(1, 2, 3))
     with pytest.raises(RangeError):
-        specified_design(4, 4, "all-orders", alpha=2, columns=(1, 2, 3, 9))
+        specified_design(4, 4, order=4, columns=(1, 2, 3, 9))
 
 
 def _walk_columns(order, n, mode):
@@ -371,13 +372,13 @@ def test_coset_designs_certify_at_the_predicted_N():
             for r in range(1, n):
                 model = ModelSpec.specified_group(n, r)
                 k, cols = coset_columns(n, r, m)
-                d = specified_design(n, m, "group", r=r, alpha=k,
-                                     columns=cols)
+                d = specified_design(n, m, r, order=1 << k, columns=cols)
                 assert d.N == doubling << k
                 assert verify(d, model).certified, (n, r, m)
                 assert k <= max(n - 1, seed_alpha(n))
                 try:
-                    base = specified_design(n, m, "group", r=r)
+                    base = specified_design(n, m, r,
+                                            order=1 << seed_alpha(n))
                 except RangeError:
                     continue
                 if verify(base, model).certified:
@@ -397,7 +398,7 @@ def test_no_narrower_seed_certifies():
                                                    n):
                     if 1 not in cols:
                         continue  # the spec seeds require column 1
-                    d = specified_design(n, m, "group", r=r, alpha=k - 1,
+                    d = specified_design(n, m, r, order=1 << k - 1,
                                          columns=cols)
                     assert not verify(d, model).certified, (n, r, m, cols)
                     tried += 1
@@ -405,12 +406,11 @@ def test_no_narrower_seed_certifies():
 
 
 def test_rescue_columns_certify_where_defaults_cannot():
-    d = specified_design(6, 4, "all-orders", alpha=4,
-                         columns=coset_columns(6, 1, 4)[1])
+    d = specified_design(6, 4, order=16, columns=coset_columns(6, 1, 4)[1])
     report = verify(d, ModelSpec.specified_one_factor(6))
     assert report.certified and d.N == 16
     # the default seed of width 2^3 provably leaves unbalanced pairs
-    bad = verify(specified_design(6, 4, "all-orders"),
+    bad = verify(specified_design(6, 4),
                  ModelSpec.specified_one_factor(6))
     assert not bad.certified and bad.offending_count > 0
 
@@ -422,7 +422,7 @@ def test_group_reference_design_aliasing_and_rescue():
     the whole support and each listed pair differs by exactly that effect.
     A width-8 seed on coset columns restores estimability.
     """
-    d = specified_design(4, 4, "group", r=2, alpha=2)
+    d = specified_design(4, 4, r=2, order=4)
     assert {sum(opt) % 2 for s in d.sets for opt in s} == {0}
     report = verify(d, ModelSpec.specified_group(4, 2))
     assert report.verdict is Verdict.NOT_CONNECTED
@@ -434,7 +434,7 @@ def test_group_reference_design_aliasing_and_rescue():
         (effect(1, 3), effect(2, 4), 16, 0),
         (effect(1, 4), effect(2, 3), 16, 0),
     }
-    rescued = specified_design(4, 4, "group", r=2, alpha=3,
+    rescued = specified_design(4, 4, r=2, order=8,
                                columns=coset_columns(4, 2, 4)[1])
     assert rescued.N == 8
     assert verify(rescued, ModelSpec.specified_group(4, 2)).certified
@@ -442,24 +442,24 @@ def test_group_reference_design_aliasing_and_rescue():
 
 def test_build_dispatch_round_trip():
     model = ModelSpec.broader_main_effects(4)
-    recipe = ConstructionRecipe("foldover-pair", 4, 8, model, 2, order=8)
+    recipe = ConstructionRecipe("foldover-pair", 8, model, 2, order=8)
     d = build(recipe)
     assert (d.N, d.m, d.n) == (2, 8, 4)
     assert verify(d, model).certified
     with pytest.raises(Unsupported):
-        build(ConstructionRecipe("bogus-id", 4, 8, model, 2))
+        build(ConstructionRecipe("bogus-id", 8, model, 2))
 
 
 def test_build_checks_claimed_sets():
     model = ModelSpec.broader_main_effects(4)
     with pytest.raises(RangeError):
-        build(ConstructionRecipe("foldover-pair", 4, 8, model, 7, order=8))
+        build(ConstructionRecipe("foldover-pair", 8, model, 7, order=8))
 
 
 def test_recipe_describe_mentions_parameters():
     model = ModelSpec.specified_group(5, 2)
-    recipe = ConstructionRecipe("spec-group-m4", 5, 4, model, 16, alpha=4,
-                                r=2, columns=(1, 2, 3, 5, 9))
+    recipe = ConstructionRecipe("spec-group-m4", 4, model, 16, alpha=4,
+                                columns=(1, 2, 3, 5, 9))
     text = recipe.describe()
     assert "spec-group-m4" in text and "alpha=4" in text and "r=2" in text
 
@@ -578,23 +578,52 @@ def test_seed_set_designs_equal_the_tuple_reference(n, order):
 ])
 def test_specified_designs_equal_the_tuple_reference(n, m, scope, r, alpha,
                                                      columns):
-    d = specified_design(n, m, scope, r=r, alpha=alpha, columns=columns)
+    # scope names the model; its design is the shift by the generator
+    # with r leading ones, on the least Hadamard order for two-factor
+    # and on 2^alpha (default seed_alpha(n)) otherwise
+    order = None if scope == "two-factor" else 1 << (alpha or seed_alpha(n))
+    d = specified_design(n, m, r or 1, order=order, columns=columns)
     assert d.sets == tuple(_ref_specified(n, m, scope, r, alpha, columns))
 
 
 def test_applied_generators_are_the_ones_the_builds_use():
     model = ModelSpec.broader_main_effects(8)
-    t1 = ConstructionRecipe("T1-generator", 8, 6, model, 8)
+    t1 = ConstructionRecipe("T1-generator", 6, model, 8)
     assert t1.applied_generators() == default_generators(8, 2)
     assert build(t1) == theorem1_design(8, 6, generators=default_generators(8, 2))
-    given_gens = ConstructionRecipe("T1-generator", 8, 6, model, 8,
+    given_gens = ConstructionRecipe("T1-generator", 6, model, 8,
                                     generators=GENERATORS_8)
     assert given_gens.applied_generators() == GENERATORS_8
-    group = ConstructionRecipe("spec-group-m4", 10, 4,
-                               ModelSpec.specified_group(10, 3), 16, r=3)
+    group = ConstructionRecipe("spec-group-m4", 4,
+                               ModelSpec.specified_group(10, 3), 16)
     assert group.applied_generators() == ((1, 1, 1) + (0,) * 7,)
-    spec_all = ConstructionRecipe("spec-all-m3", 5, 3,
+    spec_all = ConstructionRecipe("spec-all-m3", 3,
                                   ModelSpec.specified_one_factor(5), 16)
     assert spec_all.applied_generators() == ((1, 0, 0, 0, 0),)
-    fold = ConstructionRecipe("foldover-pair", 4, 8, model, 2, order=8)
+    fold = ConstructionRecipe("foldover-pair", 8, model, 2, order=8)
     assert fold.applied_generators() == ()
+
+
+def _built_or_refused(make):
+    try:
+        return make()
+    except RangeError as exc:
+        return str(exc)
+
+
+def test_spec_recipes_build_the_specified_design():
+    # build sends every generator-shift recipe down one route; for the
+    # catalog's spec recipes it gives specified_design on the recipe's
+    # seed, or the same refusal (n=2 on a width-4 seed)
+    for m in (3, 4):
+        for n in range(2, 8):
+            for kind, r in ([(ModelKind.SPECIFIED_TWO_FACTOR, None),
+                             (ModelKind.SPECIFIED_ONE_FACTOR, None)]
+                            + [(ModelKind.SPECIFIED_GROUP, r)
+                               for r in range(1, n)]):
+                for recipe in candidate_recipes(kind, m, n, r):
+                    order = None if recipe.alpha is None else 1 << recipe.alpha
+                    assert _built_or_refused(lambda: build(recipe)) == \
+                        _built_or_refused(lambda: specified_design(
+                            n, m, r or 1, order=order,
+                            columns=recipe.columns)), recipe.describe()

@@ -179,7 +179,7 @@ def test_offending_pairs_build_signs_of_listed_effects_only(monkeypatch):
     # offending pairs and a nonzero cross block builds only the rank path's
     # one sign matrix; with no cross block it builds none
     calls = _count_sign_matrices(monkeypatch)
-    d = specified_design(8, 4, "all-orders")
+    d = specified_design(8, 4)
     model = ModelSpec.specified_one_factor(8)
     report = verify(d, model)
     assert d.N * (d.m - 1) < model.Q  # so no rank path
@@ -196,7 +196,7 @@ def test_offending_pairs_build_signs_of_listed_effects_only(monkeypatch):
 
 def test_offending_pair_listing_is_capped():
     # a wide unbalanced design produces more bad pairs than the report lists
-    d = specified_design(8, 4, "all-orders")
+    d = specified_design(8, 4)
     report = verify(d, ModelSpec.specified_one_factor(8))
     assert not report.diagonal
     assert report.offending_count > MAX_LISTED_PAIRS
