@@ -68,8 +68,13 @@ def _generate_recipes(args) -> list:
     _require_group_size(kind, args.r)
     recipes = list(candidate_recipes(kind, m, n, args.r))
     if columns is not None:
-        recipes = [dataclasses.replace(r, columns=columns)
-                   for r in recipes if r.id != "T2-direct-add"]
+        # candidates that differed only in their columns become one recipe
+        unique = {}
+        for r in recipes:
+            if r.id != "T2-direct-add":
+                r = dataclasses.replace(r, columns=columns)
+                unique.setdefault(dataclasses.replace(r, note=""), r)
+        recipes = list(unique.values())
     if not recipes:
         raise Unsupported(
             f"no applicable construction for model={args.model}, m={m}, n={n}")

@@ -15,7 +15,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .designs import (ChoiceDesign, bits_string, complement, direct_add,
-                      lex_index, pack_bits, treatment, truncate_factors)
+                      distinct, lex_index, pack_bits, treatment,
+                      truncate_factors)
 from .errors import (BadGenerators, BadGroup, RangeError, Unsupported,
                      WidthMismatch)
 from .hadamard import is_sylvester, least_hadamard_order, positive_columns
@@ -199,7 +200,7 @@ def _resolve_columns(order: int, n: int, columns: Optional[Sequence[int]],
     for cols in candidates:
         if cols is None or first_column == "required" and cols[0] != 1:
             continue
-        if np.unique(_seed_rows(order, cols)).size == order:
+        if distinct(_seed_rows(order, cols)).size == order:
             return cols
     raise RangeError(
         f"no {n} columns of the order-{order} seed give distinct rows"

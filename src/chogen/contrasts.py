@@ -3,9 +3,13 @@
 Everything that feeds a certification verdict is computed over the
 integers: the information matrix C of a design is held as an integer
 matrix C* plus the exact rational scale 1/(2^n N m^2).  Every block of C*
-comes from cstar_block, by one of two routes.  When the component pairs
+comes from one code path, as a dense block (cstar_block) or as its nonzero
+entries (cstar_entries), by one of two routes.  When the component pairs
 take few distinct differences, as in every translate-of-a-pattern
-construction, the block is gathered from per-difference Walsh tables.
+construction, the block is read from per-difference Walsh tables: when
+their nonzero columns U are fewer than the block's columns, a join of U
+with the effect masks finds the nonzero entries in about rows |U| log(cols)
+steps and forms no rows x cols array; otherwise the tables are gathered.
 Otherwise it is a Walsh transform of the option histogram for the Gram
 part less one product of per-set sign sums.  Neither route forms a
 (Q, N*m) sign matrix.  Floating point appears only in the explicitly
@@ -22,7 +26,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import ratlinalg
-from .designs import MAX_INDEX_FACTORS, ChoiceDesign
+from .designs import MAX_INDEX_FACTORS, ChoiceDesign, distinct
 from .errors import EffectOutOfRange, InvariantError, SamePair, Unsupported
 from .models import FactorialEffect, ModelSpec
 from .ratlinalg import int_product
@@ -204,7 +208,7 @@ def _distinct(points: np.ndarray, n: int) -> np.ndarray:
         seen = np.zeros(1 << n, dtype=bool)
         seen[points.ravel()] = True
         return np.flatnonzero(seen)
-    return np.unique(points)
+    return distinct(points)
 
 
 def _fwht(w: np.ndarray) -> np.ndarray:
@@ -287,7 +291,7 @@ def _pair_differences(d: ChoiceDesign, n_rows: int, n_cols: int):
     found = np.empty(0, dtype=np.int64)
     idx = d.indices
     for a in range(d.m - 1):
-        found = np.union1d(found, idx[:, a, None] ^ idx[:, a + 1:])
+        found = distinct(np.append(found, idx[:, a, None] ^ idx[:, a + 1:]))
         if found.size > limit:
             return None
     return found
@@ -299,18 +303,16 @@ def _parity_sets(masks: np.ndarray, deltas: np.ndarray) -> np.ndarray:
     return odd.astype(np.int64) @ (1 << np.arange(deltas.size, dtype=np.int64))
 
 
-def _cstar_by_differences(d: ChoiceDesign, r: np.ndarray, c: np.ndarray,
-                          deltas: np.ndarray) -> np.ndarray:
-    """The block from per-difference Walsh tables, with no sign-sum product.
+def _difference_tables(d: ChoiceDesign, deltas: np.ndarray) -> np.ndarray:
+    """T[A, u] = 4 sigma(u) sum_(delta in A) H_delta[u], shape (2^k, 2^n).
 
     A component pair (t, t xor delta) adds 4 sigma(u) (-1)^|u & t| to entry
     [i, j], u = e_i xor e_j, when both effects are odd on delta, and 0
     otherwise (pair_contribution).  So the entry is 4 sigma(u) times the sum
     of H_delta[u] over the deltas odd on both effects, H_delta being the Walsh
     transform of the histogram of the first options of the pairs with
-    difference delta.  The table T[A] = 4 sigma sum_(delta in A) H_delta over
-    every subset A of the deltas turns the block into one gather,
-    T[P(e_i) & P(e_j), e_i xor e_j].
+    difference delta, and it equals T[P(e_i) & P(e_j), e_i xor e_j] for the
+    subsets A of the k deltas.
     """
     n, k, size = d.n, deltas.size, 1 << d.n
     idx = d.indices
@@ -325,13 +327,91 @@ def _cstar_by_differences(d: ChoiceDesign, r: np.ndarray, c: np.ndarray,
     T = np.zeros((1 << k, size), dtype=np.int64)
     for b in range(k):
         np.add(T[:1 << b], H[b], out=T[1 << b:2 << b])
+    return T
+
+
+def _join_pays(points: int, cols: np.ndarray) -> bool:
+    """Whether the join at |U| = points pays against the dense gather.
+
+    cols are the sorted column masks.  The join makes |U| searchsorted
+    passes over the rows and the gather one lookup per entry, so it pays
+    when |U| is below the column count.  It meets each row with at most one
+    column per u, so it also needs distinct masks.
+    """
+    return points < cols.size and bool((cols[1:] != cols[:-1]).all())
+
+
+def _by_differences(d: ChoiceDesign, r: np.ndarray, c: np.ndarray,
+                    deltas: np.ndarray):
+    """The block's nonzero entries (i, j, v), row-major, or the dense block.
+
+    Entry [i, j] is T[P(e_i) & P(e_j), u] at u = e_i xor e_j
+    (_difference_tables), and it is zero unless u lies in U, the columns of
+    T with a nonzero entry.  When _join_pays, each u in U meets row i with
+    the one column whose mask is e_i xor u, found by searchsorted over the
+    sorted column masks, and no array of rows x cols entries is formed.
+    Otherwise T is gathered into the dense block, a chunk of rows at a time.
+    """
+    T = _difference_tables(d, deltas)
     Pr = _parity_sets(r, deltas)
     Pc = Pr if c is r else _parity_sets(c, deltas)
-    flat = Pr[:, None] & Pc[None, :]
-    flat <<= n
-    flat ^= r[:, None]
-    flat ^= c[None, :]
-    return np.take(T.ravel(), flat, out=flat)
+    U = np.flatnonzero(T.any(axis=0))
+    order = np.argsort(c)
+    cols = c[order]
+    if _join_pays(U.size, cols):
+        found = []  # U holds 0, since H_delta[0] counts the delta pairs
+        for u in U.tolist():
+            want = r ^ u
+            at = np.searchsorted(cols, want)
+            np.minimum(at, cols.size - 1, out=at)
+            i = np.flatnonzero(cols[at] == want)
+            j = order[at[i]]
+            v = T[Pr[i] & Pc[j], u]
+            hit = v != 0
+            found.append((i[hit], j[hit], v[hit]))
+        i, j, v = (np.concatenate(part) for part in zip(*found))
+        first = np.argsort(i * c.size + j)
+        return i[first], j[first], v[first]
+    block = np.empty((r.size, c.size), dtype=np.int64)
+    step = max(1, _CHUNK // c.size)
+    for lo in range(0, r.size, step):
+        rows = slice(lo, lo + step)
+        block[rows] = T[Pr[rows, None] & Pc, r[rows, None] ^ c]
+    return block
+
+
+def _block(d: ChoiceDesign, rows: Sequence[FactorialEffect],
+           cols: Sequence[FactorialEffect], row_sums: np.ndarray):
+    """B_r Lambda* B_c' as the dense block, or as the join's (i, j, v)."""
+    n, m = d.n, d.m
+    r = _effect_masks(rows, n)
+    c = r if cols is rows else _effect_masks(cols, n)
+    deltas = _pair_differences(d, len(r), len(c))
+    if deltas is not None:
+        return _by_differences(d, r, c, deltas)
+    Sr = set_sums(d, rows) if row_sums is None else row_sums
+    Sc = Sr if cols is rows else set_sums(d, cols)
+    block = _walsh_at(d.indices.ravel(), n, r[:, None] ^ c[None, :])
+    block *= m * _effect_signs(r)[:, None]
+    block *= _effect_signs(c)[None, :]
+    block -= int_product(Sr, Sc.T)
+    return block
+
+
+def cstar_entries(d: ChoiceDesign, rows: Sequence[FactorialEffect],
+                  cols: Sequence[FactorialEffect],
+                  row_sums: np.ndarray = None) -> tuple:
+    """The nonzero entries (i, j, v) of cstar_block, in row-major order.
+
+    i, j and v are int64 arrays, v[k] being block[i[k], j[k]].  When the
+    difference route joins, no array of len(rows) x len(cols) entries is
+    formed; otherwise the entries are the np.nonzero of the dense block.
+    """
+    found = _block(d, rows, cols, row_sums)
+    if isinstance(found, tuple):
+        return found
+    i, j = np.nonzero(found)
+    return i, j, found[i, j]
 
 
 def cstar_block(d: ChoiceDesign, rows: Sequence[FactorialEffect],
@@ -340,27 +420,23 @@ def cstar_block(d: ChoiceDesign, rows: Sequence[FactorialEffect],
     """Exact integer block B_r Lambda* B_c' of two effect lists.
 
     When _pair_differences finds few distinct pair differences, the block
-    is gathered from per-difference Walsh tables (_cstar_by_differences).
-    Otherwise it is m G - S_r S_c'.  G[i, j] sums the product of the two
-    effects' contrast signs over all N*m options.  Every sign is a
-    character of Z_2^n, so G[i, j] is sigma(e_i) sigma(e_j) W[e_i xor e_j],
-    with W the Walsh transform of the option histogram (_walsh_at).  S_r
-    and S_c are the per-set sign sums of set_sums; row_sums, when given, is
-    set_sums(d, rows), reused.  With cols the same list as rows this is C*,
-    otherwise a cross block.
+    comes from per-difference Walsh tables (_by_differences): when their
+    nonzero columns U are fewer than the block's columns, the entries of
+    the join of U with the effect masks are scattered into a zero block;
+    otherwise the tables are gathered.  Otherwise it is m G - S_r S_c'.
+    G[i, j] sums the product of the two effects' contrast signs over all
+    N*m options.  Every sign is a character of Z_2^n, so G[i, j] is
+    sigma(e_i) sigma(e_j) W[e_i xor e_j], with W the Walsh transform of the
+    option histogram (_walsh_at).  S_r and S_c are the per-set sign sums of
+    set_sums; row_sums, when given, is set_sums(d, rows), reused.  With
+    cols the same list as rows this is C*, otherwise a cross block.
     """
-    n, m = d.n, d.m
-    r = _effect_masks(rows, n)
-    c = r if cols is rows else _effect_masks(cols, n)
-    deltas = _pair_differences(d, len(r), len(c))
-    if deltas is not None:
-        return _cstar_by_differences(d, r, c, deltas)
-    Sr = set_sums(d, rows) if row_sums is None else row_sums
-    Sc = Sr if cols is rows else set_sums(d, cols)
-    block = _walsh_at(d.indices.ravel(), n, r[:, None] ^ c[None, :])
-    block *= m * _effect_signs(r)[:, None]
-    block *= _effect_signs(c)[None, :]
-    block -= int_product(Sr, Sc.T)
+    found = _block(d, rows, cols, row_sums)
+    if not isinstance(found, tuple):
+        return found
+    i, j, v = found
+    block = np.zeros((len(rows), len(cols)), dtype=np.int64)
+    block[i, j] = v
     return block
 
 

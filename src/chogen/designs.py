@@ -113,6 +113,17 @@ def pack_bits(bits: np.ndarray) -> np.ndarray:
     return bits.astype(weights.dtype) @ weights
 
 
+def distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct entries of an array, flattened.
+
+    np.unique gives the same, but its first call imports numpy.ma.
+    """
+    flat = np.sort(values, axis=None)
+    keep = np.ones(flat.size, dtype=bool)
+    keep[1:] = flat[1:] != flat[:-1]
+    return flat[keep]
+
+
 def _unpack(x: np.ndarray, n: int) -> tuple:
     """The treatment tuples of an index array, nested as the array is."""
     bits = (x[..., None] >> np.arange(n - 1, -1, -1)) & 1

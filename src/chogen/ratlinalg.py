@@ -137,7 +137,9 @@ def _kernel_certified(A: np.ndarray, U: np.ndarray, pivots: list,
             U[above, c:] = (U[above, c:]
                             - np.outer(U[above, c], U[i, c:])) % p
     cols = A.shape[1]
-    free = np.setdiff1d(np.arange(cols), pivots)
+    free = np.ones(cols, dtype=bool)
+    free[pivots] = False
+    free = np.flatnonzero(free)
     fractions = _reconstruct(-U[:len(pivots), free] % p, p)
     if fractions is None:
         return False

@@ -22,7 +22,7 @@ from chogen.catalog import EXPECTED_DEVIATIONS, TABLE1, candidate_recipes
 from chogen.cli import main
 from chogen.designs import ChoiceDesign, equivalent
 from chogen.models import ModelKind
-from chogen.serialization import loads
+from chogen.serialization import dumps, loads
 from conftest import deadline
 
 # `table --block` name -> the catalog block it rebuilds
@@ -148,6 +148,18 @@ def test_generate_seed_columns_override_can_fail_honestly(capsys):
     # the width-8 seed gives N(m-1) = 24 < Q = 37 and is refused unbuilt
     assert err.splitlines()[0] == ("not certified: spec-all-m4 alpha=3: "
                                    "NotConnected: N(m-1) = 24 < Q = 37")
+
+
+def test_generate_seed_columns_try_each_distinct_recipe_once(capsys):
+    # the base and coset seeds differ only in their columns, so with the
+    # columns given they are one recipe, built and rejected once
+    code, _, err = run(capsys, "generate", "--model", "spec-all",
+                       "--m", "4", "--n", "4", "--seed-columns", "2,3,4,5")
+    assert code == 2
+    assert err.splitlines() == [
+        "not certified: spec-all-m4 alpha=2: columns must be distinct "
+        "and in 1..4",
+        "error: no construction certified for these parameters"]
 
 
 @pytest.mark.parametrize("m, n", [(128, 7), (256, 10)])
@@ -326,6 +338,46 @@ def test_generate_too_large_to_allocate_exits_3():
     assert proc.returncode == 3
     assert proc.stderr.startswith("error: ")
     assert proc.stderr.count("\n") == 1
+
+
+# Runs the command line, then reports on its last stderr line the exit
+# code, whether numpy.ma was imported and how many ranks were taken.
+MA_CHECK = """
+import sys
+from chogen import ratlinalg
+from chogen.cli import main
+ranks = []
+rank = ratlinalg.rank
+ratlinalg.rank = lambda M: ranks.append(1) or rank(M)
+code = main(sys.argv[1:])
+print(code, "numpy.ma" in sys.modules, len(ranks), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["table"], 0),
+    (["generate", "--model", "spec-group", "--m", "4", "--n", "10",
+      "--r", "3"], 0),
+    (["verify", str(INPUTS / "spec-all-m3-n12.json")], 0),
+    # one set repeated: C* has rank 1 < Q = 3 = N(m-1), so the rank and
+    # its kernel certificate decide NotConnected
+    (["verify", "REPEATED", "--model", "main-effects"], 2),
+])
+def test_commands_never_import_numpy_ma(tmp_path, argv, code):
+    # np.unique and friends import numpy.ma on their first call, 10-20 ms
+    # of a cold process
+    path = tmp_path / "repeated.json"
+    path.write_text(dumps(ChoiceDesign([("000", "111")] * 3), {}))
+    argv = [str(path) if a == "REPEATED" else a for a in argv]
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    with deadline(60):
+        proc = subprocess.run([sys.executable, "-c", MA_CHECK, *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+    exit_code, imported, ranks = proc.stderr.split()[-3:]
+    assert (exit_code, imported) == (str(code), "False")
+    if str(path) in argv:
+        assert ranks == "1"
 
 
 def test_verify_missing_file_exits_4(capsys):

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chogen.contrasts import (DENSE_MAX_N, ScaledIntMatrix, _effect_masks,
+from chogen.contrasts import (DENSE_MAX_N, ScaledIntMatrix,
+                              _difference_tables, _effect_masks, _join_pays,
                               _pair_differences, _transform_pays,
                               contrast_matrix, contrast_vector,
-                              cross_block_star, cstar_block, cstar_matrix,
+                              cross_block_star, cstar_block, cstar_entries,
+                              cstar_matrix,
                               effective_choice_set, effective_position,
                               exact_schur_cstar, info_matrix, lambda_star,
                               option_sign_matrix, pair_contribution)
@@ -387,3 +389,95 @@ def test_cstar_of_stored_cells_equals_the_sign_matrix_product(name):
     S = X.reshape(len(effects), d.N, d.m).sum(axis=2, dtype=np.float64)
     old = d.m * np.rint(X @ X.T).astype(np.int64) - np.rint(S @ S.T).astype(np.int64)
     assert np.array_equal(cstar_matrix(d, effects).ints, old)
+
+
+def _entries_branch(d, rows, cols):
+    """'join' or 'gather' on the difference route, else _walsh_branch's."""
+    deltas = _pair_differences(d, len(rows), len(cols))
+    if deltas is None:
+        return _walsh_branch(d, rows, cols)
+    points = np.flatnonzero(_difference_tables(d, deltas).any(axis=0)).size
+    return ("join" if _join_pays(points, np.sort(_effect_masks(cols, d.n)))
+            else "gather")
+
+
+@st.composite
+def subspace_translates(draw):
+    """Sets t xor P of one random pattern P over every t of a subspace.
+
+    Every first-option histogram is then uniform on cosets of the subspace,
+    so its Walsh transform vanishes off the annihilator, as on the seeded
+    designs, and few columns u of the difference tables are nonzero.
+    """
+    n = draw(st.integers(4, 7))
+    m = draw(st.integers(2, 3))
+    option = st.integers(0, (1 << n) - 1)
+    pattern = draw(st.lists(option, min_size=m, max_size=m, unique=True))
+    shifts = {0}
+    for b in draw(st.lists(option, min_size=1, max_size=4)):
+        shifts |= {t ^ b for t in shifts}
+    return ChoiceDesign.from_indices(
+        np.array([[t ^ p for p in pattern] for t in sorted(shifts)]), n)
+
+
+def _blocks(model):
+    """The square block and a cross block: against the nuisance effects,
+    or else against the effects of interest in reverse order."""
+    F = model.interest
+    return [(F, F), (F, model.nuisance or F[::-1])]
+
+
+def _check_entries(d, rows, cols):
+    # B Lambda* B', the block by its definition, is the reference
+    ref = (contrast_matrix(rows, d.n) @ lambda_star(d).ints
+           @ contrast_matrix(cols, d.n).T)
+    i, j, v = cstar_entries(d, rows, cols)
+    ri, rj = np.nonzero(ref)
+    assert all(a.dtype == np.int64 for a in (i, j, v))
+    assert np.array_equal(i, ri) and np.array_equal(j, rj)
+    assert np.array_equal(v, ref[ri, rj])
+    assert np.array_equal(cstar_block(d, rows, cols), ref)
+
+
+@given(subspace_translates(), st.sampled_from(("spec-all", "spec-2f",
+                                               "spec-group")),
+       st.integers(1, 3))
+@settings(max_examples=40, deadline=None)
+def test_entries_of_subspace_translates_come_from_the_join(d, family, r):
+    # main-effects and broader blocks never take the difference route:
+    # their tables, 2^(n+1) entries or more, outgrow any of their blocks
+    model = _family(family, d.n, min(r, d.n - 1))
+    branches = [_entries_branch(d, *b) for b in _blocks(model)]
+    assume(branches == ["join", "join"])
+    for b in _blocks(model):
+        _check_entries(d, *b)
+
+
+@given(translated_designs(), st.sampled_from(("spec-all", "spec-group")),
+       st.integers(1, 3))
+@settings(max_examples=30, deadline=None)
+def test_entries_of_random_translates_come_from_the_gather(d, family, r):
+    # random translates spread the histograms' transforms over |U| >= Q
+    model = _family(family, d.n, r)
+    branches = [_entries_branch(d, *b) for b in _blocks(model)]
+    assume(branches == ["gather", "gather"])
+    for b in _blocks(model):
+        _check_entries(d, *b)
+
+
+@given(designs_with_repeats(2, 7, max_sets=8, max_N=8),
+       st.sampled_from(FAMILIES), st.integers(1, 6))
+@settings(max_examples=40, deadline=None)
+def test_entries_of_random_designs_come_from_the_product(d, family, r):
+    model = _family(family, d.n, min(r, d.n - 1))
+    for b in _blocks(model):
+        assume(_entries_branch(d, *b) in ("fwht", "direct"))
+        _check_entries(d, *b)
+
+
+@pytest.mark.parametrize("name", ["spec-all-m3-n12", "spec-all-m4-n12",
+                                  "spec-group-m4-n10-r3"])
+def test_stored_cells_take_the_join(name):
+    d, meta = load(str(INPUTS / f"{name}.json"))
+    model = ModelSpec.family(meta["model"], d.n, meta.get("r"))
+    assert _entries_branch(d, model.interest, model.interest) == "join"

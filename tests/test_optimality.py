@@ -115,6 +115,26 @@ def test_np_table_is_a_small_read_only_view():
     assert set(np.unique(table).tolist()) <= {1, 2}
 
 
+def test_verify_holds_no_dense_cstar_on_the_join():
+    # C* of this cell has Q = 2059 nonzero entries among Q^2; verify reads
+    # them from the join, so it never holds Q^2 int64 (34 MB)
+    import tracemalloc
+    from chogen.serialization import load
+    from conftest import deadline
+    d, _ = load(str(INPUTS / "spec-all-m3-n12.json"))
+    model = ModelSpec.specified_one_factor(d.n)
+    with deadline(30):
+        verify(d, model)
+        tracemalloc.start()
+        try:
+            report = verify(d, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert report.certified
+    assert peak < model.Q ** 2 * 8
+
+
 def test_verify_broader_cross_block_flag():
     d = ChoiceDesign.from_sets([("00", "11"), ("01", "10")])
     report = verify(d, ModelSpec.broader_main_effects(2))
