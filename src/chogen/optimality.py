@@ -278,7 +278,8 @@ def verify(d: ChoiceDesign, model: ModelSpec) -> OptimalityReport:
 
     cross_zero = None
     if model.nuisance:
-        cross_zero = not contrasts.cstar_entries(d, effects, model.nuisance, S)[2].size
+        _, _, cross = contrasts.cstar_entries(d, effects, model.nuisance, S)
+        cross_zero = not cross.size
 
     optimal = (diagonal and balance_ok and trace == bound
                and cross_zero in (None, True))
