@@ -3,18 +3,16 @@
 Everything that feeds a certification verdict is computed over the
 integers: the information matrix C of a design is held as an integer
 matrix C* plus the exact rational scale 1/(2^n N m^2).  Every block of C*
-comes from one code path, as a dense block (cstar_block) or as its nonzero
-entries (cstar_entries), by one of two routes.  When the component pairs
-take few distinct differences, as in every translate-of-a-pattern
-construction, the block is read from per-difference Walsh tables: when
-their nonzero columns U are fewer than the block's columns, a join of U
-with the effect masks finds the nonzero entries in about rows |U| log(cols)
-steps and forms no rows x cols array; otherwise the tables are gathered.
-Otherwise it is a Walsh transform of the option histogram for the Gram
-part less one product of per-set sign sums.  Neither route forms a
-(Q, N*m) sign matrix.  Floating point appears only in the explicitly
-numeric branch of info_matrix, and inside int_product, whose float values
-are integers held exactly.
+comes from cstar_entries, as its nonzero entries, by one of two routes.
+When the component pairs take few distinct differences, as in every
+translate-of-a-pattern construction, the entries are joined from
+per-difference Walsh tables: each row meets at most one column per
+nonzero column u of the tables, so the join takes about rows |U| steps
+and forms no rows x cols array.  Otherwise the block is a Walsh transform
+of the option histogram for the Gram part less one product of per-set
+sign sums.  Neither route forms a (Q, N*m) sign matrix.  Floating point
+appears only in the explicitly numeric branch of info_matrix, and inside
+int_product, whose float values are integers held exactly.
 """
 
 from __future__ import annotations
@@ -330,88 +328,72 @@ def _difference_tables(d: ChoiceDesign, deltas: np.ndarray) -> np.ndarray:
     return T
 
 
-def _join_pays(points: int, cols: np.ndarray) -> bool:
-    """Whether the join at |U| = points pays against the dense gather.
+def _join(d: ChoiceDesign, r: np.ndarray, c: np.ndarray, deltas: np.ndarray):
+    """Yield the block's nonzero entries (i, j, v), a chunk of rows at a time.
 
-    cols are the sorted column masks.  The join makes |U| searchsorted
-    passes over the rows and the gather one lookup per entry, so it pays
-    when |U| is below the column count.  It meets each row with at most one
-    column per u, so it also needs distinct masks.
-    """
-    return points < cols.size and bool((cols[1:] != cols[:-1]).all())
-
-
-def _by_differences(d: ChoiceDesign, r: np.ndarray, c: np.ndarray,
-                    deltas: np.ndarray):
-    """The block's nonzero entries (i, j, v), row-major, or the dense block.
-
-    Entry [i, j] is T[P(e_i) & P(e_j), u] at u = e_i xor e_j
-    (_difference_tables), and it is zero unless u lies in U, the columns of
-    T with a nonzero entry.  When _join_pays, each u in U meets row i with
-    the one column whose mask is e_i xor u, found by searchsorted over the
-    sorted column masks, and no array of rows x cols entries is formed.
-    Otherwise T is gathered into the dense block, a chunk of rows at a time.
+    Entry [i, j] is T[P(e_i) & P(e_j), e_i xor e_j] (_difference_tables),
+    zero unless e_i xor e_j lies in U, the columns of T with a nonzero
+    entry.  So row i meets, for each u in U, only the column whose mask is
+    e_i xor u, if there is one: |U| lookups per row, and no rows x cols
+    array.  Each row's columns are sorted, so the entries come row-major.
     """
     T = _difference_tables(d, deltas)
+    U = np.flatnonzero(T.any(axis=0))  # holds 0: H_delta[0] counts pairs
     Pr = _parity_sets(r, deltas)
     Pc = Pr if c is r else _parity_sets(c, deltas)
-    U = np.flatnonzero(T.any(axis=0))
-    order = np.argsort(c)
-    cols = c[order]
-    if _join_pays(U.size, cols):
-        found = []  # U holds 0, since H_delta[0] counts the delta pairs
-        for u in U.tolist():
-            want = r ^ u
-            at = np.searchsorted(cols, want)
-            np.minimum(at, cols.size - 1, out=at)
-            i = np.flatnonzero(cols[at] == want)
-            j = order[at[i]]
-            v = T[Pr[i] & Pc[j], u]
-            hit = v != 0
-            found.append((i[hit], j[hit], v[hit]))
-        i, j, v = (np.concatenate(part) for part in zip(*found))
-        first = np.argsort(i * c.size + j)
-        return i[first], j[first], v[first]
-    block = np.empty((r.size, c.size), dtype=np.int64)
-    step = max(1, _CHUNK // c.size)
+    column = np.full(1 << d.n, -1, dtype=np.int64)  # of each mask, or -1
+    column[c] = np.arange(c.size)
+    step = max(1, _CHUNK // U.size)
     for lo in range(0, r.size, step):
-        rows = slice(lo, lo + step)
-        block[rows] = T[Pr[rows, None] & Pc, r[rows, None] ^ c]
-    return block
+        j = column[r[lo:lo + step, None] ^ U]
+        j.sort(axis=1)
+        at = np.flatnonzero(j >= 0)
+        i = at // U.size + lo
+        j = j.ravel()[at]
+        v = T[Pr[i] & Pc[j], r[i] ^ c[j]]
+        hit = np.flatnonzero(v)
+        yield i[hit], j[hit], v[hit]
 
 
-def _block(d: ChoiceDesign, rows: Sequence[FactorialEffect],
-           cols: Sequence[FactorialEffect], row_sums: np.ndarray):
-    """B_r Lambda* B_c' as the dense block, or as the join's (i, j, v)."""
-    n, m = d.n, d.m
-    r = _effect_masks(rows, n)
-    c = r if cols is rows else _effect_masks(cols, n)
-    deltas = _pair_differences(d, len(r), len(c))
-    if deltas is not None:
-        return _by_differences(d, r, c, deltas)
-    Sr = set_sums(d, rows) if row_sums is None else row_sums
-    Sc = Sr if cols is rows else set_sums(d, cols)
-    block = _walsh_at(d.indices.ravel(), n, r[:, None] ^ c[None, :])
-    block *= m * _effect_signs(r)[:, None]
-    block *= _effect_signs(c)[None, :]
-    block -= int_product(Sr, Sc.T)
-    return block
+def _nonzero_rows(block: np.ndarray):
+    """Yield a dense block's nonzero entries (i, j, v), a chunk of rows at a
+    time."""
+    step = max(1, _CHUNK // max(1, block.shape[1]))
+    for lo in range(0, block.shape[0], step):
+        i, j = np.nonzero(block[lo:lo + step])
+        i += lo
+        yield i, j, block[i, j]
 
 
 def cstar_entries(d: ChoiceDesign, rows: Sequence[FactorialEffect],
                   cols: Sequence[FactorialEffect],
                   row_sums: np.ndarray = None) -> tuple:
-    """The nonzero entries (i, j, v) of cstar_block, in row-major order.
+    """The nonzero entries of cstar_block, as (chunks, block).
 
-    i, j and v are int64 arrays, v[k] being block[i[k], j[k]].  When the
-    difference route joins, no array of len(rows) x len(cols) entries is
-    formed; otherwise the entries are the np.nonzero of the dense block.
+    chunks yields int64 arrays (i, j, v), v[k] being the entry at [i[k],
+    j[k]], in row-major order over all chunks.  When _pair_differences
+    finds few distinct pair differences and the column masks are distinct
+    (the join finds one column per mask), the entries are joined (_join):
+    block is None, and no len(rows) x len(cols) array is formed.
+    Otherwise block is the dense m G - S_r S_c', and the chunks read it.
+    G[i, j] sums the product of the two effects' contrast signs over all
+    N*m options.  Every sign is a character of Z_2^n, so G[i, j] is
+    sigma(e_i) sigma(e_j) W[e_i xor e_j], with W the Walsh transform of the
+    option histogram (_walsh_at).  S_r and S_c are the per-set sign sums of
+    set_sums; row_sums, when given, is set_sums(d, rows), reused.
     """
-    found = _block(d, rows, cols, row_sums)
-    if isinstance(found, tuple):
-        return found
-    i, j = np.nonzero(found)
-    return i, j, found[i, j]
+    r = _effect_masks(rows, d.n)
+    c = r if cols is rows else _effect_masks(cols, d.n)
+    deltas = _pair_differences(d, r.size, c.size)
+    if deltas is not None and distinct(c).size == c.size:
+        return _join(d, r, c, deltas), None
+    Sr = set_sums(d, rows) if row_sums is None else row_sums
+    Sc = Sr if cols is rows else set_sums(d, cols)
+    block = _walsh_at(d.indices.ravel(), d.n, r[:, None] ^ c[None, :])
+    block *= d.m * _effect_signs(r)[:, None]
+    block *= _effect_signs(c)[None, :]
+    block -= int_product(Sr, Sc.T)
+    return _nonzero_rows(block), block
 
 
 def cstar_block(d: ChoiceDesign, rows: Sequence[FactorialEffect],
@@ -419,24 +401,15 @@ def cstar_block(d: ChoiceDesign, rows: Sequence[FactorialEffect],
                 row_sums: np.ndarray = None) -> np.ndarray:
     """Exact integer block B_r Lambda* B_c' of two effect lists.
 
-    When _pair_differences finds few distinct pair differences, the block
-    comes from per-difference Walsh tables (_by_differences): when their
-    nonzero columns U are fewer than the block's columns, the entries of
-    the join of U with the effect masks are scattered into a zero block;
-    otherwise the tables are gathered.  Otherwise it is m G - S_r S_c'.
-    G[i, j] sums the product of the two effects' contrast signs over all
-    N*m options.  Every sign is a character of Z_2^n, so G[i, j] is
-    sigma(e_i) sigma(e_j) W[e_i xor e_j], with W the Walsh transform of the
-    option histogram (_walsh_at).  S_r and S_c are the per-set sign sums of
-    set_sums; row_sums, when given, is set_sums(d, rows), reused.  With
-    cols the same list as rows this is C*, otherwise a cross block.
+    The block of cstar_entries, with the join's entries scattered into a
+    zero block.  With cols the same list as rows this is C*, otherwise a
+    cross block.
     """
-    found = _block(d, rows, cols, row_sums)
-    if not isinstance(found, tuple):
-        return found
-    i, j, v = found
-    block = np.zeros((len(rows), len(cols)), dtype=np.int64)
-    block[i, j] = v
+    chunks, block = cstar_entries(d, rows, cols, row_sums)
+    if block is None:
+        block = np.zeros((len(rows), len(cols)), dtype=np.int64)
+        for i, j, v in chunks:
+            block[i, j] = v
     return block
 
 

@@ -6,19 +6,21 @@ per-set zero count is balanced, the trace reaches the attainable bound,
 and, when nuisance effects are present, the cross block vanishes
 exactly.  These conditions are sufficient; a design failing them is
 reported as not certified, with connectedness decided by exact ranks.
-verify reads C* as its nonzero entries (contrasts.cstar_entries): a
-certified design's C* has only Q of them among Q^2, and the diagonal, the
-offending pairs and their count all follow from those.
+verify reads C* as its nonzero entries (contrasts.cstar_entries), a chunk
+of rows at a time: a certified design's C* has only Q of them among Q^2,
+and the diagonal, the offending pairs and their count all follow from
+those.
 
 C* is the sum of d d' over the component pairs, so its rank is that of
 the within-set difference matrix A, whose rows are (x_{p,i} - x_{p,0})/2
 for the contrast-sign vectors x of set p.  Hence rank C* <= N(m-1), and
 a design with N(m-1) < Q is NotConnected at once.  Otherwise the design
-is connected iff rank C* = Q, computed by ratlinalg.rank on C* scattered
-from those entries; with a nonzero cross block, iff
-rank [A_interest | A_nuisance] - rank A_nuisance = Q.  ratlinalg.rank
-decides a deficit from one prime when a kernel lifted from it checks
-exactly, and otherwise falls back to more primes; it is exact either way.
+is connected iff rank C* = Q, computed by ratlinalg.rank on the dense C*
+of the product route, or on the join's entries scattered into one; with a
+nonzero cross block, iff rank [A_interest | A_nuisance] - rank A_nuisance
+= Q.  ratlinalg.rank decides a deficit from one prime when a kernel lifted
+from it checks exactly, and otherwise falls back to more primes; it is
+exact either way.
 """
 
 from __future__ import annotations
@@ -175,29 +177,48 @@ def below_rank_bound(N: int, m: int, Q: int) -> bool:
     return N * (m - 1) < Q
 
 
-def _connected(d: ChoiceDesign, model: ModelSpec, entries: tuple,
-               diagonal: bool, cross_zero: Optional[bool]) -> bool:
+def _connected(d: ChoiceDesign, model: ModelSpec, Cstar: Optional[np.ndarray],
+               diag: np.ndarray, diagonal: bool,
+               cross_zero: Optional[bool]) -> bool:
     """Whether the model's information matrix has full rank, exactly.
 
     A design below_rank_bound is not.  Otherwise, with no cross block,
-    that is rank C* = Q, and C* is never larger than A once N(m-1) >= Q;
-    C* is scattered from its nonzero entries only when a rank is needed.
-    With a nonzero cross block, verify's one option sign matrix is built
-    here, for [A_interest | A_nuisance]; its last columns are A_nuisance.
-    Their Gram matrices could be far larger than A.
+    that is rank C* = Q, and C* is never larger than A once N(m-1) >= Q.
+    Cstar is None on the join, which forms no dense C*; cstar_block forms
+    one here only when a rank is needed.  With a nonzero cross block,
+    verify's one option sign matrix is built here, for
+    [A_interest | A_nuisance]; its last columns are A_nuisance.  Their Gram
+    matrices could be far larger than A.
     """
     Q = model.Q
     if below_rank_bound(d.N, d.m, Q):
         return False
     if cross_zero in (None, True):
-        i, j, v = entries
-        if diagonal:  # full rank iff every diagonal entry is nonzero
-            return v.size == Q
-        Cstar = np.zeros((Q, Q), dtype=np.int64)
-        Cstar[i, j] = v
+        if diagonal:
+            return bool((diag > 0).all())
+        if Cstar is None:
+            Cstar = contrasts.cstar_block(d, model.interest, model.interest)
         return ratlinalg.rank(Cstar) == Q
     A = _differences(d, model.interest + model.nuisance)
     return ratlinalg.rank(A) - ratlinalg.rank(A[:, Q:]) == Q
+
+
+def _read_entries(chunks, Q: int) -> tuple:
+    """C*'s diagonal, the count of its nonzero pairs i < j, and the first
+    MAX_LISTED_PAIRS of them with their values, from row-major chunks."""
+    diag = np.zeros(Q, dtype=np.int64)
+    listed, count = [], 0
+    for i, j, v in chunks:
+        on = i == j
+        diag[i[on]] = v[on]
+        upper = np.flatnonzero(i < j)
+        if count < MAX_LISTED_PAIRS:
+            first = upper[:MAX_LISTED_PAIRS]
+            listed.append((i[first], j[first], v[first]))
+        count += upper.size
+    q1, q2, values = (np.concatenate(a)[:MAX_LISTED_PAIRS]
+                      for a in zip(*listed))
+    return diag, count, q1, q2, values
 
 
 def _joint(e1: FactorialEffect, e2: FactorialEffect) -> FactorialEffect:
@@ -215,12 +236,12 @@ def verify(d: ChoiceDesign, model: ModelSpec) -> OptimalityReport:
     and the zero counts come from the per-set sign sums, and C* from
     cstar_entries as its nonzero entries in row-major order: the diagonal
     and the trace, diagonality, and the offending pairs i < j, listed in
-    that order and counted in full, are read from them.  A dense C* is
-    scattered from them only when the rank path needs one; it goes through
-    ratlinalg.rank's one-prime kernel certificate or its prime loop.  The
-    eta counts of the listed offending pairs come from the same sums plus
-    those of each pair's joint effect.  At most one option sign matrix is
-    built, in _connected, when the cross block is nonzero.
+    that order and counted in full, are read from them.  The rank path
+    ranks the dense C*, the product route's block or the join's entries
+    scattered, through ratlinalg.rank's one-prime kernel certificate or its
+    prime loop.  The eta counts of the listed offending pairs come from the
+    same sums plus those of each pair's joint effect.  At most one option
+    sign matrix is built, in _connected, when the cross block is nonzero.
     """
     effects = model.interest
     require_within(effects, d.n)
@@ -228,43 +249,35 @@ def verify(d: ChoiceDesign, model: ModelSpec) -> OptimalityReport:
     n, m, N, Q = d.n, d.m, d.N, model.Q
 
     S = contrasts.set_sums(d, effects)  # (Q, N), value m - 2*n_p
-    entries = contrasts.cstar_entries(d, effects, effects, S)
-    i, j, v = entries
     # balanced means |S| = m mod 2, and S = m (mod 2), so |S| <= m mod 2
     balance_ok = bool(-(m % 2) <= S.min() and S.max() <= m % 2)
     # n_p in a type that holds every intermediate below, at most 4 m^2
     np_table = (m - S.astype(np.min_scalar_type(-4 * m * m))) // 2
 
-    on = i == j
-    diag = np.zeros(Q, dtype=np.int64)
-    diag[i[on]] = v[on]
+    chunks, Cstar = contrasts.cstar_entries(d, effects, effects, S)
+    diag, offending_count, q1, q2, values = _read_entries(chunks, Q)
     # same diagonal via the per-set zero counts, as an internal cross-check
     per_set = 4 * (np_table * (m - np_table)).sum(axis=1, dtype=np.int64)
     if not np.array_equal(diag, per_set):
         raise InvariantError("C* diagonal disagrees with the zero counts")
 
-    diagonal = bool(on.all())
-    upper = i < j
-    offending_count = int(np.count_nonzero(upper))
+    diagonal = not offending_count  # C* is symmetric
     offending = ()
     if not diagonal:
-        q1 = i[upper][:MAX_LISTED_PAIRS]
-        q2 = j[upper][:MAX_LISTED_PAIRS]
         pairs = list(zip(q1.tolist(), q2.tolist()))
         # per set, the quadrant counts of the signs x, y of a pair follow
         # from the sums of x, y and their product xy, the joint effect's
         s1 = S[q1].astype(np.int64)
         s2 = S[q2].astype(np.int64)
-        s12 = contrasts.set_sums(
-            d, [_joint(effects[a], effects[b]) for a, b in pairs]).astype(np.int64)
+        joints = [_joint(effects[a], effects[b]) for a, b in pairs]
+        s12 = contrasts.set_sums(d, joints).astype(np.int64)
         pp = (m + s1 + s2 + s12) // 4
         mm = (m - s1 - s2 + s12) // 4
         pm = (m + s1 - s2 - s12) // 4
         mp = (m - s1 + s2 - s12) // 4
         eta_plus = (pp * mm).sum(axis=1)
         eta_minus = (pm * mp).sum(axis=1)
-        if not np.array_equal(4 * (eta_plus - eta_minus),
-                              v[upper][:MAX_LISTED_PAIRS]):
+        if not np.array_equal(4 * (eta_plus - eta_minus), values):
             raise InvariantError("C* entry disagrees with its eta counts")
         offending = tuple(
             (effects[a], effects[b], ep, em) for (a, b), ep, em in
@@ -278,14 +291,15 @@ def verify(d: ChoiceDesign, model: ModelSpec) -> OptimalityReport:
 
     cross_zero = None
     if model.nuisance:
-        _, _, cross = contrasts.cstar_entries(d, effects, model.nuisance, S)
-        cross_zero = not cross.size
+        cross_zero = not any(
+            v.size for _, _, v in
+            contrasts.cstar_entries(d, effects, model.nuisance, S)[0])
 
     optimal = (diagonal and balance_ok and trace == bound
                and cross_zero in (None, True))
     if optimal:
         verdict = Verdict.UNIVERSALLY_OPTIMAL
-    elif _connected(d, model, entries, diagonal, cross_zero):
+    elif _connected(d, model, Cstar, diag, diagonal, cross_zero):
         verdict = Verdict.CONNECTED_NOT_OPTIMAL
     else:
         verdict = Verdict.NOT_CONNECTED

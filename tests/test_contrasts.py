@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chogen.contrasts import (DENSE_MAX_N, ScaledIntMatrix,
-                              _difference_tables, _effect_masks, _join_pays,
+                              _difference_tables, _effect_masks,
                               _pair_differences, _transform_pays,
                               contrast_matrix, contrast_vector,
                               cross_block_star, cstar_block, cstar_entries,
@@ -391,14 +391,12 @@ def test_cstar_of_stored_cells_equals_the_sign_matrix_product(name):
     assert np.array_equal(cstar_matrix(d, effects).ints, old)
 
 
-def _entries_branch(d, rows, cols):
-    """'join' or 'gather' on the difference route, else _walsh_branch's."""
+def _support(d, rows, cols):
+    """|U|, the tables' nonzero columns, when the block joins, else None."""
+    if cstar_entries(d, rows, cols)[1] is not None:
+        return None
     deltas = _pair_differences(d, len(rows), len(cols))
-    if deltas is None:
-        return _walsh_branch(d, rows, cols)
-    points = np.flatnonzero(_difference_tables(d, deltas).any(axis=0)).size
-    return ("join" if _join_pays(points, np.sort(_effect_masks(cols, d.n)))
-            else "gather")
+    return np.flatnonzero(_difference_tables(d, deltas).any(axis=0)).size
 
 
 @st.composite
@@ -431,7 +429,10 @@ def _check_entries(d, rows, cols):
     # B Lambda* B', the block by its definition, is the reference
     ref = (contrast_matrix(rows, d.n) @ lambda_star(d).ints
            @ contrast_matrix(cols, d.n).T)
-    i, j, v = cstar_entries(d, rows, cols)
+    chunks, block = cstar_entries(d, rows, cols)
+    if block is not None:
+        assert np.array_equal(block, ref)
+    i, j, v = (np.concatenate(a) for a in zip(*chunks))
     ri, rj = np.nonzero(ref)
     assert all(a.dtype == np.int64 for a in (i, j, v))
     assert np.array_equal(i, ri) and np.array_equal(j, rj)
@@ -447,8 +448,9 @@ def test_entries_of_subspace_translates_come_from_the_join(d, family, r):
     # main-effects and broader blocks never take the difference route:
     # their tables, 2^(n+1) entries or more, outgrow any of their blocks
     model = _family(family, d.n, min(r, d.n - 1))
-    branches = [_entries_branch(d, *b) for b in _blocks(model)]
-    assume(branches == ["join", "join"])
+    for rows, cols in _blocks(model):
+        support = _support(d, rows, cols)
+        assume(support is not None and support < len(cols))
     for b in _blocks(model):
         _check_entries(d, *b)
 
@@ -456,11 +458,13 @@ def test_entries_of_subspace_translates_come_from_the_join(d, family, r):
 @given(translated_designs(), st.sampled_from(("spec-all", "spec-group")),
        st.integers(1, 3))
 @settings(max_examples=30, deadline=None)
-def test_entries_of_random_translates_come_from_the_gather(d, family, r):
-    # random translates spread the histograms' transforms over |U| >= Q
+def test_entries_of_random_translates_join_a_wide_support(d, family, r):
+    # random translates spread the histograms' transforms over |U| >= Q,
+    # and the join still meets each row with one column per u in U
     model = _family(family, d.n, r)
-    branches = [_entries_branch(d, *b) for b in _blocks(model)]
-    assume(branches == ["gather", "gather"])
+    for rows, cols in _blocks(model):
+        support = _support(d, rows, cols)
+        assume(support is not None and support >= len(cols))
     for b in _blocks(model):
         _check_entries(d, *b)
 
@@ -471,8 +475,20 @@ def test_entries_of_random_translates_come_from_the_gather(d, family, r):
 def test_entries_of_random_designs_come_from_the_product(d, family, r):
     model = _family(family, d.n, min(r, d.n - 1))
     for b in _blocks(model):
-        assume(_entries_branch(d, *b) in ("fwht", "direct"))
+        assume(_support(d, *b) is None)
         _check_entries(d, *b)
+
+
+def test_repeated_column_masks_take_the_product_route():
+    # the join finds one column per mask, so a repeated effect is formed
+    # by the product route, which this translate design would otherwise skip
+    d = ChoiceDesign.from_indices(
+        np.array([[t, t ^ 0b1011] for t in range(0, 64, 4)]), 6)
+    F = ModelSpec.specified_one_factor(6).interest
+    assert _support(d, F, F) is not None
+    cols = F + F[:3]
+    assert _support(d, F, cols) is None
+    _check_entries(d, F, cols)
 
 
 @pytest.mark.parametrize("name", ["spec-all-m3-n12", "spec-all-m4-n12",
@@ -480,4 +496,6 @@ def test_entries_of_random_designs_come_from_the_product(d, family, r):
 def test_stored_cells_take_the_join(name):
     d, meta = load(str(INPUTS / f"{name}.json"))
     model = ModelSpec.family(meta["model"], d.n, meta.get("r"))
-    assert _entries_branch(d, model.interest, model.interest) == "join"
+    F = model.interest
+    assert _support(d, F, F) < len(F)
+    assert cstar_entries(d, F, F)[1] is None

@@ -135,6 +135,29 @@ def test_verify_holds_no_dense_cstar_on_the_join():
     assert peak < model.Q ** 2 * 8
 
 
+def test_verify_holds_one_dense_cstar_on_the_rank_path():
+    # a linked random design on the product route: C* is dense and has
+    # full rank Q = 521.  The rank holds C*, its copy and residues and the
+    # elimination's temporaries, about six Q x Q int64 arrays; C*'s entries
+    # held beside them, 24 bytes each, would add three more
+    import tracemalloc
+    from conftest import deadline
+    rng = np.random.default_rng(1)
+    sets = np.concatenate([rng.permutation(1 << 10) for _ in range(2)])
+    d = ChoiceDesign.from_indices(sets.reshape(512, 4), 10)
+    model = ModelSpec.specified_one_factor(10)
+    with deadline(60):
+        verify(d, model)
+        tracemalloc.start()
+        try:
+            report = verify(d, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert report.verdict is Verdict.CONNECTED_NOT_OPTIMAL
+    assert peak < 8 * model.Q ** 2 * 8
+
+
 def test_verify_broader_cross_block_flag():
     d = ChoiceDesign.from_sets([("00", "11"), ("01", "10")])
     report = verify(d, ModelSpec.broader_main_effects(2))
