@@ -491,6 +491,24 @@ def test_repeated_column_masks_take_the_product_route():
     _check_entries(d, F, cols)
 
 
+def test_entries_in_many_chunks_keep_the_row_order(monkeypatch):
+    # with 16 lookups to a chunk, both routes split their rows over many
+    # chunks, and the entries must still run in row-major order
+    import chogen.contrasts
+    monkeypatch.setattr(chogen.contrasts, "_CHUNK", 16)
+    F = ModelSpec.specified_one_factor(6).interest
+    joined = ChoiceDesign.from_indices(
+        np.array([[t, t ^ 0b1011] for t in range(0, 64, 4)]), 6)
+    rng = np.random.default_rng(2)
+    product = ChoiceDesign.from_indices(
+        np.array([rng.choice(64, 3, replace=False) for _ in range(12)]), 6)
+    assert cstar_entries(joined, F, F)[1] is None
+    assert cstar_entries(product, F, F)[1] is not None
+    for d in (joined, product):
+        _check_entries(d, F, F)
+        _check_entries(d, F, F[::-1])
+
+
 @pytest.mark.parametrize("name", ["spec-all-m3-n12", "spec-all-m4-n12",
                                   "spec-group-m4-n10-r3"])
 def test_stored_cells_take_the_join(name):
