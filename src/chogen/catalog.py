@@ -8,6 +8,11 @@ cheapest first, and catalog_lookup compares the winner's N against the
 reference value.  The command line uses the same two functions, and
 t1_generator_recipe, the recipe rule the catalog lists for Theorem 1, when
 it is given generators.
+
+candidate_recipes builds nothing to decide what it lists: it offers the
+Theorem 1 recipe when its default unit generators fit in n factors.
+build still validates every generator set, so a recipe listed by
+mistake is refused, not built wrong.
 """
 
 from __future__ import annotations
@@ -18,8 +23,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .constructions import (ConstructionRecipe, build, coset_columns,
-                            default_generators, direct_add_alpha, seed_alpha,
-                            validate_generators)
+                            direct_add_alpha, seed_alpha)
 from .errors import BelowRankBound, ChogenError, Unsupported
 from .hadamard import hadamard_plan, least_hadamard_order
 from .models import ModelKind, ModelSpec
@@ -90,21 +94,6 @@ class CatalogEntry:
     recipe: Optional[ConstructionRecipe]
     certified: bool
     note: str = ""
-
-
-def _supported_order(order: int) -> bool:
-    return hadamard_plan(order) is not None
-
-
-def _t1_generators_ok(n: int, m: int) -> bool:
-    alpha_needed = (m - 1) // 2
-    if alpha_needed > n:
-        return False
-    try:
-        validate_generators(default_generators(n, alpha_needed), n)
-    except ChogenError:
-        return False
-    return True
 
 
 def _require_specified_m(m: int, family: str):
@@ -185,19 +174,21 @@ def candidate_recipes(kind: ModelKind, m: int, n: int, r=None) -> tuple:
     half = kind is ModelKind.MAIN_EFFECTS
     variant = "half" if half else "full"
     recipes = []
-    if _supported_order(m) and n <= m - 1:
+    if hadamard_plan(m) is not None and n <= m - 1:
         recipes.append(ConstructionRecipe(
             "foldover-pair", m, model, 1 if half else 2, variant=variant,
             order=m))
-    if m % 2 == 0 and _supported_order(m // 2) and n <= m // 2:
+    if m % 2 == 0 and hadamard_plan(m // 2) is not None and n <= m // 2:
         recipes.append(ConstructionRecipe(
             "single-set", m, model, 1, order=m // 2))
-    if _supported_order(m) and n > m - 1:
+    if hadamard_plan(m) is not None and n > m - 1:
         alpha = direct_add_alpha(n, m)
         recipes.append(ConstructionRecipe(
             "T2-direct-add", m, model, 1 << (alpha if half else alpha + 1),
             variant=variant))
-    if _t1_generators_ok(n, m):
+    # with m <= 2^n the (m-1)//2 unit generators are valid iff they fit in
+    # n factors: an all-ones (n=1) or complement pair (n=2) needs m > 2^n
+    if (m - 1) // 2 <= n:
         recipes.append(t1_generator_recipe(model, m))
     return tuple(recipes)
 

@@ -55,8 +55,9 @@ def _parse_columns(text: str) -> tuple:
 
 def _generate_recipes(args) -> list:
     kind, m, n = ModelKind(args.model), args.m, args.n
-    columns = _parse_columns(args.seed_columns) if args.seed_columns else None
-    if args.generators:
+    columns = (None if args.seed_columns is None
+               else _parse_columns(args.seed_columns))
+    if args.generators is not None:
         if kind not in T1_KINDS:
             raise Unsupported("--generators applies to "
                               + " and ".join(k.value for k in T1_KINDS))

@@ -327,11 +327,6 @@ def specified_design(n: int, m: int, r: int = 1, order: int = None,
                             "required", m == 3)
 
 
-# Recipe ids of the generator shift; all but T1-generator need column 1
-SHIFT_IDS = ("T1-generator", "spec-2f-m3", "spec-2f-m4", "spec-all-m3",
-             "spec-all-m4", "spec-group-m3", "spec-group-m4")
-
-
 @dataclass(frozen=True)
 class ConstructionRecipe:
     """A fully determined construction call plus the model it claims;
@@ -363,29 +358,33 @@ class ConstructionRecipe:
         return " ".join(bits)
 
     def applied_generators(self) -> tuple:
-        """The generators the construction shifts by; () if it uses none."""
-        if self.id not in SHIFT_IDS:
-            return ()
-        if self.id != "T1-generator":
+        """The generators the construction shifts by: a T1-generator
+        recipe's own or the default unit vectors, a spec-* recipe's
+        spec_generator, () for the constructions that shift by none."""
+        if self.id == "T1-generator":
+            if self.generators is not None:
+                return self.generators
+            return default_generators(self.model.n, (self.m - 1) // 2)
+        if self.id.startswith("spec-"):
             return (spec_generator(self.model.n, self.model.r or 1),)
-        if self.generators is not None:
-            return self.generators
-        return default_generators(self.model.n, (self.m - 1) // 2)
+        return ()
 
 
 def build(recipe: ConstructionRecipe) -> ChoiceDesign:
     """Materialize a recipe; the result is checked against its claimed N.
 
-    A SHIFT_IDS recipe shifts by its applied_generators on a seed of
-    order 2^alpha, else its order; the full variant folds at odd m.
+    The generator-shift recipes call their public constructor on a seed
+    of order 2^alpha, else their order: T1-generator calls theorem1_design
+    (full) or theorem1_main_design (half) with its applied_generators, and
+    a spec-* recipe calls specified_design with its model's r.
     """
     rid, n, m = recipe.id, recipe.model.n, recipe.m
-    if rid in SHIFT_IDS:
-        order = recipe.order if recipe.alpha is None else 1 << recipe.alpha
-        d = _generator_shift(
-            n, m, recipe.applied_generators(), order, recipe.columns,
-            "free" if rid == "T1-generator" else "required",
-            recipe.variant == "full" and m % 2 == 1)
+    order = recipe.order if recipe.alpha is None else 1 << recipe.alpha
+    if rid == "T1-generator":
+        fn = theorem1_design if recipe.variant == "full" else theorem1_main_design
+        d = fn(n, m, recipe.applied_generators(), order, recipe.columns)
+    elif rid.startswith("spec-"):
+        d = specified_design(n, m, recipe.model.r or 1, order, recipe.columns)
     elif rid == "single-set":
         d = single_set_design(n, recipe.order, recipe.columns)
     elif rid == "foldover-pair":

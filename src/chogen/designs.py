@@ -187,7 +187,10 @@ class ChoiceDesign:
         return self.n == other.n and np.array_equal(self.array, other.array)
 
     def __hash__(self) -> int:
-        return hash(self.sets)
+        # n fixes the dtype, so equal designs give equal bytes or ints
+        x = self.array
+        values = tuple(x.flat) if x.dtype == object else x.tobytes()
+        return hash((self.n, x.shape, values))
 
     def __repr__(self) -> str:
         return f"ChoiceDesign(sets={self.sets!r})"

@@ -60,13 +60,6 @@ def two_factor_list(n: int) -> tuple:
     return tuple(effect(a, b) for a, b in itertools.combinations(range(1, n + 1), 2))
 
 
-def _subsets(pool: tuple, min_size: int = 1) -> list:
-    out = []
-    for size in range(min_size, len(pool) + 1):
-        out.extend(itertools.combinations(pool, size))
-    return out
-
-
 # A model lists at most this many effects (interest plus nuisance).  The
 # largest catalog cell has 2059; spec-all at n = 13 has 4108.
 MAX_EFFECTS = 8192
@@ -195,19 +188,17 @@ class ModelSpec:
 
 
 def _group_effects(n: int, r: int) -> tuple:
-    """The group model's effects of interest; r must be an int, not a bool."""
+    """The group model's effects of interest in (order, factors) order;
+    r must be an int, not a bool."""
     if n < 2:
         raise BadModel("specified interaction models need n >= 2")
     if (isinstance(r, bool) or not isinstance(r, numbers.Integral)
             or not 1 <= r <= n - 1):
         raise BadGroup(f"group size r must lie in 1..{n - 1}, got {r!r}")
     _require_size(n + r * ((1 << (n - r)) - 1))
-    group2 = tuple(range(r + 1, n + 1))
-    inter = tuple(
-        effect(h, *k) for h in range(1, r + 1) for k in _subsets(group2)
-    )
-    return main_effect_list(n) + _sorted_interactions(inter)
-
-
-def _sorted_interactions(effects: tuple) -> tuple:
-    return tuple(sorted(set(effects), key=lambda e: (e.order, e.factors)))
+    group2 = range(r + 1, n + 1)
+    # {h} with a subset k of group 2: order 1 + |k|, and every h < min k
+    return main_effect_list(n) + tuple(
+        effect(h, *k) for size in range(1, n - r + 1)
+        for h in range(1, r + 1)
+        for k in itertools.combinations(group2, size))

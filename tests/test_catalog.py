@@ -8,10 +8,14 @@ import pytest
 from chogen.catalog import (EXPECTED_DEVIATIONS, TABLE1, TABLE_NS, CellStatus,
                             Table1Report, candidate_recipes, catalog_lookup,
                             first_certified, reproduce_table1)
-from chogen import catalog
-from chogen.constructions import ConstructionRecipe, build, coset_columns
+from chogen import catalog, constructions
+from chogen.constructions import (ConstructionRecipe, build, coset_columns,
+                                  default_generators, spec_generator,
+                                  specified_design, theorem1_design,
+                                  theorem1_main_design, validate_generators)
 from chogen.designs import ChoiceDesign, all_treatments
-from chogen.errors import BelowRankBound, RangeError, Unsupported
+from chogen.errors import (BelowRankBound, ChogenError, RangeError,
+                           Unsupported)
 from chogen.models import ModelKind, ModelSpec
 from chogen.optimality import (OptimalityReport, Verdict, below_rank_bound,
                                verify)
@@ -295,3 +299,73 @@ def test_candidate_recipes_empty_below_two_options(kind, m):
     # m = 1 once offered direct addition, whose alpha search never ended
     with deadline(10):
         assert candidate_recipes(kind, m, 4) == ()
+
+
+# The rules the catalog and build once spelled out, kept as references
+# for the closed forms that replaced them.
+
+def _ref_t1_generators_ok(n, m):
+    """Whether the (m-1)//2 default unit generators validate on n factors."""
+    alpha = (m - 1) // 2
+    if alpha > n:
+        return False
+    try:
+        validate_generators(default_generators(n, alpha), n)
+    except ChogenError:
+        return False
+    return True
+
+
+def _ref_shift_build(recipe):
+    """The generator shift with the first-column and fold rules by id."""
+    order = recipe.order if recipe.alpha is None else 1 << recipe.alpha
+    return constructions._generator_shift(
+        recipe.model.n, recipe.m, recipe.applied_generators(), order,
+        recipe.columns,
+        "free" if recipe.id == "T1-generator" else "required",
+        recipe.variant == "full" and recipe.m % 2 == 1)
+
+
+def _public_build(recipe):
+    n, m = recipe.model.n, recipe.m
+    order = recipe.order if recipe.alpha is None else 1 << recipe.alpha
+    if recipe.id == "T1-generator":
+        fn = (theorem1_design if recipe.variant == "full"
+              else theorem1_main_design)
+        return fn(n, m, recipe.applied_generators(), order, recipe.columns)
+    r = recipe.model.r or 1
+    assert recipe.applied_generators() == (spec_generator(n, r),)
+    return specified_design(n, m, r, order, recipe.columns)
+
+
+def _outcome(fn, recipe):
+    try:
+        return fn(recipe)
+    except ChogenError as exc:
+        return type(exc), str(exc)
+
+
+def test_t1_recipe_condition_is_the_generator_check():
+    for n in range(1, 13):
+        for m in range(2, min(1 << n, 64) + 1):
+            want = _ref_t1_generators_ok(n, m)
+            # the broader model needs n >= 2
+            kinds = catalog.T1_KINDS if n >= 2 else (ModelKind.MAIN_EFFECTS,)
+            for kind in kinds:
+                ids = [rec.id for rec in candidate_recipes(kind, m, n)]
+                assert ("T1-generator" in ids) == want, (kind, m, n)
+
+
+def test_shift_recipes_build_as_their_public_constructors():
+    cells = [(kind, m, n, None) for kind, block in TABLE1.items()
+             for m in block for n in TABLE_NS]
+    cells += [(ModelKind.SPECIFIED_GROUP, m, n, r) for m in (3, 4)
+              for n in range(2, 9) for r in range(1, n)]
+    shifts = [rec for kind, m, n, r in cells
+              for rec in candidate_recipes(kind, m, n, r)
+              if rec.id == "T1-generator" or rec.id.startswith("spec-")]
+    assert len(shifts) == 320
+    for rec in shifts:
+        got = _outcome(build, rec)
+        assert got == _outcome(_public_build, rec), rec.describe()
+        assert got == _outcome(_ref_shift_build, rec), rec.describe()

@@ -137,6 +137,15 @@ def test_generate_unsupported_m(capsys):
     assert "m in {3,4}" in err
 
 
+@pytest.mark.parametrize("flag", ["--generators", "--seed-columns"])
+def test_generate_refuses_an_empty_flag_value(capsys, flag):
+    # an empty value is a bad value, not the default generators or columns
+    code, out, err = run(capsys, "generate", "--model", "main-effects",
+                         "--m", "4", "--n", "5", flag, "")
+    assert (code, out) == (3, "")
+    assert err.splitlines() == [f"error: bad {flag} value ''"]
+
+
 def test_generate_seed_columns_override_can_fail_honestly(capsys):
     # explicit seed columns replace the coset columns too, and
     # these particular ones provably cannot balance every effect pair

@@ -327,3 +327,20 @@ def test_operators_cross_the_int64_boundary():
     assert back == narrow and back.array.dtype == np.int64
     with pytest.raises(errors.Unsupported):
         wide.indices
+
+
+@pytest.mark.parametrize("n", [3, 80])
+def test_equal_designs_hash_equal_without_the_tuple_view(n):
+    rows = [(0, 5, 6), (1, 2, 7)]
+    if n == 80:  # Python ints beyond the int64 range
+        rows = [[v << 77 | 1 for v in s] for s in rows]
+    bits = [[format(v, f"0{n}b") for v in s] for s in rows]
+    tuples = [[tuple(map(int, b)) for b in s] for s in bits]
+    built = (ChoiceDesign.from_indices(rows, n), ChoiceDesign(bits),
+             ChoiceDesign(tuples))
+    assert built[0].array.dtype == (object if n == 80 else np.int64)
+    for d in built:
+        assert d == built[0] and hash(d) == hash(built[0])
+        assert "sets" not in d.__dict__
+    assert len({built[0], complement(built[0]), *built}) == 2
+    assert "sets" not in built[0].__dict__

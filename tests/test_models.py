@@ -1,5 +1,7 @@
 """Factorial effects and model specifications."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -179,3 +181,17 @@ def test_oversized_families_are_refused_before_listing(make):
 
 def test_largest_allowed_spec_all_family():
     assert ModelSpec.specified_one_factor(13).Q == 4108
+
+
+def test_group_effects_equal_the_sorted_subset_enumeration():
+    # the listing the group model once sorted: {h} with every nonempty
+    # subset k of group 2, de-duplicated, in (order, factors) order
+    for n in range(2, 11):
+        for r in range(1, n):
+            group2 = tuple(range(r + 1, n + 1))
+            subsets = [k for size in range(1, len(group2) + 1)
+                       for k in itertools.combinations(group2, size)]
+            inter = {effect(h, *k) for h in range(1, r + 1) for k in subsets}
+            want = main_effect_list(n) + tuple(
+                sorted(inter, key=lambda e: (e.order, e.factors)))
+            assert ModelSpec.specified_group(n, r).interest == want, (n, r)
