@@ -75,9 +75,8 @@ class ScaledIntMatrix:
         return self.ints.astype(float) * float(self.scale)
 
     def is_diagonal(self) -> bool:
-        off = self.ints.copy()
-        np.fill_diagonal(off, 0)
-        return not off.any()
+        return (np.count_nonzero(self.ints)
+                == np.count_nonzero(np.diagonal(self.ints)))
 
     def __eq__(self, other) -> bool:
         """Exact equality of the represented values."""
@@ -177,26 +176,28 @@ def set_sums(d: ChoiceDesign, effects: Sequence[FactorialEffect]) -> np.ndarray:
     """S[q, p]: the sum of effect q's contrast signs over set p, shape (Q, N).
 
     Each entry is m - 2 * (zeros of the effective choice set), held in the
-    smallest signed integer type that fits -m..m.  Effects are taken in
-    chunks, and the option sign matrix is never formed.
+    smallest signed integer type that fits -m..m.  S is the one (Q, N) array:
+    a chunk of effects at a time, the odd parities are counted into it and
+    turned into sigma(e) (m - 2 odd) in place, every intermediate within
+    -m..m, so S is int8 up to m = 127.  No option sign matrix is formed.
     """
     masks = _effect_masks(effects, d.n)
     columns = np.ascontiguousarray(d.indices.T)  # (m, N)
-    odd = np.zeros((len(masks), d.N), dtype=np.min_scalar_type(d.m))
+    # -(m+1) needs a signed type whose maximum is at least m
+    S = np.zeros((len(masks), d.N), dtype=np.min_scalar_type(-d.m - 1))
+    signs = _effect_signs(masks).astype(S.dtype)[:, None]
     step = max(1, _CHUNK // d.N)
     for lo in range(0, len(masks), step):
         block = masks[lo:lo + step, None]
-        acc = odd[lo:lo + step]
+        acc = S[lo:lo + step]
         for col in columns:
             bit = np.bitwise_count(block & col)
             bit &= 1
             acc += bit
-    # -(m+1) needs a signed type whose maximum is at least m; every
-    # intermediate of m - odd - odd stays within -m..m
-    odd = odd.astype(np.min_scalar_type(-d.m - 1))
-    S = d.m - odd
-    S -= odd
-    S *= _effect_signs(masks).astype(S.dtype)[:, None]
+        odd = acc.copy()
+        np.subtract(d.m, acc, out=acc)  # m - odd
+        acc -= odd
+        acc *= signs[lo:lo + step]
     return S
 
 

@@ -61,7 +61,8 @@ class OptimalityReport:
     offending_count: int  # all unbalanced pairs, even past the listing cap
     balance_ok: bool
     # np_table[p, q]: zeros of interest effect q in set p; a read-only view,
-    # in the smallest signed integer dtype that holds -4 m^2 (int8 up to m = 5)
+    # in the smallest signed integer dtype that holds -4 m^2 (int8 up to m = 5),
+    # written over verify's per-set sums when their dtypes agree
     np_table: np.ndarray
     trace: Fraction
     trace_bound: Fraction
@@ -233,10 +234,12 @@ def verify(d: ChoiceDesign, model: ModelSpec) -> OptimalityReport:
     per-set count is balanced, the trace equals max_trace, and (for
     nonempty nuisance) the cross block vanishes; otherwise the exact
     rank of C decides ConnectedNotOptimal versus NotConnected.  Balance
-    and the zero counts come from the per-set sign sums, and C* from
-    cstar_entries as its nonzero entries in row-major order: the diagonal
-    and the trace, diagonality, and the offending pairs i < j, listed in
-    that order and counted in full, are read from them.  The rank path
+    and the zero counts come from the per-set sign sums S, the one (Q, N)
+    array held: the diagonal is checked against N m^2 - sum_p S^2 in row
+    chunks, and the counts overwrite S last.  C* comes from cstar_entries
+    as its nonzero entries in row-major order: the diagonal and the trace,
+    diagonality, and the offending pairs i < j, listed in that order and
+    counted in full, are read from them.  The rank path
     ranks the dense C*, the product route's block or the join's entries
     scattered, through ratlinalg.rank's one-prime kernel certificate or its
     prime loop.  The eta counts of the listed offending pairs come from the
@@ -251,15 +254,16 @@ def verify(d: ChoiceDesign, model: ModelSpec) -> OptimalityReport:
     S = contrasts.set_sums(d, effects)  # (Q, N), value m - 2*n_p
     # balanced means |S| = m mod 2, and S = m (mod 2), so |S| <= m mod 2
     balance_ok = bool(-(m % 2) <= S.min() and S.max() <= m % 2)
-    # n_p in a type that holds every intermediate below, at most 4 m^2
-    np_table = (m - S.astype(np.min_scalar_type(-4 * m * m))) // 2
 
     chunks, Cstar = contrasts.cstar_entries(d, effects, effects, S)
     diag, offending_count, q1, q2, values = _read_entries(chunks, Q)
-    # same diagonal via the per-set zero counts, as an internal cross-check
-    per_set = 4 * (np_table * (m - np_table)).sum(axis=1, dtype=np.int64)
-    if not np.array_equal(diag, per_set):
-        raise InvariantError("C* diagonal disagrees with the zero counts")
+    # same diagonal via the per-set zero counts, as an internal cross-check:
+    # sum_p 4 n_p (m - n_p) = N m^2 - sum_p S^2, a chunk of rows at a time
+    step = max(1, contrasts._CHUNK // N)
+    for lo in range(0, Q, step):
+        s2 = S[lo:lo + step].astype(np.int64) ** 2
+        if not np.array_equal(diag[lo:lo + step], N * m * m - s2.sum(axis=1)):
+            raise InvariantError("C* diagonal disagrees with the zero counts")
 
     diagonal = not offending_count  # C* is symmetric
     offending = ()
@@ -304,14 +308,17 @@ def verify(d: ChoiceDesign, model: ModelSpec) -> OptimalityReport:
     else:
         verdict = Verdict.NOT_CONNECTED
 
-    table = np_table.T
+    # n_p = (m - S) / 2, built after S's last use, in S's buffer when the
+    # report's type is S's (m <= 5)
+    table = S.astype(np.min_scalar_type(-4 * m * m), copy=False)
+    np.floor_divide(np.subtract(m, table, out=table), 2, out=table)
     table.setflags(write=False)
     return OptimalityReport(
         model=model, n=n, m=m, N=N,
         diagonal=diagonal, offending_pairs=offending,
         offending_count=offending_count,
         balance_ok=balance_ok,
-        np_table=table,
+        np_table=table.T,
         trace=trace, trace_bound=bound,
         cross_block_zero=cross_zero,
         total_component_pairs=N * m * (m - 1) // 2,
