@@ -133,6 +133,16 @@ def test_scaled_int_matrix_api():
         ScaledIntMatrix(np.array([[1]]), Fraction(0))
 
 
+def test_is_diagonal_sees_one_off_diagonal_entry():
+    ints = np.diag([3, 0, 5])
+    assert ScaledIntMatrix(ints, Fraction(1)).is_diagonal()
+    for i, j in [(0, 2), (2, 1), (1, 0)]:
+        off = ints.copy()
+        off[i, j] = -1
+        assert not ScaledIntMatrix(off, Fraction(1)).is_diagonal()
+    assert ScaledIntMatrix(np.zeros((2, 2)), Fraction(1)).is_diagonal()
+
+
 def test_cstar_matrix_validation():
     d = ChoiceDesign.from_sets([("00", "11")])
     with pytest.raises(ValueError):

@@ -17,7 +17,7 @@ import chogen
 from chogen import ratlinalg
 from chogen.designs import ChoiceDesign, all_treatments
 from chogen.errors import SameEffect, Unsupported
-from chogen.models import ModelSpec, effect, main_effect_list
+from chogen.models import FactorialEffect, ModelSpec, effect, main_effect_list
 from chogen.optimality import (MAX_LISTED_PAIRS, Verdict, _differences,
                                below_rank_bound, eta_counts, max_trace,
                                np_counts, oracle_cstar, verify)
@@ -133,6 +133,27 @@ def test_verify_holds_no_dense_cstar_on_the_join():
             tracemalloc.stop()
     assert report.certified
     assert peak < model.Q ** 2 * 8
+
+
+def test_verify_keeps_one_set_sum_array():
+    # the per-set sums S (int8 here) are verify's one (Q, N) array: built in
+    # place, read in row chunks for the diagonal check and overwritten by
+    # the zero counts.  A second or third Q x N array would exceed the bound
+    import tracemalloc
+    from chogen.serialization import load
+    from conftest import deadline
+    d, _ = load(str(INPUTS / "spec-all-m3-n12.json"))
+    model = ModelSpec.specified_one_factor(d.n)
+    with deadline(30):
+        verify(d, model)
+        tracemalloc.start()
+        try:
+            report = verify(d, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert report.certified
+    assert peak < 1.5 * model.Q * d.N
 
 
 def test_verify_holds_one_dense_cstar_on_the_rank_path():
@@ -483,6 +504,29 @@ def test_invariant_checks_survive_python_O():
     assert out.stdout.strip() == "InvariantError"
 
 
+@pytest.mark.parametrize("row", [0, -1])
+def test_diagonal_cross_check_reads_every_row_chunk(monkeypatch, row):
+    # one wrong diagonal entry of C*, in the first or the last of the
+    # four single-row chunks the check reads, fails verify
+    from chogen import contrasts
+    from chogen.errors import InvariantError
+    real = contrasts.int_product
+
+    def off_by_one(A, B):
+        product = real(A, B)
+        product[row, row] -= 1
+        return product
+
+    d = random_design(random.Random(5), 4, 3, 8)
+    model = ModelSpec.main_effects(4)
+    effects = model.interest
+    assert contrasts.cstar_entries(d, effects, effects)[1] is not None  # product
+    monkeypatch.setattr(contrasts, "int_product", off_by_one)
+    monkeypatch.setattr(contrasts, "_CHUNK", d.N)
+    with pytest.raises(InvariantError, match="diagonal"):
+        verify(d, model)
+
+
 @pytest.mark.parametrize("m", [64, 127, 128])
 def test_large_sets_keep_the_per_set_sums_exact(m):
     # per-set sums of up to 127 options fit in int8, 128 needs int16;
@@ -497,3 +541,131 @@ def test_large_sets_keep_the_per_set_sums_exact(m):
     B = contrast_matrix(model.interest, 7)
     assert np.array_equal(cstar_matrix(d, model.interest).ints,
                           B @ lambda_star(d).ints @ B.T)
+
+
+def _former_set_sums(d, effects):
+    """set_sums as it was before S was built in place: the odd counts, their
+    signed copy and S = m - odd - odd are three (Q, N) arrays."""
+    from chogen import contrasts
+    masks = contrasts._effect_masks(effects, d.n)
+    columns = np.ascontiguousarray(d.indices.T)
+    odd = np.zeros((len(masks), d.N), dtype=np.min_scalar_type(d.m))
+    step = max(1, contrasts._CHUNK // d.N)
+    for lo in range(0, len(masks), step):
+        block = masks[lo:lo + step, None]
+        acc = odd[lo:lo + step]
+        for col in columns:
+            bit = np.bitwise_count(block & col)
+            bit &= 1
+            acc += bit
+    odd = odd.astype(np.min_scalar_type(-d.m - 1))
+    S = d.m - odd
+    S -= odd
+    S *= contrasts._effect_signs(masks).astype(S.dtype)[:, None]
+    return S
+
+
+def _former_report(d, model) -> dict:
+    """The report fields by verify's former formulas, from a dense C*."""
+    from chogen.contrasts import cstar_block
+    m, N, Q, effects = d.m, d.N, model.Q, model.interest
+    S = _former_set_sums(d, effects)
+    balance_ok = bool(-(m % 2) <= S.min() and S.max() <= m % 2)
+    np_table = (m - S.astype(np.min_scalar_type(-4 * m * m))) // 2
+    C = cstar_block(d, effects, effects)
+    per_set = 4 * (np_table * (m - np_table)).sum(axis=1, dtype=np.int64)
+    assert np.array_equal(np.diagonal(C), per_set)
+    q1, q2 = np.nonzero(C)
+    upper = q1 < q2
+    q1, q2 = q1[upper][:MAX_LISTED_PAIRS], q2[upper][:MAX_LISTED_PAIRS]
+    s1, s2 = S[q1].astype(np.int64), S[q2].astype(np.int64)
+    joints = [FactorialEffect(tuple(sorted(set(effects[a].factors)
+                                           ^ set(effects[b].factors))))
+              for a, b in zip(q1, q2)]
+    s12 = _former_set_sums(d, joints).astype(np.int64)
+    eta_plus = (((m + s1 + s2 + s12) // 4) * ((m - s1 - s2 + s12) // 4)).sum(axis=1)
+    eta_minus = (((m + s1 - s2 - s12) // 4) * ((m - s1 + s2 - s12) // 4)).sum(axis=1)
+    offending = tuple((effects[a], effects[b], ep, em) for a, b, ep, em in
+                      zip(q1.tolist(), q2.tolist(), eta_plus.tolist(),
+                          eta_minus.tolist()))
+    trace = int(np.trace(C)) * Fraction(1, (1 << d.n) * N * m * m)
+    cross_zero = None
+    if model.nuisance:
+        cross_zero = not cstar_block(d, effects, model.nuisance).any()
+    if (not upper.any() and balance_ok and trace == max_trace(Q, d.n, m)
+            and cross_zero in (None, True)):
+        verdict = Verdict.UNIVERSALLY_OPTIMAL
+    elif below_rank_bound(N, m, Q):
+        verdict = Verdict.NOT_CONNECTED
+    elif cross_zero in (None, True):
+        verdict = (Verdict.CONNECTED_NOT_OPTIMAL if ratlinalg.rank(C) == Q
+                   else Verdict.NOT_CONNECTED)
+    else:
+        A = _differences(d, effects + model.nuisance)
+        full = ratlinalg.rank(A) - ratlinalg.rank(A[:, Q:]) == Q
+        verdict = (Verdict.CONNECTED_NOT_OPTIMAL if full
+                   else Verdict.NOT_CONNECTED)
+    return dict(np_table=np_table.T, balance_ok=balance_ok,
+                offending_pairs=offending, offending_count=int(upper.sum()),
+                diagonal=not upper.any(), trace=trace,
+                cross_block_zero=cross_zero, verdict=verdict)
+
+
+def _translates(n, m, N, seed):
+    """N translates of the first m points of a 3-dimensional subspace: at
+    most 7 distinct pair differences, so C* comes from the join."""
+    rng = np.random.default_rng(seed)
+    bases = rng.choice(1 << (n - 3), size=N, replace=False) << 3
+    return ChoiceDesign.from_indices(bases[:, None] ^ np.arange(m), n)
+
+
+def _edge_cases():
+    # product route at every size: np_table turns int16 at m = 6, S at 128
+    for m in (2, 3, 4, 5, 6, 7, 64, 127, 128):
+        N = 20 if m <= 7 else 3
+        yield (f"product-m{m}", "product",
+               lambda m=m, N=N: (random_design(random.Random(m), 7, m, N),
+                                 ModelSpec.specified_one_factor(7)))
+    for m in (2, 3, 4, 5, 6, 7):
+        yield (f"join-m{m}", "join",
+               lambda m=m: (_translates(9, m, 48, m),
+                            ModelSpec.specified_one_factor(9)))
+    yield ("join-listing-capped", "join",
+           lambda: (specified_design(8, 4), ModelSpec.specified_one_factor(8)))
+    for name, family in [("spec-all-m3-n12", "spec-all"),
+                         ("spec-group-m4-n10-r3", "spec-group"),
+                         ("broader-m6-n8", "broader")]:
+        def stored(name=name, family=family):
+            d, meta = chogen.load(str(INPUTS / f"{name}.json"))
+            return d, ModelSpec.family(family, d.n, meta.get("r"))
+        yield name, None, stored
+    # nonzero cross block, settled by the rank of [A_interest | A_nuisance]
+    yield ("broader-cross", None,
+           lambda: (ChoiceDesign.from_sets([("000", "011"), ("000", "101"),
+                                            ("000", "110"), ("001", "111")]),
+                    ModelSpec.broader_main_effects(3)))
+
+
+EDGE_CASES = list(_edge_cases())
+
+
+@pytest.mark.parametrize("route,build", [case[1:] for case in EDGE_CASES],
+                         ids=[case[0] for case in EDGE_CASES])
+def test_set_sums_and_report_match_the_former_formulas(route, build):
+    from chogen import contrasts
+    d, model = build()
+    effects = model.interest
+    if route is not None:
+        block = contrasts.cstar_entries(d, effects, effects)[1]
+        assert (block is None) == (route == "join")
+    S = contrasts.set_sums(d, effects)
+    former = _former_set_sums(d, effects)
+    assert S.dtype == former.dtype and np.array_equal(S, former)
+    report = verify(d, model)
+    expected = _former_report(d, model)
+    table = expected.pop("np_table")
+    assert report.np_table.dtype == table.dtype
+    assert np.array_equal(report.np_table, table)
+    assert not report.np_table.flags.writeable
+    for field, value in expected.items():
+        assert getattr(report, field) == value, field

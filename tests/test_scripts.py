@@ -1,5 +1,7 @@
-"""The demos and the benchmark tracer run against the package as it is."""
+"""The demos, the benchmark tracer and the measuring tools run against the
+package as it is."""
 
+import json
 import os
 import subprocess
 import sys
@@ -45,3 +47,16 @@ def test_tracer_targets_and_package_exports_resolve():
     proc = _run(["-c", TRACER_CHECK, str(ROOT / "perfbench")], 60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+def test_own_peak_reports_a_cold_verify():
+    design = ROOT / "perfbench" / "inputs" / "broader-m6-n8.json"
+    proc = _run([str(ROOT / "tools" / "own_peak.py"), "-k", "1",
+                 "verify", str(design)], 120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert set(report) == {"command", "runs", "exit_codes", "wall_s",
+                           "peak_rss_mb"}
+    assert report["command"] == ["verify", str(design)]
+    assert report["runs"] == 1 and report["exit_codes"] == [0]
+    assert report["wall_s"] > 0 and report["peak_rss_mb"] > 0
