@@ -1,18 +1,15 @@
 """Effective positions, contrast vectors, and exact information matrices.
 
-Everything that feeds a certification verdict is computed over the
-integers: the information matrix C of a design is held as an integer
-matrix C* plus the exact rational scale 1/(2^n N m^2).  Every block of C*
-comes from cstar_entries, as its nonzero entries, by one of two routes.
-When the component pairs take few distinct differences, as in every
-translate-of-a-pattern construction, the entries are joined from
-per-difference Walsh tables: each row meets at most one column per
-nonzero column u of the tables, so the join takes about rows |U| steps
-and forms no rows x cols array.  Otherwise the block is a Walsh transform
-of the option histogram for the Gram part less one product of per-set
-sign sums.  Neither route forms a (Q, N*m) sign matrix.  Floating point
-appears only in the explicitly numeric branch of info_matrix, and inside
-int_product, whose float values are integers held exactly.
+Verdicts are computed over the integers: C is an integer matrix C* times
+the exact scale 1/(2^n N m^2).  set_sums and cstar_entries take effect
+bit masks (models); the public functions also take FactorialEffects.
+Every block of C* comes from cstar_entries as its nonzero entries: joined
+from per-difference Walsh tables when the component pairs take few
+distinct differences, as in every translate-of-a-pattern construction,
+and otherwise a Walsh transform of the option histogram less one product
+of per-set sign sums.  Neither route forms a (Q, N*m) sign matrix.  Floats
+appear only in info_matrix's numeric branch and inside int_product, whose
+float values are integers held exactly.
 """
 
 from __future__ import annotations
@@ -24,9 +21,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import ratlinalg
-from .designs import MAX_INDEX_FACTORS, ChoiceDesign, distinct
+from .designs import ChoiceDesign, distinct
 from .errors import EffectOutOfRange, InvariantError, SamePair, Unsupported
-from .models import FactorialEffect, ModelSpec
+from .models import FactorialEffect, ModelSpec, _effect_masks
 from .ratlinalg import int_product
 
 # lambda_star is a dense 2^n x 2^n matrix, so it is refused beyond this width
@@ -102,23 +99,13 @@ def effective_choice_set(S: Sequence, e: FactorialEffect) -> tuple:
     return tuple(effective_position(T, e) for T in S)
 
 
-def _effect_mask(e: FactorialEffect, n: int) -> int:
-    # factor j maps to bit n-j, matching the lexicographic treatment index
-    if not e.within(n):
-        raise EffectOutOfRange(f"{e} does not fit in {n} factors")
-    mask = 0
-    for j in e.factors:
-        mask |= 1 << (n - j)
-    return mask
-
-
 def contrast_vector(e: FactorialEffect, n: int) -> np.ndarray:
     """Signs of the effect over all 2^n treatments in lexicographic order.
 
     Entry at T is the product over the effect's factors of (2*level - 1);
     equivalently 2*effective_position - 1.
     """
-    mask = _effect_mask(e, n)
+    mask = int(_effect_masks((e,), n)[0])
     idx = np.arange(1 << n, dtype=np.int64)
     ones = np.bitwise_count(idx & mask).astype(np.int64)
     return 1 - 2 * ((e.order - ones) & 1)
@@ -144,12 +131,9 @@ def pair_contribution(e1: FactorialEffect, e2: FactorialEffect,
     return (xi - xj) * (yi - yj)
 
 
-def _effect_masks(effects: Sequence[FactorialEffect], n: int) -> np.ndarray:
-    """Bit masks of the effects; Unsupported beyond MAX_INDEX_FACTORS factors."""
-    if n > MAX_INDEX_FACTORS:
-        raise Unsupported(f"option indices are limited to n <= "
-                          f"{MAX_INDEX_FACTORS} factors, got {n}")
-    return np.array([_effect_mask(e, n) for e in effects], dtype=np.int64)
+def _as_masks(effects, n: int) -> np.ndarray:
+    """A mask array as it is, or the masks of a FactorialEffect sequence."""
+    return effects if isinstance(effects, np.ndarray) else _effect_masks(effects, n)
 
 
 def _effect_signs(masks: np.ndarray) -> np.ndarray:
@@ -157,31 +141,27 @@ def _effect_signs(masks: np.ndarray) -> np.ndarray:
     return 1 - 2 * (np.bitwise_count(masks) & 1).astype(np.int64)
 
 
-def option_sign_matrix(d: ChoiceDesign, effects: Sequence[FactorialEffect]) -> np.ndarray:
-    """Contrast signs of every effect at every option, shape (Q, N*m).
-
-    Columns run through the design's options in (set, option) order.
-    Raises Unsupported beyond MAX_INDEX_FACTORS factors.
+def option_sign_matrix(d: ChoiceDesign, effects) -> np.ndarray:
+    """Contrast signs of every effect (or mask) at every option, shape
+    (Q, N*m), in (set, option) order; Unsupported beyond MAX_INDEX_FACTORS.
     """
-    masks = _effect_masks(effects, d.n)
-    orders = np.array([e.order for e in effects], dtype=np.uint8)
     opts = d.indices.ravel()
+    masks = _as_masks(effects, d.n)
     ones = np.bitwise_count(masks[:, None] & opts[None, :])
     # the parity is taken in uint8, so only the result is a full int64 array
-    odd = ((orders[:, None] - ones) & 1).astype(bool)
+    odd = ((np.bitwise_count(masks)[:, None] + ones) & 1).astype(bool)
     return np.where(odd, np.int64(-1), np.int64(1))
 
 
-def set_sums(d: ChoiceDesign, effects: Sequence[FactorialEffect]) -> np.ndarray:
-    """S[q, p]: the sum of effect q's contrast signs over set p, shape (Q, N).
+def set_sums(d: ChoiceDesign, masks: np.ndarray) -> np.ndarray:
+    """S[q, p]: the sum of the contrast signs of the effect of mask masks[q]
+    over set p, shape (Q, N); the masks are on the design's n factors.
 
-    Each entry is m - 2 * (zeros of the effective choice set), held in the
-    smallest signed integer type that fits -m..m.  S is the one (Q, N) array:
-    a chunk of effects at a time, the odd parities are counted into it and
-    turned into sigma(e) (m - 2 odd) in place, every intermediate within
-    -m..m, so S is int8 up to m = 127.  No option sign matrix is formed.
+    Each entry is m - 2 * (zeros of the effective choice set), in the
+    smallest signed type that fits -m..m.  A chunk of effects at a time,
+    the odd parities are counted into S and turned into sigma(e) (m - 2 odd)
+    in place, every intermediate within -m..m, so S is int8 up to m = 127.
     """
-    masks = _effect_masks(effects, d.n)
     columns = np.ascontiguousarray(d.indices.T)  # (m, N)
     # -(m+1) needs a signed type whose maximum is at least m
     S = np.zeros((len(masks), d.N), dtype=np.min_scalar_type(-d.m - 1))
@@ -366,30 +346,24 @@ def _nonzero_rows(block: np.ndarray):
         yield i, j, block[i, j]
 
 
-def cstar_entries(d: ChoiceDesign, rows: Sequence[FactorialEffect],
-                  cols: Sequence[FactorialEffect],
+def cstar_entries(d: ChoiceDesign, r: np.ndarray, c: np.ndarray,
                   row_sums: np.ndarray = None) -> tuple:
-    """The nonzero entries of cstar_block, as (chunks, block).
+    """The nonzero entries of the C* block of row masks r and column masks
+    c, as (chunks, block): chunks yields int64 arrays (i, j, v) in
+    row-major order over all chunks.
 
-    chunks yields int64 arrays (i, j, v), v[k] being the entry at [i[k],
-    j[k]], in row-major order over all chunks.  When _pair_differences
-    finds few distinct pair differences and the column masks are distinct
-    (the join finds one column per mask), the entries are joined (_join):
-    block is None, and no len(rows) x len(cols) array is formed.
-    Otherwise block is the dense m G - S_r S_c', and the chunks read it.
-    G[i, j] sums the product of the two effects' contrast signs over all
-    N*m options.  Every sign is a character of Z_2^n, so G[i, j] is
-    sigma(e_i) sigma(e_j) W[e_i xor e_j], with W the Walsh transform of the
-    option histogram (_walsh_at).  S_r and S_c are the per-set sign sums of
-    set_sums; row_sums, when given, is set_sums(d, rows), reused.
+    With few distinct pair differences (_pair_differences) and distinct
+    column masks, the entries are joined (_join) and block is None.
+    Otherwise block is the dense m G - S_r S_c', which the chunks read:
+    G[i, j] = sigma(e_i) sigma(e_j) W[e_i xor e_j], W the Walsh transform of
+    the option histogram (_walsh_at), and S the per-set sign sums of
+    set_sums; row_sums, when given, is set_sums(d, r), reused.
     """
-    r = _effect_masks(rows, d.n)
-    c = r if cols is rows else _effect_masks(cols, d.n)
     deltas = _pair_differences(d, r.size, c.size)
     if deltas is not None and distinct(c).size == c.size:
         return _join(d, r, c, deltas), None
-    Sr = set_sums(d, rows) if row_sums is None else row_sums
-    Sc = Sr if cols is rows else set_sums(d, cols)
+    Sr = set_sums(d, r) if row_sums is None else row_sums
+    Sc = Sr if c is r else set_sums(d, c)
     block = _walsh_at(d.indices.ravel(), d.n, r[:, None] ^ c[None, :])
     block *= d.m * _effect_signs(r)[:, None]
     block *= _effect_signs(c)[None, :]
@@ -397,49 +371,48 @@ def cstar_entries(d: ChoiceDesign, rows: Sequence[FactorialEffect],
     return _nonzero_rows(block), block
 
 
-def cstar_block(d: ChoiceDesign, rows: Sequence[FactorialEffect],
-                cols: Sequence[FactorialEffect],
+def cstar_block(d: ChoiceDesign, rows, cols,
                 row_sums: np.ndarray = None) -> np.ndarray:
-    """Exact integer block B_r Lambda* B_c' of two effect lists.
+    """Exact integer block B_r Lambda* B_c' of two effect lists or masks.
 
     The block of cstar_entries, with the join's entries scattered into a
     zero block.  With cols the same list as rows this is C*, otherwise a
     cross block.
     """
-    chunks, block = cstar_entries(d, rows, cols, row_sums)
+    r = _as_masks(rows, d.n)
+    c = r if cols is rows else _as_masks(cols, d.n)
+    chunks, block = cstar_entries(d, r, c, row_sums)
     if block is None:
-        block = np.zeros((len(rows), len(cols)), dtype=np.int64)
+        block = np.zeros((r.size, c.size), dtype=np.int64)
         for i, j, v in chunks:
             block[i, j] = v
     return block
 
 
-def cstar_matrix(d: ChoiceDesign, F: Sequence[FactorialEffect]) -> ScaledIntMatrix:
-    """Exact C* = B Lambda* B' with scale 1/(2^n N m^2)."""
-    effects = tuple(F)
-    if not effects:
+def cstar_matrix(d: ChoiceDesign, F) -> ScaledIntMatrix:
+    """Exact C* = B Lambda* B' with scale 1/(2^n N m^2), of effects or masks."""
+    masks = _as_masks(F, d.n)
+    if not masks.size:
         raise ValueError("need at least one effect")
-    return ScaledIntMatrix(cstar_block(d, effects, effects),
+    return ScaledIntMatrix(cstar_block(d, masks, masks),
                            Fraction(1, (1 << d.n) * d.N * d.m * d.m))
 
 
-def cross_block_star(d: ChoiceDesign,
-                     interest: Sequence[FactorialEffect],
-                     nuisance: Sequence[FactorialEffect]) -> np.ndarray:
-    """Exact integer cross block B_(1) Lambda* B_(2)'."""
+def cross_block_star(d: ChoiceDesign, interest, nuisance) -> np.ndarray:
+    """Exact integer cross block B_(1) Lambda* B_(2)', of effects or masks."""
     return cstar_block(d, interest, nuisance)
 
 
-def exact_schur_cstar(d: ChoiceDesign,
-                      interest: Sequence[FactorialEffect],
-                      nuisance: Sequence[FactorialEffect]):
-    """Exact rational C2* = C1* - X G^- X' (same scale as cstar_matrix).
+def exact_schur_cstar(d: ChoiceDesign, interest, nuisance):
+    """Exact rational C2* = C1* - X G^- X' (same scale as cstar_matrix), of
+    effects or masks.
 
     The solve G Y = X' is consistent because the column space of X' lies
     in that of G (both come from the same PSD Lambda*); the Schur
     complement is then invariant to the choice of generalized inverse.
     Returns a list-of-lists Fraction matrix.
     """
+    interest, nuisance = _as_masks(interest, d.n), _as_masks(nuisance, d.n)
     S1 = set_sums(d, interest)
     C1 = cstar_block(d, interest, interest, S1)
     G = cstar_block(d, nuisance, nuisance)
@@ -468,15 +441,16 @@ def info_matrix(d: ChoiceDesign, model: ModelSpec, force_numeric: bool = False):
     force_numeric=True to take the numeric route even when the cross
     block vanishes, e.g. to compare the two paths.
     """
-    if not model.nuisance:
-        return cstar_matrix(d, model.interest)
-    S1 = set_sums(d, model.interest)
-    X = cstar_block(d, model.interest, model.nuisance, S1)
-    C1 = cstar_block(d, model.interest, model.interest, S1)
+    interest, nuisance = model.masks_on(d.n)
+    if not nuisance.size:
+        return cstar_matrix(d, interest)
+    S1 = set_sums(d, interest)
+    X = cstar_block(d, interest, nuisance, S1)
+    C1 = cstar_block(d, interest, interest, S1)
     scale = Fraction(1, (1 << d.n) * d.N * d.m * d.m)
     if not X.any() and not force_numeric:
         return ScaledIntMatrix(C1, scale)
-    G = cstar_block(d, model.nuisance, model.nuisance).astype(float)
+    G = cstar_block(d, nuisance, nuisance).astype(float)
     Ginv = np.linalg.pinv(G, rcond=PINV_CUTOFF, hermitian=True)
     Xf = X.astype(float)
     return (C1.astype(float) - Xf @ Ginv @ Xf.T) * float(scale)

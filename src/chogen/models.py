@@ -6,8 +6,12 @@ import itertools
 import numbers
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Optional
+from functools import cached_property
+from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
+from .designs import _index_array
 from .errors import BadGroup, BadModel, EffectOutOfRange, Unsupported
 
 
@@ -65,10 +69,39 @@ def two_factor_list(n: int) -> tuple:
 MAX_EFFECTS = 8192
 
 
-def _require_size(count: int) -> None:
+def _require_size(count: int, n: int = 1, interest: int = 1) -> None:
+    if n < 1:
+        raise BadModel("n must be at least 1")
     if count > MAX_EFFECTS:
         raise BadModel(f"the model has {count} effects, more than "
                        f"MAX_EFFECTS = {MAX_EFFECTS}")
+    if not interest:
+        raise BadModel("a model needs at least one effect of interest")
+
+
+def _masks(values, n: int) -> np.ndarray:
+    """A read-only mask array, int64 or object by n, as a design's indices."""
+    masks = _index_array(values, n)
+    masks.setflags(write=False)
+    return masks
+
+
+def _effect_masks(effects: Iterable[FactorialEffect], n: int) -> np.ndarray:
+    """The effects' masks on n factors; EffectOutOfRange if one does not fit."""
+    effects = tuple(effects)
+    require_within(effects, n)
+    return _masks([sum(1 << (n - j) for j in e.factors) for e in effects], n)
+
+
+def decoded(masks: np.ndarray, n: int) -> tuple:
+    """The FactorialEffects whose masks on n factors are masks."""
+    return tuple(FactorialEffect(tuple(j for j, b in enumerate(bits, 1) if b == "1"))
+                 for bits in (format(x, f"0{n}b") for x in masks.tolist()))
+
+
+def _mains(n: int) -> list:
+    """The main effects' masks, factor 1 first."""
+    return [1 << (n - j) for j in range(1, n + 1)]
 
 
 class ModelKind(str, Enum):
@@ -86,32 +119,39 @@ class ModelSpec:
 
     All remaining factorial effects are assumed absent.  The nuisance set
     is empty except for the broader main effects model, where it is every
-    two-factor interaction.  The family constructors count their effects
-    in closed form and refuse more than MAX_EFFECTS before listing any.
+    two-factor interaction.  Both are read-only bit mask arrays (_masks),
+    factor j at bit n - j as in an option index; the families build theirs
+    in closed form, in (popcount ascending, mask descending) order, which is
+    (order, factors) order, after counting them against MAX_EFFECTS.
     """
 
     kind: ModelKind
     n: int
-    interest: tuple
-    nuisance: tuple = ()
+    interest_masks: Sequence[int] = field(compare=False)
+    nuisance_masks: Sequence[int] = field(default=(), compare=False)
     r: Optional[int] = None  # group-1 size, SPECIFIED_GROUP only
+    _masks_key: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise BadModel("n must be at least 1")
-        _require_size(len(self.interest) + len(self.nuisance))
-        if not self.interest:
-            raise BadModel("a model needs at least one effect of interest")
-        require_within(self.interest, self.n)
-        require_within(self.nuisance, self.n)
-        if len(set(self.interest)) != len(self.interest):
-            raise BadModel("duplicate effects of interest")
-        if set(self.interest) & set(self.nuisance):
-            raise BadModel("interest and nuisance effects must be disjoint")
+        for name in ("interest_masks", "nuisance_masks"):
+            object.__setattr__(self, name, _masks(getattr(self, name), self.n))
+        _require_size(self.Q + len(self.nuisance_masks), self.n, self.Q)
+        object.__setattr__(self, "_masks_key", (
+            tuple(self.interest_masks.tolist()), tuple(self.nuisance_masks.tolist())))
 
     @property
     def Q(self) -> int:
-        return len(self.interest)
+        return len(self.interest_masks)
+
+    # the FactorialEffects, decoded from the masks on first use
+    interest = cached_property(lambda self: decoded(self.interest_masks, self.n))
+    nuisance = cached_property(lambda self: decoded(self.nuisance_masks, self.n))
+
+    def masks_on(self, n: int) -> tuple:
+        """The (interest, nuisance) masks on n factors, encoded anew if not n."""
+        if n == self.n:
+            return self.interest_masks, self.nuisance_masks
+        return _effect_masks(self.interest, n), _effect_masks(self.nuisance, n)
 
     def describe(self) -> str:
         tag = self.kind.value
@@ -122,7 +162,7 @@ class ModelSpec:
     @classmethod
     def main_effects(cls, n: int) -> "ModelSpec":
         _require_size(n)
-        return cls(ModelKind.MAIN_EFFECTS, n, main_effect_list(n))
+        return cls(ModelKind.MAIN_EFFECTS, n, _mains(n))
 
     @classmethod
     def broader_main_effects(cls, n: int) -> "ModelSpec":
@@ -130,13 +170,14 @@ class ModelSpec:
         if n < 2:
             raise BadModel("broader model needs n >= 2")
         _require_size(n + n * (n - 1) // 2)
-        return cls(ModelKind.BROADER_MAIN_EFFECTS, n, main_effect_list(n),
-                   nuisance=two_factor_list(n))
+        mains = _mains(n)
+        return cls(ModelKind.BROADER_MAIN_EFFECTS, n, mains,
+                   [a | b for a, b in itertools.combinations(mains, 2)])
 
     @classmethod
     def specified_one_factor(cls, n: int) -> "ModelSpec":
         """Mains plus every interaction of factor 1: the group model at r=1."""
-        return cls(ModelKind.SPECIFIED_ONE_FACTOR, n, _group_effects(n, 1))
+        return cls(ModelKind.SPECIFIED_ONE_FACTOR, n, _group_masks(n, 1))
 
     @classmethod
     def specified_two_factor(cls, n: int) -> "ModelSpec":
@@ -144,8 +185,9 @@ class ModelSpec:
         if n < 2:
             raise BadModel("specified interaction models need n >= 2")
         _require_size(2 * n - 1)
-        inter = tuple(effect(1, j) for j in range(2, n + 1))
-        return cls(ModelKind.SPECIFIED_TWO_FACTOR, n, main_effect_list(n) + inter)
+        mains = _mains(n)
+        return cls(ModelKind.SPECIFIED_TWO_FACTOR, n,
+                   mains + [mains[0] | b for b in mains[1:]])
 
     @classmethod
     def specified_group(cls, n: int, r: int) -> "ModelSpec":
@@ -155,7 +197,7 @@ class ModelSpec:
         interactions are {h} with every nonempty subset of group 2, for
         each h in group 1.
         """
-        return cls(ModelKind.SPECIFIED_GROUP, n, _group_effects(n, r), r=r)
+        return cls(ModelKind.SPECIFIED_GROUP, n, _group_masks(n, r), r=r)
 
     @classmethod
     def family(cls, kind, n: int, r: Optional[int] = None) -> "ModelSpec":
@@ -169,36 +211,40 @@ class ModelSpec:
             kind = ModelKind(kind)
         except ValueError:
             raise Unsupported(f"unknown model {kind!r}") from None
-        if kind is ModelKind.MAIN_EFFECTS:
-            return cls.main_effects(n)
-        if kind is ModelKind.BROADER_MAIN_EFFECTS:
-            return cls.broader_main_effects(n)
-        if kind is ModelKind.SPECIFIED_TWO_FACTOR:
-            return cls.specified_two_factor(n)
-        if kind is ModelKind.SPECIFIED_ONE_FACTOR:
-            return cls.specified_one_factor(n)
         if kind is ModelKind.SPECIFIED_GROUP:
             return cls.specified_group(n, r)
-        raise Unsupported(f"unknown model {kind.value!r}")
+        makers = {ModelKind.MAIN_EFFECTS: cls.main_effects,
+                  ModelKind.BROADER_MAIN_EFFECTS: cls.broader_main_effects,
+                  ModelKind.SPECIFIED_TWO_FACTOR: cls.specified_two_factor,
+                  ModelKind.SPECIFIED_ONE_FACTOR: cls.specified_one_factor}
+        if kind not in makers:
+            raise Unsupported(f"unknown model {kind.value!r}")
+        return makers[kind](n)
 
     @classmethod
     def custom(cls, n: int, interest: Iterable[FactorialEffect],
                nuisance: Iterable[FactorialEffect] = ()) -> "ModelSpec":
-        return cls(ModelKind.CUSTOM, n, tuple(interest), tuple(nuisance))
+        """A model of the given effects, kept in their order."""
+        interest, nuisance = tuple(interest), tuple(nuisance)
+        _require_size(len(interest) + len(nuisance), n, len(interest))
+        masks = _effect_masks(interest, n), _effect_masks(nuisance, n)
+        if len(set(interest)) != len(interest):
+            raise BadModel("duplicate effects of interest")
+        if set(interest) & set(nuisance):
+            raise BadModel("interest and nuisance effects must be disjoint")
+        return cls(ModelKind.CUSTOM, n, *masks)
 
 
-def _group_effects(n: int, r: int) -> tuple:
-    """The group model's effects of interest in (order, factors) order;
-    r must be an int, not a bool."""
+def _group_masks(n: int, r: int) -> list:
+    """The group model's masks of interest in (order, factors) order, {h}
+    with each subset of group 2 by size; r must be an int, not a bool."""
     if n < 2:
         raise BadModel("specified interaction models need n >= 2")
     if (isinstance(r, bool) or not isinstance(r, numbers.Integral)
             or not 1 <= r <= n - 1):
         raise BadGroup(f"group size r must lie in 1..{n - 1}, got {r!r}")
     _require_size(n + r * ((1 << (n - r)) - 1))
-    group2 = range(r + 1, n + 1)
-    # {h} with a subset k of group 2: order 1 + |k|, and every h < min k
-    return main_effect_list(n) + tuple(
-        effect(h, *k) for size in range(1, n - r + 1)
-        for h in range(1, r + 1)
-        for k in itertools.combinations(group2, size))
+    mains = _mains(n)
+    levels = ([sum(k) for k in itertools.combinations(mains[r:], size)]
+              for size in range(1, n - r + 1))
+    return mains + [h | k for level in levels for h in mains[:r] for k in level]

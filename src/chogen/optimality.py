@@ -6,10 +6,9 @@ per-set zero count is balanced, the trace reaches the attainable bound,
 and, when nuisance effects are present, the cross block vanishes
 exactly.  These conditions are sufficient; a design failing them is
 reported as not certified, with connectedness decided by exact ranks.
-verify reads C* as its nonzero entries (contrasts.cstar_entries), a chunk
-of rows at a time: a certified design's C* has only Q of them among Q^2,
-and the diagonal, the offending pairs and their count all follow from
-those.
+verify takes the model's effects as bit masks and reads C* as its
+nonzero entries (contrasts.cstar_entries): a certified design's C* has
+only Q of them, and the diagonal and the offending pairs follow.
 
 C* is the sum of d d' over the component pairs, so its rank is that of
 the within-set difference matrix A, whose rows are (x_{p,i} - x_{p,0})/2
@@ -36,7 +35,7 @@ from . import contrasts, ratlinalg
 from .contrasts import ScaledIntMatrix
 from .designs import ChoiceDesign
 from .errors import InvariantError, SameEffect
-from .models import FactorialEffect, ModelSpec, require_within
+from .models import FactorialEffect, ModelSpec, decoded, require_within
 
 
 class Verdict(str, enum.Enum):
@@ -158,14 +157,14 @@ def oracle_cstar(d: ChoiceDesign, F) -> ScaledIntMatrix:
     return ScaledIntMatrix(np.array(C, dtype=np.int64), scale)
 
 
-def _differences(d: ChoiceDesign, effects) -> np.ndarray:
+def _differences(d: ChoiceDesign, masks: np.ndarray) -> np.ndarray:
     """The (N(m-1), Q) within-set difference matrix of the effects' signs.
 
     Row (p, i) is (x_{p,i} - x_{p,0})/2, with entries in {-1, 0, 1}.
     """
-    signs = contrasts.option_sign_matrix(d, effects).reshape(-1, d.N, d.m)
+    signs = contrasts.option_sign_matrix(d, masks).reshape(-1, d.N, d.m)
     A = (signs[:, :, 1:] - signs[:, :, :1]) // 2
-    return A.reshape(len(effects), -1).T
+    return A.reshape(masks.size, -1).T
 
 
 def below_rank_bound(N: int, m: int, Q: int) -> bool:
@@ -178,29 +177,24 @@ def below_rank_bound(N: int, m: int, Q: int) -> bool:
     return N * (m - 1) < Q
 
 
-def _connected(d: ChoiceDesign, model: ModelSpec, Cstar: Optional[np.ndarray],
-               diag: np.ndarray, diagonal: bool,
+def _connected(d: ChoiceDesign, effects: np.ndarray, nuisance: np.ndarray,
+               Cstar: Optional[np.ndarray], diag: np.ndarray, diagonal: bool,
                cross_zero: Optional[bool]) -> bool:
-    """Whether the model's information matrix has full rank, exactly.
-
-    A design below_rank_bound is not.  Otherwise, with no cross block,
-    that is rank C* = Q, and C* is never larger than A once N(m-1) >= Q.
-    Cstar is None on the join, which forms no dense C*; cstar_block forms
-    one here only when a rank is needed.  With a nonzero cross block,
-    verify's one option sign matrix is built here, for
-    [A_interest | A_nuisance]; its last columns are A_nuisance.  Their Gram
-    matrices could be far larger than A.
-    """
-    Q = model.Q
+    """Whether the information matrix of the masks effects, with nuisance
+    masks nuisance, has full rank, exactly: never below_rank_bound, else
+    rank C* = Q with no cross block (Cstar is None on the join, and formed
+    here only), else from [A_interest | A_nuisance], verify's one option
+    sign matrix, whose Gram matrices could be far larger than A."""
+    Q = effects.size
     if below_rank_bound(d.N, d.m, Q):
         return False
     if cross_zero in (None, True):
         if diagonal:
             return bool((diag > 0).all())
         if Cstar is None:
-            Cstar = contrasts.cstar_block(d, model.interest, model.interest)
+            Cstar = contrasts.cstar_block(d, effects, effects)
         return ratlinalg.rank(Cstar) == Q
-    A = _differences(d, model.interest + model.nuisance)
+    A = _differences(d, np.concatenate((effects, nuisance)))
     return ratlinalg.rank(A) - ratlinalg.rank(A[:, Q:]) == Q
 
 
@@ -222,33 +216,20 @@ def _read_entries(chunks, Q: int) -> tuple:
     return diag, count, q1, q2, values
 
 
-def _joint(e1: FactorialEffect, e2: FactorialEffect) -> FactorialEffect:
-    """The effect on factors e1 xor e2, whose contrast is e1's times e2's."""
-    return FactorialEffect(tuple(sorted(set(e1.factors) ^ set(e2.factors))))
-
-
 def verify(d: ChoiceDesign, model: ModelSpec) -> OptimalityReport:
     """Certify a design against a model with exact arithmetic only.
 
-    The verdict is UniversallyOptimal iff the exact C is diagonal, every
-    per-set count is balanced, the trace equals max_trace, and (for
-    nonempty nuisance) the cross block vanishes; otherwise the exact
-    rank of C decides ConnectedNotOptimal versus NotConnected.  Balance
-    and the zero counts come from the per-set sign sums S, the one (Q, N)
-    array held: the diagonal is checked against N m^2 - sum_p S^2 in row
-    chunks, and the counts overwrite S last.  C* comes from cstar_entries
-    as its nonzero entries in row-major order: the diagonal and the trace,
-    diagonality, and the offending pairs i < j, listed in that order and
-    counted in full, are read from them.  The rank path
-    ranks the dense C*, the product route's block or the join's entries
-    scattered, through ratlinalg.rank's one-prime kernel certificate or its
-    prime loop.  The eta counts of the listed offending pairs come from the
-    same sums plus those of each pair's joint effect.  At most one option
-    sign matrix is built, in _connected, when the cross block is nonzero.
+    UniversallyOptimal iff the exact C is diagonal, every per-set count is
+    balanced, the trace equals max_trace, and any cross block vanishes;
+    otherwise the exact rank of C decides between the other verdicts.  The
+    model's masks (ModelSpec.masks_on) feed the per-set sign sums S, the one
+    (Q, N) array held, and cstar_entries, whose row-major entries give the
+    diagonal, checked against N m^2 - sum_p S^2, the trace, and the
+    offending pairs, listed and counted.  Their eta counts come from S and
+    the sums of each pair's joint effect, whose mask is the xor of theirs;
+    only the listed effects are decoded.  The zero counts overwrite S last.
     """
-    effects = model.interest
-    require_within(effects, d.n)
-    require_within(model.nuisance, d.n)
+    effects, nuisance = model.masks_on(d.n)
     n, m, N, Q = d.n, d.m, d.N, model.Q
 
     S = contrasts.set_sums(d, effects)  # (Q, N), value m - 2*n_p
@@ -268,13 +249,11 @@ def verify(d: ChoiceDesign, model: ModelSpec) -> OptimalityReport:
     diagonal = not offending_count  # C* is symmetric
     offending = ()
     if not diagonal:
-        pairs = list(zip(q1.tolist(), q2.tolist()))
         # per set, the quadrant counts of the signs x, y of a pair follow
         # from the sums of x, y and their product xy, the joint effect's
         s1 = S[q1].astype(np.int64)
         s2 = S[q2].astype(np.int64)
-        joints = [_joint(effects[a], effects[b]) for a, b in pairs]
-        s12 = contrasts.set_sums(d, joints).astype(np.int64)
+        s12 = contrasts.set_sums(d, effects[q1] ^ effects[q2]).astype(np.int64)
         pp = (m + s1 + s2 + s12) // 4
         mm = (m - s1 - s2 + s12) // 4
         pm = (m + s1 - s2 - s12) // 4
@@ -283,9 +262,8 @@ def verify(d: ChoiceDesign, model: ModelSpec) -> OptimalityReport:
         eta_minus = (pm * mp).sum(axis=1)
         if not np.array_equal(4 * (eta_plus - eta_minus), values):
             raise InvariantError("C* entry disagrees with its eta counts")
-        offending = tuple(
-            (effects[a], effects[b], ep, em) for (a, b), ep, em in
-            zip(pairs, eta_plus.tolist(), eta_minus.tolist()))
+        offending = tuple(zip(decoded(effects[q1], n), decoded(effects[q2], n),
+                              eta_plus.tolist(), eta_minus.tolist()))
 
     scale = Fraction(1, (1 << n) * N * m * m)
     trace = int(diag.sum()) * scale
@@ -294,16 +272,16 @@ def verify(d: ChoiceDesign, model: ModelSpec) -> OptimalityReport:
         raise InvariantError("trace above the attainable bound")
 
     cross_zero = None
-    if model.nuisance:
+    if nuisance.size:
         cross_zero = not any(
             v.size for _, _, v in
-            contrasts.cstar_entries(d, effects, model.nuisance, S)[0])
+            contrasts.cstar_entries(d, effects, nuisance, S)[0])
 
     optimal = (diagonal and balance_ok and trace == bound
                and cross_zero in (None, True))
     if optimal:
         verdict = Verdict.UNIVERSALLY_OPTIMAL
-    elif _connected(d, model, Cstar, diag, diagonal, cross_zero):
+    elif _connected(d, effects, nuisance, Cstar, diag, diagonal, cross_zero):
         verdict = Verdict.CONNECTED_NOT_OPTIMAL
     else:
         verdict = Verdict.NOT_CONNECTED

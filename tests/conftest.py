@@ -3,6 +3,7 @@
 import contextlib
 import signal
 
+import numpy as np
 from hypothesis import strategies as st
 
 from chogen.designs import ChoiceDesign, all_treatments
@@ -13,6 +14,13 @@ def random_design(rng, n, m, N):
     pool = all_treatments(n)
     sets = [tuple(rng.sample(pool, m)) for _ in range(N)]
     return ChoiceDesign.from_sets(sets)
+
+
+def masks_of(effects, n):
+    """The masks of FactorialEffects on n factors, factor j at bit n - j,
+    as set_sums and cstar_entries take them."""
+    return np.array([sum(1 << (n - j) for j in e.factors) for e in effects],
+                    dtype=np.int64)
 
 
 @st.composite

@@ -369,3 +369,23 @@ def test_shift_recipes_build_as_their_public_constructors():
         got = _outcome(build, rec)
         assert got == _outcome(_public_build, rec), rec.describe()
         assert got == _outcome(_ref_shift_build, rec), rec.describe()
+
+
+def test_family_cells_build_no_effect_objects(monkeypatch):
+    # a family model is masks from candidate_recipes to the report: no
+    # FactorialEffect is made, and no effect list is encoded into masks
+    from chogen import contrasts, models
+    made, encoded = [], []
+    post_init = models.FactorialEffect.__post_init__
+    monkeypatch.setattr(models.FactorialEffect, "__post_init__",
+                        lambda self: made.append(1) or post_init(self))
+    for module in (models, contrasts):
+        masks = module._effect_masks
+        monkeypatch.setattr(module, "_effect_masks",
+                            lambda e, n, masks=masks:
+                            encoded.append(1) or masks(e, n))
+    entry = catalog_lookup(ModelKind.SPECIFIED_ONE_FACTOR, 3, 12)
+    assert entry.certified and entry.achieved_N == 4096
+    assert made == [] and encoded == []
+    models.effect(1, 2)  # the counter itself counts
+    assert made == [1]

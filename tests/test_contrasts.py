@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chogen.contrasts import (DENSE_MAX_N, ScaledIntMatrix,
-                              _difference_tables, _effect_masks,
+                              _difference_tables,
                               _pair_differences, _transform_pays,
                               contrast_matrix, contrast_vector,
                               cross_block_star, cstar_block, cstar_entries,
@@ -21,7 +21,7 @@ from chogen.designs import ChoiceDesign, all_treatments, lex_index, treatment
 from chogen.errors import EffectOutOfRange, SamePair, Unsupported
 from chogen.models import ModelSpec, effect, main_effect_list
 from chogen.serialization import load
-from conftest import designs
+from conftest import designs, masks_of
 
 INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
 
@@ -260,7 +260,7 @@ def _walsh_branch(d, rows, cols):
     """
     if _pair_differences(d, len(rows), len(cols)) is not None:
         return "differences"
-    r, c = _effect_masks(rows, d.n), _effect_masks(cols, d.n)
+    r, c = masks_of(rows, d.n), masks_of(cols, d.n)
     points = len(np.unique(r[:, None] ^ c[None, :]))
     return "fwht" if _transform_pays(d.n, points, d.N * d.m) else "direct"
 
@@ -403,7 +403,7 @@ def test_cstar_of_stored_cells_equals_the_sign_matrix_product(name):
 
 def _support(d, rows, cols):
     """|U|, the tables' nonzero columns, when the block joins, else None."""
-    if cstar_entries(d, rows, cols)[1] is not None:
+    if cstar_entries(d, masks_of(rows, d.n), masks_of(cols, d.n))[1] is not None:
         return None
     deltas = _pair_differences(d, len(rows), len(cols))
     return np.flatnonzero(_difference_tables(d, deltas).any(axis=0)).size
@@ -439,7 +439,7 @@ def _check_entries(d, rows, cols):
     # B Lambda* B', the block by its definition, is the reference
     ref = (contrast_matrix(rows, d.n) @ lambda_star(d).ints
            @ contrast_matrix(cols, d.n).T)
-    chunks, block = cstar_entries(d, rows, cols)
+    chunks, block = cstar_entries(d, masks_of(rows, d.n), masks_of(cols, d.n))
     if block is not None:
         assert np.array_equal(block, ref)
     i, j, v = (np.concatenate(a) for a in zip(*chunks))
@@ -512,8 +512,9 @@ def test_entries_in_many_chunks_keep_the_row_order(monkeypatch):
     rng = np.random.default_rng(2)
     product = ChoiceDesign.from_indices(
         np.array([rng.choice(64, 3, replace=False) for _ in range(12)]), 6)
-    assert cstar_entries(joined, F, F)[1] is None
-    assert cstar_entries(product, F, F)[1] is not None
+    masks = masks_of(F, 6)
+    assert cstar_entries(joined, masks, masks)[1] is None
+    assert cstar_entries(product, masks, masks)[1] is not None
     for d in (joined, product):
         _check_entries(d, F, F)
         _check_entries(d, F, F[::-1])
@@ -526,4 +527,5 @@ def test_stored_cells_take_the_join(name):
     model = ModelSpec.family(meta["model"], d.n, meta.get("r"))
     F = model.interest
     assert _support(d, F, F) < len(F)
-    assert cstar_entries(d, F, F)[1] is None
+    masks = masks_of(F, d.n)
+    assert cstar_entries(d, masks, masks)[1] is None

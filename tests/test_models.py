@@ -10,6 +10,7 @@ from chogen.errors import (BadGroup, BadModel, ChogenError, EffectOutOfRange,
 from chogen.models import (MAX_EFFECTS, FactorialEffect, ModelKind, ModelSpec,
                            effect, main_effect_list, require_within,
                            two_factor_list)
+from conftest import masks_of
 
 
 def test_effect_basics():
@@ -195,3 +196,106 @@ def test_group_effects_equal_the_sorted_subset_enumeration():
             want = main_effect_list(n) + tuple(
                 sorted(inter, key=lambda e: (e.order, e.factors)))
             assert ModelSpec.specified_group(n, r).interest == want, (n, r)
+
+
+def _listed_family(kind, n, r):
+    """(interest, nuisance) as the families listed them before they were
+    masks: FactorialEffects in (order, factors) order."""
+    mains = main_effect_list(n)
+    if kind is ModelKind.MAIN_EFFECTS:
+        return mains, ()
+    if kind is ModelKind.BROADER_MAIN_EFFECTS:
+        return mains, two_factor_list(n)
+    if kind is ModelKind.SPECIFIED_TWO_FACTOR:
+        return mains + tuple(effect(1, j) for j in range(2, n + 1)), ()
+    r = 1 if kind is ModelKind.SPECIFIED_ONE_FACTOR else r
+    return mains + tuple(
+        effect(h, *k) for size in range(1, n - r + 1) for h in range(1, r + 1)
+        for k in itertools.combinations(range(r + 1, n + 1), size)), ()
+
+
+def _cases(max_n):
+    for kind in ModelKind:
+        if kind is ModelKind.CUSTOM:
+            continue
+        for n in range(1 if kind is ModelKind.MAIN_EFFECTS else 2, max_n + 1):
+            for r in (range(1, n) if kind is ModelKind.SPECIFIED_GROUP
+                      else (None,)):
+                yield kind, n, r
+
+
+def test_family_masks_equal_the_listed_effects():
+    # the closed-form masks are the masks of the former effect lists, in
+    # their order, which is (popcount ascending, mask descending)
+    count = 0
+    for kind, n, r in _cases(13):
+        model = ModelSpec.family(kind, n, r)
+        for masks, listed in zip((model.interest_masks, model.nuisance_masks),
+                                 _listed_family(kind, n, r)):
+            assert masks.dtype == np.int64 and not masks.flags.writeable
+            assert np.array_equal(masks, masks_of(listed, n)), (kind, n, r)
+            assert masks.tolist() == sorted(
+                masks.tolist(), key=lambda x: (x.bit_count(), -x))
+        count += 1
+    assert count == 13 + 3 * 12 + sum(range(1, 13))
+
+
+@pytest.mark.parametrize("kind, n, r", [(k, n, r) for k, n, r in _cases(7)])
+def test_family_effects_decode_from_the_masks(kind, n, r):
+    model = ModelSpec.family(kind, n, r)
+    assert (model.interest, model.nuisance) == _listed_family(kind, n, r)
+    assert model.Q == len(model.interest)
+
+
+def test_masks_beyond_63_factors_are_python_ints():
+    model = ModelSpec.main_effects(70)
+    assert model.Q == 70
+    assert model.interest_masks.dtype == object
+    assert model.interest_masks.tolist() == [1 << (70 - j)
+                                             for j in range(1, 71)]
+    assert model.interest == main_effect_list(70)
+    wide = ModelSpec.broader_main_effects(64)
+    assert wide.nuisance_masks[0] == (1 << 63) | (1 << 62)
+    assert wide.nuisance[-1] == effect(63, 64)
+
+
+def test_custom_models_keep_the_given_effects_and_order():
+    interest = (effect(2, 3), effect(1), effect(3), effect(1, 2, 3))
+    model = ModelSpec.custom(3, interest, [effect(2)])
+    assert model.interest == interest and model.nuisance == (effect(2),)
+    assert model.interest_masks.tolist() == [0b011, 0b100, 0b001, 0b111]
+    assert model.nuisance_masks.tolist() == [0b010]
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: ModelSpec.custom(0, [effect(1)]), BadModel,
+     "n must be at least 1"),
+    (lambda: ModelSpec.custom(2, [effect(3)] * (MAX_EFFECTS + 1)), BadModel,
+     "MAX_EFFECTS"),
+    (lambda: ModelSpec.custom(2, []), BadModel, "at least one effect"),
+    (lambda: ModelSpec.custom(2, [effect(1)], [effect(1, 3)]),
+     EffectOutOfRange, "F1.3 does not fit in 2 factors"),
+    (lambda: ModelSpec.custom(3, [effect(2), effect(2)]), BadModel,
+     "duplicate"),
+    (lambda: ModelSpec.custom(3, [effect(2)], [effect(2)]), BadModel,
+     "disjoint"),
+])
+def test_custom_model_refusals_come_in_their_order(make, error, message):
+    with pytest.raises(error, match=message):
+        make()
+
+
+def test_models_are_equal_and_hash_by_kind_n_r_and_masks():
+    assert ModelSpec.specified_group(6, 2) == ModelSpec.specified_group(6, 2)
+    assert hash(ModelSpec.broader_main_effects(5)) == \
+        hash(ModelSpec.broader_main_effects(5))
+    assert ModelSpec.specified_group(6, 2) != ModelSpec.specified_group(6, 3)
+    assert ModelSpec.main_effects(4) != ModelSpec.main_effects(5)
+    mains = main_effect_list(4)
+    assert ModelSpec.custom(4, mains) == ModelSpec.custom(4, list(mains))
+    assert ModelSpec.custom(4, mains) != ModelSpec.custom(4, mains[::-1])
+    # the same effects under another kind are another model
+    assert ModelSpec.custom(4, mains) != ModelSpec.main_effects(4)
+    assert ModelSpec.specified_group(5, 1) != ModelSpec.specified_one_factor(5)
+    seen = {ModelSpec.main_effects(4): 1, ModelSpec.custom(4, mains): 2}
+    assert seen[ModelSpec.main_effects(4)] == 1 and len(seen) == 2

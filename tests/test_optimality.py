@@ -23,7 +23,7 @@ from chogen.optimality import (MAX_LISTED_PAIRS, Verdict, _differences,
                                np_counts, oracle_cstar, verify)
 from chogen.contrasts import cross_block_star, cstar_matrix, exact_schur_cstar
 from chogen.constructions import specified_design
-from conftest import designs, random_design
+from conftest import designs, masks_of, random_design
 from test_ratlinalg import _rank_by_fractions
 
 INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
@@ -213,7 +213,7 @@ def test_verify_builds_each_sign_matrix_once(monkeypatch):
     assert report.diagonal
     assert report.cross_block_zero is False
     assert report.verdict is Verdict.NOT_CONNECTED
-    assert calls == [model.interest + model.nuisance]
+    assert calls == [tuple(masks_of(model.interest + model.nuisance, d.n))]
 
 
 def test_rank_path_without_cross_block_builds_no_sign_matrix(monkeypatch):
@@ -255,7 +255,7 @@ def test_offending_pairs_build_signs_of_listed_effects_only(monkeypatch):
     report = verify(d, model)
     assert d.N * (d.m - 1) >= model.Q and report.offending_pairs
     assert report.cross_block_zero is False
-    assert calls == [model.interest + model.nuisance]
+    assert calls == [tuple(masks_of(model.interest + model.nuisance, d.n))]
 
 
 def test_offending_pair_listing_is_capped():
@@ -421,12 +421,12 @@ def test_rank_path_verdict_matches_fraction_rank_of_differences(case):
     d, model = case
     Q = model.Q
     assert d.N * (d.m - 1) >= Q
-    A = _differences(d, model.interest)
+    A = _differences(d, masks_of(model.interest, d.n))
     assert ratlinalg.rank(cstar_matrix(d, model.interest).ints) == \
         _rank_by_fractions(A.tolist())
     report = verify(d, model)
     if report.cross_block_zero is False:
-        A_nuis = _differences(d, model.nuisance)
+        A_nuis = _differences(d, masks_of(model.nuisance, d.n))
         full = np.hstack([A, A_nuis]).tolist()
         connected = (_rank_by_fractions(full)
                      - _rank_by_fractions(A_nuis.tolist()) == Q)
@@ -519,8 +519,8 @@ def test_diagonal_cross_check_reads_every_row_chunk(monkeypatch, row):
 
     d = random_design(random.Random(5), 4, 3, 8)
     model = ModelSpec.main_effects(4)
-    effects = model.interest
-    assert contrasts.cstar_entries(d, effects, effects)[1] is not None  # product
+    masks = masks_of(model.interest, d.n)
+    assert contrasts.cstar_entries(d, masks, masks)[1] is not None  # product
     monkeypatch.setattr(contrasts, "int_product", off_by_one)
     monkeypatch.setattr(contrasts, "_CHUNK", d.N)
     with pytest.raises(InvariantError, match="diagonal"):
@@ -547,7 +547,7 @@ def _former_set_sums(d, effects):
     """set_sums as it was before S was built in place: the odd counts, their
     signed copy and S = m - odd - odd are three (Q, N) arrays."""
     from chogen import contrasts
-    masks = contrasts._effect_masks(effects, d.n)
+    masks = masks_of(effects, d.n)
     columns = np.ascontiguousarray(d.indices.T)
     odd = np.zeros((len(masks), d.N), dtype=np.min_scalar_type(d.m))
     step = max(1, contrasts._CHUNK // d.N)
@@ -601,7 +601,7 @@ def _former_report(d, model) -> dict:
         verdict = (Verdict.CONNECTED_NOT_OPTIMAL if ratlinalg.rank(C) == Q
                    else Verdict.NOT_CONNECTED)
     else:
-        A = _differences(d, effects + model.nuisance)
+        A = _differences(d, masks_of(effects + model.nuisance, d.n))
         full = ratlinalg.rank(A) - ratlinalg.rank(A[:, Q:]) == Q
         verdict = (Verdict.CONNECTED_NOT_OPTIMAL if full
                    else Verdict.NOT_CONNECTED)
@@ -655,10 +655,11 @@ def test_set_sums_and_report_match_the_former_formulas(route, build):
     from chogen import contrasts
     d, model = build()
     effects = model.interest
+    masks = masks_of(effects, d.n)
     if route is not None:
-        block = contrasts.cstar_entries(d, effects, effects)[1]
+        block = contrasts.cstar_entries(d, masks, masks)[1]
         assert (block is None) == (route == "join")
-    S = contrasts.set_sums(d, effects)
+    S = contrasts.set_sums(d, masks)
     former = _former_set_sums(d, effects)
     assert S.dtype == former.dtype and np.array_equal(S, former)
     report = verify(d, model)
