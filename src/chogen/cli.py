@@ -2,8 +2,8 @@
 
 Exit codes: 0 success (certified design / matching table), 2
 certification failure or unexpected table deviation, 3 unsupported
-parameters (including those too large to allocate), 4 I/O or parse
-errors.
+parameters (including those too large to allocate, and a generate whose
+every candidate fails to build), 4 I/O or parse errors.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from . import serialization
 from .catalog import (EXPECTED_DEVIATIONS, T1_KINDS, TABLE1, candidate_recipes,
                       first_certified, reproduce_table1, t1_generator_recipe)
 from .designs import bits_string
-from .errors import ChogenError, FormatError, Unsupported
+from .errors import BelowRankBound, ChogenError, FormatError, Unsupported
 from .models import ModelKind, ModelSpec
 from .optimality import verify
 
@@ -90,9 +90,13 @@ def _cmd_generate(args) -> int:
                 reason = reason.verdict.value
             print(f"not certified: {recipe.describe()}: {reason}",
                   file=sys.stderr)
-        print("error: no construction certified for these parameters",
+        # no verdict and no rank-bound refusal: every build failed
+        unbuilt = all(isinstance(x, ChogenError)
+                      and not isinstance(x, BelowRankBound) for _, x in rejected)
+        outcome = "could be built" if unbuilt else "certified"
+        print(f"error: no construction {outcome} for these parameters",
               file=sys.stderr)
-        return 2
+        return 3 if unbuilt else 2
     recipe, design, report = chosen
     meta = {"construction": recipe.describe(), "model": args.model}
     gens = [bits_string(g) for g in recipe.applied_generators()]

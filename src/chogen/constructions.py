@@ -8,6 +8,7 @@ when the default would collide two options.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -136,6 +137,18 @@ def _gf2_reduce(basis: list, v: int) -> int:
     return v
 
 
+def _span_below(basis: list, x: int) -> int:
+    """How many members of the span of basis lie below x.  basis is
+    reduced echelon, by descending leading bit, so the member picked by the
+    bits of i increases with i and the count is read greedily, top down."""
+    count, v = 0, 0
+    for k, b in enumerate(basis):
+        if v ^ b < x:
+            v ^= b
+            count += 1 << (len(basis) - 1 - k)
+    return count + (v < x)
+
+
 def _spanning_columns(order: int, n: int, first: int) -> Optional[tuple]:
     """The lexicographically first n columns of first..order whose seed
     rows are distinct, for a Sylvester seed of order 2^k.
@@ -143,7 +156,8 @@ def _spanning_columns(order: int, n: int, first: int) -> Optional[tuple]:
     Row i on 0-based column c reads the parity of |i & c|, so the rows
     are distinct iff the 0-based column indices span GF(2)^k.  Each slot
     takes the next column, or, when the slots left could not make up the
-    missing rank without it, the next column outside the span so far.
+    missing rank without it, the next column outside the span so far,
+    found by a binary search on the count of non-members below a column.
     While a spanning completion exists that is the least column leaving
     one, so a spanning set found this way is the first; when none exists
     the result does not span, or is None if the columns run out.
@@ -152,13 +166,17 @@ def _spanning_columns(order: int, n: int, first: int) -> Optional[tuple]:
     basis, chosen, c = [], [], first - 1
     for slot in range(n):
         if len(basis) + n - slot - 1 < k:
-            while c < order and not _gf2_reduce(basis, c):
-                c += 1
+            outside = c - _span_below(basis, c)
+            c += bisect.bisect_right(
+                range(c, order), outside,
+                key=lambda y: y + 1 - _span_below(basis, y + 1))
         if c >= order:
             return None
         v = _gf2_reduce(basis, c)
         if v:
-            basis.append(v)
+            top = 1 << (v.bit_length() - 1)
+            basis = sorted([b ^ v if b & top else b for b in basis] + [v],
+                           reverse=True)
         c += 1
         chosen.append(c)
     return tuple(chosen)

@@ -19,7 +19,8 @@ from chogen.constructions import (build, ConstructionRecipe, coset_columns,
                                   theorem1_design, theorem1_main_design,
                                   theorem2_design, theorem2_half_design,
                                   validate_generators)
-from chogen.constructions import _gf2_reduce, _resolve_columns, _seed_rows
+from chogen.constructions import (_gf2_reduce, _resolve_columns, _seed_rows,
+                                  _spanning_columns)
 from chogen.designs import ChoiceDesign, complement, equivalent
 from chogen.errors import (BadGenerators, BadGroup, RangeError, Unsupported,
                            WidthMismatch)
@@ -258,6 +259,43 @@ def test_sylvester_column_search_on_wide_seeds():
         cols = _resolve_columns(256, 10, None, "excluded")
     assert cols == (2, 3, 4, 5, 6, 9, 17, 33, 65, 129)
     assert np.unique(_seed_rows(256, cols)).size == 256
+
+
+def _scanned_spanning_columns(order, n, first):
+    """_spanning_columns as it was, skipping span members one column at a
+    time, kept as the reference of the counted search."""
+    k = order.bit_length() - 1
+    basis, chosen, c = [], [], first - 1
+    for slot in range(n):
+        if len(basis) + n - slot - 1 < k:
+            while c < order and not _gf2_reduce(basis, c):
+                c += 1
+        if c >= order:
+            return None
+        v = _gf2_reduce(basis, c)
+        if v:
+            basis.append(v)
+        c += 1
+        chosen.append(c)
+    return tuple(chosen)
+
+
+def test_spanning_columns_equal_the_column_scan():
+    for k in range(1, 11):
+        for n in range(1, k + 3):
+            for first in (1, 2):
+                assert (_spanning_columns(1 << k, n, first)
+                        == _scanned_spanning_columns(1 << k, n, first)), \
+                    (k, n, first)
+
+
+def test_spanning_columns_skip_a_large_span_without_scanning_it():
+    # every slot needs a new dimension, so the 0-based columns are the
+    # powers of two: before the last, 2^19, the scan walked past all 2^19
+    # members of the span below it, one column at a time, for seconds
+    with deadline(1):
+        cols = _spanning_columns(1 << 20, 20, 2)
+    assert cols == tuple((1 << t) + 1 for t in range(20))
 
 
 def _reduced_basis(vectors) -> list:
