@@ -93,9 +93,8 @@ def _cmd_generate(args) -> int:
         # no verdict and no rank-bound refusal: every build failed
         unbuilt = all(isinstance(x, ChogenError)
                       and not isinstance(x, BelowRankBound) for _, x in rejected)
-        outcome = "could be built" if unbuilt else "certified"
-        print(f"error: no construction {outcome} for these parameters",
-              file=sys.stderr)
+        print("error: no construction " + ("could be built" if unbuilt else
+              "certified") + " for these parameters", file=sys.stderr)
         return 3 if unbuilt else 2
     recipe, design, report = chosen
     meta = {"construction": recipe.describe(), "model": args.model}

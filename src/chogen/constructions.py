@@ -138,9 +138,9 @@ def _gf2_reduce(basis: list, v: int) -> int:
 
 
 def _span_below(basis: list, x: int) -> int:
-    """How many members of the span of basis lie below x.  basis is
-    reduced echelon, by descending leading bit, so the member picked by the
-    bits of i increases with i and the count is read greedily, top down."""
+    """How many members of the span of basis, reduced echelon by descending
+    leading bit, lie below x: the member picked by the bits of i increases
+    with i, so the count is read greedily from the top."""
     count, v = 0, 0
     for k, b in enumerate(basis):
         if v ^ b < x:
@@ -173,10 +173,8 @@ def _spanning_columns(order: int, n: int, first: int) -> Optional[tuple]:
         if c >= order:
             return None
         v = _gf2_reduce(basis, c)
-        if v:
-            top = 1 << (v.bit_length() - 1)
-            basis = sorted([b ^ v if b & top else b for b in basis] + [v],
-                           reverse=True)
+        if v:  # reduce the basis by v, whose leading bit is new, and keep it
+            basis = sorted([min(b, b ^ v) for b in basis] + [v], reverse=True)
         c += 1
         chosen.append(c)
     return tuple(chosen)

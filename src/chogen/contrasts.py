@@ -1,15 +1,15 @@
 """Effective positions, contrast vectors, and exact information matrices.
 
 Verdicts are computed over the integers: C is an integer matrix C* times
-the exact scale 1/(2^n N m^2).  set_sums and cstar_entries take effect
-bit masks (models); the public functions also take FactorialEffects.
-Every block of C* comes from cstar_entries as its nonzero entries: joined
-from per-difference Walsh tables when the component pairs take few
-distinct differences, as in every translate-of-a-pattern construction,
-and otherwise a Walsh transform of the option histogram less one product
-of per-set sign sums.  Neither route forms a (Q, N*m) sign matrix.  Floats
-appear only in info_matrix's numeric branch and inside int_product, whose
-float values are integers held exactly.
+the exact scale 1/(2^n N m^2), from effect bit masks (models), which the
+public functions also take as FactorialEffects.  Every block of C* comes
+from cstar_entries as its nonzero entries: joined from per-difference
+Walsh tables when the component pairs take few distinct differences, as
+in every translate-of-a-pattern construction, and otherwise a Walsh
+transform of the option histogram less one product of per-set sign sums.
+Neither route forms a (Q, N*m) sign matrix.  Floats appear only in
+info_matrix's numeric branch and inside int_product, whose float values
+are integers held exactly.
 """
 
 from __future__ import annotations
@@ -161,11 +161,19 @@ def set_sums(d: ChoiceDesign, masks: np.ndarray) -> np.ndarray:
     smallest signed type that fits -m..m.  A chunk of effects at a time,
     the odd parities are counted into S and turned into sigma(e) (m - 2 odd)
     in place, every intermediate within -m..m, so S is int8 up to m = 127.
+    When all sets translate one pattern delta, as generator shifts do, S is
+    sigma(e) sum_i (-1)^|e & delta_i| times the first column's signs alone.
     """
     columns = np.ascontiguousarray(d.indices.T)  # (m, N)
     # -(m+1) needs a signed type whose maximum is at least m
     S = np.zeros((len(masks), d.N), dtype=np.min_scalar_type(-d.m - 1))
-    signs = _effect_signs(masks).astype(S.dtype)[:, None]
+    signs, m = _effect_signs(masks), d.m
+    delta = columns[:, 0] ^ columns[0, 0]
+    if (columns ^ columns[:1] == delta[:, None]).all():
+        odd = np.bitwise_count(masks[:, None] & delta) & 1
+        signs = signs * (m - 2 * odd.sum(axis=1, dtype=np.int64))
+        columns, m = columns[:1], 1
+    signs = signs.astype(S.dtype)[:, None]
     step = max(1, _CHUNK // d.N)
     for lo in range(0, len(masks), step):
         block = masks[lo:lo + step, None]
@@ -175,7 +183,7 @@ def set_sums(d: ChoiceDesign, masks: np.ndarray) -> np.ndarray:
             bit &= 1
             acc += bit
         odd = acc.copy()
-        np.subtract(d.m, acc, out=acc)  # m - odd
+        np.subtract(m, acc, out=acc)  # m - odd
         acc -= odd
         acc *= signs[lo:lo + step]
     return S

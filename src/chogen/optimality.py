@@ -180,11 +180,11 @@ def below_rank_bound(N: int, m: int, Q: int) -> bool:
 def _connected(d: ChoiceDesign, effects: np.ndarray, nuisance: np.ndarray,
                Cstar: Optional[np.ndarray], diag: np.ndarray, diagonal: bool,
                cross_zero: Optional[bool]) -> bool:
-    """Whether the information matrix of the masks effects, with nuisance
-    masks nuisance, has full rank, exactly: never below_rank_bound, else
-    rank C* = Q with no cross block (Cstar is None on the join, and formed
-    here only), else from [A_interest | A_nuisance], verify's one option
-    sign matrix, whose Gram matrices could be far larger than A."""
+    """Whether the information matrix of the effects of interest (masks),
+    with the nuisance masks, has full rank, exactly: never below_rank_bound,
+    else rank C* = Q with no cross block (Cstar is None on the join, and
+    formed here only), else from [A_interest | A_nuisance], verify's one
+    option sign matrix, whose Gram matrices could be far larger than A."""
     Q = effects.size
     if below_rank_bound(d.N, d.m, Q):
         return False

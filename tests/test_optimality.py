@@ -1,5 +1,6 @@
 """The certifier: exact counts, trace bound, verdicts."""
 
+import itertools
 import os
 import random
 import subprocess
@@ -609,6 +610,29 @@ def _former_report(d, model) -> dict:
                 offending_pairs=offending, offending_count=int(upper.sum()),
                 diagonal=not upper.any(), trace=trace,
                 cross_block_zero=cross_zero, verdict=verdict)
+
+
+@given(st.integers(2, 8), st.integers(2, 8), st.integers(1, 12),
+       st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_set_sums_of_translated_patterns_equal_the_former_formula(
+        n, m, N, seed, broken):
+    # every set xors one pattern onto its first option, so set_sums reads
+    # the first column alone, scaled by the pattern's sums; a design with
+    # one set redrawn takes every column again
+    from chogen import contrasts
+    rng = np.random.default_rng(seed)
+    m = min(m, 1 << n)
+    pattern = rng.choice(1 << n, m, replace=False)
+    x = rng.integers(0, 1 << n, N)[:, None] ^ pattern ^ pattern[0]
+    if broken:
+        x[rng.integers(N)] = rng.choice(1 << n, m, replace=False)
+    d = ChoiceDesign.from_indices(x, n)
+    effects = [effect(*c) for k in range(1, n + 1)
+               for c in itertools.combinations(range(1, n + 1), k)]
+    S = contrasts.set_sums(d, masks_of(effects, n))
+    former = _former_set_sums(d, effects)
+    assert S.dtype == former.dtype and np.array_equal(S, former)
 
 
 def _translates(n, m, N, seed):
