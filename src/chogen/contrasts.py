@@ -162,7 +162,8 @@ def set_sums(d: ChoiceDesign, masks: np.ndarray) -> np.ndarray:
     the odd parities are counted into S and turned into sigma(e) (m - 2 odd)
     in place, every intermediate within -m..m, so S is int8 up to m = 127.
     When all sets translate one pattern delta, as generator shifts do, S is
-    sigma(e) sum_i (-1)^|e & delta_i| times the first column's signs alone.
+    sigma(e) sum_i (-1)^|e & delta_i| (_walsh_at) times the first column's
+    signs alone.
     """
     columns = np.ascontiguousarray(d.indices.T)  # (m, N)
     # -(m+1) needs a signed type whose maximum is at least m
@@ -170,8 +171,7 @@ def set_sums(d: ChoiceDesign, masks: np.ndarray) -> np.ndarray:
     signs, m = _effect_signs(masks), d.m
     delta = columns[:, 0] ^ columns[0, 0]
     if (columns ^ columns[:1] == delta[:, None]).all():
-        odd = np.bitwise_count(masks[:, None] & delta) & 1
-        signs = signs * (m - 2 * odd.sum(axis=1, dtype=np.int64))
+        signs = signs * _walsh_at(delta, d.n, masks)
         columns, m = columns[:1], 1
     signs = signs.astype(S.dtype)[:, None]
     step = max(1, _CHUNK // d.N)
