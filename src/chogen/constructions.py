@@ -137,6 +137,16 @@ def _gf2_reduce(basis: list, v: int) -> int:
     return v
 
 
+def _spans(order: int, cols) -> bool:
+    """Whether the 0-based columns cols - 1 span GF(2)^k, order = 2^k."""
+    basis = []
+    for c in cols:
+        v = _gf2_reduce(basis, c - 1)
+        if v:
+            basis.append(v)
+    return 1 << len(basis) == order
+
+
 def _span_below(basis: list, x: int) -> int:
     """How many members of the span of basis, reduced echelon by descending
     leading bit, lie below x: the member picked by the bits of i increases
@@ -187,8 +197,9 @@ def _resolve_columns(order: int, n: int, columns: Optional[Sequence[int]],
     first_column is "required", "excluded", or "free".  The default is the
     first n allowed columns or, if that collides two seed rows, the
     lexicographically first allowed column set with distinct rows.  On a
-    Sylvester seed that set is chosen column by column by GF(2) rank
-    (_spanning_columns); other orders walk the column combinations.
+    Sylvester seed both are tested by GF(2) rank (_spans), and the set is
+    chosen column by column (_spanning_columns); other orders walk the
+    column combinations and compare seed rows.
     """
     if columns is not None:
         cols = tuple(int(c) for c in columns)
@@ -208,15 +219,14 @@ def _resolve_columns(order: int, n: int, columns: Optional[Sequence[int]],
         raise RangeError(
             f"{order} distinct options cannot fit in {n} two-level factors"
         )
-    if is_sylvester(order):
-        candidates = [default, _spanning_columns(order, n, first)]
-    else:
-        candidates = itertools.chain([default],
-                                     itertools.combinations(pool, n))
-    for cols in candidates:
+    sylvester = is_sylvester(order)
+    rest = ([_spanning_columns(order, n, first)] if sylvester
+            else itertools.combinations(pool, n))
+    for cols in itertools.chain([default], rest):
         if cols is None or first_column == "required" and cols[0] != 1:
             continue
-        if distinct(_seed_rows(order, cols)).size == order:
+        if (_spans(order, cols) if sylvester
+                else distinct(_seed_rows(order, cols)).size == order):
             return cols
     raise RangeError(
         f"no {n} columns of the order-{order} seed give distinct rows"

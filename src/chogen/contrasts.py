@@ -3,11 +3,11 @@
 Verdicts are computed over the integers: C is an integer matrix C* times
 the exact scale 1/(2^n N m^2), from effect bit masks (models), which the
 public functions also take as FactorialEffects.  Every block of C* comes
-from cstar_entries as its nonzero entries: joined from per-difference
-Walsh tables when the component pairs take few distinct differences, as
-in every translate-of-a-pattern construction, and otherwise a Walsh
-transform of the option histogram less one product of per-set sign sums.
-Neither route forms a (Q, N*m) sign matrix.  Floats appear only in
+from cstar_entries as its nonzero entries: joined over the Walsh
+transforms of the first options and of the one pattern that every set
+translates, as in every generator shift, and otherwise a Walsh transform
+of the option histogram less one product of per-set sign sums.  Neither
+route forms a (Q, N*m) sign matrix.  Floats appear only in
 info_matrix's numeric branch and inside int_product, whose float values
 are integers held exactly.
 """
@@ -153,6 +153,12 @@ def option_sign_matrix(d: ChoiceDesign, effects) -> np.ndarray:
     return np.where(odd, np.int64(-1), np.int64(1))
 
 
+def _pattern(d: ChoiceDesign):
+    """The m options delta, delta[0] = 0, that every set translates, or None."""
+    delta = d.indices[0] ^ d.indices[0, 0]
+    return delta if (d.indices ^ d.indices[:, :1] == delta).all() else None
+
+
 def set_sums(d: ChoiceDesign, masks: np.ndarray) -> np.ndarray:
     """S[q, p]: the sum of the contrast signs of the effect of mask masks[q]
     over set p, shape (Q, N); the masks are on the design's n factors.
@@ -161,16 +167,16 @@ def set_sums(d: ChoiceDesign, masks: np.ndarray) -> np.ndarray:
     smallest signed type that fits -m..m.  A chunk of effects at a time,
     the odd parities are counted into S and turned into sigma(e) (m - 2 odd)
     in place, every intermediate within -m..m, so S is int8 up to m = 127.
-    When all sets translate one pattern delta, as generator shifts do, S is
-    sigma(e) sum_i (-1)^|e & delta_i| (_walsh_at) times the first column's
-    signs alone.
+    When all sets translate one pattern delta (_pattern), S is the weight
+    w(e) = sigma(e) sum_i (-1)^|e & delta_i| (_walsh_at) times the first
+    column's signs alone.
     """
     columns = np.ascontiguousarray(d.indices.T)  # (m, N)
     # -(m+1) needs a signed type whose maximum is at least m
     S = np.zeros((len(masks), d.N), dtype=np.min_scalar_type(-d.m - 1))
     signs, m = _effect_signs(masks), d.m
-    delta = columns[:, 0] ^ columns[0, 0]
-    if (columns ^ columns[:1] == delta[:, None]).all():
+    delta = _pattern(d)
+    if delta is not None:
         signs = signs * _walsh_at(delta, d.n, masks)
         columns, m = columns[:1], 1
     signs = signs.astype(S.dtype)[:, None]
@@ -258,78 +264,24 @@ def lambda_star(d: ChoiceDesign) -> ScaledIntMatrix:
     return ScaledIntMatrix(Z, Fraction(1, d.N * m * m))
 
 
-def _pair_differences(d: ChoiceDesign, n_rows: int, n_cols: int):
-    """The distinct pair differences when the difference route pays, else None.
-
-    The differences are t_a xor t_b over the component pairs, sorted.  With
-    k of them the route's tables hold 2^k 2^n entries, which must not exceed
-    the n_rows x n_cols block they fill, and its transforms cost about
-    (k n + 2^k) 2^n, which must stay below the N n_rows n_cols of the sign-sum
-    product.  The pairs are scanned only until k passes the largest size
-    both bounds admit, so designs with many differences cost little here.
-    """
-    n, size, block = d.n, 1 << d.n, n_rows * n_cols
-    limit = 0
-    while ((2 << limit) * size <= block
-           and ((limit + 1) * n + (2 << limit)) * size < d.N * block):
-        limit += 1
-    if limit == 0:
-        return None
-    found = np.empty(0, dtype=np.int64)
-    idx = d.indices
-    for a in range(d.m - 1):
-        found = distinct(np.append(found, idx[:, a, None] ^ idx[:, a + 1:]))
-        if found.size > limit:
-            return None
-    return found
-
-
-def _parity_sets(masks: np.ndarray, deltas: np.ndarray) -> np.ndarray:
-    """P(e): bit k set when effect e is odd on the difference deltas[k]."""
-    odd = np.bitwise_count(masks[:, None] & deltas[None, :]) & 1
-    return odd.astype(np.int64) @ (1 << np.arange(deltas.size, dtype=np.int64))
-
-
-def _difference_tables(d: ChoiceDesign, deltas: np.ndarray) -> np.ndarray:
-    """T[A, u] = 4 sigma(u) sum_(delta in A) H_delta[u], shape (2^k, 2^n).
-
-    A component pair (t, t xor delta) adds 4 sigma(u) (-1)^|u & t| to entry
-    [i, j], u = e_i xor e_j, when both effects are odd on delta, and 0
-    otherwise (pair_contribution).  So the entry is 4 sigma(u) times the sum
-    of H_delta[u] over the deltas odd on both effects, H_delta being the Walsh
-    transform of the histogram of the first options of the pairs with
-    difference delta, and it equals T[P(e_i) & P(e_j), e_i xor e_j] for the
-    subsets A of the k deltas.
-    """
-    n, k, size = d.n, deltas.size, 1 << d.n
-    idx = d.indices
-    H = np.zeros(k * size, dtype=np.int64)
-    for a in range(d.m - 1):
-        diff = idx[:, a, None] ^ idx[:, a + 1:]
-        cell = np.searchsorted(deltas, diff) << n
-        cell |= idx[:, a, None]
-        H += np.bincount(cell.ravel(), minlength=H.size)
-    H = _fwht(H.reshape(k, size))
-    H *= 4 * _effect_signs(np.arange(size, dtype=np.int64))
-    T = np.zeros((1 << k, size), dtype=np.int64)
-    for b in range(k):
-        np.add(T[:1 << b], H[b], out=T[1 << b:2 << b])
-    return T
-
-
-def _join(d: ChoiceDesign, r: np.ndarray, c: np.ndarray, deltas: np.ndarray):
+def _join(d: ChoiceDesign, r: np.ndarray, c: np.ndarray, delta: np.ndarray):
     """Yield the block's nonzero entries (i, j, v), a chunk of rows at a time.
 
-    Entry [i, j] is T[P(e_i) & P(e_j), e_i xor e_j] (_difference_tables),
-    zero unless e_i xor e_j lies in U, the columns of T with a nonzero
-    entry.  So row i meets, for each u in U, only the column whose mask is
+    Every set is b_p xor delta (_pattern), so with u = e_i xor e_j, set by
+    set sum_(a<b) (x_a - x_b)(y_a - y_b) = m sum x y - sum x sum y gives
+    C*[i, j] = W_B(u) (m sigma(u) W_delta(u) - w(e_i) w(e_j)): W_B and
+    W_delta are the Walsh transforms of the first options b_p and of the
+    pattern, and w(e) = sigma(e) W_delta(e) is set_sums' weight.  So row i
+    meets, for each u in U = supp W_B, only the column whose mask is
     e_i xor u, if there is one: |U| lookups per row, and no rows x cols
     array.  Each row's columns are sorted, so the entries come row-major.
     """
-    T = _difference_tables(d, deltas)
-    U = np.flatnonzero(T.any(axis=0))  # holds 0: H_delta[0] counts pairs
-    Pr = _parity_sets(r, deltas)
-    Pc = Pr if c is r else _parity_sets(c, deltas)
+    W = _fwht(np.bincount(d.indices[:, 0], minlength=1 << d.n))  # W_B
+    U = np.flatnonzero(W)  # holds 0: W_B[0] = N
+    G = np.zeros_like(W)  # m sigma(u) W_B(u) W_delta(u), zero off U
+    G[U] = d.m * _effect_signs(U) * W[U] * _walsh_at(delta, d.n, U)
+    wr = _effect_signs(r) * _walsh_at(delta, d.n, r)
+    wc = wr if c is r else _effect_signs(c) * _walsh_at(delta, d.n, c)
     column = np.full(1 << d.n, -1, dtype=np.int64)  # of each mask, or -1
     column[c] = np.arange(c.size)
     step = max(1, _CHUNK // U.size)
@@ -339,7 +291,8 @@ def _join(d: ChoiceDesign, r: np.ndarray, c: np.ndarray, deltas: np.ndarray):
         at = np.flatnonzero(j >= 0)
         i = at // U.size + lo
         j = j.ravel()[at]
-        v = T[Pr[i] & Pc[j], r[i] ^ c[j]]
+        u = r[i] ^ c[j]
+        v = G[u] - W[u] * wr[i] * wc[j]
         hit = np.flatnonzero(v)
         yield i[hit], j[hit], v[hit]
 
@@ -360,16 +313,17 @@ def cstar_entries(d: ChoiceDesign, r: np.ndarray, c: np.ndarray,
     c, as (chunks, block): chunks yields int64 arrays (i, j, v) in
     row-major order over all chunks.
 
-    With few distinct pair differences (_pair_differences) and distinct
-    column masks, the entries are joined (_join) and block is None.
-    Otherwise block is the dense m G - S_r S_c', which the chunks read:
-    G[i, j] = sigma(e_i) sigma(e_j) W[e_i xor e_j], W the Walsh transform of
-    the option histogram (_walsh_at), and S the per-set sign sums of
-    set_sums; row_sums, when given, is set_sums(d, r), reused.
+    When every set translates one pattern (_pattern), the block has at
+    least 2^(n+1) entries, the bound of its 2^n-entry transforms, and the
+    column masks are distinct, the entries are joined (_join) and block is
+    None.  Otherwise block is the dense m G - S_r S_c', which the chunks
+    read: G[i, j] = sigma(e_i) sigma(e_j) W[e_i xor e_j], W the Walsh
+    transform of the option histogram (_walsh_at), and S the per-set sign
+    sums of set_sums; row_sums, when given, is set_sums(d, r), reused.
     """
-    deltas = _pair_differences(d, r.size, c.size)
-    if deltas is not None and distinct(c).size == c.size:
-        return _join(d, r, c, deltas), None
+    delta = _pattern(d) if (2 << d.n) <= r.size * c.size else None
+    if delta is not None and distinct(c).size == c.size:
+        return _join(d, r, c, delta), None
     Sr = set_sums(d, r) if row_sums is None else row_sums
     Sc = Sr if c is r else set_sums(d, c)
     block = _walsh_at(d.indices.ravel(), d.n, r[:, None] ^ c[None, :])

@@ -7,8 +7,9 @@ and, when nuisance effects are present, the cross block vanishes
 exactly.  These conditions are sufficient; a design failing them is
 reported as not certified, with connectedness decided by exact ranks.
 verify takes the model's effects as bit masks and reads C* as its
-nonzero entries (contrasts.cstar_entries): a certified design's C* has
-only Q of them, and the diagonal and the offending pairs follow.
+nonzero entries (contrasts.cstar_entries), joined from Walsh transforms
+on a translated pattern: a certified design's C* has only Q of them, and
+the diagonal and the offending pairs follow.
 
 C* is the sum of d d' over the component pairs, so its rank is that of
 the within-set difference matrix A, whose rows are (x_{p,i} - x_{p,0})/2

@@ -21,7 +21,8 @@ from chogen.constructions import (build, ConstructionRecipe, coset_columns,
                                   validate_generators)
 from chogen.constructions import (_gf2_reduce, _resolve_columns, _seed_rows,
                                   _spanning_columns)
-from chogen.designs import ChoiceDesign, complement, equivalent
+from chogen.designs import (MAX_INDEX_FACTORS, ChoiceDesign, complement,
+                            distinct, equivalent)
 from chogen.errors import (BadGenerators, BadGroup, RangeError, Unsupported,
                            WidthMismatch)
 from chogen.hadamard import hadamard, least_hadamard_order, zero_one
@@ -259,6 +260,49 @@ def test_sylvester_column_search_on_wide_seeds():
         cols = _resolve_columns(256, 10, None, "excluded")
     assert cols == (2, 3, 4, 5, 6, 9, 17, 33, 65, 129)
     assert np.unique(_seed_rows(256, cols)).size == 256
+
+
+def _row_checked_columns(order, n, mode):
+    """_resolve_columns' default on a Sylvester seed as it was: the first
+    n allowed columns, then the rank-guided set, the first whose seed rows
+    are distinct, or None; kept as the reference of the rank test."""
+    first = 2 if mode == "excluded" else 1
+    default = tuple(range(first, order + 1)[:n])
+    for cols in (default, _spanning_columns(order, n, first)):
+        if cols is None or mode == "required" and cols[0] != 1:
+            continue
+        if distinct(_seed_rows(order, cols)).size == order:
+            return cols
+    return None
+
+
+def test_sylvester_columns_tested_by_rank_equal_the_row_check():
+    # every Sylvester order 2..2^10 and every width the seed admits
+    # (2^n >= order) up to MAX_INDEX_FACTORS, where the rows are int64
+    for k in range(1, 11):
+        order = 1 << k
+        for n in range(k, min(order, MAX_INDEX_FACTORS) + 1):
+            for mode in ("required", "excluded", "free"):
+                try:
+                    got = _resolve_columns(order, n, None, mode)
+                except RangeError:
+                    got = None
+                assert got == _row_checked_columns(order, n, mode), \
+                    (order, n, mode)
+
+
+def test_sylvester_columns_build_no_seed_rows(monkeypatch):
+    # the rank decides, so the 2^20 x 20 rows of the default columns are
+    # never built; the parent built them, and the chosen columns' again
+    import chogen.constructions
+
+    def refuse(order, cols):
+        raise AssertionError("seed rows built")
+
+    monkeypatch.setattr(chogen.constructions, "_seed_rows", refuse)
+    with deadline(1):
+        cols = _resolve_columns(1 << 20, 20, None, "excluded")
+    assert cols == tuple((1 << t) + 1 for t in range(20))
 
 
 def _scanned_spanning_columns(order, n, first):

@@ -8,9 +8,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chogen.contrasts import (DENSE_MAX_N, ScaledIntMatrix,
-                              _difference_tables,
-                              _pair_differences, _transform_pays,
+from chogen.contrasts import (DENSE_MAX_N, ScaledIntMatrix, _fwht,
+                              _pattern, _transform_pays,
                               contrast_matrix, contrast_vector,
                               cross_block_star, cstar_block, cstar_entries,
                               cstar_matrix,
@@ -254,13 +253,14 @@ def designs_with_repeats(draw, min_n, max_n, max_m=4, max_sets=4, max_N=6):
 
 
 def _walsh_branch(d, rows, cols):
-    """How cstar_block forms this block: 'differences', 'fwht' or 'direct'.
+    """How cstar_block forms this block: 'join', 'fwht' or 'direct'.
 
-    The last two are the branches of _walsh_at on the product route.
+    'join' is a translated pattern (_pattern) whose entries cstar_entries
+    joins; the last two are the branches of _walsh_at on the product route.
     """
-    if _pair_differences(d, len(rows), len(cols)) is not None:
-        return "differences"
     r, c = masks_of(rows, d.n), masks_of(cols, d.n)
+    if _pattern(d) is not None and cstar_entries(d, r, c)[1] is None:
+        return "join"
     points = len(np.unique(r[:, None] ^ c[None, :]))
     return "fwht" if _transform_pays(d.n, points, d.N * d.m) else "direct"
 
@@ -292,7 +292,8 @@ def test_cstar_block_matches_oracle_on_every_family(d, family, data):
        st.sampled_from(("main-effects", "spec-2f")))
 @settings(max_examples=10, deadline=None)
 def test_cstar_block_matches_oracle_on_wide_designs(d, family):
-    # never the difference route: its tables would hold 2^n entries
+    # never the join: its transform of the first options would hold 2^n
+    # entries
     model = _family(family, d.n)
     assert _walsh_branch(d, model.interest, model.interest) == "direct"
     _check_against_oracle(d, model)
@@ -300,10 +301,12 @@ def test_cstar_block_matches_oracle_on_wide_designs(d, family):
 
 @st.composite
 def translated_designs(draw):
-    """Sets t xor P of one random pattern P, some translates repeated.
+    """Sets t xor P of one random pattern P, some translates repeated, so
+    that first options repeat, and some designs folded: their complement
+    sets appended, which translate P by the complemented first options.
 
-    A spec-all or spec-group model on 6-7 factors with m <= 3 has at most
-    three pair differences and enough effects for the difference route.
+    A spec-all or spec-group model on 6-7 factors has Q^2 >= 2^(n+1), so
+    every block with distinct column masks is joined.
     """
     n = draw(st.integers(6, 7))
     m = draw(st.integers(2, 3))
@@ -312,9 +315,13 @@ def translated_designs(draw):
     shifts = draw(st.lists(option, min_size=1, max_size=4))
     picks = draw(st.lists(st.integers(0, len(shifts) - 1), min_size=4,
                           max_size=7))
+    picks += picks[:draw(st.integers(0, 2))]
+    firsts = [shifts[i] for i in picks]
+    if draw(st.booleans()):
+        firsts += [t ^ ((1 << n) - 1) for t in firsts]
     bits = lambda x: tuple((x >> (n - 1 - k)) & 1 for k in range(n))
-    return ChoiceDesign.from_sets([tuple(bits(shifts[i] ^ p) for p in pattern)
-                                   for i in picks])
+    return ChoiceDesign.from_sets([tuple(bits(t ^ p) for p in pattern)
+                                   for t in firsts])
 
 
 @given(translated_designs(), st.sampled_from(("spec-all", "spec-group")),
@@ -326,8 +333,8 @@ def test_translated_designs_take_the_difference_route(d, family, r):
     from chogen.optimality import oracle_cstar
     F = _family(family, d.n, r).interest
     reverse = F[::-1]
-    assert _walsh_branch(d, F, F) == "differences"
-    assert _walsh_branch(d, F, reverse) == "differences"
+    assert _walsh_branch(d, F, F) == "join"
+    assert _walsh_branch(d, F, reverse) == "join"
     full = oracle_cstar(d, F).ints
     assert np.array_equal(cstar_block(d, F, F), full)
     assert np.array_equal(cstar_matrix(d, F).ints, full)
@@ -342,19 +349,20 @@ def test_random_designs_take_the_product_route(d, family, r):
     blocks = [(model.interest, model.interest)]
     if model.nuisance:
         blocks.append((model.interest, model.nuisance))
-    # sets of random options rarely share few differences; skip those that do
-    assume(all(_walsh_branch(d, *b) != "differences" for b in blocks))
+    # sets of random options rarely translate one pattern; skip those that do
+    assume(all(_walsh_branch(d, *b) != "join" for b in blocks))
     _check_against_oracle(d, model)
 
 
 @pytest.mark.parametrize("n", [25, 32, 40])
 def test_wide_designs_never_take_the_difference_route(n):
-    # one set {0, 1...1}: a single pair difference, yet 2^n table entries
-    # exceed any block the effect cap allows
+    # one set {0, 1...1}: a translated pattern, yet the 2^n-entry transform
+    # of the first options exceeds any block the effect cap allows
     d = ChoiceDesign.from_sets([((0,) * n, (1,) * n)] * 4)
+    assert _pattern(d) is not None
     for model in (ModelSpec.main_effects(n), ModelSpec.specified_two_factor(n)):
-        F = model.interest
-        assert _pair_differences(d, len(F), len(F)) is None
+        F = masks_of(model.interest, n)
+        assert cstar_entries(d, F, F)[1] is not None
         _check_against_oracle(d, model)
 
 
@@ -383,9 +391,12 @@ def test_stored_cells_take_the_difference_route(name):
     d, meta = load(str(INPUTS / f"{name}.json"))
     model = (ModelSpec.specified_group(d.n, 3) if "group" in name
              else ModelSpec.specified_one_factor(d.n))
-    F = model.interest
-    # every set is a translate of {0, 1...1, g, 1...1 xor g}
-    assert len(_pair_differences(d, len(F), len(F))) == 3
+    # every set is a translate of {0, 1...1, g}, or at m = 4 of
+    # {0, 1...1, g, 1...1 xor g}
+    delta = _pattern(d)
+    assert delta is not None and delta.size == d.m
+    assert delta[0] == 0 and delta[1] == (1 << d.n) - 1
+    assert d.m == 3 or delta[3] == delta[1] ^ delta[2]
 
 
 @pytest.mark.parametrize("name", ["spec-all-m3-n12", "spec-all-m4-n12"])
@@ -402,20 +413,21 @@ def test_cstar_of_stored_cells_equals_the_sign_matrix_product(name):
 
 
 def _support(d, rows, cols):
-    """|U|, the tables' nonzero columns, when the block joins, else None."""
+    """|U|, the support of the Walsh transform W_B of the first options,
+    when the block joins, else None."""
     if cstar_entries(d, masks_of(rows, d.n), masks_of(cols, d.n))[1] is not None:
         return None
-    deltas = _pair_differences(d, len(rows), len(cols))
-    return np.flatnonzero(_difference_tables(d, deltas).any(axis=0)).size
+    return np.count_nonzero(_fwht(np.bincount(d.indices[:, 0],
+                                              minlength=1 << d.n)))
 
 
 @st.composite
 def subspace_translates(draw):
     """Sets t xor P of one random pattern P over every t of a subspace.
 
-    Every first-option histogram is then uniform on cosets of the subspace,
-    so its Walsh transform vanishes off the annihilator, as on the seeded
-    designs, and few columns u of the difference tables are nonzero.
+    The first-option histogram is then uniform on cosets of the subspace,
+    so its Walsh transform W_B vanishes off the annihilator, as on the
+    seeded designs, and its support U is small.
     """
     n = draw(st.integers(4, 7))
     m = draw(st.integers(2, 3))
@@ -455,8 +467,8 @@ def _check_entries(d, rows, cols):
        st.integers(1, 3))
 @settings(max_examples=40, deadline=None)
 def test_entries_of_subspace_translates_come_from_the_join(d, family, r):
-    # main-effects and broader blocks never take the difference route:
-    # their tables, 2^(n+1) entries or more, outgrow any of their blocks
+    # main-effects and broader blocks never join: each has fewer than
+    # 2^(n+1) entries
     model = _family(family, d.n, min(r, d.n - 1))
     for rows, cols in _blocks(model):
         support = _support(d, rows, cols)
@@ -469,8 +481,8 @@ def test_entries_of_subspace_translates_come_from_the_join(d, family, r):
        st.integers(1, 3))
 @settings(max_examples=30, deadline=None)
 def test_entries_of_random_translates_join_a_wide_support(d, family, r):
-    # random translates spread the histograms' transforms over |U| >= Q,
-    # and the join still meets each row with one column per u in U
+    # random translates spread W_B over |U| >= Q points, and the join
+    # still meets each row with one column per u in U
     model = _family(family, d.n, r)
     for rows, cols in _blocks(model):
         support = _support(d, rows, cols)
@@ -512,10 +524,14 @@ def test_entries_in_many_chunks_keep_the_row_order(monkeypatch):
     rng = np.random.default_rng(2)
     product = ChoiceDesign.from_indices(
         np.array([rng.choice(64, 3, replace=False) for _ in range(12)]), 6)
+    # one set: W_B is 1 at all 64 points, more lookups a row than the 37
+    # columns, and a chunk holds one row
+    full = ChoiceDesign.from_indices(np.array([[0, 63, 0b001011]]), 6)
     masks = masks_of(F, 6)
     assert cstar_entries(joined, masks, masks)[1] is None
     assert cstar_entries(product, masks, masks)[1] is not None
-    for d in (joined, product):
+    assert _support(full, F, F) == 64 > len(F)
+    for d in (joined, product, full):
         _check_entries(d, F, F)
         _check_entries(d, F, F[::-1])
 
@@ -529,3 +545,55 @@ def test_stored_cells_take_the_join(name):
     assert _support(d, F, F) < len(F)
     masks = masks_of(F, d.n)
     assert cstar_entries(d, masks, masks)[1] is None
+
+
+def test_every_buildable_recipe_is_a_translated_pattern():
+    # the join's traffic: every recipe of the non-blank table cells and of
+    # the benchmark's three generate cells that builds translates one
+    # pattern; only the predicate is checked, no design is verified
+    from chogen.catalog import TABLE1, TABLE_NS, candidate_recipes
+    from chogen.constructions import build
+    from chogen.errors import ChogenError
+    from chogen.models import ModelKind
+    cells = [(kind, m, n, None) for kind, block in TABLE1.items()
+             for m, row in block.items()
+             for n, N in zip(TABLE_NS, row) if N is not None]
+    cells += [(ModelKind.BROADER_MAIN_EFFECTS, 6, 8, None),
+              (ModelKind.SPECIFIED_GROUP, 4, 10, 3),
+              (ModelKind.SPECIFIED_ONE_FACTOR, 4, 11, None)]
+    built = 0
+    for kind, m, n, r in cells:
+        for recipe in candidate_recipes(kind, m, n, r):
+            try:
+                d = build(recipe)
+            except ChogenError:
+                continue
+            assert _pattern(d) is not None, recipe.describe()
+            built += 1
+    assert built == 281
+
+
+def test_wide_spec_group_cell_keeps_the_product_route(monkeypatch):
+    # spec-group m3 n24 r16 translates one pattern, but its C* has
+    # Q^2 = 4104^2 < 2^25 entries, so the 2^n-entry transform is not taken.
+    # The product route starts with the per-set sums, which stop it here
+    # before any block is formed
+    import chogen.contrasts
+    from chogen.catalog import candidate_recipes
+    from chogen.constructions import build
+    from chogen.models import ModelKind
+
+    class ProductRoute(Exception):
+        pass
+
+    def refuse(d, masks):
+        raise ProductRoute
+
+    recipe = candidate_recipes(ModelKind.SPECIFIED_GROUP, 3, 24, 16)[-1]
+    d = build(recipe)
+    F = recipe.model.interest_masks
+    assert d.N == 8192 and F.size == 4104
+    assert _pattern(d) is not None and F.size ** 2 < 2 << d.n
+    monkeypatch.setattr(chogen.contrasts, "set_sums", refuse)
+    with pytest.raises(ProductRoute):
+        cstar_entries(d, F, F)
