@@ -4,10 +4,10 @@ Verdicts are computed over the integers: C is an integer matrix C* times
 the exact scale 1/(2^n N m^2), from effect bit masks (models), which the
 public functions also take as FactorialEffects.  Every block of C* comes
 from cstar_entries as its nonzero entries: joined over the Walsh
-transforms of the first options and of the one pattern that every set
-translates, as in every generator shift, and otherwise a Walsh transform
-of the option histogram less one product of per-set sign sums.  Neither
-route forms a (Q, N*m) sign matrix.  Floats appear only in
+transforms of the sets' translations and of the one pattern that every
+set translates, as in every generator shift, and otherwise a Walsh
+transform of the option histogram less one product of per-set sign sums.
+Neither route forms a (Q, N*m) sign matrix.  Floats appear only in
 info_matrix's numeric branch and inside int_product, whose float values
 are integers held exactly.
 """
@@ -154,9 +154,27 @@ def option_sign_matrix(d: ChoiceDesign, effects) -> np.ndarray:
 
 
 def _pattern(d: ChoiceDesign):
-    """The m options delta, delta[0] = 0, that every set translates, or None."""
+    """(b, delta) when every set p holds the options b_p xor delta, for one
+    pattern delta with delta[0] = 0; else None.
+
+    In the given option order b is the first column.  Otherwise, when
+    m^2 <= 2^n, the sets are sorted and each b_p is sought among its set's
+    m options, which lie in b_p xor delta since delta holds 0: m sorts of
+    the N m options, at most N 2^n steps.
+    """
     delta = d.indices[0] ^ d.indices[0, 0]
-    return delta if (d.indices ^ d.indices[:, :1] == delta).all() else None
+    if (d.indices ^ d.indices[:, :1] == delta).all():
+        return d.indices[:, 0], delta
+    if d.m * d.m > 1 << d.n:
+        return None
+    S = np.sort(d.indices, axis=1)
+    delta = np.sort(S[0] ^ S[0, 0])
+    b, found = S[:, 0].copy(), np.zeros(d.N, dtype=bool)
+    for t in S.T:
+        fits = ~found & (np.sort(S ^ t[:, None], axis=1) == delta).all(axis=1)
+        b[fits] = t[fits]
+        found |= fits
+    return (b, delta) if found.all() else None
 
 
 def set_sums(d: ChoiceDesign, masks: np.ndarray) -> np.ndarray:
@@ -168,17 +186,17 @@ def set_sums(d: ChoiceDesign, masks: np.ndarray) -> np.ndarray:
     the odd parities are counted into S and turned into sigma(e) (m - 2 odd)
     in place, every intermediate within -m..m, so S is int8 up to m = 127.
     When all sets translate one pattern delta (_pattern), S is the weight
-    w(e) = sigma(e) sum_i (-1)^|e & delta_i| (_walsh_at) times the first
-    column's signs alone.
+    w(e) = sigma(e) sum_i (-1)^|e & delta_i| (_walsh_at) times the signs at
+    the translations b_p alone.
     """
     columns = np.ascontiguousarray(d.indices.T)  # (m, N)
     # -(m+1) needs a signed type whose maximum is at least m
     S = np.zeros((len(masks), d.N), dtype=np.min_scalar_type(-d.m - 1))
     signs, m = _effect_signs(masks), d.m
-    delta = _pattern(d)
-    if delta is not None:
-        signs = signs * _walsh_at(delta, d.n, masks)
-        columns, m = columns[:1], 1
+    pattern = _pattern(d)
+    if pattern is not None:
+        signs = signs * _walsh_at(pattern[1], d.n, masks)
+        columns, m = pattern[0][None, :], 1
     signs = signs.astype(S.dtype)[:, None]
     step = max(1, _CHUNK // d.N)
     for lo in range(0, len(masks), step):
@@ -264,19 +282,20 @@ def lambda_star(d: ChoiceDesign) -> ScaledIntMatrix:
     return ScaledIntMatrix(Z, Fraction(1, d.N * m * m))
 
 
-def _join(d: ChoiceDesign, r: np.ndarray, c: np.ndarray, delta: np.ndarray):
+def _join(d: ChoiceDesign, r: np.ndarray, c: np.ndarray, b: np.ndarray,
+          delta: np.ndarray):
     """Yield the block's nonzero entries (i, j, v), a chunk of rows at a time.
 
     Every set is b_p xor delta (_pattern), so with u = e_i xor e_j, set by
     set sum_(a<b) (x_a - x_b)(y_a - y_b) = m sum x y - sum x sum y gives
     C*[i, j] = W_B(u) (m sigma(u) W_delta(u) - w(e_i) w(e_j)): W_B and
-    W_delta are the Walsh transforms of the first options b_p and of the
+    W_delta are the Walsh transforms of the translations b_p and of the
     pattern, and w(e) = sigma(e) W_delta(e) is set_sums' weight.  So row i
     meets, for each u in U = supp W_B, only the column whose mask is
     e_i xor u, if there is one: |U| lookups per row, and no rows x cols
     array.  Each row's columns are sorted, so the entries come row-major.
     """
-    W = _fwht(np.bincount(d.indices[:, 0], minlength=1 << d.n))  # W_B
+    W = _fwht(np.bincount(b, minlength=1 << d.n))  # W_B
     U = np.flatnonzero(W)  # holds 0: W_B[0] = N
     G = np.zeros_like(W)  # m sigma(u) W_B(u) W_delta(u), zero off U
     G[U] = d.m * _effect_signs(U) * W[U] * _walsh_at(delta, d.n, U)
@@ -321,9 +340,9 @@ def cstar_entries(d: ChoiceDesign, r: np.ndarray, c: np.ndarray,
     transform of the option histogram (_walsh_at), and S the per-set sign
     sums of set_sums; row_sums, when given, is set_sums(d, r), reused.
     """
-    delta = _pattern(d) if (2 << d.n) <= r.size * c.size else None
-    if delta is not None and distinct(c).size == c.size:
-        return _join(d, r, c, delta), None
+    pattern = _pattern(d) if (2 << d.n) <= r.size * c.size else None
+    if pattern is not None and distinct(c).size == c.size:
+        return _join(d, r, c, *pattern), None
     Sr = set_sums(d, r) if row_sums is None else row_sums
     Sc = Sr if c is r else set_sums(d, c)
     block = _walsh_at(d.indices.ravel(), d.n, r[:, None] ^ c[None, :])

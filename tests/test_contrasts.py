@@ -15,7 +15,8 @@ from chogen.contrasts import (DENSE_MAX_N, ScaledIntMatrix, _fwht,
                               cstar_matrix,
                               effective_choice_set, effective_position,
                               exact_schur_cstar, info_matrix, lambda_star,
-                              option_sign_matrix, pair_contribution)
+                              option_sign_matrix, pair_contribution,
+                              set_sums)
 from chogen.designs import ChoiceDesign, all_treatments, lex_index, treatment
 from chogen.errors import EffectOutOfRange, SamePair, Unsupported
 from chogen.models import ModelSpec, effect, main_effect_list
@@ -302,8 +303,9 @@ def test_cstar_block_matches_oracle_on_wide_designs(d, family):
 @st.composite
 def translated_designs(draw):
     """Sets t xor P of one random pattern P, some translates repeated, so
-    that first options repeat, and some designs folded: their complement
-    sets appended, which translate P by the complemented first options.
+    that first options repeat, some designs folded: their complement sets
+    appended, which translate P by the complemented first options, and
+    some with the options of every set in another order.
 
     A spec-all or spec-group model on 6-7 factors has Q^2 >= 2^(n+1), so
     every block with distinct column masks is joined.
@@ -319,9 +321,11 @@ def translated_designs(draw):
     firsts = [shifts[i] for i in picks]
     if draw(st.booleans()):
         firsts += [t ^ ((1 << n) - 1) for t in firsts]
+    rows = [[t ^ p for p in pattern] for t in firsts]
+    if draw(st.booleans()):
+        rows = [draw(st.permutations(row)) for row in rows]
     bits = lambda x: tuple((x >> (n - 1 - k)) & 1 for k in range(n))
-    return ChoiceDesign.from_sets([tuple(bits(t ^ p) for p in pattern)
-                                   for t in firsts])
+    return ChoiceDesign.from_sets([tuple(map(bits, row)) for row in rows])
 
 
 @given(translated_designs(), st.sampled_from(("spec-all", "spec-group")),
@@ -391,12 +395,13 @@ def test_stored_cells_take_the_difference_route(name):
     d, meta = load(str(INPUTS / f"{name}.json"))
     model = (ModelSpec.specified_group(d.n, 3) if "group" in name
              else ModelSpec.specified_one_factor(d.n))
-    # every set is a translate of {0, 1...1, g}, or at m = 4 of
-    # {0, 1...1, g, 1...1 xor g}
-    delta = _pattern(d)
-    assert delta is not None and delta.size == d.m
-    assert delta[0] == 0 and delta[1] == (1 << d.n) - 1
-    assert d.m == 3 or delta[3] == delta[1] ^ delta[2]
+    # every set is a translate of {0, 1...1, g}, or at m = 4 of the
+    # subspace {0, 1...1, g, 1...1 xor g}
+    b, delta = _pattern(d)
+    assert b.size == d.N and delta.size == d.m and delta[0] == 0
+    assert (1 << d.n) - 1 in delta[:, None] ^ delta
+    assert d.m == 3 or all(np.array_equal(np.sort(delta ^ x), np.sort(delta))
+                           for x in delta)
 
 
 @pytest.mark.parametrize("name", ["spec-all-m3-n12", "spec-all-m4-n12"])
@@ -413,11 +418,11 @@ def test_cstar_of_stored_cells_equals_the_sign_matrix_product(name):
 
 
 def _support(d, rows, cols):
-    """|U|, the support of the Walsh transform W_B of the first options,
-    when the block joins, else None."""
+    """|U|, the support of the Walsh transform W_B of the sets'
+    translations, when the block joins, else None."""
     if cstar_entries(d, masks_of(rows, d.n), masks_of(cols, d.n))[1] is not None:
         return None
-    return np.count_nonzero(_fwht(np.bincount(d.indices[:, 0],
+    return np.count_nonzero(_fwht(np.bincount(_pattern(d)[0],
                                               minlength=1 << d.n)))
 
 
@@ -597,3 +602,18 @@ def test_wide_spec_group_cell_keeps_the_product_route(monkeypatch):
     monkeypatch.setattr(chogen.contrasts, "set_sums", refuse)
     with pytest.raises(ProductRoute):
         cstar_entries(d, F, F)
+
+
+@pytest.mark.parametrize("name", ["spec-all-m3-n12", "spec-all-m4-n12",
+                                  "spec-group-m4-n10-r3"])
+def test_shuffled_options_keep_the_join(name):
+    # options in another order within every set, as a relabelled input
+    # may come: the sets still translate one pattern, found by sorting
+    d, meta = load(str(INPUTS / f"{name}.json"))
+    F = ModelSpec.family(meta["model"], d.n, meta.get("r")).interest_masks
+    rng = np.random.default_rng(5)
+    shuffled = ChoiceDesign.from_indices(rng.permuted(d.indices, axis=1), d.n)
+    assert shuffled.indices[:, 0].tolist() != d.indices[:, 0].tolist()
+    assert np.array_equal(set_sums(shuffled, F), set_sums(d, F))
+    assert cstar_entries(shuffled, F, F)[1] is None
+    assert np.array_equal(cstar_block(shuffled, F, F), cstar_block(d, F, F))
