@@ -164,7 +164,7 @@ def _pattern(d: ChoiceDesign):
     """
     delta = d.indices[0] ^ d.indices[0, 0]
     if (d.indices ^ d.indices[:, :1] == delta).all():
-        return d.indices[:, 0], delta
+        return np.ascontiguousarray(d.indices[:, 0]), delta
     if d.m * d.m > 1 << d.n:
         return None
     S = np.sort(d.indices, axis=1)
