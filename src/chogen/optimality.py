@@ -11,16 +11,14 @@ nonzero entries (contrasts.cstar_entries), joined from Walsh transforms
 on a translated pattern: a certified design's C* has only Q of them, and
 the diagonal and the offending pairs follow.
 
-C* is the sum of d d' over the component pairs, so its rank is that of
-the within-set difference matrix A, whose rows are (x_{p,i} - x_{p,0})/2
-for the contrast-sign vectors x of set p.  Hence rank C* <= N(m-1), and
-a design with N(m-1) < Q is NotConnected at once.  Otherwise the design
-is connected iff rank C* = Q, computed by ratlinalg.rank on the dense C*
-of the product route, or on the join's entries scattered into one; with a
-nonzero cross block, iff rank [A_interest | A_nuisance] - rank A_nuisance
-= Q.  ratlinalg.rank decides a deficit from one prime when a kernel lifted
-from it checks exactly, and otherwise falls back to more primes; it is
-exact either way.
+C* is the sum of d d' over the component pairs, d the difference of their
+contrast-sign vectors.  The treatment graph joins the T distinct treatments
+within each set, in c components; the rows x_t - x_root(t) of its difference
+matrix D span what the within-set differences span, so rank C* = rank D <=
+T - c <= N(m-1).  The design is connected iff rank [D_interest | D_nuisance]
+- rank D_nuisance = Q, with no rank when T - c < Q.  ratlinalg.rank decides
+a deficit from one prime when a kernel lifted from it checks exactly, and
+otherwise falls back to more primes; it is exact either way.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ import numpy as np
 
 from . import contrasts, ratlinalg
 from .contrasts import ScaledIntMatrix
-from .designs import ChoiceDesign
+from .designs import ChoiceDesign, distinct
 from .errors import InvariantError, SameEffect
 from .models import FactorialEffect, ModelSpec, decoded, require_within
 
@@ -159,44 +157,46 @@ def oracle_cstar(d: ChoiceDesign, F) -> ScaledIntMatrix:
 
 
 def _differences(d: ChoiceDesign, masks: np.ndarray) -> np.ndarray:
-    """The (N(m-1), Q) within-set difference matrix of the effects' signs.
+    """The (T - c, Q) int8 difference matrix D of the treatment graph.
 
-    Row (p, i) is (x_{p,i} - x_{p,0})/2, with entries in {-1, 0, 1}.
+    Min-label propagation over the (N, m) index array finds the components:
+    each set lowers its options' roots to its least root, and pointer
+    jumping sends each label to its root, the least treatment of its
+    component.  The row of each other treatment t is the effects' parities
+    |e & t| mod 2 at its root less those at t: (x_t - x_root(t))/2 with
+    column signs (-1)^|e|, which leave every rank as it is.
     """
-    signs = contrasts.option_sign_matrix(d, masks).reshape(-1, d.N, d.m)
-    A = (signs[:, :, 1:] - signs[:, :, :1]) // 2
-    return A.reshape(masks.size, -1).T
+    values = distinct(d.indices)
+    x = np.searchsorted(values, d.indices)
+    label = np.arange(values.size)
+    while ((roots := label[x]) != roots[:, :1]).any():
+        np.minimum.at(label, roots, roots.min(axis=1, keepdims=True))
+        while (label[label] != label).any():
+            label = label[label]
+    t = np.flatnonzero(label != np.arange(values.size))
+    parity = (np.bitwise_count(values[:, None] & masks) & 1).view(np.int8)
+    return parity[label[t]] - parity[t]
 
 
 def below_rank_bound(N: int, m: int, Q: int) -> bool:
     """Whether N sets of m options are too few to connect Q effects.
 
-    rank C* <= N(m-1), so N(m-1) < Q leaves C* singular: such a design is
-    NotConnected, and catalog.first_certified refuses a recipe claiming
-    such an N before it builds it.
+    rank C* <= T - c <= N(m-1) (_differences), so N(m-1) < Q leaves C*
+    singular: catalog.first_certified refuses a recipe claiming such an N
+    before it builds it.
     """
     return N * (m - 1) < Q
 
 
-def _connected(d: ChoiceDesign, effects: np.ndarray, nuisance: np.ndarray,
-               Cstar: Optional[np.ndarray], diag: np.ndarray, diagonal: bool,
-               cross_zero: Optional[bool]) -> bool:
+def _connected(d: ChoiceDesign, effects: np.ndarray,
+               nuisance: np.ndarray) -> bool:
     """Whether the information matrix of the effects of interest (masks),
-    with the nuisance masks, has full rank, exactly: never below_rank_bound,
-    else rank C* = Q with no cross block (Cstar is None on the join, and
-    formed here only), else from [A_interest | A_nuisance], verify's one
-    option sign matrix, whose Gram matrices could be far larger than A."""
+    with the nuisance masks, has full rank Q: rank [D_interest | D_nuisance]
+    - rank D_nuisance = Q (_differences), never with T - c < Q rows."""
     Q = effects.size
-    if below_rank_bound(d.N, d.m, Q):
-        return False
-    if cross_zero in (None, True):
-        if diagonal:
-            return bool((diag > 0).all())
-        if Cstar is None:
-            Cstar = contrasts.cstar_block(d, effects, effects)
-        return ratlinalg.rank(Cstar) == Q
-    A = _differences(d, np.concatenate((effects, nuisance)))
-    return ratlinalg.rank(A) - ratlinalg.rank(A[:, Q:]) == Q
+    D = _differences(d, np.concatenate((effects, nuisance)))
+    return (D.shape[0] >= Q
+            and ratlinalg.rank(D) - ratlinalg.rank(D[:, Q:]) == Q)
 
 
 def _read_entries(chunks, Q: int) -> tuple:
@@ -222,13 +222,13 @@ def verify(d: ChoiceDesign, model: ModelSpec) -> OptimalityReport:
 
     UniversallyOptimal iff the exact C is diagonal, every per-set count is
     balanced, the trace equals max_trace, and any cross block vanishes;
-    otherwise the exact rank of C decides between the other verdicts.  The
+    otherwise the rank of the treatment graph's D decides (_connected).  The
     model's masks (ModelSpec.masks_on) feed the per-set sign sums S, the one
-    (Q, N) array held, and cstar_entries, whose row-major entries give the
-    diagonal, checked against N m^2 - sum_p S^2, the trace, and the
-    offending pairs, listed and counted.  Their eta counts come from S and
-    the sums of each pair's joint effect, whose mask is the xor of theirs;
-    only the listed effects are decoded.  The zero counts overwrite S last.
+    (Q, N) array held, and cstar_entries, read once and not kept: its
+    row-major entries give the diagonal, checked against N m^2 - sum_p S^2,
+    the trace, and the offending pairs.  Their eta counts come from S and
+    the sums of each pair's joint effect, the xor of their masks; only the
+    listed effects are decoded.  The zero counts overwrite S last.
     """
     effects, nuisance = model.masks_on(d.n)
     n, m, N, Q = d.n, d.m, d.N, model.Q
@@ -237,8 +237,8 @@ def verify(d: ChoiceDesign, model: ModelSpec) -> OptimalityReport:
     # balanced means |S| = m mod 2, and S = m (mod 2), so |S| <= m mod 2
     balance_ok = bool(-(m % 2) <= S.min() and S.max() <= m % 2)
 
-    chunks, Cstar = contrasts.cstar_entries(d, effects, effects, S)
-    diag, offending_count, q1, q2, values = _read_entries(chunks, Q)
+    diag, offending_count, q1, q2, values = _read_entries(
+        contrasts.cstar_entries(d, effects, effects, S)[0], Q)
     # same diagonal via the per-set zero counts, as an internal cross-check:
     # sum_p 4 n_p (m - n_p) = N m^2 - sum_p S^2, a chunk of rows at a time
     step = max(1, contrasts._CHUNK // N)
@@ -282,7 +282,7 @@ def verify(d: ChoiceDesign, model: ModelSpec) -> OptimalityReport:
                and cross_zero in (None, True))
     if optimal:
         verdict = Verdict.UNIVERSALLY_OPTIMAL
-    elif _connected(d, effects, nuisance, Cstar, diag, diagonal, cross_zero):
+    elif _connected(d, effects, nuisance):
         verdict = Verdict.CONNECTED_NOT_OPTIMAL
     else:
         verdict = Verdict.NOT_CONNECTED

@@ -428,16 +428,26 @@ print(code, "numpy.ma" in sys.modules, len(ranks), file=sys.stderr)
     (["generate", "--model", "spec-group", "--m", "4", "--n", "10",
       "--r", "3"], 0),
     (["verify", str(INPUTS / "spec-all-m3-n12.json")], 0),
-    # one set repeated: C* has rank 1 < Q = 3 = N(m-1), so the rank and
-    # its kernel certificate decide NotConnected
+    # one set repeated, Q = 3 = N(m-1): its treatment graph has T - c = 1
+    # < Q rows, so NotConnected is decided with no rank
     (["verify", "REPEATED", "--model", "main-effects"], 2),
+    # T - c = Q = 3, but factor 3 never varies: D and its empty nuisance
+    # slice are ranked, and the kernel certificate decides rank 2
+    (["verify", "DEFICIT", "--model", "main-effects"], 2),
 ])
 def test_commands_never_import_numpy_ma(tmp_path, argv, code):
     # np.unique and friends import numpy.ma on their first call, 10-20 ms
     # of a cold process
-    path = tmp_path / "repeated.json"
-    path.write_text(dumps(ChoiceDesign([("000", "111")] * 3), {}))
-    argv = [str(path) if a == "REPEATED" else a for a in argv]
+    designs = {"REPEATED": (0, [("000", "111")] * 3),
+               "DEFICIT": (2, [("000", "100"), ("000", "010"),
+                               ("000", "110")])}
+    ranks_taken = None
+    for name, (count, sets) in designs.items():
+        if name in argv:
+            path = tmp_path / f"{name}.json"
+            path.write_text(dumps(ChoiceDesign(sets), {}))
+            argv = [str(path) if a == name else a for a in argv]
+            ranks_taken = count
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     with deadline(60):
@@ -445,8 +455,8 @@ def test_commands_never_import_numpy_ma(tmp_path, argv, code):
                               capture_output=True, text=True, timeout=60)
     exit_code, imported, ranks = proc.stderr.split()[-3:]
     assert (exit_code, imported) == (str(code), "False")
-    if str(path) in argv:
-        assert ranks == "1"
+    if ranks_taken is not None:
+        assert ranks == str(ranks_taken)
 
 
 def test_verify_missing_file_exits_4(capsys):

@@ -22,7 +22,8 @@ from chogen.models import FactorialEffect, ModelSpec, effect, main_effect_list
 from chogen.optimality import (MAX_LISTED_PAIRS, Verdict, _differences,
                                below_rank_bound, eta_counts, max_trace,
                                np_counts, oracle_cstar, verify)
-from chogen.contrasts import cross_block_star, cstar_matrix, exact_schur_cstar
+from chogen.contrasts import (cross_block_star, cstar_matrix,
+                              exact_schur_cstar, option_sign_matrix)
 from chogen.constructions import specified_design
 from conftest import designs, masks_of, random_design
 from test_ratlinalg import _rank_by_fractions
@@ -206,7 +207,8 @@ def _count_sign_matrices(monkeypatch) -> list:
 
 def test_verify_builds_each_sign_matrix_once(monkeypatch):
     # diagonal C* with a nonzero cross block and N(m-1) >= Q: the rank path
-    # builds one sign matrix, over the interest and then the nuisance
+    # ranks the treatment graph's D, which reads the parities of the
+    # distinct treatments alone, so no sign matrix is built
     calls = _count_sign_matrices(monkeypatch)
     d = ChoiceDesign.from_sets([("00", "01"), ("00", "10")])
     model = ModelSpec.broader_main_effects(2)
@@ -214,11 +216,11 @@ def test_verify_builds_each_sign_matrix_once(monkeypatch):
     assert report.diagonal
     assert report.cross_block_zero is False
     assert report.verdict is Verdict.NOT_CONNECTED
-    assert calls == [tuple(masks_of(model.interest + model.nuisance, d.n))]
+    assert calls == []
 
 
 def test_rank_path_without_cross_block_builds_no_sign_matrix(monkeypatch):
-    # the rank test ranks the C* that verify holds, and the listed pairs'
+    # the rank test ranks the treatment graph's D, and the listed pairs'
     # eta counts come from per-set sums: no sign matrix at all
     calls = _count_sign_matrices(monkeypatch)
     d = ChoiceDesign.from_sets([("000", "011"), ("000", "101"),
@@ -240,9 +242,9 @@ def test_certified_verify_builds_no_sign_matrix(monkeypatch):
 
 
 def test_offending_pairs_build_signs_of_listed_effects_only(monkeypatch):
-    # the listing reads the eta counts from per-set sums, so a design with
-    # offending pairs and a nonzero cross block builds only the rank path's
-    # one sign matrix; with no cross block it builds none
+    # the listing reads the eta counts from per-set sums, and the rank path
+    # ranks D, so a design with offending pairs builds no sign matrix, with
+    # a nonzero cross block or without one
     calls = _count_sign_matrices(monkeypatch)
     d = specified_design(8, 4)
     model = ModelSpec.specified_one_factor(8)
@@ -256,7 +258,7 @@ def test_offending_pairs_build_signs_of_listed_effects_only(monkeypatch):
     report = verify(d, model)
     assert d.N * (d.m - 1) >= model.Q and report.offending_pairs
     assert report.cross_block_zero is False
-    assert calls == [tuple(masks_of(model.interest + model.nuisance, d.n))]
+    assert calls == []
 
 
 def test_offending_pair_listing_is_capped():
@@ -400,9 +402,26 @@ def test_designs_below_the_rank_bound_never_certify(case):
     assert report.verdict is Verdict.NOT_CONNECTED
 
 
+def _within_set_differences(d, masks):
+    """The (N(m-1), Q) within-set difference matrix A of the contrast signs,
+    the reference for the treatment graph's D.
+
+    Row (p, i) is (x_{p,i} - x_{p,0})/2, with entries in {-1, 0, 1}, from
+    the option sign matrix.
+    """
+    signs = option_sign_matrix(d, masks).reshape(-1, d.N, d.m)
+    A = (signs[:, :, 1:] - signs[:, :, :1]) // 2
+    return A.reshape(masks.size, -1).T
+
+
 @st.composite
 def designs_on_the_rank_path(draw):
-    """Random designs of all five families, n = 4-6, with N(m-1) >= Q."""
+    """Random designs of all five families, n = 4-6, with N(m-1) >= Q.
+
+    The options may come from a restricted pool of treatments, split into
+    up to three groups that each set keeps within, so the treatment graph
+    has several components; and the sets may repeat a few distinct ones.
+    """
     n = draw(st.integers(4, 6))
     family = draw(st.sampled_from(
         ("main-effects", "broader", "spec-all", "spec-2f", "spec-group")))
@@ -411,28 +430,38 @@ def designs_on_the_rank_path(draw):
     m = draw(st.integers(2, 4))
     N = -(-model.Q // (m - 1)) + draw(st.integers(0, 2))
     rng = random.Random(draw(st.integers(0, 2**32)))
-    return random_design(rng, n, m, N), model
+    groups = draw(st.integers(1, 3))
+    pool = rng.sample(all_treatments(n), draw(st.integers(groups * m, 1 << n)))
+    parts = [pool[g::groups] for g in range(groups)]
+    sets = [tuple(rng.sample(rng.choice(parts), m))
+            for _ in range(draw(st.sampled_from((N, 1, 2, 5))))]
+    design = ChoiceDesign.from_sets([sets[p % len(sets)] for p in range(N)])
+    return design, model
 
 
 @given(designs_on_the_rank_path())
 @settings(max_examples=60, deadline=None)
 def test_rank_path_verdict_matches_fraction_rank_of_differences(case):
-    # verify ranks C*; the reference ranks the difference matrix A in
-    # Fractions, so this pins rank C* = rank A where the route changed
+    # verify ranks the treatment graph's D; the reference ranks the
+    # within-set difference matrix A in Fractions, so this pins
+    # rank D = rank A = rank C* where the route changed
     d, model = case
     Q = model.Q
     assert d.N * (d.m - 1) >= Q
-    A = _differences(d, masks_of(model.interest, d.n))
+    masks = masks_of(model.interest + model.nuisance, d.n)
+    A = _within_set_differences(d, masks)
+    D = _differences(d, masks)
+    assert D.dtype == np.int8 and D.shape[0] <= d.N * (d.m - 1)
+    assert ratlinalg.rank(D) == _rank_by_fractions(A.tolist())
+    assert ratlinalg.rank(D[:, :Q]) == _rank_by_fractions(A[:, :Q].tolist())
     assert ratlinalg.rank(cstar_matrix(d, model.interest).ints) == \
-        _rank_by_fractions(A.tolist())
+        _rank_by_fractions(A[:, :Q].tolist())
     report = verify(d, model)
     if report.cross_block_zero is False:
-        A_nuis = _differences(d, masks_of(model.nuisance, d.n))
-        full = np.hstack([A, A_nuis]).tolist()
-        connected = (_rank_by_fractions(full)
-                     - _rank_by_fractions(A_nuis.tolist()) == Q)
+        connected = (_rank_by_fractions(A.tolist())
+                     - _rank_by_fractions(A[:, Q:].tolist()) == Q)
     else:
-        connected = _rank_by_fractions(A.tolist()) == Q
+        connected = _rank_by_fractions(A[:, :Q].tolist()) == Q
     if report.certified:
         assert connected
     else:
@@ -452,6 +481,64 @@ def test_nonzero_cross_block_route_both_outcomes(sets, verdict):
     assert report.verdict is verdict
     assert _reference_connected(d, model) == (
         verdict is Verdict.CONNECTED_NOT_OPTIMAL)
+
+
+def test_treatment_graph_decides_without_rank(monkeypatch):
+    # spec-all n = 10, m = 3, Q = 521 <= N(m-1): 50 random sets repeated to
+    # N = 300, and 261 random sets.  Their treatment graphs have T - c < Q
+    # rows, so both are NotConnected with no rank; ranking C* took 7-60 s
+    from conftest import deadline
+
+    def refuse(M):
+        raise AssertionError("rank must not run when T - c < Q")
+    monkeypatch.setattr(ratlinalg, "rank", refuse)
+    model = ModelSpec.specified_one_factor(10)
+    rng = random.Random(300)
+    repeated = random_design(rng, 10, 3, 50).indices
+    for d in (ChoiceDesign.from_indices(np.tile(repeated, (6, 1)), 10),
+              random_design(rng, 10, 3, 261)):
+        assert not below_rank_bound(d.N, d.m, model.Q)
+        with deadline(10):
+            report = verify(d, model)
+        assert report.verdict is Verdict.NOT_CONNECTED
+        assert _differences(d, masks_of(model.interest, 10)).shape[0] < model.Q
+
+
+@pytest.fixture(scope="module")
+def certifier():
+    """perfbench/certifier.py, the benchmark's independent checker, imported
+    through sys.path without writing a bytecode cache beside it."""
+    written, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    sys.path.insert(0, str(INPUTS.parent))
+    try:
+        import certifier
+    finally:
+        sys.path.remove(str(INPUTS.parent))
+        sys.dont_write_bytecode = written
+    return certifier
+
+
+@pytest.mark.parametrize("family, n, m, N, r, most", [
+    ("spec-all", 8, 3, 128, None, 1),  # the audit's shapes
+    ("broader", 12, 3, 48, None, 1),
+    ("spec-group", 5, 3, 12, 2, 3),  # small ones with several components
+    ("spec-2f", 5, 3, 6, None, 3),
+    ("main-effects", 6, 2, 8, None, 3),
+])
+def test_verdicts_agree_with_the_benchmark_certifier(certifier, family, n, m,
+                                                     N, r, most):
+    # six seeded designs per shape, whose sets keep within one of 1 to
+    # `most` random parts of the 2^n treatments
+    model = ModelSpec.family(family, n, r)
+    rng = random.Random(f"{family}-{n}")
+    for seed in range(6):
+        groups = 1 + seed % most
+        pool = rng.sample(range(1 << n), 1 << n)
+        parts = [pool[g::groups] for g in range(groups)]
+        x = np.array([rng.sample(rng.choice(parts), m) for _ in range(N)])
+        want = certifier.certify(x, n, family, r).verdict()
+        d = ChoiceDesign.from_indices(x, n)
+        assert verify(d, model).verdict.value == want, (family, seed)
 
 
 def test_rank_bound_decides_without_rank(monkeypatch):
@@ -602,7 +689,7 @@ def _former_report(d, model) -> dict:
         verdict = (Verdict.CONNECTED_NOT_OPTIMAL if ratlinalg.rank(C) == Q
                    else Verdict.NOT_CONNECTED)
     else:
-        A = _differences(d, masks_of(effects + model.nuisance, d.n))
+        A = _within_set_differences(d, masks_of(effects + model.nuisance, d.n))
         full = ratlinalg.rank(A) - ratlinalg.rank(A[:, Q:]) == Q
         verdict = (Verdict.CONNECTED_NOT_OPTIMAL if full
                    else Verdict.NOT_CONNECTED)
