@@ -160,9 +160,10 @@ def test_verify_keeps_one_set_sum_array():
 
 def test_verify_holds_one_dense_cstar_on_the_rank_path():
     # a linked random design on the product route: C* is dense and has
-    # full rank Q = 521.  The rank holds C*, its copy and residues and the
-    # elimination's temporaries, about six Q x Q int64 arrays; C*'s entries
-    # held beside them, 24 bytes each, would add three more
+    # full rank Q = 521.  The rank holds the treatment graph's int8 D
+    # (T - c = 1023 rows), its int64 copy and residues and the elimination's
+    # temporaries, about seven Q x Q int64 arrays' worth, so verify must let
+    # the product route's C* block go before it
     import tracemalloc
     from conftest import deadline
     rng = np.random.default_rng(1)
