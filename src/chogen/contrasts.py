@@ -3,13 +3,12 @@
 Verdicts are computed over the integers: C is an integer matrix C* times
 the exact scale 1/(2^n N m^2), from effect bit masks (models), which the
 public functions also take as FactorialEffects.  Every block of C* comes
-from cstar_entries as its nonzero entries: joined over the Walsh
-transforms of the sets' translations and of the one pattern that every
-set translates, as in every generator shift, and otherwise a Walsh
-transform of the option histogram less one product of per-set sign sums.
-Neither route forms a (Q, N*m) sign matrix.  Floats appear only in
-info_matrix's numeric branch and inside int_product, whose float values
-are integers held exactly.
+from cstar_entries as a stream of its nonzero entries, a chunk of rows at
+a time: joined over the Walsh transforms of the sets' translations and of
+the one pattern that every set translates, as in every generator shift,
+and otherwise a Walsh transform of the option histogram less a product of
+per-set sign sums.  Neither route holds a whole block.  Floats appear only
+in info_matrix's numeric branch and in int_product, exact integers there.
 """
 
 from __future__ import annotations
@@ -186,7 +185,7 @@ def set_sums(d: ChoiceDesign, masks: np.ndarray) -> np.ndarray:
     the odd parities are counted into S and turned into sigma(e) (m - 2 odd)
     in place, every intermediate within -m..m, so S is int8 up to m = 127.
     When all sets translate one pattern delta (_pattern), S is the weight
-    w(e) = sigma(e) sum_i (-1)^|e & delta_i| (_walsh_at) times the signs at
+    w(e) = sigma(e) sum_i (-1)^|e & delta_i| (_walsh) times the signs at
     the translations b_p alone.
     """
     columns = np.ascontiguousarray(d.indices.T)  # (m, N)
@@ -195,7 +194,7 @@ def set_sums(d: ChoiceDesign, masks: np.ndarray) -> np.ndarray:
     signs, m = _effect_signs(masks), d.m
     pattern = _pattern(d)
     if pattern is not None:
-        signs = signs * _walsh_at(pattern[1], d.n, masks)
+        signs = signs * _walsh(pattern[1], d.n, masks)(masks)
         columns, m = pattern[0][None, :], 1
     signs = signs.astype(S.dtype)[:, None]
     step = max(1, _CHUNK // d.N)
@@ -238,29 +237,27 @@ def _fwht(w: np.ndarray) -> np.ndarray:
     return w
 
 
-def _transform_pays(n: int, points: int, options: int) -> bool:
-    """Whether a full transform (n 2^n) costs no more than direct sums."""
-    return n * (1 << n) <= points * options
+def _walsh(options: np.ndarray, n: int, points: np.ndarray):
+    """The lookup u -> W[u] = sum over the options t of (-1)^|u & t|, the
+    Walsh transform of the option histogram, for masks u among points.
 
-
-def _walsh_at(options: np.ndarray, n: int, points: np.ndarray) -> np.ndarray:
-    """W[u] = sum over the options t of (-1)^|u & t|, at every u in points.
-
-    W is the Walsh transform of the option histogram.  A full fast
-    transform costs about n 2^n; direct character sums at the distinct
-    points U cost |U| N m.  The cheaper one is taken, so wide designs never
-    allocate a 2^n histogram.
-    """
+    A full fast transform costs about n 2^n, direct character sums at the
+    distinct points U |U| N m; the cheaper is taken, so wide designs never
+    allocate a 2^n histogram."""
     distinct = _distinct(points, n)
-    if _transform_pays(n, distinct.size, options.size):
-        return _fwht(np.bincount(options, minlength=1 << n))[points]
-    values = np.empty(distinct.size, dtype=np.int64)
+    if n * (1 << n) <= distinct.size * options.size:
+        W = np.bincount(options, minlength=1 << n)  # every sum in -N m..N m
+        return _fwht(W.astype(np.min_scalar_type(-options.size - 1))).__getitem__
+    odd = np.empty(distinct.size, dtype=np.min_scalar_type(options.size))
+    small = np.min_scalar_type((1 << n) - 1)  # narrow types sum fastest
+    points, options = distinct.astype(small), options.astype(small)
     step = max(1, _CHUNK // options.size)
     for lo in range(0, distinct.size, step):
-        odd = np.bitwise_count(distinct[lo:lo + step, None] & options)
-        odd &= 1
-        values[lo:lo + step] = options.size - 2 * odd.sum(axis=1, dtype=np.int64)
-    return values[np.searchsorted(distinct, points)]
+        bits = np.bitwise_count(points[lo:lo + step, None] & options)
+        bits &= 1
+        bits.sum(axis=1, out=odd[lo:lo + step])
+    values = options.size - 2 * odd.astype(np.int64)
+    return lambda u: values[np.searchsorted(distinct, u)]
 
 
 def lambda_star(d: ChoiceDesign) -> ScaledIntMatrix:
@@ -298,9 +295,9 @@ def _join(d: ChoiceDesign, r: np.ndarray, c: np.ndarray, b: np.ndarray,
     W = _fwht(np.bincount(b, minlength=1 << d.n))  # W_B
     U = np.flatnonzero(W)  # holds 0: W_B[0] = N
     G = np.zeros_like(W)  # m sigma(u) W_B(u) W_delta(u), zero off U
-    G[U] = d.m * _effect_signs(U) * W[U] * _walsh_at(delta, d.n, U)
-    wr = _effect_signs(r) * _walsh_at(delta, d.n, r)
-    wc = wr if c is r else _effect_signs(c) * _walsh_at(delta, d.n, c)
+    w = _walsh(delta, d.n, np.concatenate((U, r, c)))  # W_delta
+    G[U] = d.m * _effect_signs(U) * W[U] * w(U)
+    wr, wc = (_effect_signs(x) * w(x) for x in (r, c))
     column = np.full(1 << d.n, -1, dtype=np.int64)  # of each mask, or -1
     column[c] = np.arange(c.size)
     step = max(1, _CHUNK // U.size)
@@ -316,57 +313,60 @@ def _join(d: ChoiceDesign, r: np.ndarray, c: np.ndarray, b: np.ndarray,
         yield i[hit], j[hit], v[hit]
 
 
-def _nonzero_rows(block: np.ndarray):
-    """Yield a dense block's nonzero entries (i, j, v), a chunk of rows at a
-    time."""
-    step = max(1, _CHUNK // max(1, block.shape[1]))
-    for lo in range(0, block.shape[0], step):
-        i, j = np.nonzero(block[lo:lo + step])
-        i += lo
-        yield i, j, block[i, j]
+def _product(d: ChoiceDesign, r: np.ndarray, c: np.ndarray, Sr: np.ndarray,
+             Sc: np.ndarray):
+    """Yield the nonzero entries (i, j, v) of m G - S_r S_c', _CHUNK at a time.
+
+    G[i, j] = sigma(e_i) sigma(e_j) W[u] = sigma(u) W[u], u = e_i xor e_j, is
+    the Walsh transform of the complemented options, looked up at the points
+    of a first pass (_walsh).  S_r S_c' is formed N/4 rows at a time from S
+    copied once to floats, so int_product's pass over S_c costs at most a
+    quarter of it."""
+    sub = max(1, _CHUNK // c.size)
+    G = _walsh(d.indices.ravel() ^ ((1 << d.n) - 1), d.n, np.concatenate(
+        [_distinct(r[k:k + sub, None] ^ c, d.n) for k in range(0, r.size, sub)]))
+    Sr = Sr.astype(np.promote_types(Sr.dtype, np.float32))  # exact
+    Sc = Sr if c is r else Sc.astype(Sr.dtype)
+    for lo in range(0, r.size, step := sub * max(1, d.N // (4 * sub))):
+        P = int_product(Sr[lo:lo + step], Sc.T)
+        for k in range(lo, lo + P.shape[0], sub):
+            block = np.multiply(G(r[k:k + sub, None] ^ c), d.m, dtype=np.int64)
+            block -= P[k - lo:k - lo + sub]
+            i, j = np.nonzero(block)
+            yield i + k, j, block[i, j]
 
 
 def cstar_entries(d: ChoiceDesign, r: np.ndarray, c: np.ndarray,
-                  row_sums: np.ndarray = None) -> tuple:
+                  row_sums: np.ndarray = None):
     """The nonzero entries of the C* block of row masks r and column masks
-    c, as (chunks, block): chunks yields int64 arrays (i, j, v) in
-    row-major order over all chunks.
+    c: an iterator of int64 arrays (i, j, v), a chunk of rows at a time,
+    row-major over all chunks.  Neither route holds the block.
 
-    When every set translates one pattern (_pattern), the block has at
-    least 2^(n+1) entries, the bound of its 2^n-entry transforms, and the
-    column masks are distinct, the entries are joined (_join) and block is
-    None.  Otherwise block is the dense m G - S_r S_c', which the chunks
-    read: G[i, j] = sigma(e_i) sigma(e_j) W[e_i xor e_j], W the Walsh
-    transform of the option histogram (_walsh_at), and S the per-set sign
-    sums of set_sums; row_sums, when given, is set_sums(d, r), reused.
+    The entries are joined (_join) when every set translates one pattern
+    (_pattern), the block has at least 2^(n+1) entries, the bound of its
+    2^n-entry transforms, and the column masks are distinct; otherwise they
+    come from m G - S_r S_c' (_product), with the per-set sign sums S of
+    set_sums computed here; row_sums, when given, is set_sums(d, r).
     """
     pattern = _pattern(d) if (2 << d.n) <= r.size * c.size else None
     if pattern is not None and distinct(c).size == c.size:
-        return _join(d, r, c, *pattern), None
+        return _join(d, r, c, *pattern)
     Sr = set_sums(d, r) if row_sums is None else row_sums
-    Sc = Sr if c is r else set_sums(d, c)
-    block = _walsh_at(d.indices.ravel(), d.n, r[:, None] ^ c[None, :])
-    block *= d.m * _effect_signs(r)[:, None]
-    block *= _effect_signs(c)[None, :]
-    block -= int_product(Sr, Sc.T)
-    return _nonzero_rows(block), block
+    return _product(d, r, c, Sr, Sr if c is r else set_sums(d, c))
 
 
 def cstar_block(d: ChoiceDesign, rows, cols,
                 row_sums: np.ndarray = None) -> np.ndarray:
     """Exact integer block B_r Lambda* B_c' of two effect lists or masks.
 
-    The block of cstar_entries, with the join's entries scattered into a
-    zero block.  With cols the same list as rows this is C*, otherwise a
-    cross block.
+    The entries of cstar_entries scattered into a zero block.  With cols
+    the same list as rows this is C*, otherwise a cross block.
     """
     r = _as_masks(rows, d.n)
     c = r if cols is rows else _as_masks(cols, d.n)
-    chunks, block = cstar_entries(d, r, c, row_sums)
-    if block is None:
-        block = np.zeros((r.size, c.size), dtype=np.int64)
-        for i, j, v in chunks:
-            block[i, j] = v
+    block = np.zeros((r.size, c.size), dtype=np.int64)
+    for i, j, v in cstar_entries(d, r, c, row_sums):
+        block[i, j] = v
     return block
 
 

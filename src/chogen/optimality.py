@@ -6,10 +6,9 @@ per-set zero count is balanced, the trace reaches the attainable bound,
 and, when nuisance effects are present, the cross block vanishes
 exactly.  These conditions are sufficient; a design failing them is
 reported as not certified, with connectedness decided by exact ranks.
-verify takes the model's effects as bit masks and reads C* as its
-nonzero entries (contrasts.cstar_entries), joined from Walsh transforms
-on a translated pattern: a certified design's C* has only Q of them, and
-the diagonal and the offending pairs follow.
+verify takes the model's effects as bit masks and reads C* once, as the
+stream of its nonzero entries (contrasts.cstar_entries), for the diagonal
+and the offending pairs; no Q x Q array is held.
 
 C* is the sum of d d' over the component pairs, d the difference of their
 contrast-sign vectors.  The treatment graph joins the T distinct treatments
@@ -156,16 +155,16 @@ def oracle_cstar(d: ChoiceDesign, F) -> ScaledIntMatrix:
     return ScaledIntMatrix(np.array(C, dtype=np.int64), scale)
 
 
-def _differences(d: ChoiceDesign, masks: np.ndarray) -> np.ndarray:
-    """The (T - c, Q) int8 difference matrix D of the treatment graph.
+def _differences(d: ChoiceDesign, masks: np.ndarray, least: int = 0):
+    """The (T - c, Q) int8 difference matrix D of the treatment graph, or
+    None when T - c < least, before any parity is formed.
 
     Min-label propagation over the (N, m) index array finds the components:
     each set lowers its options' roots to its least root, and pointer
     jumping sends each label to its root, the least treatment of its
-    component.  The row of each other treatment t is the effects' parities
-    |e & t| mod 2 at its root less those at t: (x_t - x_root(t))/2 with
-    column signs (-1)^|e|, which leave every rank as it is.
-    """
+    component.  The row of each other treatment t, formed a chunk at a time,
+    is (x_t - x_root(t))/2 with column signs (-1)^|e|, which keep every
+    rank: the parities |e & t| mod 2 at its root less those at t."""
     values = distinct(d.indices)
     x = np.searchsorted(values, d.indices)
     label = np.arange(values.size)
@@ -174,8 +173,15 @@ def _differences(d: ChoiceDesign, masks: np.ndarray) -> np.ndarray:
         while (label[label] != label).any():
             label = label[label]
     t = np.flatnonzero(label != np.arange(values.size))
-    parity = (np.bitwise_count(values[:, None] & masks) & 1).view(np.int8)
-    return parity[label[t]] - parity[t]
+    if t.size < least:
+        return None
+    D = np.empty((t.size, masks.size), dtype=np.int8)
+    step = max(1, contrasts._CHUNK // max(1, masks.size))
+    for lo in range(0, t.size, step):
+        root, tail = ((np.bitwise_count(values[x, None] & masks) & 1).view(
+            np.int8) for x in (label[t[lo:lo + step]], t[lo:lo + step]))
+        np.subtract(root, tail, out=D[lo:lo + step])
+    return D
 
 
 def below_rank_bound(N: int, m: int, Q: int) -> bool:
@@ -194,9 +200,8 @@ def _connected(d: ChoiceDesign, effects: np.ndarray,
     with the nuisance masks, has full rank Q: rank [D_interest | D_nuisance]
     - rank D_nuisance = Q (_differences), never with T - c < Q rows."""
     Q = effects.size
-    D = _differences(d, np.concatenate((effects, nuisance)))
-    return (D.shape[0] >= Q
-            and ratlinalg.rank(D) - ratlinalg.rank(D[:, Q:]) == Q)
+    D = _differences(d, np.concatenate((effects, nuisance)), Q)
+    return D is not None and ratlinalg.rank(D) - ratlinalg.rank(D[:, Q:]) == Q
 
 
 def _read_entries(chunks, Q: int) -> tuple:
@@ -224,11 +229,11 @@ def verify(d: ChoiceDesign, model: ModelSpec) -> OptimalityReport:
     balanced, the trace equals max_trace, and any cross block vanishes;
     otherwise the rank of the treatment graph's D decides (_connected).  The
     model's masks (ModelSpec.masks_on) feed the per-set sign sums S, the one
-    (Q, N) array held, and cstar_entries, read once and not kept: its
-    row-major entries give the diagonal, checked against N m^2 - sum_p S^2,
-    the trace, and the offending pairs.  Their eta counts come from S and
-    the sums of each pair's joint effect, the xor of their masks; only the
-    listed effects are decoded.  The zero counts overwrite S last.
+    (Q, N) array held, and cstar_entries, whose stream of row chunks gives
+    the diagonal, checked against N m^2 - sum_p S^2, the trace and the
+    offending pairs, with no Q x Q array on either route.  Their eta counts
+    come from S and the sums of each pair's joint effect, the xor of their
+    masks; only the listed effects are decoded.  S becomes the zero counts.
     """
     effects, nuisance = model.masks_on(d.n)
     n, m, N, Q = d.n, d.m, d.N, model.Q
@@ -238,7 +243,7 @@ def verify(d: ChoiceDesign, model: ModelSpec) -> OptimalityReport:
     balance_ok = bool(-(m % 2) <= S.min() and S.max() <= m % 2)
 
     diag, offending_count, q1, q2, values = _read_entries(
-        contrasts.cstar_entries(d, effects, effects, S)[0], Q)
+        contrasts.cstar_entries(d, effects, effects, S), Q)
     # same diagonal via the per-set zero counts, as an internal cross-check:
     # sum_p 4 n_p (m - n_p) = N m^2 - sum_p S^2, a chunk of rows at a time
     step = max(1, contrasts._CHUNK // N)
@@ -272,15 +277,10 @@ def verify(d: ChoiceDesign, model: ModelSpec) -> OptimalityReport:
     if trace > bound:
         raise InvariantError("trace above the attainable bound")
 
-    cross_zero = None
-    if nuisance.size:
-        cross_zero = not any(
-            v.size for _, _, v in
-            contrasts.cstar_entries(d, effects, nuisance, S)[0])
+    cross_zero = None if not nuisance.size else not any(
+        v.size for _, _, v in contrasts.cstar_entries(d, effects, nuisance, S))
 
-    optimal = (diagonal and balance_ok and trace == bound
-               and cross_zero in (None, True))
-    if optimal:
+    if diagonal and balance_ok and trace == bound and cross_zero is not False:
         verdict = Verdict.UNIVERSALLY_OPTIMAL
     elif _connected(d, effects, nuisance):
         verdict = Verdict.CONNECTED_NOT_OPTIMAL

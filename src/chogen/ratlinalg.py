@@ -213,7 +213,7 @@ def rank(M) -> int:
 
 
 def int_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Exact A @ B for integer matrices, as int64 whatever the input type.
+    """Exact A @ B, as int64, for matrices of integers in any numeric type.
 
     Every partial sum is an integer bounded by inner_dim * max|A| * max|B|.
     When that bound reaches 2^63, int64 could overflow, so OverflowError
@@ -221,7 +221,7 @@ def int_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     partial sum exactly representable: float32 when it is below 2^24,
     float64 when it is below 2^53.  The float result is then exact and the
     cast back to int64 is lossless.  When B is the transpose of A, A is
-    converted once and B is its view.
+    converted once and B is its view; an operand of that type is not copied.
     """
     bound = A.shape[1]
     for M in (A, B):
@@ -230,13 +230,13 @@ def int_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
         raise OverflowError("integer product could exceed int64")
     ops = A.shape[0] * A.shape[1] * B.shape[-1]
     if ops <= 2_000_000 or bound >= (1 << 53):
-        return np.matmul(A, B, dtype=np.int64)
+        return np.matmul(A, B, dtype=np.int64, casting="unsafe")
     dtype = np.float32 if bound < (1 << 24) else np.float64
-    Af = A.astype(dtype)
+    Af = A.astype(dtype, copy=False)
     if B.base is A and B.shape == A.shape[::-1] and B.strides == A.strides[::-1]:
         Bf = Af.T
     else:
-        Bf = B.astype(dtype)
+        Bf = B.astype(dtype, copy=False)
     return np.rint(Af @ Bf).astype(np.int64)
 
 

@@ -8,8 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chogen.contrasts import (DENSE_MAX_N, ScaledIntMatrix, _fwht,
-                              _pattern, _transform_pays,
+from chogen.contrasts import (DENSE_MAX_N, ScaledIntMatrix, _fwht, _pattern,
                               contrast_matrix, contrast_vector,
                               cross_block_star, cstar_block, cstar_entries,
                               cstar_matrix,
@@ -257,13 +256,15 @@ def _walsh_branch(d, rows, cols):
     """How cstar_block forms this block: 'join', 'fwht' or 'direct'.
 
     'join' is a translated pattern (_pattern) whose entries cstar_entries
-    joins; the last two are the branches of _walsh_at on the product route.
+    joins; the last two are the branches of _walsh on the product route.
     """
     r, c = masks_of(rows, d.n), masks_of(cols, d.n)
-    if _pattern(d) is not None and cstar_entries(d, r, c)[1] is None:
+    if _pattern(d) is not None and cstar_entries(d, r, c).__name__ == "_join":
         return "join"
     points = len(np.unique(r[:, None] ^ c[None, :]))
-    return "fwht" if _transform_pays(d.n, points, d.N * d.m) else "direct"
+    # _walsh's rule: a full transform costs n 2^n, direct sums |U| N m
+    pays = d.n * (1 << d.n) <= points * d.N * d.m
+    return "fwht" if pays else "direct"
 
 
 def _check_against_oracle(d, model):
@@ -366,7 +367,7 @@ def test_wide_designs_never_take_the_difference_route(n):
     assert _pattern(d) is not None
     for model in (ModelSpec.main_effects(n), ModelSpec.specified_two_factor(n)):
         F = masks_of(model.interest, n)
-        assert cstar_entries(d, F, F)[1] is not None
+        assert cstar_entries(d, F, F).__name__ == "_product"
         _check_against_oracle(d, model)
 
 
@@ -420,7 +421,8 @@ def test_cstar_of_stored_cells_equals_the_sign_matrix_product(name):
 def _support(d, rows, cols):
     """|U|, the support of the Walsh transform W_B of the sets'
     translations, when the block joins, else None."""
-    if cstar_entries(d, masks_of(rows, d.n), masks_of(cols, d.n))[1] is not None:
+    entries = cstar_entries(d, masks_of(rows, d.n), masks_of(cols, d.n))
+    if entries.__name__ == "_product":
         return None
     return np.count_nonzero(_fwht(np.bincount(_pattern(d)[0],
                                               minlength=1 << d.n)))
@@ -456,9 +458,7 @@ def _check_entries(d, rows, cols):
     # B Lambda* B', the block by its definition, is the reference
     ref = (contrast_matrix(rows, d.n) @ lambda_star(d).ints
            @ contrast_matrix(cols, d.n).T)
-    chunks, block = cstar_entries(d, masks_of(rows, d.n), masks_of(cols, d.n))
-    if block is not None:
-        assert np.array_equal(block, ref)
+    chunks = cstar_entries(d, masks_of(rows, d.n), masks_of(cols, d.n))
     i, j, v = (np.concatenate(a) for a in zip(*chunks))
     ri, rj = np.nonzero(ref)
     assert all(a.dtype == np.int64 for a in (i, j, v))
@@ -520,7 +520,8 @@ def test_repeated_column_masks_take_the_product_route():
 
 def test_entries_in_many_chunks_keep_the_row_order(monkeypatch):
     # with 16 lookups to a chunk, both routes split their rows over many
-    # chunks, and the entries must still run in row-major order
+    # chunks, and the entries must still run in row-major order; the
+    # product route forms S_r S_c' for 3 rows (N/4) and yields one row a chunk
     import chogen.contrasts
     monkeypatch.setattr(chogen.contrasts, "_CHUNK", 16)
     F = ModelSpec.specified_one_factor(6).interest
@@ -533,8 +534,12 @@ def test_entries_in_many_chunks_keep_the_row_order(monkeypatch):
     # columns, and a chunk holds one row
     full = ChoiceDesign.from_indices(np.array([[0, 63, 0b001011]]), 6)
     masks = masks_of(F, 6)
-    assert cstar_entries(joined, masks, masks)[1] is None
-    assert cstar_entries(product, masks, masks)[1] is not None
+    assert cstar_entries(joined, masks, masks).__name__ == "_join"
+    for cols in (masks, masks[::-1]):
+        entries = cstar_entries(product, masks, cols)
+        assert entries.__name__ == "_product"
+        assert [np.unique(i).tolist() for i, _, _ in entries] == \
+            [[q] for q in range(len(F))]
     assert _support(full, F, F) == 64 > len(F)
     for d in (joined, product, full):
         _check_entries(d, F, F)
@@ -549,7 +554,7 @@ def test_stored_cells_take_the_join(name):
     F = model.interest
     assert _support(d, F, F) < len(F)
     masks = masks_of(F, d.n)
-    assert cstar_entries(d, masks, masks)[1] is None
+    assert cstar_entries(d, masks, masks).__name__ == "_join"
 
 
 def test_every_buildable_recipe_is_a_translated_pattern():
@@ -615,5 +620,5 @@ def test_shuffled_options_keep_the_join(name):
     shuffled = ChoiceDesign.from_indices(rng.permuted(d.indices, axis=1), d.n)
     assert shuffled.indices[:, 0].tolist() != d.indices[:, 0].tolist()
     assert np.array_equal(set_sums(shuffled, F), set_sums(d, F))
-    assert cstar_entries(shuffled, F, F)[1] is None
+    assert cstar_entries(shuffled, F, F).__name__ == "_join"
     assert np.array_equal(cstar_block(shuffled, F, F), cstar_block(d, F, F))

@@ -160,10 +160,10 @@ def test_verify_keeps_one_set_sum_array():
 
 def test_verify_holds_one_dense_cstar_on_the_rank_path():
     # a linked random design on the product route: C* is dense and has
-    # full rank Q = 521.  The rank holds the treatment graph's int8 D
-    # (T - c = 1023 rows), its int64 copy and residues and the elimination's
-    # temporaries, about seven Q x Q int64 arrays' worth, so verify must let
-    # the product route's C* block go before it
+    # full rank Q = 521.  verify reads C* a chunk of rows at a time and
+    # holds no block of it; the peak is the rank's, which holds the treatment
+    # graph's int8 D (T - c = 1023 rows), its int64 copy and residues and
+    # the elimination's temporaries, about seven Q x Q int64 arrays' worth
     import tracemalloc
     from conftest import deadline
     rng = np.random.default_rng(1)
@@ -180,6 +180,32 @@ def test_verify_holds_one_dense_cstar_on_the_rank_path():
             tracemalloc.stop()
     assert report.verdict is Verdict.CONNECTED_NOT_OPTIMAL
     assert peak < 8 * model.Q ** 2 * 8
+
+
+def test_verify_holds_no_dense_cstar_on_the_product_route():
+    # a random design takes the product route, whose C* is dense: 4.2 M
+    # nonzero entries of Q = 2059.  verify reads them a chunk of rows at a
+    # time, and the treatment graph's T - c = 1535 < Q needs no D, so the
+    # peak stays below half of one Q x Q int64 block
+    import tracemalloc
+    from chogen import contrasts
+    from conftest import deadline
+    rng = np.random.default_rng(0)
+    d = ChoiceDesign.from_indices(
+        np.array([rng.choice(4096, 5, replace=False) for _ in range(400)]), 12)
+    model = ModelSpec.specified_one_factor(12)
+    masks = masks_of(model.interest, d.n)
+    assert contrasts.cstar_entries(d, masks, masks).__name__ == "_product"
+    with deadline(60):
+        verify(d, model)
+        tracemalloc.start()
+        try:
+            report = verify(d, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert report.verdict is Verdict.NOT_CONNECTED
+    assert peak < model.Q ** 2 * 8 // 2
 
 
 def test_verify_broader_cross_block_flag():
@@ -596,22 +622,26 @@ def test_invariant_checks_survive_python_O():
 @pytest.mark.parametrize("row", [0, -1])
 def test_diagonal_cross_check_reads_every_row_chunk(monkeypatch, row):
     # one wrong diagonal entry of C*, in the first or the last of the
-    # four single-row chunks the check reads, fails verify
+    # product route's single-row chunks, fails verify, whose check also
+    # reads the per-set sums a row at a time
     from chogen import contrasts
     from chogen.errors import InvariantError
-    real = contrasts.int_product
+    real = contrasts.cstar_entries
 
-    def off_by_one(A, B):
-        product = real(A, B)
-        product[row, row] -= 1
-        return product
+    def off_by_one(d, r, c, row_sums=None):
+        chunks = list(real(d, r, c, row_sums))
+        i, j, v = chunks[row]
+        v[np.flatnonzero(i == j)[row]] -= 1
+        return iter(chunks)
 
     d = random_design(random.Random(5), 4, 3, 8)
     model = ModelSpec.main_effects(4)
     masks = masks_of(model.interest, d.n)
-    assert contrasts.cstar_entries(d, masks, masks)[1] is not None  # product
-    monkeypatch.setattr(contrasts, "int_product", off_by_one)
-    monkeypatch.setattr(contrasts, "_CHUNK", d.N)
+    monkeypatch.setattr(contrasts, "_CHUNK", model.Q)
+    entries = contrasts.cstar_entries(d, masks, masks)
+    assert entries.__name__ == "_product"
+    assert [np.unique(i).size for i, _, _ in entries] == [1] * model.Q
+    monkeypatch.setattr(contrasts, "cstar_entries", off_by_one)
     with pytest.raises(InvariantError, match="diagonal"):
         verify(d, model)
 
@@ -769,8 +799,8 @@ def test_set_sums_and_report_match_the_former_formulas(route, build):
     effects = model.interest
     masks = masks_of(effects, d.n)
     if route is not None:
-        block = contrasts.cstar_entries(d, masks, masks)[1]
-        assert (block is None) == (route == "join")
+        entries = contrasts.cstar_entries(d, masks, masks)
+        assert entries.__name__ == "_" + route
     S = contrasts.set_sums(d, masks)
     former = _former_set_sums(d, effects)
     assert S.dtype == former.dtype and np.array_equal(S, former)
