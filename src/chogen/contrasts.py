@@ -250,10 +250,10 @@ def _walsh(options: np.ndarray, n: int, points: np.ndarray):
         return _fwht(W.astype(np.min_scalar_type(-options.size - 1))).__getitem__
     odd = np.empty(distinct.size, dtype=np.min_scalar_type(options.size))
     small = np.min_scalar_type((1 << n) - 1)  # narrow types sum fastest
-    points, options = distinct.astype(small), options.astype(small)
-    step = max(1, _CHUNK // options.size)
-    for lo in range(0, distinct.size, step):
-        bits = np.bitwise_count(points[lo:lo + step, None] & options)
+    pts, opts = distinct.astype(small), options.astype(small)
+    step = max(1, _CHUNK // opts.size)
+    for lo in range(0, pts.size, step):
+        bits = np.bitwise_count(pts[lo:lo + step, None] & opts)
         bits &= 1
         bits.sum(axis=1, out=odd[lo:lo + step])
     values = options.size - 2 * odd.astype(np.int64)
@@ -320,8 +320,8 @@ def _product(d: ChoiceDesign, r: np.ndarray, c: np.ndarray, Sr: np.ndarray,
     G[i, j] = sigma(e_i) sigma(e_j) W[u] = sigma(u) W[u], u = e_i xor e_j, is
     the Walsh transform of the complemented options, looked up at the points
     of a first pass (_walsh).  S_r S_c' is formed N/4 rows at a time from S
-    copied once to floats, so int_product's pass over S_c costs at most a
-    quarter of it."""
+    copied once to floats: each int_product call's pass over S_c is then 4/N
+    of its multiply, and its product no larger than the copy of S_c."""
     sub = max(1, _CHUNK // c.size)
     G = _walsh(d.indices.ravel() ^ ((1 << d.n) - 1), d.n, np.concatenate(
         [_distinct(r[k:k + sub, None] ^ c, d.n) for k in range(0, r.size, sub)]))
