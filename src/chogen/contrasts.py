@@ -4,11 +4,11 @@ Verdicts are computed over the integers: C is an integer matrix C* times
 the exact scale 1/(2^n N m^2), from effect bit masks (models), which the
 public functions also take as FactorialEffects.  Every block of C* comes
 from cstar_entries as a stream of its nonzero entries, a chunk of rows at
-a time: joined over the Walsh transforms of the sets' translations and of
-the one pattern that every set translates, as in every generator shift,
-and otherwise a Walsh transform of the option histogram less a product of
-per-set sign sums.  Neither route holds a whole block.  Floats appear only
-in info_matrix's numeric branch and in int_product, exact integers there.
+a time: joined by labels when the sets translate one pattern by one coset
+of a subspace, as generator shifts of Sylvester rows do, and otherwise a
+Walsh transform of the option histogram less a product of per-set sign
+sums.  Neither route holds a whole block.  Floats appear only in
+info_matrix's numeric branch and in int_product, exact integers there.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ DENSE_MAX_N = 12
 # relative eigenvalue cutoff of the numeric pseudo-inverse branch
 PINV_CUTOFF = 1e-9
 
-# elements per chunk of the per-set sums and of the direct Walsh sums
+# elements per chunk of the per-set sums, the direct Walsh sums and the join
 _CHUNK = 1 << 16
 
 
@@ -61,11 +61,7 @@ class ScaledIntMatrix:
         return int(self.ints[i, j]) * self.scale
 
     def as_fractions(self) -> np.ndarray:
-        out = np.empty(self.ints.shape, dtype=object)
-        for i in range(self.ints.shape[0]):
-            for j in range(self.ints.shape[1]):
-                out[i, j] = int(self.ints[i, j]) * self.scale
-        return out
+        return self.ints.astype(object) * self.scale
 
     def to_float(self) -> np.ndarray:
         return self.ints.astype(float) * float(self.scale)
@@ -80,9 +76,7 @@ class ScaledIntMatrix:
             return NotImplemented
         if self.ints.shape != other.ints.shape:
             return False
-        a = self.ints.astype(object) * (self.scale.numerator * other.scale.denominator)
-        b = other.ints.astype(object) * (other.scale.numerator * self.scale.denominator)
-        return bool(np.array_equal(a, b))
+        return bool(np.array_equal(self.as_fractions(), other.as_fractions()))
 
 
 def effective_position(T: Sequence, e: FactorialEffect) -> int:
@@ -241,11 +235,11 @@ def _walsh(options: np.ndarray, n: int, points: np.ndarray):
     """The lookup u -> W[u] = sum over the options t of (-1)^|u & t|, the
     Walsh transform of the option histogram, for masks u among points.
 
-    A full fast transform costs about n 2^n, direct character sums at the
-    distinct points U |U| N m; the cheaper is taken, so wide designs never
-    allocate a 2^n histogram."""
+    A fast transform costs n 2^n, direct sums at the distinct points U
+    |U| N m and an n-step search a point; the transform is taken when no
+    dearer than the larger, so wide designs never allocate a 2^n histogram."""
     distinct = _distinct(points, n)
-    if n * (1 << n) <= distinct.size * options.size:
+    if n * (1 << n) <= max(distinct.size * options.size, n * points.size):
         W = np.bincount(options, minlength=1 << n)  # every sum in -N m..N m
         return _fwht(W.astype(np.min_scalar_type(-options.size - 1))).__getitem__
     odd = np.empty(distinct.size, dtype=np.min_scalar_type(options.size))
@@ -268,49 +262,58 @@ def lambda_star(d: ChoiceDesign) -> ScaledIntMatrix:
     """
     n, m = d.n, d.m
     if n > DENSE_MAX_N:
-        raise Unsupported(
-            f"dense lambda_star is limited to n <= {DENSE_MAX_N}, got {n}"
-        )
-    size = 1 << n
-    Z = np.zeros((size, size), dtype=np.int64)
+        raise Unsupported(f"dense lambda_star is limited to n <= "
+                          f"{DENSE_MAX_N}, got {n}")
+    Z = np.zeros((1 << n, 1 << n), dtype=np.int64)
     for mem in d.indices:
         Z[np.ix_(mem, mem)] -= 1
         Z[mem, mem] += m
     return ScaledIntMatrix(Z, Fraction(1, d.N * m * m))
 
 
-def _join(d: ChoiceDesign, r: np.ndarray, c: np.ndarray, b: np.ndarray,
-          delta: np.ndarray):
+def _coset(b: np.ndarray):
+    """A GF(2) basis of V when the multiset b is one coset of a subspace V,
+    each member equally often, else None: sorted, a subspace lists its
+    echelon basis at 1, 2, 4, ..., and doubling that rebuilds it in order."""
+    s = np.sort(b)
+    mult = int(np.searchsorted(s, s[0], "right"))
+    k = (b.size // mult).bit_length() - 1
+    if b.size != mult << k or (s.reshape(-1, mult) != s[::mult, None]).any():
+        return None
+    V = np.sort(s[::mult] ^ s[0])
+    basis, span = V[1 << np.arange(k)], V[:1]
+    for v in basis:
+        span = np.concatenate((span, span ^ v))
+    return basis if np.array_equal(span, V) else None
+
+
+def _join(d: ChoiceDesign, r: np.ndarray, c: np.ndarray, basis: np.ndarray):
     """Yield the block's nonzero entries (i, j, v), a chunk of rows at a time.
 
-    Every set is b_p xor delta (_pattern), so with u = e_i xor e_j, set by
-    set sum_(a<b) (x_a - x_b)(y_a - y_b) = m sum x y - sum x sum y gives
-    C*[i, j] = W_B(u) (m sigma(u) W_delta(u) - w(e_i) w(e_j)): W_B and
-    W_delta are the Walsh transforms of the translations b_p and of the
-    pattern, and w(e) = sigma(e) W_delta(e) is set_sums' weight.  So row i
-    meets, for each u in U = supp W_B, only the column whose mask is
-    e_i xor u, if there is one: |U| lookups per row, and no rows x cols
-    array.  Each row's columns are sorted, so the entries come row-major.
+    Every set is b_p xor delta (_pattern), the b_p one coset of the span V
+    of basis, equally often (_coset).  With u = e_i xor e_j, C*[i, j] is
+    then 0 unless u is orthogonal to V, and N times the first set's own term
+    m G(u) - G(e_i) G(e_j) if it is: G, the Walsh transform of that set's
+    complemented options, is sigma(u) W(u), W that of its options (README).
+    So row i meets only the columns whose label, their parities against the
+    basis, is its own; sorted stably by label, they come in order.
     """
-    W = _fwht(np.bincount(b, minlength=1 << d.n))  # W_B
-    U = np.flatnonzero(W)  # holds 0: W_B[0] = N
-    G = np.zeros_like(W)  # m sigma(u) W_B(u) W_delta(u), zero off U
-    w = _walsh(delta, d.n, np.concatenate((U, r, c)))  # W_delta
-    G[U] = d.m * _effect_signs(U) * W[U] * w(U)
-    wr, wc = (_effect_signs(x) * w(x) for x in (r, c))
-    column = np.full(1 << d.n, -1, dtype=np.int64)  # of each mask, or -1
-    column[c] = np.arange(c.size)
-    step = max(1, _CHUNK // U.size)
-    for lo in range(0, r.size, step):
-        j = column[r[lo:lo + step, None] ^ U]
-        j.sort(axis=1)
-        at = np.flatnonzero(j >= 0)
-        i = at // U.size + lo
-        j = j.ravel()[at]
-        u = r[i] ^ c[j]
-        v = G[u] - W[u] * wr[i] * wc[j]
+    key = 1 << np.arange(basis.size)
+    lr, lc = ((np.bitwise_count(x[:, None] & basis) & 1) @ key for x in (r, c))
+    order = np.argsort(lc, kind="stable")
+    lo, hi = (np.searchsorted(lc[order], lr, side) for side in ("left", "right"))
+    width = np.arange((hi - lo).max())  # the largest class
+    step = max(1, _CHUNK // max(1, width.size))
+    for a in range(0, r.size, step):
+        i, t = np.nonzero(width < (hi - lo)[a:a + step, None])
+        j = order[lo[i + a] + t]
+        u = r[i + a] ^ c[j]
+        G = _walsh(d.indices[0] ^ ((1 << d.n) - 1), d.n,
+                   np.concatenate((u, r[a:a + step], c)))
+        v = np.multiply(G(u), d.m, dtype=np.int64)
+        v -= G(r[a:a + step]).astype(np.int64)[i] * G(c)[j]
         hit = np.flatnonzero(v)
-        yield i[hit], j[hit], v[hit]
+        yield i[hit] + a, j[hit], d.N * v[hit]
 
 
 def _product(d: ChoiceDesign, r: np.ndarray, c: np.ndarray, Sr: np.ndarray,
@@ -342,15 +345,15 @@ def cstar_entries(d: ChoiceDesign, r: np.ndarray, c: np.ndarray,
     c: an iterator of int64 arrays (i, j, v), a chunk of rows at a time,
     row-major over all chunks.  Neither route holds the block.
 
-    The entries are joined (_join) when every set translates one pattern
-    (_pattern), the block has at least 2^(n+1) entries, the bound of its
-    2^n-entry transforms, and the column masks are distinct; otherwise they
+    The entries are joined (_join) when the sets translate one pattern
+    (_pattern) by one coset, each member equally often (_coset), and else
     come from m G - S_r S_c' (_product), with the per-set sign sums S of
-    set_sums computed here; row_sums, when given, is set_sums(d, r).
+    set_sums; row_sums, when given, is set_sums(d, r).
     """
-    pattern = _pattern(d) if (2 << d.n) <= r.size * c.size else None
-    if pattern is not None and distinct(c).size == c.size:
-        return _join(d, r, c, *pattern)
+    pattern = _pattern(d)
+    basis = None if pattern is None else _coset(pattern[0])
+    if basis is not None:
+        return _join(d, r, c, basis)
     Sr = set_sums(d, r) if row_sums is None else row_sums
     return _product(d, r, c, Sr, Sr if c is r else set_sums(d, c))
 
@@ -402,12 +405,9 @@ def exact_schur_cstar(d: ChoiceDesign, interest, nuisance):
     if Y is None:
         raise InvariantError("cross-block solve must be consistent")
     q1, q2 = X.shape
-    return [
-        [Fraction(int(C1[i, j])) - sum(Fraction(int(X[i, k])) * Y[k][j]
-                                       for k in range(q2))
-         for j in range(q1)]
-        for i in range(q1)
-    ]
+    return [[Fraction(int(C1[i, j])) - sum(Fraction(int(X[i, k])) * Y[k][j]
+                                           for k in range(q2))
+             for j in range(q1)] for i in range(q1)]
 
 
 def info_matrix(d: ChoiceDesign, model: ModelSpec, force_numeric: bool = False):

@@ -262,9 +262,24 @@ def _walsh_branch(d, rows, cols):
     if _pattern(d) is not None and cstar_entries(d, r, c).__name__ == "_join":
         return "join"
     points = len(np.unique(r[:, None] ^ c[None, :]))
-    # _walsh's rule: a full transform costs n 2^n, direct sums |U| N m
-    pays = d.n * (1 << d.n) <= points * d.N * d.m
+    # _walsh's rule: a full transform costs n 2^n, direct sums |U| N m and
+    # a search of n steps a point, each point once on these small blocks
+    pays = d.n * (1 << d.n) <= max(points * d.N * d.m, d.n * points)
     return "fwht" if pays else "direct"
+
+
+def _is_coset(b):
+    """Whether the multiset b is one coset of a GF(2) subspace, each member
+    equally often: its distinct values less the least span 2^rank of them.
+    The rank comes from a plain elimination, independent of _coset."""
+    values, counts = np.unique(b, return_counts=True)
+    basis = []  # distinct leading bits, in decreasing order
+    for x in (values ^ values[0]).tolist():
+        for v in basis:
+            x = min(x, x ^ v)
+        if x:
+            basis = sorted(basis + [x], reverse=True)
+    return len(set(counts.tolist())) == 1 and values.size == 1 << len(basis)
 
 
 def _check_against_oracle(d, model):
@@ -294,10 +309,10 @@ def test_cstar_block_matches_oracle_on_every_family(d, family, data):
        st.sampled_from(("main-effects", "spec-2f")))
 @settings(max_examples=10, deadline=None)
 def test_cstar_block_matches_oracle_on_wide_designs(d, family):
-    # never the join: its transform of the first options would hold 2^n
-    # entries
+    # never a 2^n-entry transform: one set repeated is a coset of {0} and
+    # joins, and other draws take the product route's direct sums
     model = _family(family, d.n)
-    assert _walsh_branch(d, model.interest, model.interest) == "direct"
+    assert _walsh_branch(d, model.interest, model.interest) != "fwht"
     _check_against_oracle(d, model)
 
 
@@ -308,8 +323,8 @@ def translated_designs(draw):
     appended, which translate P by the complemented first options, and
     some with the options of every set in another order.
 
-    A spec-all or spec-group model on 6-7 factors has Q^2 >= 2^(n+1), so
-    every block with distinct column masks is joined.
+    Their first options form one coset of a subspace, each equally often,
+    only in some draws (_is_coset); the others take the product route.
     """
     n = draw(st.integers(6, 7))
     m = draw(st.integers(2, 3))
@@ -338,8 +353,9 @@ def test_translated_designs_take_the_difference_route(d, family, r):
     from chogen.optimality import oracle_cstar
     F = _family(family, d.n, r).interest
     reverse = F[::-1]
-    assert _walsh_branch(d, F, F) == "join"
-    assert _walsh_branch(d, F, reverse) == "join"
+    joined = _is_coset(_pattern(d)[0])
+    assert (_walsh_branch(d, F, F) == "join") == joined
+    assert (_walsh_branch(d, F, reverse) == "join") == joined
     full = oracle_cstar(d, F).ints
     assert np.array_equal(cstar_block(d, F, F), full)
     assert np.array_equal(cstar_matrix(d, F).ints, full)
@@ -361,13 +377,14 @@ def test_random_designs_take_the_product_route(d, family, r):
 
 @pytest.mark.parametrize("n", [25, 32, 40])
 def test_wide_designs_never_take_the_difference_route(n):
-    # one set {0, 1...1}: a translated pattern, yet the 2^n-entry transform
-    # of the first options exceeds any block the effect cap allows
+    # one set {0, 1...1}, repeated: its first options are a coset of {0},
+    # four times each, so every effect has one label and the join meets
+    # every pair, with no 2^n-entry table
     d = ChoiceDesign.from_sets([((0,) * n, (1,) * n)] * 4)
     assert _pattern(d) is not None
     for model in (ModelSpec.main_effects(n), ModelSpec.specified_two_factor(n)):
         F = masks_of(model.interest, n)
-        assert cstar_entries(d, F, F).__name__ == "_product"
+        assert cstar_entries(d, F, F).__name__ == "_join"
         _check_against_oracle(d, model)
 
 
@@ -472,8 +489,6 @@ def _check_entries(d, rows, cols):
        st.integers(1, 3))
 @settings(max_examples=40, deadline=None)
 def test_entries_of_subspace_translates_come_from_the_join(d, family, r):
-    # main-effects and broader blocks never join: each has fewer than
-    # 2^(n+1) entries
     model = _family(family, d.n, min(r, d.n - 1))
     for rows, cols in _blocks(model):
         support = _support(d, rows, cols)
@@ -482,16 +497,68 @@ def test_entries_of_subspace_translates_come_from_the_join(d, family, r):
         _check_entries(d, *b)
 
 
-@given(translated_designs(), st.sampled_from(("spec-all", "spec-group")),
+@st.composite
+def planted_cosets(draw, min_dim=0, max_dim=3):
+    """(design, keyed): sets b xor P of one random pattern P, with b over a
+    planted coset b0 xor V of a random subspace V, each mult times, in a
+    shuffled set order.  keyed is whether the b are still one coset taken
+    equally often: on a V of dimension 2 or more, one b may be taken once
+    more, dropped or added from outside the coset, or every copy of one
+    member may be swapped for one outside value, which keeps 2^k values
+    equally often, and then they are not.  The options keep P's order,
+    since when P is a subgroup (any P of two options) another order may
+    show other translations of the same sets."""
+    n = draw(st.integers(4, 7))
+    m = draw(st.integers(2, 3))
+    option = st.integers(0, (1 << n) - 1)
+    pattern = draw(st.lists(option, min_size=m, max_size=m, unique=True))
+    V = [0]
+    for v in draw(st.lists(option, min_size=min_dim, max_size=max_dim)):
+        if v not in V:
+            V += [x ^ v for x in V]
+    b0 = draw(option)
+    firsts = [b0 ^ x for x in V] * draw(st.integers(1, 3))
+    fault = draw(st.sampled_from(("none", "repeat", "drop", "add", "swap")
+                                 if len(V) >= 4 else ("none",)))
+    at = draw(st.integers(0, len(firsts) - 1))
+    outside = b0 ^ draw(st.sampled_from(sorted(set(range(1 << n)) - set(V))))
+    if fault == "repeat":
+        firsts.append(firsts[at])
+    elif fault == "drop":
+        firsts.pop(at)
+    elif fault == "add":
+        firsts.append(outside)
+    elif fault == "swap":
+        firsts = [outside if t == firsts[at] else t for t in firsts]
+    rows = [[t ^ p for p in pattern] for t in draw(st.permutations(firsts))]
+    return ChoiceDesign.from_indices(np.array(rows), n), fault == "none"
+
+
+@given(planted_cosets(), st.sampled_from(FAMILIES), st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_planted_cosets_are_keyed_and_broken_ones_take_the_product(case,
+                                                                   family, r):
+    d, keyed = case
+    assert _is_coset(_pattern(d)[0]) == keyed
+    model = _family(family, d.n, min(r, d.n - 1))
+    for rows, cols in _blocks(model):
+        entries = cstar_entries(d, masks_of(rows, d.n), masks_of(cols, d.n))
+        assert entries.__name__ == ("_join" if keyed else "_product")
+        _check_entries(d, rows, cols)
+
+
+@given(planted_cosets(max_dim=2), st.sampled_from(("spec-all", "spec-group")),
        st.integers(1, 3))
 @settings(max_examples=30, deadline=None)
-def test_entries_of_random_translates_join_a_wide_support(d, family, r):
-    # random translates spread W_B over |U| >= Q points, and the join
-    # still meets each row with one column per u in U
-    model = _family(family, d.n, r)
+def test_entries_of_random_translates_join_a_wide_support(case, family, r):
+    # a coset of dimension k spreads W_B over |U| = 2^(n-k) points, at
+    # least the Q columns in most draws, and the join still meets each row
+    # with only the columns of its label
+    d, keyed = case
+    assume(keyed)
+    model = _family(family, d.n, min(r, d.n - 1))
     for rows, cols in _blocks(model):
-        support = _support(d, rows, cols)
-        assume(support is not None and support >= len(cols))
+        assume(_support(d, rows, cols) >= len(cols))
     for b in _blocks(model):
         _check_entries(d, *b)
 
@@ -507,14 +574,14 @@ def test_entries_of_random_designs_come_from_the_product(d, family, r):
 
 
 def test_repeated_column_masks_take_the_product_route():
-    # the join finds one column per mask, so a repeated effect is formed
-    # by the product route, which this translate design would otherwise skip
+    # the join meets every column of a row's label, so a repeated effect
+    # is joined like any other column
     d = ChoiceDesign.from_indices(
         np.array([[t, t ^ 0b1011] for t in range(0, 64, 4)]), 6)
     F = ModelSpec.specified_one_factor(6).interest
     assert _support(d, F, F) is not None
     cols = F + F[:3]
-    assert _support(d, F, cols) is None
+    assert _support(d, F, cols) is not None
     _check_entries(d, F, cols)
 
 
@@ -560,7 +627,10 @@ def test_stored_cells_take_the_join(name):
 def test_every_buildable_recipe_is_a_translated_pattern():
     # the join's traffic: every recipe of the non-blank table cells and of
     # the benchmark's three generate cells that builds translates one
-    # pattern; only the predicate is checked, no design is verified
+    # pattern, and all but the order-12 seeds' by one coset, each member
+    # equally often, which the join keys; only the predicates and the
+    # route are checked, no design is verified
+    from collections import Counter
     from chogen.catalog import TABLE1, TABLE_NS, candidate_recipes
     from chogen.constructions import build
     from chogen.errors import ChogenError
@@ -571,7 +641,7 @@ def test_every_buildable_recipe_is_a_translated_pattern():
     cells += [(ModelKind.BROADER_MAIN_EFFECTS, 6, 8, None),
               (ModelKind.SPECIFIED_GROUP, 4, 10, 3),
               (ModelKind.SPECIFIED_ONE_FACTOR, 4, 11, None)]
-    built = 0
+    built, unkeyed = 0, Counter()
     for kind, m, n, r in cells:
         for recipe in candidate_recipes(kind, m, n, r):
             try:
@@ -579,15 +649,23 @@ def test_every_buildable_recipe_is_a_translated_pattern():
             except ChogenError:
                 continue
             assert _pattern(d) is not None, recipe.describe()
+            keyed = _is_coset(_pattern(d)[0])
+            F = recipe.model.interest_masks
+            assert cstar_entries(d, F, F).__name__ == (
+                "_join" if keyed else "_product"), recipe.describe()
             built += 1
-    assert built == 281
+            unkeyed[recipe.id, d.N] += not keyed
+    # 217 keyed; the other 64 rest on the order-12 Paley seed
+    assert built == 281 and unkeyed.total() == 64
+    assert +unkeyed == {("T1-generator", 12): 44, ("T1-generator", 24): 12,
+                        ("spec-2f-m4", 12): 4, ("spec-2f-m3", 24): 4}
 
 
 def test_wide_spec_group_cell_keeps_the_product_route(monkeypatch):
-    # spec-group m3 n24 r16 translates one pattern, but its C* has
-    # Q^2 = 4104^2 < 2^25 entries, so the 2^n-entry transform is not taken.
-    # The product route starts with the per-set sums, which stop it here
-    # before any block is formed
+    # spec-group m3 n24 r16 translates one pattern by a 13-dimensional
+    # subspace, each member once, so its C* (Q = 4104, diagonal) is joined
+    # by labels.  The product route starts with the per-set sums, which
+    # would stop it here, and the join never calls them
     import chogen.contrasts
     from chogen.catalog import candidate_recipes
     from chogen.constructions import build
@@ -603,10 +681,58 @@ def test_wide_spec_group_cell_keeps_the_product_route(monkeypatch):
     d = build(recipe)
     F = recipe.model.interest_masks
     assert d.N == 8192 and F.size == 4104
-    assert _pattern(d) is not None and F.size ** 2 < 2 << d.n
+    assert _pattern(d) is not None
     monkeypatch.setattr(chogen.contrasts, "set_sums", refuse)
-    with pytest.raises(ProductRoute):
-        cstar_entries(d, F, F)
+    entries = cstar_entries(d, F, F)
+    assert entries.__name__ == "_join"
+    assert sum(i.size for i, _, _ in entries) == F.size
+
+
+def test_narrow_coset_on_a_wide_cell_matches_the_product():
+    # spec-group m4 n20 r12 at alpha = 5: 32 translations, a 5-dimensional
+    # coset, so the labels make 32 classes.  Its entries equal the product
+    # route's, and a warm verify holds less than three 2^20-entry int64
+    # tables, the join's former tables
+    import tracemalloc
+    from chogen.catalog import candidate_recipes
+    from chogen.constructions import build
+    from chogen.contrasts import _product
+    from chogen.models import ModelKind
+    from chogen.optimality import verify
+    from conftest import deadline
+    recipe = next(x for x in candidate_recipes(ModelKind.SPECIFIED_GROUP,
+                                               4, 20, 12) if x.alpha == 5)
+    d = build(recipe)
+    F = recipe.model.interest_masks
+    assert d.N == 32 and F.size == 3080
+    joined = cstar_entries(d, F, F)
+    assert joined.__name__ == "_join"
+    S = set_sums(d, F)
+    for a, b in zip(zip(*joined), zip(*_product(d, F, F, S, S))):
+        assert np.array_equal(np.concatenate(a), np.concatenate(b))
+    with deadline(60):
+        verify(d, recipe.model)
+        tracemalloc.start()
+        try:
+            verify(d, recipe.model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 3 * 2 ** 20 * 8
+
+
+def test_wide_spec_group_cell_certifies_in_time():
+    # spec-group m4 n30 r22 (Q = 5640): the first recipe that certifies has
+    # 4096 translations, a coset of a 12-dimensional subspace, and the join
+    # reads its diagonal C* from 11 304 pairs, at most 3 effects a label,
+    # where the product route formed all Q^2 = 31.8 M entries in about 5 s
+    from chogen.catalog import candidate_recipes, first_certified
+    from chogen.models import ModelKind
+    from conftest import deadline
+    with deadline(2):
+        winner, _ = first_certified(
+            candidate_recipes(ModelKind.SPECIFIED_GROUP, 4, 30, 22))
+    assert winner is not None and winner[1].N == 4096
 
 
 @pytest.mark.parametrize("name", ["spec-all-m3-n12", "spec-all-m4-n12",

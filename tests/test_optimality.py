@@ -606,7 +606,8 @@ def test_invariant_checks_survive_python_O():
         assert False, "asserts must be off under -O"
         real = contrasts.int_product
         contrasts.int_product = lambda A, B: real(A, B) + 1
-        d = ChoiceDesign.from_sets([("00", "11"), ("01", "10")])
+        # not one pattern's translates, so C* is formed by int_product
+        d = ChoiceDesign.from_sets([("00", "11"), ("01", "10"), ("00", "01")])
         try:
             verify(d, ModelSpec.main_effects(2))
         except InvariantError:
@@ -753,11 +754,15 @@ def test_set_sums_of_translated_patterns_equal_the_former_formula(
     assert S.dtype == former.dtype and np.array_equal(S, former)
 
 
-def _translates(n, m, N, seed):
-    """N translates of the first m points of a 3-dimensional subspace: at
-    most 7 distinct pair differences, so C* comes from the join."""
+def _translates(n, m, seed):
+    """The translates of the first m points of a 3-dimensional subspace by
+    a random coset of a hyperplane in the other n - 3 bits, in random
+    order: 2^(n-4) sets whose first options are one coset, each once, so
+    C* comes from the join."""
     rng = np.random.default_rng(seed)
-    bases = rng.choice(1 << (n - 3), size=N, replace=False) << 3
+    x = np.arange(1 << (n - 3))
+    a, b0 = rng.integers(1, x.size, size=2)
+    bases = rng.permutation(x[np.bitwise_count(x & a) % 2 == 0] ^ b0) << 3
     return ChoiceDesign.from_indices(bases[:, None] ^ np.arange(m), n)
 
 
@@ -770,7 +775,7 @@ def _edge_cases():
                                  ModelSpec.specified_one_factor(7)))
     for m in (2, 3, 4, 5, 6, 7):
         yield (f"join-m{m}", "join",
-               lambda m=m: (_translates(9, m, 48, m),
+               lambda m=m: (_translates(9, m, m),
                             ModelSpec.specified_one_factor(9)))
     yield ("join-listing-capped", "join",
            lambda: (specified_design(8, 4), ModelSpec.specified_one_factor(8)))
