@@ -597,8 +597,8 @@ def test_entries_in_many_chunks_keep_the_row_order(monkeypatch):
     rng = np.random.default_rng(2)
     product = ChoiceDesign.from_indices(
         np.array([rng.choice(64, 3, replace=False) for _ in range(12)]), 6)
-    # one set: W_B is 1 at all 64 points, more lookups a row than the 37
-    # columns, and a chunk holds one row
+    # one set: W_B is 1 at all 64 points, so every effect has one label,
+    # each row meets all 37 columns, and a chunk holds one row
     full = ChoiceDesign.from_indices(np.array([[0, 63, 0b001011]]), 6)
     masks = masks_of(F, 6)
     assert cstar_entries(joined, masks, masks).__name__ == "_join"
