@@ -170,7 +170,24 @@ def _pattern(d: ChoiceDesign):
     return (b, delta) if found.all() else None
 
 
-def set_sums(d: ChoiceDesign, masks: np.ndarray) -> np.ndarray:
+def find_translates(d: ChoiceDesign) -> tuple:
+    """(pattern, basis): _pattern(d), and when it holds the _coset basis of
+    its translations b or None, else (None, None).  Read once, it serves
+    every set_sums and cstar_entries call on the design."""
+    pattern = _pattern(d)
+    return pattern, None if pattern is None else _coset(pattern[0])
+
+
+def pattern_weights(d: ChoiceDesign, masks: np.ndarray,
+                    delta: np.ndarray) -> np.ndarray:
+    """w(e) = sigma(e) sum_i (-1)^|e & delta_i| (_walsh), int64 in -m..m,
+    for the sets b_p xor delta of one pattern (_pattern): each set's sign
+    sum is then S[q, p] = w(e_q) (-1)^|e_q & b_p|, so |S[q, p]| = |w(e_q)|."""
+    return _effect_signs(masks) * _walsh(delta, d.n, masks)(masks)
+
+
+def set_sums(d: ChoiceDesign, masks: np.ndarray,
+             translates: tuple = None) -> np.ndarray:
     """S[q, p]: the sum of the contrast signs of the effect of mask masks[q]
     over set p, shape (Q, N); the masks are on the design's n factors.
 
@@ -178,17 +195,18 @@ def set_sums(d: ChoiceDesign, masks: np.ndarray) -> np.ndarray:
     smallest signed type that fits -m..m.  A chunk of effects at a time,
     the odd parities are counted into S and turned into sigma(e) (m - 2 odd)
     in place, every intermediate within -m..m, so S is int8 up to m = 127.
-    When all sets translate one pattern delta (_pattern), S is the weight
-    w(e) = sigma(e) sum_i (-1)^|e & delta_i| (_walsh) times the signs at
-    the translations b_p alone.
+    When all sets translate one pattern delta (_pattern, or the translates
+    given as find_translates reads them), S is the weight pattern_weights
+    times the signs at the translations b_p alone.  verify forms S only for
+    the product route, and reads the weights on a pattern's translates.
     """
     columns = np.ascontiguousarray(d.indices.T)  # (m, N)
     # -(m+1) needs a signed type whose maximum is at least m
     S = np.zeros((len(masks), d.N), dtype=np.min_scalar_type(-d.m - 1))
     signs, m = _effect_signs(masks), d.m
-    pattern = _pattern(d)
+    pattern = _pattern(d) if translates is None else translates[0]
     if pattern is not None:
-        signs = signs * _walsh(pattern[1], d.n, masks)(masks)
+        signs = pattern_weights(d, masks, pattern[1])
         columns, m = pattern[0][None, :], 1
     signs = signs.astype(S.dtype)[:, None]
     step = max(1, _CHUNK // d.N)
@@ -340,7 +358,7 @@ def _product(d: ChoiceDesign, r: np.ndarray, c: np.ndarray, Sr: np.ndarray,
 
 
 def cstar_entries(d: ChoiceDesign, r: np.ndarray, c: np.ndarray,
-                  row_sums: np.ndarray = None):
+                  row_sums: np.ndarray = None, translates: tuple = None):
     """The nonzero entries of the C* block of row masks r and column masks
     c: an iterator of int64 arrays (i, j, v), a chunk of rows at a time,
     row-major over all chunks.  Neither route holds the block.
@@ -348,14 +366,17 @@ def cstar_entries(d: ChoiceDesign, r: np.ndarray, c: np.ndarray,
     The entries are joined (_join) when the sets translate one pattern
     (_pattern) by one coset, each member equally often (_coset), and else
     come from m G - S_r S_c' (_product), with the per-set sign sums S of
-    set_sums; row_sums, when given, is set_sums(d, r).
+    set_sums; row_sums, when given, is set_sums(d, r).  translates, when
+    given, is find_translates(d), so a caller reading several blocks of one
+    design finds its pattern and coset once; the join reads no S.
     """
-    pattern = _pattern(d)
-    basis = None if pattern is None else _coset(pattern[0])
+    if translates is None:
+        translates = find_translates(d)
+    basis = translates[1]
     if basis is not None:
         return _join(d, r, c, basis)
-    Sr = set_sums(d, r) if row_sums is None else row_sums
-    return _product(d, r, c, Sr, Sr if c is r else set_sums(d, c))
+    Sr = set_sums(d, r, translates) if row_sums is None else row_sums
+    return _product(d, r, c, Sr, Sr if c is r else set_sums(d, c, translates))
 
 
 def cstar_block(d: ChoiceDesign, rows, cols,

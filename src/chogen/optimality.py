@@ -23,8 +23,9 @@ otherwise falls back to more primes; it is exact either way.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -50,6 +51,7 @@ class OptimalityReport:
     """Everything verify() measured, plus the verdict it implies."""
 
     model: ModelSpec
+    design: ChoiceDesign = field(repr=False)
     n: int
     m: int
     N: int
@@ -57,15 +59,25 @@ class OptimalityReport:
     offending_pairs: tuple  # (effect, effect, eta_plus, eta_minus) per bad pair
     offending_count: int  # all unbalanced pairs, even past the listing cap
     balance_ok: bool
-    # np_table[p, q]: zeros of interest effect q in set p; a read-only view,
-    # in the smallest signed integer dtype that holds -4 m^2 (int8 up to m = 5),
-    # written over verify's per-set sums when their dtypes agree
-    np_table: np.ndarray
     trace: Fraction
     trace_bound: Fraction
     cross_block_zero: Optional[bool]  # None when the model has no nuisance
     total_component_pairs: int
     verdict: Verdict
+
+    @cached_property
+    def np_table(self) -> np.ndarray:
+        """np_table[p, q]: zeros of interest effect q in set p, a read-only
+        (N, Q) view in the smallest signed integer dtype that holds -4 m^2
+        (int8 up to m = 5).  Built on first read, as n_p = (m - S) / 2 written
+        over a new set_sums array when their dtypes agree: verify reads
+        none of it."""
+        m = self.m
+        S = contrasts.set_sums(self.design, self.model.masks_on(self.n)[0])
+        table = S.astype(np.min_scalar_type(-4 * m * m), copy=False)
+        np.floor_divide(np.subtract(m, table, out=table), 2, out=table)
+        table.setflags(write=False)
+        return table.T
 
     @property
     def certified(self) -> bool:
@@ -228,38 +240,54 @@ def verify(d: ChoiceDesign, model: ModelSpec) -> OptimalityReport:
     UniversallyOptimal iff the exact C is diagonal, every per-set count is
     balanced, the trace equals max_trace, and any cross block vanishes;
     otherwise the rank of the treatment graph's D decides (_connected).  The
-    model's masks (ModelSpec.masks_on) feed the per-set sign sums S, the one
-    (Q, N) array held, and cstar_entries, whose stream of row chunks gives
-    the diagonal, checked against N m^2 - sum_p S^2, the trace and the
-    offending pairs, with no Q x Q array on either route.  Their eta counts
-    come from S and the sums of each pair's joint effect, the xor of their
-    masks; only the listed effects are decoded.  S becomes the zero counts.
+    design's translates (contrasts.find_translates) are read once and go to
+    every set_sums and cstar_entries call.  The model's masks
+    (ModelSpec.masks_on) feed cstar_entries, whose stream of row chunks
+    gives the diagonal, the trace and the offending pairs, with no Q x Q
+    array on either route.  Balance and the diagonal's check against
+    N m^2 - sum_p S^2 read the per-set sign sums S through the Q pattern
+    weights w when the sets translate one pattern, and else S itself, the
+    one (Q, N) array, formed for the product route only.  The eta counts of
+    the listed pairs come from the sums of their effects and joint effects,
+    the xor of their masks; only the listed effects are decoded.  The zero
+    counts (np_table) are built when first read.
     """
     effects, nuisance = model.masks_on(d.n)
     n, m, N, Q = d.n, d.m, d.N, model.Q
+    translates = contrasts.find_translates(d)
+    pattern, basis = translates
 
-    S = contrasts.set_sums(d, effects)  # (Q, N), value m - 2*n_p
-    # balanced means |S| = m mod 2, and S = m (mod 2), so |S| <= m mod 2
-    balance_ok = bool(-(m % 2) <= S.min() and S.max() <= m % 2)
+    # the per-set sign sums S, value m - 2*n_p, for the product route only
+    S = None if basis is not None else contrasts.set_sums(d, effects,
+                                                          translates)
+    # balanced means |S| = m mod 2, and S = m (mod 2), so |S| <= m mod 2;
+    # on one pattern's translates |S[q, p]| = |w_q| in every set p
+    if pattern is not None:
+        w = contrasts.pattern_weights(d, effects, pattern[1])
+        balance_ok = bool(np.abs(w).max() <= m % 2)
+        squares = N * w * w
+    else:  # sum_p S^2, a chunk of rows at a time
+        balance_ok = bool(-(m % 2) <= S.min() and S.max() <= m % 2)
+        step = max(1, contrasts._CHUNK // N)
+        squares = np.concatenate([(S[lo:lo + step].astype(np.int64) ** 2).sum(
+            axis=1) for lo in range(0, Q, step)])
 
     diag, offending_count, q1, q2, values = _read_entries(
-        contrasts.cstar_entries(d, effects, effects, S), Q)
+        contrasts.cstar_entries(d, effects, effects, S, translates), Q)
     # same diagonal via the per-set zero counts, as an internal cross-check:
-    # sum_p 4 n_p (m - n_p) = N m^2 - sum_p S^2, a chunk of rows at a time
-    step = max(1, contrasts._CHUNK // N)
-    for lo in range(0, Q, step):
-        s2 = S[lo:lo + step].astype(np.int64) ** 2
-        if not np.array_equal(diag[lo:lo + step], N * m * m - s2.sum(axis=1)):
-            raise InvariantError("C* diagonal disagrees with the zero counts")
+    # sum_p 4 n_p (m - n_p) = N m^2 - sum_p S^2
+    if not np.array_equal(diag, N * m * m - squares):
+        raise InvariantError("C* diagonal disagrees with the zero counts")
 
     diagonal = not offending_count  # C* is symmetric
     offending = ()
     if not diagonal:
         # per set, the quadrant counts of the signs x, y of a pair follow
         # from the sums of x, y and their product xy, the joint effect's
-        s1 = S[q1].astype(np.int64)
-        s2 = S[q2].astype(np.int64)
-        s12 = contrasts.set_sums(d, effects[q1] ^ effects[q2]).astype(np.int64)
+        pairs = np.concatenate((effects[q1], effects[q2],
+                                effects[q1] ^ effects[q2]))
+        s1, s2, s12 = contrasts.set_sums(d, pairs, translates).astype(
+            np.int64).reshape(3, q1.size, N)
         pp = (m + s1 + s2 + s12) // 4
         mm = (m - s1 - s2 + s12) // 4
         pm = (m + s1 - s2 - s12) // 4
@@ -278,7 +306,8 @@ def verify(d: ChoiceDesign, model: ModelSpec) -> OptimalityReport:
         raise InvariantError("trace above the attainable bound")
 
     cross_zero = None if not nuisance.size else not any(
-        v.size for _, _, v in contrasts.cstar_entries(d, effects, nuisance, S))
+        v.size for _, _, v in contrasts.cstar_entries(d, effects, nuisance, S,
+                                                      translates))
 
     if diagonal and balance_ok and trace == bound and cross_zero is not False:
         verdict = Verdict.UNIVERSALLY_OPTIMAL
@@ -287,17 +316,11 @@ def verify(d: ChoiceDesign, model: ModelSpec) -> OptimalityReport:
     else:
         verdict = Verdict.NOT_CONNECTED
 
-    # n_p = (m - S) / 2, built after S's last use, in S's buffer when the
-    # report's type is S's (m <= 5)
-    table = S.astype(np.min_scalar_type(-4 * m * m), copy=False)
-    np.floor_divide(np.subtract(m, table, out=table), 2, out=table)
-    table.setflags(write=False)
     return OptimalityReport(
-        model=model, n=n, m=m, N=N,
+        model=model, design=d, n=n, m=m, N=N,
         diagonal=diagonal, offending_pairs=offending,
         offending_count=offending_count,
         balance_ok=balance_ok,
-        np_table=table.T,
         trace=trace, trace_bound=bound,
         cross_block_zero=cross_zero,
         total_component_pairs=N * m * (m - 1) // 2,

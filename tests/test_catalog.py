@@ -229,6 +229,23 @@ def test_report_accounting_and_rendering():
     assert "checked 21 non-blank cells: 21 match, 0 differ" in report.summary()
 
 
+def test_reproduce_table1_stays_small():
+    # the wide cells translate one pattern by one coset, so verify reads
+    # their pattern weights and joined C*, with no (Q, N) per-set sums:
+    # those of spec-all m3 n12 alone took 8 MB (2059 x 4096 int8)
+    import tracemalloc
+    with deadline(60):
+        reproduce_table1()
+        tracemalloc.start()
+        try:
+            report = reproduce_table1()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert report.deviations_expected
+    assert peak < 3 * 2 ** 20
+
+
 def test_deviations_expected_is_exact():
     # a single clean block does not carry the full expected-deviation set
     clean = reproduce_table1([ModelKind.SPECIFIED_TWO_FACTOR])

@@ -138,9 +138,10 @@ def test_verify_holds_no_dense_cstar_on_the_join():
 
 
 def test_verify_keeps_one_set_sum_array():
-    # the per-set sums S (int8 here) are verify's one (Q, N) array: built in
-    # place, read in row chunks for the diagonal check and overwritten by
-    # the zero counts.  A second or third Q x N array would exceed the bound
+    # the sets translate one pattern by one coset, so verify reads the Q
+    # pattern weights and the joined C*, and forms no per-set sums S: the
+    # zero counts wait for a read of np_table.  No (Q, N) int8 array fits
+    # under the bound
     import tracemalloc
     from chogen.serialization import load
     from conftest import deadline
@@ -155,7 +156,90 @@ def test_verify_keeps_one_set_sum_array():
         finally:
             tracemalloc.stop()
     assert report.certified
-    assert peak < 1.5 * model.Q * d.N
+    assert peak < 0.25 * model.Q * d.N
+
+
+def test_verify_reads_no_per_set_sums_and_builds_the_table_on_read(
+        monkeypatch):
+    # verify certifies this keyed design from its pattern weights and the
+    # joined C*, with no call for the (Q, N) per-set sums; np_table forms
+    # them on its first read, a sample of its columns checked by np_counts
+    from chogen import contrasts
+    from chogen.serialization import load
+    d, _ = load(str(INPUTS / "spec-all-m3-n12.json"))
+    model = ModelSpec.specified_one_factor(d.n)
+    real = contrasts.set_sums
+
+    def refuse_full(d, masks, *rest):
+        assert len(masks) < model.Q, "verify formed the (Q, N) per-set sums"
+        return real(d, masks, *rest)
+
+    monkeypatch.setattr(contrasts, "set_sums", refuse_full)
+    report = verify(d, model)
+    assert report.certified
+    monkeypatch.undo()
+    table = report.np_table
+    assert table.shape == (d.N, model.Q) and report.np_table is table
+    for q in [*range(0, model.Q, 103), model.Q - 1]:
+        assert tuple(table[:, q]) == np_counts(d, model.interest[q]), q
+
+
+def _translated_not_a_coset():
+    # the pattern {0, 3} translated by 0, 4 and 8: three translations are
+    # no coset, so C* takes the product route, and F3, F4 pair up
+    return ChoiceDesign.from_indices(np.array([[0, 3], [4, 7], [8, 11]]), 4)
+
+
+@pytest.mark.parametrize("name", ["broader-m6-n8", "translated", "random"])
+def test_verify_reads_the_translates_once(monkeypatch, name):
+    # broader m6 n8 is keyed and has a cross block; the other two take the
+    # product route and list offending pairs.  verify finds the pattern
+    # once, and the coset of its translations once when it holds
+    from chogen import contrasts
+    if name == "translated":
+        d = _translated_not_a_coset()
+    elif name == "random":
+        d = random_design(random.Random(3), 5, 3, 12)
+    else:
+        d, _ = chogen.load(str(INPUTS / f"{name}.json"))
+    pattern, basis = contrasts.find_translates(d)
+    assert (pattern is not None, basis is not None) == {
+        "broader-m6-n8": (True, True), "translated": (True, False),
+        "random": (False, False)}[name]
+    calls = {"_pattern": 0, "_coset": 0}
+    for fn in calls:
+        def counted(*args, fn=fn, real=getattr(contrasts, fn)):
+            calls[fn] += 1
+            return real(*args)
+        monkeypatch.setattr(contrasts, fn, counted)
+    report = verify(d, ModelSpec.broader_main_effects(d.n))
+    assert calls == {"_pattern": 1, "_coset": int(pattern is not None)}
+    assert report.cross_block_zero is not None
+    assert report.offending_count > 0 or name == "broader-m6-n8"
+
+
+@pytest.mark.parametrize("m,n,r", [(4, 30, 22), (3, 24, 16)])
+def test_wide_spec_group_verify_stays_small(m, n, r):
+    # the certified wide spec-group cells translate one pattern by a 12- and
+    # a 13-dimensional coset; a warm verify reads their weights and joined
+    # C*, where the (Q, N) per-set sums alone took 22 and 33 MB
+    import tracemalloc
+    from chogen.catalog import candidate_recipes
+    from chogen.constructions import build
+    from chogen.models import ModelKind
+    from conftest import deadline
+    recipe = candidate_recipes(ModelKind.SPECIFIED_GROUP, m, n, r)[-1]
+    d = build(recipe)
+    with deadline(30):
+        verify(d, recipe.model)
+        tracemalloc.start()
+        try:
+            report = verify(d, recipe.model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert report.certified
+    assert peak < 4 * 2 ** 20
 
 
 def test_verify_holds_one_dense_cstar_on_the_rank_path():
@@ -629,8 +713,8 @@ def test_diagonal_cross_check_reads_every_row_chunk(monkeypatch, row):
     from chogen.errors import InvariantError
     real = contrasts.cstar_entries
 
-    def off_by_one(d, r, c, row_sums=None):
-        chunks = list(real(d, r, c, row_sums))
+    def off_by_one(d, r, c, *rest):
+        chunks = list(real(d, r, c, *rest))
         i, j, v = chunks[row]
         v[np.flatnonzero(i == j)[row]] -= 1
         return iter(chunks)
