@@ -171,9 +171,9 @@ def _pattern(d: ChoiceDesign):
 
 
 def find_translates(d: ChoiceDesign) -> tuple:
-    """(pattern, basis): _pattern(d), and when it holds the _coset basis of
-    its translations b or None, else (None, None).  Read once, it serves
-    every set_sums and cstar_entries call on the design."""
+    """(pattern, basis): _pattern(d) and the _coset basis of its
+    translations b, each None where it does not hold.  Read once, it
+    serves every set_sums and cstar_entries call on the design."""
     pattern = _pattern(d)
     return pattern, None if pattern is None else _coset(pattern[0])
 

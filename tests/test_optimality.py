@@ -184,12 +184,6 @@ def test_verify_reads_no_per_set_sums_and_builds_the_table_on_read(
         assert tuple(table[:, q]) == np_counts(d, model.interest[q]), q
 
 
-def _translated_not_a_coset():
-    # the pattern {0, 3} translated by 0, 4 and 8: three translations are
-    # no coset, so C* takes the product route, and F3, F4 pair up
-    return ChoiceDesign.from_indices(np.array([[0, 3], [4, 7], [8, 11]]), 4)
-
-
 @pytest.mark.parametrize("name", ["broader-m6-n8", "translated", "random"])
 def test_verify_reads_the_translates_once(monkeypatch, name):
     # broader m6 n8 is keyed and has a cross block; the other two take the
@@ -197,7 +191,9 @@ def test_verify_reads_the_translates_once(monkeypatch, name):
     # once, and the coset of its translations once when it holds
     from chogen import contrasts
     if name == "translated":
-        d = _translated_not_a_coset()
+        # the pattern {0, 3} translated by 0, 4 and 8: three translations
+        # are no coset, and F3, F4 pair up
+        d = ChoiceDesign.from_indices(np.array([[0, 3], [4, 7], [8, 11]]), 4)
     elif name == "random":
         d = random_design(random.Random(3), 5, 3, 12)
     else:
@@ -222,7 +218,7 @@ def test_verify_reads_the_translates_once(monkeypatch, name):
 def test_wide_spec_group_verify_stays_small(m, n, r):
     # the certified wide spec-group cells translate one pattern by a 12- and
     # a 13-dimensional coset; a warm verify reads their weights and joined
-    # C*, where the (Q, N) per-set sums alone took 22 and 33 MB
+    # C*, where the (Q, N) int8 per-set sums alone were 23 and 34 MB
     import tracemalloc
     from chogen.catalog import candidate_recipes
     from chogen.constructions import build
