@@ -8,7 +8,8 @@ a time: joined by labels when the sets translate one pattern by one coset
 of a subspace, as generator shifts of Sylvester rows do, and otherwise a
 Walsh transform of the option histogram less a product of per-set sign
 sums.  Neither route holds a whole block.  Floats appear only in
-info_matrix's numeric branch and in int_product, exact integers there.
+info_matrix's numeric branch and as exact integers in _product's copy of
+S and in int_product.
 """
 
 from __future__ import annotations
@@ -146,48 +147,15 @@ def option_sign_matrix(d: ChoiceDesign, effects) -> np.ndarray:
     return np.where(odd, np.int64(-1), np.int64(1))
 
 
-def _pattern(d: ChoiceDesign):
-    """(b, delta) when every set p holds the options b_p xor delta, for one
-    pattern delta with delta[0] = 0; else None.
-
-    In the given option order b is the first column.  Otherwise, when
-    m^2 <= 2^n, the sets are sorted and each b_p is sought among its set's
-    m options, which lie in b_p xor delta since delta holds 0: m sorts of
-    the N m options, at most N 2^n steps.
-    """
-    delta = d.indices[0] ^ d.indices[0, 0]
-    if (d.indices ^ d.indices[:, :1] == delta).all():
-        return np.ascontiguousarray(d.indices[:, 0]), delta
-    if d.m * d.m > 1 << d.n:
-        return None
-    S = np.sort(d.indices, axis=1)
-    delta = np.sort(S[0] ^ S[0, 0])
-    b, found = S[:, 0].copy(), np.zeros(d.N, dtype=bool)
-    for t in S.T:
-        fits = ~found & (np.sort(S ^ t[:, None], axis=1) == delta).all(axis=1)
-        b[fits] = t[fits]
-        found |= fits
-    return (b, delta) if found.all() else None
-
-
-def find_translates(d: ChoiceDesign) -> tuple:
-    """(pattern, basis): _pattern(d) and the _coset basis of its
-    translations b, each None where it does not hold.  Read once, it
-    serves every set_sums and cstar_entries call on the design."""
-    pattern = _pattern(d)
-    return pattern, None if pattern is None else _coset(pattern[0])
-
-
-def pattern_weights(d: ChoiceDesign, masks: np.ndarray,
-                    delta: np.ndarray) -> np.ndarray:
+def pattern_weights(d: ChoiceDesign, masks: np.ndarray) -> np.ndarray:
     """w(e) = sigma(e) sum_i (-1)^|e & delta_i| (_walsh), int64 in -m..m,
-    for the sets b_p xor delta of one pattern (_pattern): each set's sign
+    for a design whose sets are b_p xor delta (d.translates): each set's sign
     sum is then S[q, p] = w(e_q) (-1)^|e_q & b_p|, so |S[q, p]| = |w(e_q)|."""
+    delta = d.translates[0][1]
     return _effect_signs(masks) * _walsh(delta, d.n, masks)(masks)
 
 
-def set_sums(d: ChoiceDesign, masks: np.ndarray,
-             translates: tuple = None) -> np.ndarray:
+def set_sums(d: ChoiceDesign, masks: np.ndarray) -> np.ndarray:
     """S[q, p]: the sum of the contrast signs of the effect of mask masks[q]
     over set p, shape (Q, N); the masks are on the design's n factors.
 
@@ -195,18 +163,18 @@ def set_sums(d: ChoiceDesign, masks: np.ndarray,
     smallest signed type that fits -m..m.  A chunk of effects at a time,
     the odd parities are counted into S and turned into sigma(e) (m - 2 odd)
     in place, every intermediate within -m..m, so S is int8 up to m = 127.
-    When all sets translate one pattern delta (_pattern, or the translates
-    given as find_translates reads them), S is the weight pattern_weights
-    times the signs at the translations b_p alone.  verify forms S only for
-    the product route, and reads the weights on a pattern's translates.
+    When all sets translate one pattern delta (d.translates), S is the
+    weight pattern_weights times the signs at the translations b_p alone.
+    verify forms S only for the product route, and reads the weights on a
+    pattern's translates.
     """
     columns = np.ascontiguousarray(d.indices.T)  # (m, N)
     # -(m+1) needs a signed type whose maximum is at least m
     S = np.zeros((len(masks), d.N), dtype=np.min_scalar_type(-d.m - 1))
     signs, m = _effect_signs(masks), d.m
-    pattern = _pattern(d) if translates is None else translates[0]
+    pattern = d.translates[0]
     if pattern is not None:
-        signs = pattern_weights(d, masks, pattern[1])
+        signs = pattern_weights(d, masks)
         columns, m = pattern[0][None, :], 1
     signs = signs.astype(S.dtype)[:, None]
     step = max(1, _CHUNK // d.N)
@@ -289,33 +257,18 @@ def lambda_star(d: ChoiceDesign) -> ScaledIntMatrix:
     return ScaledIntMatrix(Z, Fraction(1, d.N * m * m))
 
 
-def _coset(b: np.ndarray):
-    """A GF(2) basis of V when the multiset b is one coset of a subspace V,
-    each member equally often, else None: sorted, a subspace lists its
-    echelon basis at 1, 2, 4, ..., and doubling that rebuilds it in order."""
-    s = np.sort(b)
-    mult = int(np.searchsorted(s, s[0], "right"))
-    k = (b.size // mult).bit_length() - 1
-    if b.size != mult << k or (s.reshape(-1, mult) != s[::mult, None]).any():
-        return None
-    V = np.sort(s[::mult] ^ s[0])
-    basis, span = V[1 << np.arange(k)], V[:1]
-    for v in basis:
-        span = np.concatenate((span, span ^ v))
-    return basis if np.array_equal(span, V) else None
-
-
-def _join(d: ChoiceDesign, r: np.ndarray, c: np.ndarray, basis: np.ndarray):
+def _join(d: ChoiceDesign, r: np.ndarray, c: np.ndarray):
     """Yield the block's nonzero entries (i, j, v), a chunk of rows at a time.
 
-    Every set is b_p xor delta (_pattern), the b_p one coset of the span V
-    of basis, equally often (_coset).  With u = e_i xor e_j, C*[i, j] is
+    Every set is b_p xor delta, the b_p one coset of the span V of basis,
+    equally often (d.translates).  With u = e_i xor e_j, C*[i, j] is
     then 0 unless u is orthogonal to V, and N times the first set's own term
     m G(u) - G(e_i) G(e_j) if it is: G, the Walsh transform of that set's
     complemented options, is sigma(u) W(u), W that of its options (README).
     So row i meets only the columns whose label, their parities against the
     basis, is its own; sorted stably by label, they come in order.
     """
+    basis = d.translates[1]
     key = 1 << np.arange(basis.size)
     lr, lc = ((np.bitwise_count(x[:, None] & basis) & 1) @ key for x in (r, c))
     order = np.argsort(lc, kind="stable")
@@ -358,29 +311,23 @@ def _product(d: ChoiceDesign, r: np.ndarray, c: np.ndarray, Sr: np.ndarray,
 
 
 def cstar_entries(d: ChoiceDesign, r: np.ndarray, c: np.ndarray,
-                  row_sums: np.ndarray = None, translates: tuple = None):
+                  row_sums: np.ndarray = None):
     """The nonzero entries of the C* block of row masks r and column masks
     c: an iterator of int64 arrays (i, j, v), a chunk of rows at a time,
     row-major over all chunks.  Neither route holds the block.
 
-    The entries are joined (_join) when the sets translate one pattern
-    (_pattern) by one coset, each member equally often (_coset), and else
-    come from m G - S_r S_c' (_product), with the per-set sign sums S of
-    set_sums; row_sums, when given, is set_sums(d, r).  translates, when
-    given, is find_translates(d), so a caller reading several blocks of one
-    design finds its pattern and coset once; the join reads no S.
+    The entries are joined (_join) when the sets translate one pattern by
+    one coset, each member equally often (d.translates), and else come from
+    m G - S_r S_c' (_product), with the per-set sign sums S of set_sums;
+    row_sums, when given, is set_sums(d, r).  The join reads no S.
     """
-    if translates is None:
-        translates = find_translates(d)
-    basis = translates[1]
-    if basis is not None:
-        return _join(d, r, c, basis)
-    Sr = set_sums(d, r, translates) if row_sums is None else row_sums
-    return _product(d, r, c, Sr, Sr if c is r else set_sums(d, c, translates))
+    if d.translates[1] is not None:
+        return _join(d, r, c)
+    Sr = set_sums(d, r) if row_sums is None else row_sums
+    return _product(d, r, c, Sr, Sr if c is r else set_sums(d, c))
 
 
-def cstar_block(d: ChoiceDesign, rows, cols,
-                row_sums: np.ndarray = None) -> np.ndarray:
+def cstar_block(d: ChoiceDesign, rows, cols) -> np.ndarray:
     """Exact integer block B_r Lambda* B_c' of two effect lists or masks.
 
     The entries of cstar_entries scattered into a zero block.  With cols
@@ -389,7 +336,7 @@ def cstar_block(d: ChoiceDesign, rows, cols,
     r = _as_masks(rows, d.n)
     c = r if cols is rows else _as_masks(cols, d.n)
     block = np.zeros((r.size, c.size), dtype=np.int64)
-    for i, j, v in cstar_entries(d, r, c, row_sums):
+    for i, j, v in cstar_entries(d, r, c):
         block[i, j] = v
     return block
 
@@ -418,10 +365,9 @@ def exact_schur_cstar(d: ChoiceDesign, interest, nuisance):
     Returns a list-of-lists Fraction matrix.
     """
     interest, nuisance = _as_masks(interest, d.n), _as_masks(nuisance, d.n)
-    S1 = set_sums(d, interest)
-    C1 = cstar_block(d, interest, interest, S1)
+    C1 = cstar_block(d, interest, interest)
     G = cstar_block(d, nuisance, nuisance)
-    X = cstar_block(d, interest, nuisance, S1)
+    X = cstar_block(d, interest, nuisance)
     Y = ratlinalg.solve_consistent(G.tolist(), X.T.tolist())
     if Y is None:
         raise InvariantError("cross-block solve must be consistent")
@@ -446,9 +392,8 @@ def info_matrix(d: ChoiceDesign, model: ModelSpec, force_numeric: bool = False):
     interest, nuisance = model.masks_on(d.n)
     if not nuisance.size:
         return cstar_matrix(d, interest)
-    S1 = set_sums(d, interest)
-    X = cstar_block(d, interest, nuisance, S1)
-    C1 = cstar_block(d, interest, interest, S1)
+    X = cstar_block(d, interest, nuisance)
+    C1 = cstar_block(d, interest, interest)
     scale = Fraction(1, (1 << d.n) * d.N * d.m * d.m)
     if not X.any() and not force_numeric:
         return ScaledIntMatrix(C1, scale)

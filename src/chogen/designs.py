@@ -7,6 +7,9 @@ read-only (N, m) array of lexicographic option indices (factor 1 the most
 significant bit, so integer order is treatment order): int64 up to
 MAX_INDEX_FACTORS factors, Python ints in an object array beyond.  The
 operators are XORs and shifts on that array.  All values are immutable.
+ChoiceDesign.translates reads once whether every set is b_p xor one pattern
+delta, and the b_p one coset of a subspace, as in generator shifts of
+Hadamard seed rows; copies and pickles read it again.
 """
 
 from __future__ import annotations
@@ -130,6 +133,46 @@ def _unpack(x: np.ndarray, n: int) -> tuple:
     return tuple(tuple(map(tuple, s)) for s in bits.tolist())
 
 
+def _pattern(d: "ChoiceDesign"):
+    """(b, delta) when every set p holds the options b_p xor delta, for one
+    pattern delta with delta[0] = 0; else None.
+
+    In the given option order b is the first column.  Otherwise, when
+    m^2 <= 2^n, the sets are sorted and each b_p is sought among its set's
+    m options, which lie in b_p xor delta since delta holds 0: m sorts of
+    the N m options, at most N 2^n steps.
+    """
+    delta = d.indices[0] ^ d.indices[0, 0]
+    if (d.indices ^ d.indices[:, :1] == delta).all():
+        return np.ascontiguousarray(d.indices[:, 0]), delta
+    if d.m * d.m > 1 << d.n:
+        return None
+    S = np.sort(d.indices, axis=1)
+    delta = np.sort(S[0] ^ S[0, 0])
+    b, found = S[:, 0].copy(), np.zeros(d.N, dtype=bool)
+    for t in S.T:
+        fits = ~found & (np.sort(S ^ t[:, None], axis=1) == delta).all(axis=1)
+        b[fits] = t[fits]
+        found |= fits
+    return (b, delta) if found.all() else None
+
+
+def _coset(b: np.ndarray):
+    """A GF(2) basis of V when the multiset b is one coset of a subspace V,
+    each member equally often, else None: sorted, a subspace lists its
+    echelon basis at 1, 2, 4, ..., and doubling that rebuilds it in order."""
+    s = np.sort(b)
+    mult = int(np.searchsorted(s, s[0], "right"))
+    k = (b.size // mult).bit_length() - 1
+    if b.size != mult << k or (s.reshape(-1, mult) != s[::mult, None]).any():
+        return None
+    V = np.sort(s[::mult] ^ s[0])
+    basis, span = V[1 << np.arange(k)], V[:1]
+    for v in basis:
+        span = np.concatenate((span, span ^ v))
+    return basis if np.array_equal(span, V) else None
+
+
 class ChoiceDesign:
     """An ordered multiset of N choice sets over n two-level factors.
 
@@ -175,6 +218,13 @@ class ChoiceDesign:
             raise Unsupported(f"option indices are limited to n <= "
                               f"{MAX_INDEX_FACTORS} factors, got {self.n}")
         return self.array
+
+    @cached_property
+    def translates(self) -> tuple:
+        """(pattern, basis): _pattern(self) and the _coset basis of its
+        translations b, each None where it does not hold, read once."""
+        pattern = _pattern(self)
+        return pattern, None if pattern is None else _coset(pattern[0])
 
     @cached_property
     def sets(self) -> tuple:

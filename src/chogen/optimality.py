@@ -240,8 +240,9 @@ def verify(d: ChoiceDesign, model: ModelSpec) -> OptimalityReport:
     UniversallyOptimal iff the exact C is diagonal, every per-set count is
     balanced, the trace equals max_trace, and any cross block vanishes;
     otherwise the rank of the treatment graph's D decides (_connected).  The
-    design's translates (contrasts.find_translates) are read once and go to
-    every set_sums and cstar_entries call.  The model's masks
+    design's translates (ChoiceDesign.translates) are read once, and each
+    set_sums and cstar_entries call reads them from the design; the product
+    route's S goes to cstar_entries as row_sums.  The model's masks
     (ModelSpec.masks_on) feed cstar_entries, whose stream of row chunks
     gives the diagonal, the trace and the offending pairs, with no Q x Q
     array on either route.  Balance and the diagonal's check against
@@ -254,16 +255,14 @@ def verify(d: ChoiceDesign, model: ModelSpec) -> OptimalityReport:
     """
     effects, nuisance = model.masks_on(d.n)
     n, m, N, Q = d.n, d.m, d.N, model.Q
-    translates = contrasts.find_translates(d)
-    pattern, basis = translates
+    pattern, basis = d.translates
 
     # the per-set sign sums S, value m - 2*n_p, for the product route only
-    S = None if basis is not None else contrasts.set_sums(d, effects,
-                                                          translates)
+    S = None if basis is not None else contrasts.set_sums(d, effects)
     # balanced means |S| = m mod 2, and S = m (mod 2), so |S| <= m mod 2;
     # on one pattern's translates |S[q, p]| = |w_q| in every set p
     if pattern is not None:
-        w = contrasts.pattern_weights(d, effects, pattern[1])
+        w = contrasts.pattern_weights(d, effects)
         balance_ok = bool(np.abs(w).max() <= m % 2)
         squares = N * w * w
     else:  # sum_p S^2, a chunk of rows at a time
@@ -273,7 +272,7 @@ def verify(d: ChoiceDesign, model: ModelSpec) -> OptimalityReport:
             axis=1) for lo in range(0, Q, step)])
 
     diag, offending_count, q1, q2, values = _read_entries(
-        contrasts.cstar_entries(d, effects, effects, S, translates), Q)
+        contrasts.cstar_entries(d, effects, effects, S), Q)
     # same diagonal via the per-set zero counts, as an internal cross-check:
     # sum_p 4 n_p (m - n_p) = N m^2 - sum_p S^2
     if not np.array_equal(diag, N * m * m - squares):
@@ -286,7 +285,7 @@ def verify(d: ChoiceDesign, model: ModelSpec) -> OptimalityReport:
         # from the sums of x, y and their product xy, the joint effect's
         pairs = np.concatenate((effects[q1], effects[q2],
                                 effects[q1] ^ effects[q2]))
-        s1, s2, s12 = contrasts.set_sums(d, pairs, translates).astype(
+        s1, s2, s12 = contrasts.set_sums(d, pairs).astype(
             np.int64).reshape(3, q1.size, N)
         pp = (m + s1 + s2 + s12) // 4
         mm = (m - s1 - s2 + s12) // 4
@@ -306,8 +305,7 @@ def verify(d: ChoiceDesign, model: ModelSpec) -> OptimalityReport:
         raise InvariantError("trace above the attainable bound")
 
     cross_zero = None if not nuisance.size else not any(
-        v.size for _, _, v in contrasts.cstar_entries(d, effects, nuisance, S,
-                                                      translates))
+        v.size for _, _, v in contrasts.cstar_entries(d, effects, nuisance, S))
 
     if diagonal and balance_ok and trace == bound and cross_zero is not False:
         verdict = Verdict.UNIVERSALLY_OPTIMAL

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chogen.contrasts import (DENSE_MAX_N, ScaledIntMatrix, _fwht, _pattern,
+from chogen.contrasts import (DENSE_MAX_N, ScaledIntMatrix, _fwht,
                               contrast_matrix, contrast_vector,
                               cross_block_star, cstar_block, cstar_entries,
                               cstar_matrix,
@@ -16,7 +16,8 @@ from chogen.contrasts import (DENSE_MAX_N, ScaledIntMatrix, _fwht, _pattern,
                               exact_schur_cstar, info_matrix, lambda_star,
                               option_sign_matrix, pair_contribution,
                               set_sums)
-from chogen.designs import ChoiceDesign, all_treatments, lex_index, treatment
+from chogen.designs import (ChoiceDesign, _pattern, all_treatments, lex_index,
+                            treatment)
 from chogen.errors import EffectOutOfRange, SamePair, Unsupported
 from chogen.models import ModelSpec, effect, main_effect_list
 from chogen.serialization import load

@@ -1,7 +1,9 @@
 """The certifier: exact counts, trace bound, verdicts."""
 
+import copy
 import itertools
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -189,7 +191,7 @@ def test_verify_reads_the_translates_once(monkeypatch, name):
     # broader m6 n8 is keyed and has a cross block; the other two take the
     # product route and list offending pairs.  verify finds the pattern
     # once, and the coset of its translations once when it holds
-    from chogen import contrasts
+    from chogen import designs
     if name == "translated":
         # the pattern {0, 3} translated by 0, 4 and 8: three translations
         # are no coset, and F3, F4 pair up
@@ -198,20 +200,57 @@ def test_verify_reads_the_translates_once(monkeypatch, name):
         d = random_design(random.Random(3), 5, 3, 12)
     else:
         d, _ = chogen.load(str(INPUTS / f"{name}.json"))
-    pattern, basis = contrasts.find_translates(d)
+    # a copy reads its own translates, so d's count starts at zero
+    pattern, basis = copy.copy(d).translates
     assert (pattern is not None, basis is not None) == {
         "broader-m6-n8": (True, True), "translated": (True, False),
         "random": (False, False)}[name]
     calls = {"_pattern": 0, "_coset": 0}
     for fn in calls:
-        def counted(*args, fn=fn, real=getattr(contrasts, fn)):
+        def counted(*args, fn=fn, real=getattr(designs, fn)):
             calls[fn] += 1
             return real(*args)
-        monkeypatch.setattr(contrasts, fn, counted)
+        monkeypatch.setattr(designs, fn, counted)
     report = verify(d, ModelSpec.broader_main_effects(d.n))
     assert calls == {"_pattern": 1, "_coset": int(pattern is not None)}
     assert report.cross_block_zero is not None
     assert report.offending_count > 0 or name == "broader-m6-n8"
+
+
+def test_every_reader_of_a_loaded_design_shares_its_translates(monkeypatch):
+    # verify, both info_matrix routes, the Schur complement and np_table
+    # read one design's pattern and coset once between them; the keyed
+    # blocks form no (Q, N) interest sums, which np_table alone reads
+    from chogen import contrasts, designs
+    from chogen.contrasts import info_matrix
+    d, _ = chogen.load(str(INPUTS / "broader-m6-n8.json"))
+    model = ModelSpec.broader_main_effects(d.n)
+    interest, nuisance = model.masks_on(d.n)
+    calls = {"_pattern": 0, "_coset": 0, "interest_sums": 0}
+    for fn in ("_pattern", "_coset"):
+        def counted(*args, fn=fn, real=getattr(designs, fn)):
+            calls[fn] += 1
+            return real(*args)
+        monkeypatch.setattr(designs, fn, counted)
+
+    def sums(d, masks, real=contrasts.set_sums):
+        calls["interest_sums"] += np.array_equal(masks, interest)
+        return real(d, masks)
+    monkeypatch.setattr(contrasts, "set_sums", sums)
+    report = verify(d, model)
+    info_matrix(d, model)
+    info_matrix(d, model, force_numeric=True)
+    exact_schur_cstar(d, interest, nuisance)
+    assert calls == {"_pattern": 1, "_coset": 1, "interest_sums": 0}
+    table = report.np_table
+    assert calls == {"_pattern": 1, "_coset": 1, "interest_sums": 1}
+    # copies and pickles rebuild through from_indices and read again
+    for again in (copy.copy(d), pickle.loads(pickle.dumps(d))):
+        assert again == d and "translates" not in vars(again)
+        again_report = verify(again, model)
+        assert again_report.verdict is report.verdict
+        assert np.array_equal(again_report.np_table, table)
+    assert calls["_pattern"] == calls["_coset"] == 3
 
 
 @pytest.mark.parametrize("m,n,r", [(4, 30, 22), (3, 24, 16)])
