@@ -16,8 +16,8 @@ within each set, in c components; the rows x_t - x_root(t) of its difference
 matrix D span what the within-set differences span, so rank C* = rank D <=
 T - c <= N(m-1).  The design is connected iff rank [D_interest | D_nuisance]
 - rank D_nuisance = Q, with no rank when T - c < Q.  ratlinalg.rank decides
-a deficit from one prime when a kernel lifted from it checks exactly, and
-otherwise falls back to more primes; it is exact either way.
+a deficit when a kernel lifted from one prime, or across a few by CRT,
+checks exactly, and else at the Hadamard bound; it is exact either way.
 """
 
 from __future__ import annotations

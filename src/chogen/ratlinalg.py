@@ -2,19 +2,23 @@
 
 Certification verdicts must not depend on floating point or on chance.
 Connectedness is decided by `rank`: vectorised int64 elimination modulo
-word-size primes (cf. Dumas, Giorgi & Pernet, ACM TOMS 2008, on dense
-linear algebra over word-size prime fields).  A modular rank never
-exceeds the rational one, so full rank modulo the first prime is final.
-A deficit modulo that prime is certified by a kernel: its reduced-echelon
-kernel basis is lifted to integers by rational reconstruction (Wang 1981;
-on small lifted solutions, Dixon 1982) and checked exactly.  Only when
-that check fails does `rank` go on to more primes, until their product
-exceeds the Hadamard bound on every minor that could still be nonzero,
-so the modular rank is the rational rank.  Integer products (C*, the
-Hadamard seed check and the kernel check) go through `int_product`,
-which refuses a product whose partial sums could leave int64, and uses
-float32 BLAS where every partial sum is an integer below 2^24, and
-float64 where it is below 2^53, and so is exact, as in the same paper.
+primes below 2^29, with the delayed modular reduction of Dumas, Giorgi &
+Pernet (ACM TOMS 2008, on dense linear algebra over word-size prime
+fields): a product of two residues is below 2^58, so the rows below a
+pivot take 32 updates with no % p before they are reduced.  A modular rank
+never exceeds the rational one, so full rank modulo any prime is final.  A
+deficit is certified by a kernel: the reduced-echelon kernel bases modulo
+the primes of the largest rank are combined by CRT, lifted to integers by
+rational reconstruction (Wang 1981; on small lifted solutions, Dixon 1982)
+and checked exactly modulo check primes.  The first prime alone decides
+most deficits of random designs, and two the rest measured so far; the
+loop ends anyway once the product of the primes exceeds the Hadamard bound
+on every minor that could still be nonzero, so the modular rank is the
+rational rank.  Integer products (C*, the Hadamard seed check and the
+kernel check) go through `int_product`, which refuses a product whose
+partial sums could leave int64, and uses float32 BLAS where every partial
+sum is an integer below 2^24, and float64 where it is below 2^53, and so
+is exact, as in the same paper.
 
 The Python-integer and Fraction routines (leading principal minors,
 definiteness, a consistent linear solve) are kept as a slow reference
@@ -28,9 +32,10 @@ from math import isqrt, lcm
 
 import numpy as np
 
-# rank() works modulo primes below 2**31: a product of two residues stays
-# below 2**62, so every step of the elimination is exact in int64.
-_PRIME_CEILING = 1 << 31
+# rank() works modulo primes below 2**29.  A product of two residues is
+# below 2**58, so an entry in [0, p) takes 32 elimination updates before it
+# could leave int64 (_room), and only then needs a reduction.
+_PRIME_CEILING = 1 << 29
 
 
 def _is_prime(n: int) -> bool:
@@ -58,7 +63,7 @@ def _is_prime(n: int) -> bool:
 
 
 def _primes():
-    """The primes below 2**31, largest first, found as they are needed."""
+    """The primes below 2**29, largest first, found as they are needed."""
     c = _PRIME_CEILING - 1
     while True:
         if _is_prime(c):
@@ -66,43 +71,100 @@ def _primes():
         c -= 2
 
 
+def _room(p: int) -> int:
+    """How many updates by a product of two residues mod p an entry that
+    starts in [0, p) takes before the next one could leave int64."""
+    return (np.iinfo(np.int64).max - p) // (p - 1) ** 2
+
+
 def _echelon(A: np.ndarray, p: int) -> list:
     """Row echelon form of A modulo p, in place; the pivot columns.
 
     A holds residues in [0, p).  Row i of the result, for i below the
     number of pivots, is 0 before pivot column i and 1 on it; the rows
-    after them are zero.
+    after them are zero, and every entry is a residue in [0, p).  The
+    reduction is delayed: the rows below a pivot take its update with no
+    % p, and the block they leave is reduced only when the next update
+    could leave int64 (_room).  The pivot column is reduced when it is
+    searched and the pivot row when it is scaled, so every pivot, factor
+    and entry is the one that reduction at every step gives.
     """
     rows, cols = A.shape
+    room, pending = _room(p), 0
     pivots = []
     for c in range(cols):
         r = len(pivots)
         if r == rows:
             break
+        A[r:, c] %= p
         nz = np.flatnonzero(A[r:, c])
         if nz.size == 0:
             continue
         if nz[0]:
             A[[r, r + nz[0]]] = A[[r + nz[0], r]]
-        A[r, c:] = A[r, c:] * pow(int(A[r, c]), -1, p) % p
+        A[r, c:] = A[r, c:] % p * pow(int(A[r, c]), -1, p) % p
         below = r + nz[1:]
         if below.size:
-            A[below, c:] = (A[below, c:]
-                            - np.outer(A[below, c], A[r, c:])) % p
+            if pending == room:
+                A[r + 1:, c + 1:] %= p
+                pending = 0
+            A[below, c:] -= np.outer(A[below, c], A[r, c:])
+            pending += 1
         pivots.append(c)
     return pivots
 
 
-def _reconstruct(x: np.ndarray, p: int) -> tuple:
-    """Fractions a/b = x mod p with |a| and b at most sqrt(p/2), or None.
+def _kernel_residues(U: np.ndarray, pivots: list, p: int) -> np.ndarray:
+    """The kernel basis modulo p on the pivot columns, an (R, cols - R)
+    array of residues: column j holds -U[:R, free j] of the reduced form.
+
+    U is the row echelon form of _echelon, with R pivots; it is reduced
+    here, each pivot column cleared above its pivot with the same delayed
+    reduction.  Kernel vector j is 1 on the j-th free column, 0 on the
+    other free ones and column j of the result on the pivot columns.
+    """
+    room, pending = _room(p), 0
+    for i in range(len(pivots) - 1, 0, -1):
+        c = pivots[i]
+        U[:i, c] %= p
+        above = np.flatnonzero(U[:i, c])
+        if above.size:
+            U[i, c:] %= p
+            if pending == room:
+                U[:i, c + 1:] %= p
+                pending = 0
+            U[above, c:] -= np.outer(U[above, c], U[i, c:])
+            pending += 1
+    free = np.ones(U.shape[1], dtype=bool)
+    free[pivots] = False
+    return -U[:len(pivots), free] % p
+
+
+def _crt(x: np.ndarray, modulus: int, y: np.ndarray, p: int) -> np.ndarray:
+    """The residues modulo modulus * p that are x modulo modulus and y
+    modulo the prime p: int64 while that product fits, Python integers
+    past it."""
+    if modulus * p >= 1 << 63:
+        x = x.astype(object)
+    t = (y - x % p) % p * pow(modulus, -1, p) % p
+    return x + t * modulus
+
+
+def _reconstruct(x: np.ndarray, modulus: int) -> tuple:
+    """Fractions a/b = x mod modulus with |a| and b at most
+    sqrt(modulus/2), or None.
 
     Wang's rational reconstruction, elementwise: the extended Euclidean
-    algorithm on (p, x), stopped at the first remainder within the bound,
-    keeps a = t x (mod p) for its cofactor t, so a/t = x.  Entries whose
-    cofactor leaves the bound have no such fraction.
+    algorithm on (modulus, x), stopped at the first remainder within the
+    bound, keeps a = t x (mod modulus) for its cofactor t, so a/t = x.
+    Entries whose cofactor leaves the bound have no such fraction.  Every
+    value stays below the modulus, so the arithmetic is int64 while the
+    modulus fits and on Python integers past it.
     """
-    bound = isqrt(p // 2)
-    r0, r1 = np.full_like(x, p), x.copy()
+    bound = isqrt(modulus // 2)
+    if modulus >= 1 << 63:
+        x = x.astype(object)
+    r0, r1 = np.full_like(x, modulus), x.copy()
     t0, t1 = np.zeros_like(x), np.ones_like(x)
     active = r1 > bound
     while active.any():
@@ -117,44 +179,55 @@ def _reconstruct(x: np.ndarray, p: int) -> tuple:
     return r1 * sign, t1 * sign
 
 
-def _kernel_certified(A: np.ndarray, U: np.ndarray, pivots: list,
-                      p: int) -> bool:
-    """Whether A K = 0 exactly for a kernel basis K lifted from modulo p.
+def _lift(X: np.ndarray, modulus: int, pivots: list, cols: int):
+    """The integer kernel basis K whose column j reconstructs column j of
+    X (_kernel_residues modulo modulus) over one common denominator, or
+    None when an entry does not reconstruct.
 
-    U is the row echelon form of A modulo p, with R pivots; it is reduced
-    here, each pivot column cleared above its pivot.  Column j of K has 1
-    on the j-th free column, 0 on the other free ones, and on pivot column
-    i the fraction that reconstructs -U[i, free j]; it is then scaled by
-    the lcm of its denominators.  Those cols - R columns are independent
-    over the rationals, so A K = 0 proves rank A <= R.  False when an
-    entry does not reconstruct, the product could leave int64, or A K is
-    not zero.
+    Column j of K has that denominator, the lcm of its entries', on the
+    j-th free column, 0 on the other free ones, and on the pivot columns
+    the reconstructed fractions times it: Python integers.  Those
+    cols - R columns are independent over the rationals, so A K = 0
+    proves rank A <= R.
     """
-    for i in range(len(pivots) - 1, 0, -1):
-        c = pivots[i]
-        above = np.flatnonzero(U[:i, c])
-        if above.size:
-            U[above, c:] = (U[above, c:]
-                            - np.outer(U[above, c], U[i, c:])) % p
-    cols = A.shape[1]
+    if _reconstruct(X[:, :1], modulus) is None:  # most failures, cheaply
+        return None
+    fractions = _reconstruct(X, modulus)
+    if fractions is None:
+        return None
+    num, den = (a.astype(object) for a in fractions)
+    scale = np.array([lcm(*d) for d in den.T.tolist()], dtype=object)
     free = np.ones(cols, dtype=bool)
     free[pivots] = False
-    free = np.flatnonzero(free)
-    fractions = _reconstruct(-U[:len(pivots), free] % p, p)
-    if fractions is None:
-        return False
-    num, den = fractions
-    K = np.zeros((cols, free.size), dtype=np.int64)
-    for j in range(free.size):
-        scale = lcm(*den[:, j].tolist())
-        if scale >= 1 << 47:  # |num| * scale would leave int64
+    K = np.zeros((cols, X.shape[1]), dtype=object)
+    K[pivots] = num * (scale // den)
+    K[np.flatnonzero(free), np.arange(X.shape[1])] = scale
+    return K
+
+
+def _kernel_checks(A: np.ndarray, K: np.ndarray, primes) -> bool:
+    """Whether A K = 0 exactly, from residues modulo check primes drawn
+    from primes.
+
+    An entry of A K is at most cols * max|A| * max|K| in absolute value,
+    so once the product of the check primes exceeds twice that, A K = 0
+    modulo each of them means A K = 0.  Each check is one int_product of
+    A (or its residues, when an entry of A reaches the prime) and K's
+    residues; False also when that product could leave int64.
+    """
+    big = max(int(A.max()), -int(A.min()))
+    bound = 2 * A.shape[1] * big * int(np.abs(K).max())
+    modulus = 1
+    while modulus <= bound:
+        q = next(primes)
+        Aq = A if big < q else A % np.int64(q)
+        try:
+            if (int_product(Aq, (K % q).astype(np.int64)) % q).any():
+                return False
+        except OverflowError:
             return False
-        K[pivots, j] = num[:, j] * (scale // den[:, j])
-        K[free[j], j] = scale
-    try:
-        return not int_product(A, K).any()
-    except OverflowError:
-        return False
+        modulus *= q
+    return True
 
 
 def _minor_bound_squared(A: np.ndarray, k: int) -> int:
@@ -165,7 +238,7 @@ def _minor_bound_squared(A: np.ndarray, k: int) -> int:
     """
     big = max(int(A.max()), -int(A.min()))
     if big * big * A.shape[1] < 1 << 63:
-        norms = (A * A).sum(axis=1).tolist()
+        norms = np.square(A, dtype=np.int64).sum(axis=1).tolist()
     else:
         norms = [sum(int(v) ** 2 for v in row) for row in A]
     bound = 1
@@ -175,38 +248,58 @@ def _minor_bound_squared(A: np.ndarray, k: int) -> int:
 
 
 def rank(M) -> int:
-    """Exact rank over the rationals of an integer matrix (int64 entries).
+    """Exact rank over the rationals of an integer matrix.
 
-    The rank modulo a prime never exceeds the rational rank, so a full
-    rank R modulo the first prime is final.  Otherwise a kernel basis
-    modulo that prime, lifted to integers by rational reconstruction, is
-    checked exactly (_kernel_certified): if it holds, the rank is R.  If
-    an entry does not reconstruct, the check's bound reaches 2^63, or the
-    lifted vectors are not a kernel, the primes go on: with R the largest
-    modular rank seen, every (R+1)-minor is divisible by each prime used,
-    and once the product of those primes exceeds the Hadamard bound on
-    the (R+1)-minors, they are all zero and the rank is R.
+    One loop over primes below 2^29 (_primes) gives the rank.  The rank
+    modulo a prime never exceeds the rational rank, so full rank modulo
+    any prime is final.  Otherwise the primes whose rank R is the largest
+    seen, and among them whose pivot list is lexicographically least, are
+    kept: each one's kernel basis modulo p (_kernel_residues) is combined
+    with theirs by CRT, lifted to integers by rational reconstruction
+    (_lift) and checked exactly (_kernel_checks).  If it holds, the rank is
+    R; the first prime's round is that certificate on its own.  A larger
+    rank, or a lesser pivot list at the same rank, restarts the lift.  The
+    loop always ends: every (R+1)-minor is divisible by each prime used,
+    and once their product exceeds the Hadamard bound on the (R+1)-minors,
+    they are all zero and the rank is R.  The lift is reconstructed when
+    it holds 1, 2, 4, ... primes, and on its first column before the rest,
+    so the tries that fail cost about as much as the last one.  Each
+    prime's residues are formed straight from M, which any integer type
+    may hold (an int8 D is not copied), and the checks multiply M itself.
     """
-    A = np.array(M, dtype=np.int64)
+    A = np.asarray(M)
     if A.size == 0:
         return 0
     if A.ndim != 2:
         raise ValueError("rank needs a two-dimensional matrix")
+    if A.dtype.kind != "i":
+        A = A.astype(np.int64)
     if A.shape[0] < A.shape[1]:
         A = A.T  # loop over, and bound minors by, the shorter rows
-    full = A.shape[1]
+    cols = A.shape[1]
+    primes = _primes()
     best, modulus, bound_squared = -1, 1, 0
-    for p in _primes():
-        U = A % p
+    kept = lifted = lift_modulus = count = None
+    for p in primes:
+        U = np.remainder(A, np.int64(p), order="C")
         pivots = _echelon(U, p)
         r = len(pivots)
-        if r == full:
+        if r == cols:
             return r
-        if best < 0 and _kernel_certified(A, U, pivots, p):  # first prime
-            return r
-        if r > best:
-            best = r
-            bound_squared = _minor_bound_squared(A, r + 1)
+        if r > best or (r == best and pivots <= kept):
+            X = _kernel_residues(U, pivots, p)
+            if r > best or pivots < kept:
+                if r > best:
+                    best, bound_squared = r, _minor_bound_squared(A, r + 1)
+                kept, lifted, lift_modulus, count = pivots, X, p, 1
+            else:
+                lifted = _crt(lifted, lift_modulus, X, p)
+                lift_modulus *= p
+                count += 1
+            if count & (count - 1) == 0:  # a lift of 1, 2, 4, ... primes
+                K = _lift(lifted, lift_modulus, kept, cols)
+                if K is not None and _kernel_checks(A, K, primes):
+                    return best
         modulus *= p
         if modulus * modulus > bound_squared:
             return best

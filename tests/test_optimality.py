@@ -281,8 +281,9 @@ def test_verify_holds_one_dense_cstar_on_the_rank_path():
     # a linked random design on the product route: C* is dense and has
     # full rank Q = 521.  verify reads C* a chunk of rows at a time and
     # holds no block of it; the peak is the rank's, which holds the treatment
-    # graph's int8 D (T - c = 1023 rows), its int64 copy and residues and
-    # the elimination's temporaries, about seven Q x Q int64 arrays' worth
+    # graph's int8 D (T - c = 1023 rows), its int64 residues (formed from
+    # the int8 D, with no int64 copy) and the elimination's temporaries,
+    # about 5.4 Q x Q int64 arrays' worth
     import tracemalloc
     from conftest import deadline
     rng = np.random.default_rng(1)

@@ -1,5 +1,6 @@
-"""Exact ranks modulo primes, with the one-prime kernel certificate and the
-Hadamard-bound stop rule, and the exact integer product."""
+"""Exact ranks modulo primes: the delayed-reduction echelon, the kernel
+lifted across primes and checked exactly, the Hadamard-bound stop rule, and
+the exact integer product."""
 
 import random
 
@@ -11,10 +12,10 @@ from hypothesis import strategies as st
 from chogen import ratlinalg
 from chogen.designs import ChoiceDesign
 from chogen.models import ModelSpec
-from chogen.optimality import Verdict, verify
+from chogen.optimality import Verdict, _differences, verify
 from chogen.ratlinalg import int_product, rank
 
-P = 2**31 - 1  # the first prime rank() draws
+P = 2**29 - 3  # the first prime rank() draws
 
 
 def _rank_by_fractions(M) -> int:
@@ -68,10 +69,10 @@ def test_rank_deficit():
 
 
 def test_rank_survives_a_prime_that_divides_the_minors():
-    # singular modulo the first prime, 2^31 - 1, but rank 2 over Q: the
+    # singular modulo the first prime, 2^29 - 3, but rank 2 over Q: the
     # stop rule must not accept the modular deficit as final
-    assert next(ratlinalg._primes()) == 2**31 - 1
-    p = 2**31 - 1
+    assert next(ratlinalg._primes()) == P
+    p = P
     assert rank([[1, 0], [0, p]]) == 2
     assert rank([[p, 0, 0], [0, p, 0], [0, 0, 0]]) == 2
 
@@ -101,7 +102,22 @@ def primes_drawn(monkeypatch):
     return drawn
 
 
-def test_certificate_decides_a_deficit_with_one_prime(primes_drawn):
+@pytest.fixture
+def echelons(monkeypatch):
+    """The prime of each echelon rank() runs, over every call in the test;
+    the kernel checks draw primes too, but run no echelon."""
+    primes = []
+    original = ratlinalg._echelon
+
+    def counted(A, p):
+        primes.append(p)
+        return original(A, p)
+
+    monkeypatch.setattr(ratlinalg, "_echelon", counted)
+    return primes
+
+
+def test_certificate_decides_a_deficit_with_one_prime(echelons):
     # the kernel (-3/2, 1) reconstructs and, scaled to (-3, 2), checks
     assert rank([[2, 3], [4, 6]]) == 1
     # rank 20 of 30; the Hadamard bound on its 21-minors needs several
@@ -112,36 +128,48 @@ def test_certificate_decides_a_deficit_with_one_prime(primes_drawn):
     M = rng.choice([-1, 1], (40, 20)) @ R
     assert rank(M) == 20
     assert rank(M.T) == 20
-    assert primes_drawn == [P, P, P]
+    assert echelons == [P, P, P]
 
 
-def test_kernel_entry_that_does_not_reconstruct_falls_back(primes_drawn):
-    # the kernel (-40000, 1) needs a numerator above sqrt(p/2) = 32767
-    assert ratlinalg._reconstruct(np.array([P - 40000]), P) is None
-    assert rank([[1, 40000], [2, 80000]]) == 1
-    assert len(primes_drawn) > 1
+def test_kernel_entry_that_does_not_reconstruct_falls_back(echelons):
+    # the kernel (-20000, 1) needs a numerator above sqrt(p/2) = 16383 at
+    # the first prime; the lift of two primes reconstructs it
+    assert ratlinalg._reconstruct(np.array([P - 20000]), P) is None
+    assert rank([[1, 20000], [2, 40000]]) == 1
+    assert len(echelons) == 2
 
 
-def test_modular_kernel_that_fails_the_exact_check_falls_back(primes_drawn):
-    # modulo p the kernel is (0, 1), but M (0, 1)' = (0, p)' is not zero
+def test_modular_kernel_that_fails_the_exact_check_falls_back(echelons):
+    # modulo p the kernel is (0, 1), but M (0, 1)' = (0, p)' is not zero;
+    # the next prime gives full rank
     assert rank([[1, 0], [0, P]]) == 2
-    assert len(primes_drawn) > 1
+    assert len(echelons) == 2
 
 
-def test_check_bound_past_int64_falls_back(primes_drawn):
-    # the kernel (-1, 1) is found, but 2 * 2^62 * 1 reaches 2^63
+def test_check_bound_past_int64_falls_back(echelons, primes_drawn):
+    # the kernel (-1, 1) is found, but A K could reach 2 * 2^62 * 1, past
+    # int64: the check runs modulo three check primes, whose product
+    # passes twice that, and needs no second echelon
     big = 2**62
     assert rank([[big, big], [big, big]]) == 1
-    assert len(primes_drawn) > 1
+    assert echelons == [P]
+    assert len(primes_drawn) == 4
 
 
 def test_reconstruction_bounds():
     # 1/3, -5/7 and 0 come back; the largest admissible numerator too
-    x = np.array([pow(3, -1, P), -5 * pow(7, -1, P) % P, 0, 32767])
+    x = np.array([pow(3, -1, P), -5 * pow(7, -1, P) % P, 0, 16383])
     num, den = ratlinalg._reconstruct(x, P)
-    assert num.tolist() == [1, -5, 0, 32767]
+    assert num.tolist() == [1, -5, 0, 16383]
     assert den.tolist() == [3, 7, 1, 1]
-    assert ratlinalg._reconstruct(np.array([32768]), P) is None
+    assert ratlinalg._reconstruct(np.array([16384]), P) is None
+    # past 2^63 the same bound, sqrt(modulus/2), on Python integers
+    big = P * (2**29 - 33) * (2**29 - 43)
+    assert big >= 1 << 63
+    x = np.array([-(2**40 + 1) * pow(3**25, -1, big) % big, 2**42], dtype=object)
+    num, den = ratlinalg._reconstruct(x, big)
+    assert num.tolist() == [-(2**40 + 1), 2**42]
+    assert den.tolist() == [3**25, 1]
 
 
 @st.composite
@@ -164,14 +192,147 @@ def test_rank_of_low_rank_products_matches_fractions(M):
     assert rank(M) == _rank_by_fractions(M)
 
 
-def test_audit_draw_is_decided_with_one_prime(primes_drawn):
+def test_audit_draw_is_decided_with_one_prime(echelons):
     # a random spec-all n=8 m=3 N=128 design: rank C* is 125-132 of 135
     rng = random.Random(303)
     d = ChoiceDesign.from_indices(
         [rng.sample(range(256), 3) for _ in range(128)], 8)
     report = verify(d, ModelSpec.specified_one_factor(8))
     assert report.verdict is Verdict.NOT_CONNECTED
-    assert primes_drawn == [P]
+    assert echelons == [P]
+
+
+def _echelon_per_step(A, p):
+    """_echelon as it was before the delayed reduction: every update of
+    the rows below a pivot is reduced mod p at once."""
+    rows, cols = A.shape
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
+        nz = np.flatnonzero(A[r:, c])
+        if nz.size == 0:
+            continue
+        if nz[0]:
+            A[[r, r + nz[0]]] = A[[r + nz[0], r]]
+        A[r, c:] = A[r, c:] * pow(int(A[r, c]), -1, p) % p
+        below = r + nz[1:]
+        if below.size:
+            A[below, c:] = (A[below, c:]
+                            - np.outer(A[below, c], A[r, c:])) % p
+        pivots.append(c)
+    return pivots
+
+
+def _cleared_per_step(U, pivots, p):
+    """-U[:R, free] mod p after clearing above each pivot, reduced at once."""
+    for i in range(len(pivots) - 1, 0, -1):
+        c = pivots[i]
+        above = np.flatnonzero(U[:i, c])
+        if above.size:
+            U[above, c:] = (U[above, c:]
+                            - np.outer(U[above, c], U[i, c:])) % p
+    free = np.ones(U.shape[1], dtype=bool)
+    free[pivots] = False
+    return -U[:len(pivots), free] % p
+
+
+@st.composite
+def residue_matrices(draw):
+    """Residue matrices at the first prime: up to 48 x 48, so a row can
+    take more than 32 updates (_room) before its reduction; entries from
+    a palette with p - 1 and p - 2, whose products are the largest, or
+    uniform; some of low rank, some with repeated rows, some wide."""
+    rows = draw(st.integers(1, 48))
+    cols = draw(st.integers(1, 48))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        A = rng.choice([0, 1, 2, P - 2, P - 1], (rows, cols))
+    else:
+        A = rng.integers(0, P, (rows, cols))
+    shape = draw(st.sampled_from(["as drawn", "low rank", "repeated rows"]))
+    if shape == "low rank":
+        k = draw(st.integers(1, min(rows, cols)))
+        A = int_product(A[:, :k] % 3 - 1, rng.integers(-1, 2, (k, cols))) % P
+    elif shape == "repeated rows":
+        A = A[rng.integers(0, max(1, rows // 2), rows)]
+    return np.ascontiguousarray(A, dtype=np.int64)
+
+
+@given(residue_matrices())
+def test_delayed_echelon_matches_per_step_reduction(A):
+    assert ratlinalg._room(P) == 32
+    U, V = A.copy(), A.copy()
+    pivots = ratlinalg._echelon(U, P)
+    assert pivots == _echelon_per_step(V, P)
+    assert np.array_equal(U, V)
+    assert ((0 <= U) & (U < P)).all()
+    assert np.array_equal(ratlinalg._kernel_residues(U, pivots, P),
+                          _cleared_per_step(V, pivots, P))
+
+
+def test_delayed_echelon_reduces_past_its_room():
+    # 40 pivot rows, 1 on the diagonal and p - 1 after it, and below them
+    # rows whose entry on each pivot column is p - 1 when it is reached, so
+    # every update subtracts (p - 1)^2 from column 40: 40 of them would leave
+    # int64 without the reduction after 32.  Column 41 makes every update
+    # that clears above a pivot subtract (p - 1)^2 in the same way
+    n = 40
+    A = np.zeros((n + 5, n + 2), dtype=np.int64)
+    A[:n, :n] = np.triu(np.full((n, n), P - 1), 1) + np.eye(n, dtype=np.int64)
+    A[:n, n] = P - 1
+    A[:n, n + 1] = (n - 2 - np.arange(n)) % P
+    A[n:, :n] = (np.arange(n) - 1) % P
+    A[n:, n] = n
+    A[n:, n + 1] = -n * (n - 3) // 2 % P
+    U, V = A.copy(), A.copy()
+    pivots = ratlinalg._echelon(U, P)
+    assert pivots == _echelon_per_step(V, P) == list(range(n))
+    assert np.array_equal(U, V)
+    assert not U[n:].any()
+    X = ratlinalg._kernel_residues(U, pivots, P)
+    assert np.array_equal(X, _cleared_per_step(V, pivots, P))
+    assert (X[:, 1] == 1).all()
+
+
+def _n400_differences(seed, skipped=0):
+    """The treatment graph's D of a random spec-all n=10 m=3 N=400 design:
+    400 draws of rng.choice(1024, 3, replace=False) after `skipped` more."""
+    rng = np.random.default_rng(seed)
+    for _ in range(skipped):
+        rng.choice(1024, 3, replace=False)
+    d = ChoiceDesign.from_indices(
+        np.array([rng.choice(1024, 3, replace=False) for _ in range(400)]), 10)
+    masks, _ = ModelSpec.specified_one_factor(10).masks_on(10)
+    return _differences(d, masks)
+
+
+@pytest.mark.parametrize("seed, skipped, expected", [
+    (0, 0, 461), (4, 0, 463), (5, 0, 462), (7, 611, 474)])
+def test_n400_deficit_is_lifted_in_a_few_echelons(echelons, seed, skipped,
+                                                   expected):
+    # the first prime's kernel certificate fails on these D (about
+    # 690 x 521); the Hadamard stop would need about 60 primes
+    from conftest import deadline
+    D = _n400_differences(seed, skipped)
+    assert D.dtype == np.int8 and D.shape[1] == 521
+    with deadline(20):
+        assert rank(D) == expected
+    assert len(echelons) <= 3
+
+
+def test_kernel_lifted_across_more_than_two_primes(echelons):
+    # rank 2, kernel (a, b, 1): a numerator near 2^40 needs a modulus past
+    # 2^81, three primes; the lift tries 1, 2 and 4 primes, on Python
+    # integers past 2^63, well before the Hadamard stop
+    a, b = 2**40 + 1, 3**25
+    rows = [[1, 0, -a], [0, 1, -b], [1, 1, -(a + b)], [2**20, 0, -(2**20) * a]]
+    assert rank(rows) == 2
+    assert len(echelons) == 4
+    modulus = np.prod(echelons, dtype=object)
+    assert modulus * modulus <= ratlinalg._minor_bound_squared(
+        np.array(rows), 3)
 
 
 def test_rank_rejects_a_vector():

@@ -60,3 +60,20 @@ def test_own_peak_reports_a_cold_verify():
     assert report["command"] == ["verify", str(design)]
     assert report["runs"] == 1 and report["exit_codes"] == [0]
     assert report["wall_s"] > 0 and report["peak_rss_mb"] > 0
+
+
+def test_bench_pairs_prints_the_claims_that_hold():
+    import importlib.util
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", ROOT / "tools" / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    pairs = [{"parent": {"metrics": {"run_s": 1.0 + k / 100, "cpu_s": 1.0}},
+              "change": {"metrics": {"run_s": 0.5, "cpu_s": 2.0}}}
+             for k in range(10)]
+    better = {"run_s": "lower", "cpu_s": "lower"}
+    summary = bench_pairs.summarize(pairs, better, {"run_s": 0.25, "cpu_s": 0.25})
+    doc = {"workloads": {"audit": {"summary": summary}}}
+    assert bench_pairs.flag_lines(doc) == [
+        "regressed: audit cpu_s", "unresolved: none",
+        "claims holding: audit run_s"]

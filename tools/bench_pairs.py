@@ -22,7 +22,8 @@ worse than the parent's by more than the metric's relative `bound`.  It is
 unresolved when the parent's interquartile range is wider than that bound,
 unless every change run beats every parent run.  The file is rewritten after
 every pair, so an interrupted run keeps the pairs it finished, and the
-regressed and unresolved metrics are printed at the end.
+regressed and unresolved metrics, and those whose claim holds, are printed
+at the end.
 
 The script exits 1 when any run reports `correct: false` or a failed
 operation; those runs stay in the file and are listed under "problems".
@@ -118,6 +119,19 @@ def summarize(pairs, better: dict, bounds: dict) -> dict:
     return out
 
 
+def flag_lines(doc: dict) -> list:
+    """The `regressed:`, `unresolved:` and `claims holding:` lines: the
+    workload and name of each metric whose summary sets that flag."""
+    lines = []
+    for label, flag in (("regressed", "regressed"), ("unresolved", "unresolved"),
+                        ("claims holding", "claim_holds")):
+        names = [f"{workload} {name}"
+                 for workload, entry in doc["workloads"].items()
+                 for name, stats in entry["summary"].items() if stats.get(flag)]
+        lines.append(f"{label}: {', '.join(names) or 'none'}")
+    return lines
+
+
 def run_problem(workload: str, side: str, result: dict):
     """A description of what went wrong in one run, or None."""
     if result.get("correct") is True and not result.get("failed"):
@@ -171,11 +185,8 @@ def main() -> int:
             entry["pairs"].append(pair)
             entry["summary"] = summarize(entry["pairs"], better, bounds)
             args.out.write_text(json.dumps(doc, indent=1) + "\n")
-    for flag in ("regressed", "unresolved"):
-        names = [f"{workload} {name}"
-                 for workload, entry in doc["workloads"].items()
-                 for name, stats in entry["summary"].items() if stats.get(flag)]
-        print(f"{flag}: {', '.join(names) or 'none'}")
+    for line in flag_lines(doc):
+        print(line)
     for problem in doc["problems"]:
         print(f"error: {problem}", file=sys.stderr)
     return 1 if doc["problems"] else 0
