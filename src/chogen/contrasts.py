@@ -319,10 +319,15 @@ def cstar_entries(d: ChoiceDesign, r: np.ndarray, c: np.ndarray,
     The entries are joined (_join) when the sets translate one pattern by
     one coset, each member equally often (d.translates), and else come from
     m G - S_r S_c' (_product), with the per-set sign sums S of set_sums;
-    row_sums, when given, is set_sums(d, r).  The join reads no S.
+    row_sums, when given, is set_sums(d, r).  Rows that lead the columns,
+    as C* or interest against interest then nuisance, take their S from
+    the columns' S, formed once.  The join reads no S.
     """
     if d.translates[1] is not None:
         return _join(d, r, c)
+    if row_sums is None and np.array_equal(c[:r.size], r):
+        Sc = set_sums(d, c)
+        return _product(d, r, c, Sc[:r.size], Sc)
     Sr = set_sums(d, r) if row_sums is None else row_sums
     return _product(d, r, c, Sr, Sr if c is r else set_sums(d, c))
 
@@ -355,6 +360,15 @@ def cross_block_star(d: ChoiceDesign, interest, nuisance) -> np.ndarray:
     return cstar_block(d, interest, nuisance)
 
 
+def _interest_blocks(d: ChoiceDesign, interest: np.ndarray,
+                     nuisance: np.ndarray) -> tuple:
+    """C1 = C*[interest, interest] and the cross block X = C*[interest,
+    nuisance], split from one block against interest then nuisance, whose
+    per-set sums cstar_entries forms once."""
+    block = cstar_block(d, interest, np.concatenate((interest, nuisance)))
+    return block[:, :interest.size], block[:, interest.size:]
+
+
 def exact_schur_cstar(d: ChoiceDesign, interest, nuisance):
     """Exact rational C2* = C1* - X G^- X' (same scale as cstar_matrix), of
     effects or masks.
@@ -365,9 +379,8 @@ def exact_schur_cstar(d: ChoiceDesign, interest, nuisance):
     Returns a list-of-lists Fraction matrix.
     """
     interest, nuisance = _as_masks(interest, d.n), _as_masks(nuisance, d.n)
-    C1 = cstar_block(d, interest, interest)
+    C1, X = _interest_blocks(d, interest, nuisance)
     G = cstar_block(d, nuisance, nuisance)
-    X = cstar_block(d, interest, nuisance)
     Y = ratlinalg.solve_consistent(G.tolist(), X.T.tolist())
     if Y is None:
         raise InvariantError("cross-block solve must be consistent")
@@ -392,8 +405,7 @@ def info_matrix(d: ChoiceDesign, model: ModelSpec, force_numeric: bool = False):
     interest, nuisance = model.masks_on(d.n)
     if not nuisance.size:
         return cstar_matrix(d, interest)
-    X = cstar_block(d, interest, nuisance)
-    C1 = cstar_block(d, interest, interest)
+    C1, X = _interest_blocks(d, interest, nuisance)
     scale = Fraction(1, (1 << d.n) * d.N * d.m * d.m)
     if not X.any() and not force_numeric:
         return ScaledIntMatrix(C1, scale)

@@ -5,7 +5,7 @@ diagonal (every off-diagonal effective pair count balances), every
 per-set zero count is balanced, the trace reaches the attainable bound,
 and, when nuisance effects are present, the cross block vanishes
 exactly.  These conditions are sufficient; a design failing them is
-reported as not certified, with connectedness decided by exact ranks.
+reported as not certified, with connectedness decided exactly.
 verify takes the model's effects as bit masks and reads C* once, as the
 stream of its nonzero entries (contrasts.cstar_entries), for the diagonal
 and the offending pairs; no Q x Q array is held.
@@ -15,9 +15,14 @@ contrast-sign vectors.  The treatment graph joins the T distinct treatments
 within each set, in c components; the rows x_t - x_root(t) of its difference
 matrix D span what the within-set differences span, so rank C* = rank D <=
 T - c <= N(m-1).  The design is connected iff rank [D_interest | D_nuisance]
-- rank D_nuisance = Q, with no rank when T - c < Q.  ratlinalg.rank decides
-a deficit when a kernel lifted from one prime, or across a few by CRT,
-checks exactly, and else at the Hadamard bound; it is exact either way.
+- rank D_nuisance = Q, with no rank when T - c < Q.  Floats propose and
+integers decide: ratlinalg.independence_witness first tries a witness that
+LAPACK proposes from D'D, a rounded inverse whose residual is checked to be
+small (connected) or a rounded kernel vector checked to be one, nonzero on
+the interest columns (not connected).  When neither checks, the two ranks
+decide: ratlinalg.rank decides a deficit when a kernel lifted from one
+prime, or across a few by CRT, checks exactly, and else at the Hadamard
+bound.  Every verdict is exact either way.
 """
 
 from __future__ import annotations
@@ -210,10 +215,17 @@ def _connected(d: ChoiceDesign, effects: np.ndarray,
                nuisance: np.ndarray) -> bool:
     """Whether the information matrix of the effects of interest (masks),
     with the nuisance masks, has full rank Q: rank [D_interest | D_nuisance]
-    - rank D_nuisance = Q (_differences), never with T - c < Q rows."""
+    - rank D_nuisance = Q (_differences), never with T - c < Q rows.  An
+    exactly checked witness decides first (ratlinalg.independence_witness),
+    and the two ranks only when it gives none."""
     Q = effects.size
     D = _differences(d, np.concatenate((effects, nuisance)), Q)
-    return D is not None and ratlinalg.rank(D) - ratlinalg.rank(D[:, Q:]) == Q
+    if D is None:
+        return False
+    known = ratlinalg.independence_witness(D, Q)
+    if known is not None:
+        return known
+    return ratlinalg.rank(D) - ratlinalg.rank(D[:, Q:]) == Q
 
 
 def _read_entries(chunks, Q: int) -> tuple:
@@ -239,7 +251,8 @@ def verify(d: ChoiceDesign, model: ModelSpec) -> OptimalityReport:
 
     UniversallyOptimal iff the exact C is diagonal, every per-set count is
     balanced, the trace equals max_trace, and any cross block vanishes;
-    otherwise the rank of the treatment graph's D decides (_connected).  The
+    otherwise the treatment graph's D decides (_connected), by an exactly
+    checked witness or by its ranks.  The
     design's translates (ChoiceDesign.translates) are read once, and each
     set_sums and cstar_entries call reads them from the design; the product
     route's S goes to cstar_entries as row_sums.  The model's masks
@@ -250,8 +263,8 @@ def verify(d: ChoiceDesign, model: ModelSpec) -> OptimalityReport:
     weights w when the sets translate one pattern, and else S itself, the
     one (Q, N) array, formed for the product route only.  The eta counts of
     the listed pairs come from the sums of their effects and joint effects,
-    the xor of their masks; only the listed effects are decoded.  The zero
-    counts (np_table) are built when first read.
+    the xor of their masks; each distinct listed effect is decoded once.
+    The zero counts (np_table) are built when first read.
     """
     effects, nuisance = model.masks_on(d.n)
     n, m, N, Q = d.n, d.m, d.N, model.Q
@@ -295,8 +308,11 @@ def verify(d: ChoiceDesign, model: ModelSpec) -> OptimalityReport:
         eta_minus = (pm * mp).sum(axis=1)
         if not np.array_equal(4 * (eta_plus - eta_minus), values):
             raise InvariantError("C* entry disagrees with its eta counts")
-        offending = tuple(zip(decoded(effects[q1], n), decoded(effects[q2], n),
-                              eta_plus.tolist(), eta_minus.tolist()))
+        # each distinct listed effect is decoded once
+        listed = list(dict.fromkeys(q1.tolist() + q2.tolist()))
+        name = dict(zip(listed, decoded(effects[listed], n)))
+        offending = tuple((name[a], name[b], p, q) for a, b, p, q in zip(
+            q1.tolist(), q2.tolist(), eta_plus.tolist(), eta_minus.tolist()))
 
     scale = Fraction(1, (1 << n) * N * m * m)
     trace = int(diag.sum()) * scale

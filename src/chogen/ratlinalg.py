@@ -1,12 +1,18 @@
 """Exact linear algebra for integer and rational matrices.
 
-Certification verdicts must not depend on floating point or on chance.
-Connectedness is decided by `rank`: vectorised int64 elimination modulo
-primes below 2^29, with the delayed modular reduction of Dumas, Giorgi &
-Pernet (ACM TOMS 2008, on dense linear algebra over word-size prime
-fields): a product of two residues is below 2^58, so the rows below a
-pivot take 32 updates with no % p before they are reduced.  A modular rank
-never exceeds the rational one, so full rank modulo any prime is final.  A
+Floats propose, integers decide: a verdict may start from a floating-point
+guess, but it rests only on an identity that exact integer arithmetic
+checks, so it never depends on rounding or on chance.  Connectedness is
+first tried by `independence_witness` (Kaltofen, Nehring & Saunders,
+ISSAC 2011, on certificates that LAPACK proposes and integers check): an
+approximate inverse of the Gram matrix whose residual is checked to be
+small, or a rounded kernel vector checked to be one.  When neither
+checks, `rank` decides: vectorised int64 elimination modulo primes below
+2^29, with the delayed modular reduction of Dumas, Giorgi & Pernet (ACM
+TOMS 2008, on dense linear algebra over word-size prime fields): a
+product of two residues is below 2^58, so the rows below a pivot take 32
+updates with no % p before they are reduced.  A modular rank never
+exceeds the rational one, so full rank modulo any prime is final.  A
 deficit is certified by a kernel: the reduced-echelon kernel bases modulo
 the primes of the largest rank are combined by CRT, lifted to integers by
 rational reconstruction (Wang 1981; on small lifted solutions, Dixon 1982)
@@ -14,11 +20,11 @@ and checked exactly modulo check primes.  The first prime alone decides
 most deficits of random designs, and two the rest measured so far; the
 loop ends anyway once the product of the primes exceeds the Hadamard bound
 on every minor that could still be nonzero, so the modular rank is the
-rational rank.  Integer products (C*, the Hadamard seed check and the
-kernel check) go through `int_product`, which refuses a product whose
-partial sums could leave int64, and uses float32 BLAS where every partial
-sum is an integer below 2^24, and float64 where it is below 2^53, and so
-is exact, as in the same paper.
+rational rank.  Integer products (C*, the Hadamard seed check, the Gram
+matrix and the witness and kernel checks) go through `int_product`, which
+refuses a product whose partial sums could leave int64, and uses float32
+BLAS where every partial sum is an integer below 2^24, and float64 where
+it is below 2^53, and so is exact, as in the same paper.
 
 The Python-integer and Fraction routines (leading principal minors,
 definiteness, a consistent linear solve) are kept as a slow reference
@@ -28,7 +34,7 @@ for tests; no verdict goes through them.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import floor, isqrt, lcm
 
 import numpy as np
 
@@ -36,6 +42,17 @@ import numpy as np
 # below 2**58, so an entry in [0, p) takes 32 elimination updates before it
 # could leave int64 (_room), and only then needs a reduction.
 _PRIME_CEILING = 1 << 29
+
+# independence_witness: the Gram matrix G is shifted by _SHIFT times its
+# largest diagonal entry g, and a Cholesky pivot of that shifted G below
+# _FREE g marks a free column; a float within _DEN_TOL of an integer counts
+# as that integer, and a kernel vector's common denominator is sought up to
+# _DEN_LIMIT.  None of them can change a verdict, only whether the witness
+# answers.
+_SHIFT = 2.0 ** -36
+_FREE = 2.0 ** -20
+_DEN_TOL = 1e-6
+_DEN_LIMIT = 1 << 24
 
 
 def _is_prime(n: int) -> bool:
@@ -108,7 +125,7 @@ def _echelon(A: np.ndarray, p: int) -> list:
             if pending == room:
                 A[r + 1:, c + 1:] %= p
                 pending = 0
-            A[below, c:] -= np.outer(A[below, c], A[r, c:])
+            A[below, c:] -= A[below, c, None] * A[r, c:]
             pending += 1
         pivots.append(c)
     return pivots
@@ -118,26 +135,29 @@ def _kernel_residues(U: np.ndarray, pivots: list, p: int) -> np.ndarray:
     """The kernel basis modulo p on the pivot columns, an (R, cols - R)
     array of residues: column j holds -U[:R, free j] of the reduced form.
 
-    U is the row echelon form of _echelon, with R pivots; it is reduced
-    here, each pivot column cleared above its pivot with the same delayed
-    reduction.  Kernel vector j is 1 on the j-th free column, 0 on the
-    other free ones and column j of the result on the pivot columns.
+    U is the row echelon form of _echelon, with R pivots, and is left as
+    it is.  Its free columns are solved against the unit upper triangle on
+    its pivot columns by back substitution: from the last pivot up, each
+    row, once final, is taken from the rows above it times their entries on
+    its pivot, with the same delayed reduction.  Kernel vector j is 1 on
+    the j-th free column, 0 on the other free ones and column j of the
+    result on the pivot columns.
     """
-    room, pending = _room(p), 0
-    for i in range(len(pivots) - 1, 0, -1):
-        c = pivots[i]
-        U[:i, c] %= p
-        above = np.flatnonzero(U[:i, c])
-        if above.size:
-            U[i, c:] %= p
-            if pending == room:
-                U[:i, c + 1:] %= p
-                pending = 0
-            U[above, c:] -= np.outer(U[above, c], U[i, c:])
-            pending += 1
     free = np.ones(U.shape[1], dtype=bool)
     free[pivots] = False
-    return -U[:len(pivots), free] % p
+    X = U[:len(pivots), free]
+    room, pending = _room(p), 0
+    for i in range(len(pivots) - 1, 0, -1):
+        f = U[:i, pivots[i]]
+        above = np.flatnonzero(f)
+        if above.size:
+            X[i] %= p
+            if pending == room:
+                X[:i] %= p
+                pending = 0
+            X[above] -= f[above, None] * X[i]
+            pending += 1
+    return -X % p
 
 
 def _crt(x: np.ndarray, modulus: int, y: np.ndarray, p: int) -> np.ndarray:
@@ -331,6 +351,169 @@ def int_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     else:
         Bf = B.astype(dtype, copy=False)
     return np.rint(Af @ Bf).astype(np.int64)
+
+
+def independence_witness(D: np.ndarray, Q: int):
+    """Whether the first Q columns of the integer matrix D are independent
+    modulo the span of the others, when a witness that floats propose
+    checks exactly, else None; connectedness when D is the treatment
+    graph's difference matrix [D_interest | D_nuisance].
+
+    The Gram matrix G = D'D is formed exactly (int_product) and held in
+    float64, every entry an integer below 2^53.  True when LAPACK's
+    Cholesky factorization takes G as positive definite and its rounded
+    inverse checks (_inverse_checks): G is then nonsingular, so every
+    column of D is independent.  Otherwise (rounding can let a singular G
+    through Cholesky) False when a rounded kernel vector y (_kernel_vector)
+    has D y = 0 exactly and is nonzero on the first Q coordinates: those
+    columns then meet the span of the others.  A wide D is never of full
+    column rank, and its Gram would outweigh the residues rank forms, so it
+    gets None at once, as does any D whose witness is ill-conditioned,
+    overflows or fails its check.
+    """
+    rows, cols = D.shape
+    big = max(int(D.max(initial=0)), -int(D.min(initial=0)))
+    if not 0 < Q <= cols <= rows or rows * big * big >= 1 << 53:
+        return None
+    G = int_product(D.T, D).astype(np.float64)
+    try:
+        np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        if _inverse_checks(G):
+            return True
+    y = _kernel_vector(G, Q)
+    if y is not None and y[:Q].any() and not int_product(D, y[:, None]).any():
+        return False
+    return None
+
+
+def _inverse_checks(G: np.ndarray) -> bool:
+    """Whether X = rint(s G^-1) has ||G X - s I||_inf < s, in exact integer
+    arithmetic: G X / s is then within 1 of I in the infinity norm, hence
+    nonsingular, and so is G.
+
+    G holds integers in float64.  s is the power of two that keeps every
+    partial sum of G X below 2^52, so int_product multiplies in float64, and
+    cols * s below 2^52, so no row sum of the residual leaves int64 (for a
+    positive definite G, max|G| max|G^-1| >= 1).
+    """
+    cols = G.shape[0]
+    try:
+        X = np.linalg.inv(G)
+    except np.linalg.LinAlgError:
+        return False
+    reach = max(float(G.max()) * float(np.abs(X).max()), 1.0)
+    limit = 2.0 ** 52 / (cols * reach)
+    if not limit >= 2:  # also when G^-1 holds inf or nan
+        return False
+    s = 1 << (int(limit).bit_length() - 1)
+    np.rint(np.multiply(X, s, out=X), out=X)
+    R = int_product(G, X)
+    R[np.diag_indices(cols)] -= s
+    np.abs(R, out=R)
+    return bool(R.max() < s and R.sum(axis=1).max() < s)
+
+
+def _kernel_vector(G: np.ndarray, Q: int):
+    """An int64 vector that floats propose for the kernel of the Gram
+    matrix G, nonzero on one of its first Q coordinates, or None.
+
+    Cholesky's factorization of G + _SHIFT g I, g the largest diagonal
+    entry, meets a pivot of about _SHIFT g at each column that depends on
+    the columns before it: the free columns of D's echelon, the last
+    independent rows of a null basis.  Each free column f has one kernel
+    vector of the reduced echelon form: 1 on f, 0 on the other free
+    columns, and minus the solution c of G[P, P] c = G[P, f] on the pivot
+    columns P.  The vector taken is that of the last free column among the
+    first Q, else of the first free column whose vector is nonzero there;
+    one common denominator (_common_denominator) makes its fractions
+    integers.
+    """
+    cols = G.shape[0]
+    g = float(G.diagonal().max())
+    shifted = G.copy()
+    shifted[np.diag_indices(cols)] += _SHIFT * g
+    try:
+        pivot = np.linalg.cholesky(shifted).diagonal() ** 2 >= _FREE * g
+        P, F = np.flatnonzero(pivot), np.flatnonzero(~pivot)
+        if not P.size or not F.size:
+            return None
+        C = _refined_solve(G[np.ix_(P, P)], G[np.ix_(P, F)])
+    except np.linalg.LinAlgError:  # also when G is 0
+        return None
+    if (F < Q).any():
+        j = np.flatnonzero(F < Q)[-1]
+    else:
+        touched = np.flatnonzero(np.abs(C[P < Q]).max(axis=0, initial=0) > _DEN_TOL)
+        if not touched.size:
+            return None
+        j = touched[0]
+    y = np.zeros(cols)
+    y[F[j]] = 1
+    y[P] = -C[:, j]
+    den = _common_denominator(y)
+    return None if den is None else np.rint(y * den).astype(np.int64)
+
+
+def _refined_solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A^-1 B for integer matrices held in float64, refined once against
+    an exact residual (Wan 2006): with C0 = a rint(A^-1 B) for a power of
+    two a, R = a B - A C0 is formed exactly (int_product), and A^-1 B is
+    (C0 + A^-1 R) / a, whose error is that of A^-1 B squared, relatively.
+    """
+    X = np.linalg.inv(A)
+    C = X @ B
+    reach = max(float(np.abs(C).max()), 1.0) * A.shape[0] * float(A.max())
+    if reach < 2.0 ** 50:
+        a = float(1 << (int(2.0 ** 51 / reach).bit_length() - 1))
+        C0 = np.rint(C * a)
+        C = (C0 + X @ (int_product(A, -C0) + B * a)) / a
+    return C
+
+
+def _common_denominator(v: np.ndarray):
+    """The least positive integer found to bring v within _DEN_TOL of
+    integers, up to _DEN_LIMIT, or None.
+
+    Each round takes the entry farthest from an integer and multiplies
+    the denominator by the least q that brings it there (_least_multiple).
+    """
+    if not np.isfinite(v).all():
+        return None
+    den = 1
+    while True:
+        x = v * den
+        off = np.abs(x - np.rint(x))
+        j = int(off.argmax())
+        if off[j] <= _DEN_TOL:
+            return den
+        q = _least_multiple(float(x[j]), _DEN_LIMIT // den)
+        if q is None:
+            return None
+        den *= q
+
+
+def _least_multiple(x: float, limit: int):
+    """The least q <= limit with q x within _DEN_TOL of an integer, or None.
+
+    The least such q is the denominator of a convergent of x's continued
+    fraction, since the convergents' denominators are exactly those at
+    which |q x - p| reaches a new least value.
+    """
+    h0, h1, k0, k1 = 0, 1, 1, 0  # the convergents h/k
+    t = x
+    while True:
+        a = floor(t)
+        h0, h1, k0, k1 = h1, a * h1 + h0, k1, a * k1 + k0
+        if k1 > limit:
+            return None
+        if abs(k1 * x - h1) <= _DEN_TOL:
+            return k1
+        if t == a:
+            return None
+        t = 1 / (t - a)
 
 
 def _as_rows(M) -> list:

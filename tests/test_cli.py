@@ -410,16 +410,19 @@ def test_generate_too_large_to_allocate_exits_3():
 
 
 # Runs the command line, then reports on its last stderr line the exit
-# code, whether numpy.ma was imported and how many ranks were taken.
+# code, whether numpy.ma was imported, how many independence witnesses
+# were sought and how many ranks were taken.
 MA_CHECK = """
 import sys
 from chogen import ratlinalg
 from chogen.cli import main
-ranks = []
-rank = ratlinalg.rank
+witnesses, ranks = [], []
+witness, rank = ratlinalg.independence_witness, ratlinalg.rank
+ratlinalg.independence_witness = lambda D, Q: witnesses.append(1) or witness(D, Q)
 ratlinalg.rank = lambda M: ranks.append(1) or rank(M)
 code = main(sys.argv[1:])
-print(code, "numpy.ma" in sys.modules, len(ranks), file=sys.stderr)
+print(code, "numpy.ma" in sys.modules, len(witnesses), len(ranks),
+      file=sys.stderr)
 """
 
 
@@ -429,34 +432,34 @@ print(code, "numpy.ma" in sys.modules, len(ranks), file=sys.stderr)
       "--r", "3"], 0),
     (["verify", str(INPUTS / "spec-all-m3-n12.json")], 0),
     # one set repeated, Q = 3 = N(m-1): its treatment graph has T - c = 1
-    # < Q rows, so NotConnected is decided with no rank
+    # < Q rows, so NotConnected is decided with no witness and no rank
     (["verify", "REPEATED", "--model", "main-effects"], 2),
-    # T - c = Q = 3, but factor 3 never varies: D and its empty nuisance
-    # slice are ranked, and the kernel certificate decides rank 2
+    # T - c = Q = 3, but factor 3 never varies: the witness's kernel vector
+    # (0, 0, 1) checks, so no rank is taken
     (["verify", "DEFICIT", "--model", "main-effects"], 2),
 ])
 def test_commands_never_import_numpy_ma(tmp_path, argv, code):
     # np.unique and friends import numpy.ma on their first call, 10-20 ms
     # of a cold process
-    designs = {"REPEATED": (0, [("000", "111")] * 3),
-               "DEFICIT": (2, [("000", "100"), ("000", "010"),
-                               ("000", "110")])}
-    ranks_taken = None
-    for name, (count, sets) in designs.items():
+    designs = {"REPEATED": ("0 0", [("000", "111")] * 3),
+               "DEFICIT": ("1 0", [("000", "100"), ("000", "010"),
+                                   ("000", "110")])}
+    routes = None
+    for name, (counts, sets) in designs.items():
         if name in argv:
             path = tmp_path / f"{name}.json"
             path.write_text(dumps(ChoiceDesign(sets), {}))
             argv = [str(path) if a == name else a for a in argv]
-            ranks_taken = count
+            routes = counts
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     with deadline(60):
         proc = subprocess.run([sys.executable, "-c", MA_CHECK, *argv], env=env,
                               capture_output=True, text=True, timeout=60)
-    exit_code, imported, ranks = proc.stderr.split()[-3:]
+    exit_code, imported, witnesses, ranks = proc.stderr.split()[-4:]
     assert (exit_code, imported) == (str(code), "False")
-    if ranks_taken is not None:
-        assert ranks == str(ranks_taken)
+    if routes is not None:
+        assert f"{witnesses} {ranks}" == routes
 
 
 def test_verify_missing_file_exits_4(capsys):

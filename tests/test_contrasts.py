@@ -230,6 +230,39 @@ def test_info_matrix_force_numeric_matches_exact_path():
     assert np.allclose(numeric, exact.to_float(), atol=1e-12)
 
 
+def test_interest_blocks_form_the_interest_sums_once(monkeypatch):
+    # on the product route C1 and the cross block X come from one stream
+    # over interest then nuisance, whose per-set sums are formed once; the
+    # numeric route and the Schur complement form the nuisance sums again
+    # for G.  Their values are those of the separate blocks
+    import random
+    from chogen import contrasts
+    rng = random.Random(5)
+    d = ChoiceDesign.from_indices(
+        [rng.sample(range(32), 3) for _ in range(12)], 5)
+    model = ModelSpec.broader_main_effects(5)
+    interest, nuisance = model.masks_on(5)
+    assert d.translates[1] is None
+    C1 = cstar_block(d, interest, interest)
+    X = cstar_block(d, interest, nuisance)
+    G = cstar_block(d, nuisance, nuisance)
+    assert X.any()
+    calls = []
+    original = contrasts.set_sums
+    monkeypatch.setattr(contrasts, "set_sums",
+                        lambda d, masks: calls.append(masks.tolist())
+                        or original(d, masks))
+    scale = float(Fraction(1, (1 << d.n) * d.N * d.m * d.m))
+    expected = (C1 - X @ np.linalg.pinv(G.astype(float), rcond=1e-9,
+                                        hermitian=True) @ X.T) * scale
+    assert np.allclose(info_matrix(d, model), expected, atol=1e-12)
+    assert calls == [interest.tolist() + nuisance.tolist(), nuisance.tolist()]
+    calls.clear()
+    C2 = exact_schur_cstar(d, interest, nuisance)
+    assert calls == [interest.tolist() + nuisance.tolist(), nuisance.tolist()]
+    assert np.allclose(np.array(C2, dtype=float) * scale, expected, atol=1e-9)
+
+
 def _family(name, n, r=1):
     return {"main-effects": ModelSpec.main_effects,
             "broader": ModelSpec.broader_main_effects,

@@ -21,9 +21,9 @@ from chogen import ratlinalg
 from chogen.designs import ChoiceDesign, all_treatments
 from chogen.errors import SameEffect, Unsupported
 from chogen.models import FactorialEffect, ModelSpec, effect, main_effect_list
-from chogen.optimality import (MAX_LISTED_PAIRS, Verdict, _differences,
-                               below_rank_bound, eta_counts, max_trace,
-                               np_counts, oracle_cstar, verify)
+from chogen.optimality import (MAX_LISTED_PAIRS, Verdict, _connected,
+                               _differences, below_rank_bound, eta_counts,
+                               max_trace, np_counts, oracle_cstar, verify)
 from chogen.contrasts import (cross_block_star, cstar_matrix,
                               exact_schur_cstar, option_sign_matrix)
 from chogen.constructions import specified_design
@@ -562,8 +562,10 @@ def _within_set_differences(d, masks):
 
 
 @st.composite
-def designs_on_the_rank_path(draw):
-    """Random designs of all five families, n = 4-6, with N(m-1) >= Q.
+def designs_on_the_rank_path(draw, tall=False):
+    """Random designs of all five families, n = 4-6, with N(m-1) >= Q, or
+    with tall, N(m-1) at least the effects of interest and nuisance and up
+    to twice that, so that D is often tall, as independence_witness needs.
 
     The options may come from a restricted pool of treatments, split into
     up to three groups that each set keeps within, so the treatment graph
@@ -575,7 +577,11 @@ def designs_on_the_rank_path(draw):
     r = draw(st.integers(1, n - 1)) if family == "spec-group" else None
     model = ModelSpec.family(family, n, r)
     m = draw(st.integers(2, 4))
-    N = -(-model.Q // (m - 1)) + draw(st.integers(0, 2))
+    if tall:
+        cols = model.Q + len(model.nuisance_masks)
+        N = -(-cols // (m - 1)) + draw(st.integers(0, -(-cols // (m - 1))))
+    else:
+        N = -(-model.Q // (m - 1)) + draw(st.integers(0, 2))
     rng = random.Random(draw(st.integers(0, 2**32)))
     groups = draw(st.integers(1, 3))
     pool = rng.sample(all_treatments(n), draw(st.integers(groups * m, 1 << n)))
@@ -613,6 +619,63 @@ def test_rank_path_verdict_matches_fraction_rank_of_differences(case):
         assert connected
     else:
         assert (report.verdict is Verdict.CONNECTED_NOT_OPTIMAL) == connected
+
+
+@given(st.one_of(designs_on_the_rank_path(),
+                 designs_on_the_rank_path(tall=True)))
+@settings(max_examples=80, deadline=None)
+def test_witness_agrees_with_the_ranks(case):
+    # the witness, when it answers, gives the ranks' verdict, on all five
+    # families, the broader model's nuisance among them; and _connected
+    # gives that verdict with the witness or, forced to give none, without
+    from unittest import mock
+    d, model = case
+    effects, nuisance = model.masks_on(d.n)
+    Q = effects.size
+    D = _differences(d, np.concatenate((effects, nuisance)))
+    by_ranks = ratlinalg.rank(D) - ratlinalg.rank(D[:, Q:]) == Q
+    assert ratlinalg.independence_witness(D, Q) in (None, by_ranks)
+    assert _connected(d, effects, nuisance) is by_ranks
+    with mock.patch.object(ratlinalg, "independence_witness",
+                           lambda D, Q: None):
+        assert _connected(d, effects, nuisance) is by_ranks
+
+
+def _linked_design(rng, n, m, N):
+    """N sets of m options cut from whole permutations of the 2^n
+    treatments, drawn until the sets link every treatment: the treatment
+    graph is then one component of 2^n vertices, with 2^n - 1 rows."""
+    size = 1 << n
+    while True:
+        sets = np.concatenate([rng.permutation(size)[:size - size % m]
+                               for _ in range(-(-N * m // size))])
+        d = ChoiceDesign.from_indices(sets[:N * m].reshape(N, m), n)
+        if _differences(d, np.array([1])).shape[0] == size - 1:
+            return d
+
+
+@pytest.mark.parametrize("seed", [303, 101])
+def test_witness_decides_audit_sized_designs(seed):
+    # random designs of the benchmark's audit sizes: a deficient spec-all
+    # D (about 193 x 135), a linked full-rank one (255 x 135) and a broader
+    # one with nuisance (96 x 78); the witness decides each, as the ranks do
+    rng = np.random.default_rng(seed)
+    cases = [
+        (ChoiceDesign.from_indices(np.array(
+            [rng.choice(256, 3, replace=False) for _ in range(128)]), 8),
+         ModelSpec.specified_one_factor(8), False),
+        (_linked_design(rng, 8, 4, 256), ModelSpec.specified_one_factor(8),
+         True),
+        (ChoiceDesign.from_indices(np.array(
+            [rng.choice(4096, 3, replace=False) for _ in range(48)]), 12),
+         ModelSpec.broader_main_effects(12), True),
+    ]
+    for d, model, connected in cases:
+        effects, nuisance = model.masks_on(d.n)
+        Q = effects.size
+        D = _differences(d, np.concatenate((effects, nuisance)), Q)
+        assert (ratlinalg.rank(D) - ratlinalg.rank(D[:, Q:]) == Q) is connected
+        assert ratlinalg.independence_witness(D, Q) is connected
 
 
 @pytest.mark.parametrize("sets, verdict", [

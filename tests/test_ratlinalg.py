@@ -192,13 +192,18 @@ def test_rank_of_low_rank_products_matches_fractions(M):
     assert rank(M) == _rank_by_fractions(M)
 
 
-def test_audit_draw_is_decided_with_one_prime(echelons):
-    # a random spec-all n=8 m=3 N=128 design: rank C* is 125-132 of 135
+def test_audit_draw_is_decided_with_one_prime(echelons, monkeypatch):
+    # a random spec-all n=8 m=3 N=128 design: rank C* is 125-132 of 135.
+    # The witness decides it with no echelon; forced to give none, the
+    # rank decides it with one prime
     rng = random.Random(303)
     d = ChoiceDesign.from_indices(
         [rng.sample(range(256), 3) for _ in range(128)], 8)
-    report = verify(d, ModelSpec.specified_one_factor(8))
-    assert report.verdict is Verdict.NOT_CONNECTED
+    model = ModelSpec.specified_one_factor(8)
+    assert verify(d, model).verdict is Verdict.NOT_CONNECTED
+    assert echelons == []
+    monkeypatch.setattr(ratlinalg, "independence_witness", lambda D, Q: None)
+    assert verify(d, model).verdict is Verdict.NOT_CONNECTED
     assert echelons == [P]
 
 
@@ -320,6 +325,51 @@ def test_n400_deficit_is_lifted_in_a_few_echelons(echelons, seed, skipped,
     with deadline(20):
         assert rank(D) == expected
     assert len(echelons) <= 3
+
+
+@pytest.mark.parametrize("seed, skipped", [(s, 0) for s in range(8)]
+                         + [(7, 611)])
+def test_n400_deficit_is_witnessed(echelons, seed, skipped):
+    # the eight Baseline draws and the rng(7) design: the witness's kernel
+    # vector checks on every one, with no echelon
+    from conftest import deadline
+    D = _n400_differences(seed, skipped)
+    with deadline(20):
+        assert ratlinalg.independence_witness(D, D.shape[1]) is False
+    assert echelons == []
+
+
+def test_witness_refuses_a_dense_kernel_that_rank_decides():
+    # L R with L 80 x 50 and R 50 x 80 in +-1: every kernel vector of the
+    # reduced echelon form has denominators far past _DEN_LIMIT, so the
+    # witness gives none, and the rank, lifted across primes, is 50
+    rng = np.random.default_rng(3)
+    L, R = rng.choice([-1, 1], (80, 50)), rng.choice([-1, 1], (50, 80))
+    assert rank(L) == rank(R) == 50
+    M = L @ R
+    assert ratlinalg.independence_witness(M, 80) is None
+    assert ratlinalg.independence_witness(M, 1) is None
+    assert rank(M) == 50
+
+
+def test_witness_on_small_matrices():
+    w = ratlinalg.independence_witness
+    # full column rank: True, whatever Q
+    assert w(np.eye(3, dtype=np.int8), 3) is True
+    assert w(np.array([[1, 1], [1, -1], [0, 1]]), 1) is True
+    # column 2 = column 0 + column 1: each column meets the others' span
+    M = np.array([[1, 0, 1], [0, 1, 1], [0, 0, 0], [1, 1, 2]])
+    assert w(M, 1) is False and w(M, 3) is False
+    # a zero column of interest, or one repeated among the nuisance
+    assert w(np.array([[0, 1], [0, 1], [0, 0]]), 1) is False
+    assert w(np.array([[1, 1], [1, 1], [0, 0]]), 1) is False
+    # dependence among the nuisance alone proves nothing either way
+    assert w(np.array([[1, 0], [0, 0], [0, 0]]), 1) is None
+    # no witness for a zero matrix, a wide one, or entries whose Gram
+    # could leave the integers that float64 holds
+    assert w(np.zeros((3, 2), dtype=np.int8), 1) is None
+    assert w(np.array([[1, 0, 1], [0, 1, 1]]), 1) is None
+    assert w(np.array([[2**27, 0], [0, 1]]), 1) is None
 
 
 def test_kernel_lifted_across_more_than_two_primes(echelons):

@@ -62,12 +62,17 @@ def test_own_peak_reports_a_cold_verify():
     assert report["wall_s"] > 0 and report["peak_rss_mb"] > 0
 
 
-def test_bench_pairs_prints_the_claims_that_hold():
+def _bench_pairs():
     import importlib.util
     spec = importlib.util.spec_from_file_location(
         "bench_pairs", ROOT / "tools" / "bench_pairs.py")
     bench_pairs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_pairs)
+    return bench_pairs
+
+
+def test_bench_pairs_prints_the_claims_that_hold():
+    bench_pairs = _bench_pairs()
     pairs = [{"parent": {"metrics": {"run_s": 1.0 + k / 100, "cpu_s": 1.0}},
               "change": {"metrics": {"run_s": 0.5, "cpu_s": 2.0}}}
              for k in range(10)]
@@ -77,3 +82,28 @@ def test_bench_pairs_prints_the_claims_that_hold():
     assert bench_pairs.flag_lines(doc) == [
         "regressed: audit cpu_s", "unresolved: none",
         "claims holding: audit run_s"]
+
+
+def test_bench_pairs_claims_need_ten_pairs():
+    # 6 of 6 pairs won, by far, is not yet a claim; 10 of 10 is
+    bench_pairs = _bench_pairs()
+    better = {"run_s": "lower"}
+    for count, holds in ((6, False), (9, False), (10, True)):
+        pairs = [{"parent": {"metrics": {"run_s": 1.0 + k / 100}},
+                  "change": {"metrics": {"run_s": 0.5}}} for k in range(count)]
+        stats = bench_pairs.summarize(pairs, better, {})["run_s"]
+        assert stats["change_won"] == count
+        assert stats["claim_holds"] is holds
+
+
+def test_bench_pairs_flags_a_side_with_no_commit():
+    bench_pairs = _bench_pairs()
+    doc = {"workloads": {},
+           "checkouts": {"parent": {"commit": None, "src_modified": False},
+                         "change": {"commit": "ab12", "src_modified": False}}}
+    lines = bench_pairs.flag_lines(doc)
+    assert lines[:3] == ["regressed: none", "unresolved: none",
+                         "claims holding: none"]
+    assert len(lines) == 4 and lines[3].startswith("no commit: parent ")
+    doc["checkouts"]["parent"]["commit"] = "cd34"
+    assert len(bench_pairs.flag_lines(doc)) == 3

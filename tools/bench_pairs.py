@@ -15,15 +15,16 @@ change first in odd ones.  The file records the machine, each checkout's
 commit and source hash, every run's end-to-end metrics, and per metric the
 median and quartiles of each side, the number of pairs the change won
 (strictly better, in the direction BENCHMARK.json declares), and whether a
-gain could be claimed: the change wins at least 9 of 10 pairs and its median
-beats the parent's by more than the parent's interquartile range.  Each
+gain could be claimed: over at least 10 pairs, the change wins at least 9
+in 10 of them and its median beats the parent's by more than the parent's
+interquartile range.  Each
 end-to-end metric also records whether it regressed: the change's median is
 worse than the parent's by more than the metric's relative `bound`.  It is
 unresolved when the parent's interquartile range is wider than that bound,
 unless every change run beats every parent run.  The file is rewritten after
 every pair, so an interrupted run keeps the pairs it finished, and the
 regressed and unresolved metrics, and those whose claim holds, are printed
-at the end.
+at the end, with a warning for a side whose checkout has no commit.
 
 The script exits 1 when any run reports `correct: false` or a failed
 operation; those runs stay in the file and are listed under "problems".
@@ -41,6 +42,7 @@ from pathlib import Path
 
 RUN_TIMEOUT_S = 3600
 CLAIM_SHARE = 0.9  # least share of pairs the change must win for a claim
+CLAIM_PAIRS = 10  # least number of pairs a claim rests on
 
 
 def git_state(root: Path) -> dict:
@@ -110,7 +112,8 @@ def summarize(pairs, better: dict, bounds: dict) -> dict:
         out[name] = {"parent": parent, "change": change,
                      "change_won": won, "pairs": len(pairs),
                      "median_gap": gap, "parent_iqr": iqr,
-                     "claim_holds": won >= CLAIM_SHARE * len(pairs) and gap > iqr}
+                     "claim_holds": (len(pairs) >= CLAIM_PAIRS and gap > iqr
+                                     and won >= CLAIM_SHARE * len(pairs))}
         if name in bounds:
             allowed = bounds[name] * abs(parent["median"])
             apart = max(sign * a for a in after) < min(sign * b for b in before)
@@ -121,7 +124,8 @@ def summarize(pairs, better: dict, bounds: dict) -> dict:
 
 def flag_lines(doc: dict) -> list:
     """The `regressed:`, `unresolved:` and `claims holding:` lines: the
-    workload and name of each metric whose summary sets that flag."""
+    workload and name of each metric whose summary sets that flag; then a
+    `no commit:` line naming each side whose checkout recorded none."""
     lines = []
     for label, flag in (("regressed", "regressed"), ("unresolved", "unresolved"),
                         ("claims holding", "claim_holds")):
@@ -129,6 +133,11 @@ def flag_lines(doc: dict) -> list:
                  for workload, entry in doc["workloads"].items()
                  for name, stats in entry["summary"].items() if stats.get(flag)]
         lines.append(f"{label}: {', '.join(names) or 'none'}")
+    missing = [side for side, state in doc.get("checkouts", {}).items()
+               if not state.get("commit")]
+    if missing:
+        lines.append(f"no commit: {', '.join(missing)} (not a git checkout; "
+                     "only the source hash identifies it)")
     return lines
 
 
