@@ -446,10 +446,10 @@ def _kernel_vector(G: np.ndarray, Q: int):
     if (F < Q).any():
         j = np.flatnonzero(F < Q)[-1]
     else:
-        touched = np.flatnonzero(np.abs(C[P < Q]).max(axis=0, initial=0) > _DEN_TOL)
-        if not touched.size:
+        reach = np.abs(C[P < Q]).max(axis=0, initial=0)
+        if not (reach > _DEN_TOL).any():
             return None
-        j = touched[0]
+        j = np.flatnonzero(reach > _DEN_TOL)[0]
     y = np.zeros(cols)
     y[F[j]] = 1
     y[P] = -C[:, j]
@@ -459,9 +459,10 @@ def _kernel_vector(G: np.ndarray, Q: int):
 
 def _refined_solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """A^-1 B for integer matrices held in float64, refined once against
-    an exact residual (Wan 2006): with C0 = a rint(A^-1 B) for a power of
-    two a, R = a B - A C0 is formed exactly (int_product), and A^-1 B is
-    (C0 + A^-1 R) / a, whose error is that of A^-1 B squared, relatively.
+    an exact residual (Wan 2006): with C0 = rint(a A^-1 B) for the power of
+    two a that keeps A C0 below 2^51, R = a B - A C0 is formed exactly
+    (int_product), and A^-1 B is (C0 + A^-1 R) / a, whose relative error
+    is about the square of the first solve's.
     """
     X = np.linalg.inv(A)
     C = X @ B

@@ -418,7 +418,8 @@ from chogen import ratlinalg
 from chogen.cli import main
 witnesses, ranks = [], []
 witness, rank = ratlinalg.independence_witness, ratlinalg.rank
-ratlinalg.independence_witness = lambda D, Q: witnesses.append(1) or witness(D, Q)
+ratlinalg.independence_witness = (
+    lambda D, Q: witnesses.append(1) or witness(D, Q))
 ratlinalg.rank = lambda M: ranks.append(1) or rank(M)
 code = main(sys.argv[1:])
 print(code, "numpy.ma" in sys.modules, len(witnesses), len(ranks),

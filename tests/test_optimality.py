@@ -277,29 +277,36 @@ def test_wide_spec_group_verify_stays_small(m, n, r):
     assert peak < 4 * 2 ** 20
 
 
-def test_verify_holds_one_dense_cstar_on_the_rank_path():
+def test_verify_holds_one_dense_cstar_on_the_rank_path(monkeypatch):
     # a linked random design on the product route: C* is dense and has
     # full rank Q = 521.  verify reads C* a chunk of rows at a time and
-    # holds no block of it; the peak is the rank's, which holds the treatment
-    # graph's int8 D (T - c = 1023 rows), its int64 residues (formed from
-    # the int8 D, with no int64 copy) and the elimination's temporaries,
-    # about 5.4 Q x Q int64 arrays' worth
+    # holds no block of it.  The peak is the witness's, which holds the
+    # treatment graph's int8 D (T - c = 1023 rows), the float32 copies that
+    # form its Gram G, and G, its inverse and the check's product in
+    # float64, about 5.2 Q x Q int64 arrays' worth; with the witness forced
+    # to give none, it is the rank's, which holds D, its int64 residues
+    # (formed from the int8 D, with no int64 copy) and the elimination's
+    # temporaries, about 5.4
     import tracemalloc
     from conftest import deadline
     rng = np.random.default_rng(1)
     sets = np.concatenate([rng.permutation(1 << 10) for _ in range(2)])
     d = ChoiceDesign.from_indices(sets.reshape(512, 4), 10)
     model = ModelSpec.specified_one_factor(10)
-    with deadline(60):
-        verify(d, model)
-        tracemalloc.start()
-        try:
-            report = verify(d, model)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert report.verdict is Verdict.CONNECTED_NOT_OPTIMAL
-    assert peak < 8 * model.Q ** 2 * 8
+    for forced in (False, True):
+        if forced:
+            monkeypatch.setattr(ratlinalg, "independence_witness",
+                                lambda D, Q: None)
+        with deadline(60):
+            verify(d, model)
+            tracemalloc.start()
+            try:
+                report = verify(d, model)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert report.verdict is Verdict.CONNECTED_NOT_OPTIMAL
+        assert peak < 8 * model.Q ** 2 * 8
 
 
 def test_verify_holds_no_dense_cstar_on_the_product_route():

@@ -372,6 +372,32 @@ def test_witness_on_small_matrices():
     assert w(np.array([[2**27, 0], [0, 1]]), 1) is None
 
 
+def test_floats_only_propose(monkeypatch):
+    w = ratlinalg.independence_witness
+    # column 1 is column 0 a little apart: G has full rank, but is too
+    # ill-conditioned for its rounded inverse to check, and the shifted
+    # Cholesky takes column 1 as free; its proposed kernel vector (-1, 1)
+    # fails D y = 0, so there is no witness either way
+    D = np.array([[8192, 8192], [0, 1], [0, 0]])
+    assert rank(D) == 2
+    assert w(D, 2) is None and w(D, 1) is None
+    # a singular Gram (column 1 repeats column 0) with a made-up positive
+    # definite factorization and a moderate inverse: the residual check
+    # fails, and so no full rank is claimed
+    D = np.array([[1, 1, 0], [0, 0, 1], [1, 1, 1], [0, 0, 0]])
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "cholesky", lambda G: np.eye(len(G)))
+        m.setattr(np.linalg, "inv", lambda G: np.eye(len(G)) / np.diag(G))
+        assert w(D, 1) is None
+    assert w(D, 1) is False
+    # a proposed kernel vector that is zero on the interest columns proves
+    # nothing: here column 0 is independent of the equal columns 1 and 2
+    D = np.array([[1, 0, 0], [0, 1, 1], [0, 0, 0], [1, 1, 1]])
+    monkeypatch.setattr(ratlinalg, "_kernel_vector",
+                        lambda G, Q: np.array([0, 1, -1]))
+    assert w(D, 1) is None
+
+
 def test_kernel_lifted_across_more_than_two_primes(echelons):
     # rank 2, kernel (a, b, 1): a numerator near 2^40 needs a modulus past
     # 2^81, three primes; the lift tries 1, 2 and 4 primes, on Python
