@@ -3,6 +3,9 @@
 Sylvester powers, Paley constructions over GF(q) for odd prime powers q,
 and Kronecker products together cover every order 4k up to
 MAX_SEARCH_ORDER; hadamard() itself builds larger orders on request.
+GF(q), q = p^k, is F_p[x] modulo the first monic polynomial of degree k
+whose ring is a field, found and read in one vectorised squaring of all
+q elements (_field).
 Every matrix hadamard() returns passes the exact integer check
 is_hadamard.  Seed rows are read through positive_columns, which gives
 Sylvester columns as Walsh characters, Hadamard by construction, and
@@ -86,120 +89,72 @@ def _prime_power(q: int):
     return (q, 1)
 
 
-def _poly_mod(a: list, mod: list, p: int) -> list:
-    """Remainder of polynomial a modulo the monic polynomial mod, over F_p."""
-    a = list(a)
-    dm = len(mod) - 1
-    while len(a) > dm:
-        c = a[-1] % p
-        if c:
-            for i in range(dm + 1):
-                a[len(a) - 1 - dm + i] = (a[len(a) - 1 - dm + i] - c * mod[i]) % p
-        a.pop()
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_mul(a: list, b: list, p: int) -> list:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return out
-
-
-def _is_irreducible(poly: list, p: int) -> bool:
-    """Trial division by all monic polynomials of degree 1..deg//2."""
-    deg = len(poly) - 1
-    for d in range(1, deg // 2 + 1):
-        for coeffs in itertools.product(range(p), repeat=d):
-            divisor = list(coeffs) + [1]
-            if _poly_divides(divisor, poly, p):
-                return False
-    return True
-
-
-def _poly_divides(div: list, poly: list, p: int) -> bool:
-    rem = _poly_mod(poly, div, p)
-    return rem == [0]
-
-
 @functools.lru_cache(maxsize=None)
-def _quadratic_character(q: int) -> tuple:
-    """chi over GF(q) as a tuple indexed by element code (base-p digits).
+def _field(q: int):
+    """GF(q) for q = p^k as (digits, chi), both read-only.
 
-    chi(0) = 0, chi(x) = +1 for nonzero squares, -1 otherwise.
+    digits[x] holds the base-p digits of element code x, low digit first;
+    chi[x] is 0 at x = 0, +1 at a nonzero square and -1 otherwise.  The
+    modulus is the first monic x^k + low(x), low's digits walked in
+    itertools.product order, whose ring is a field.  All q elements are
+    squared at once, as a.a = sum_i a_i (a x^i); the ring is a field when
+    only 0 squares to 0 and only 0 and 1 square to themselves, since a
+    finite commutative ring that is not a field has a nonzero nilpotent or
+    a third idempotent.  A candidate with low(0) = 0 is skipped: x divides
+    it, and for k = 1 every modulus gives the same chi.
     """
     pk = _prime_power(q)
     if pk is None:
         raise BadOrder(f"{q} is not a prime power")
     p, k = pk
-
-    def decode(x):
-        digits = []
-        for _ in range(k):
-            digits.append(x % p)
-            x //= p
-        return digits
-
-    def encode(digits):
-        x = 0
-        for d in reversed(digits):
-            x = x * p + d
-        return x
-
-    if k == 1:
-        mul = lambda a, b: (a * b) % p
-    else:
-        mod_poly = None
-        for coeffs in itertools.product(range(p), repeat=k):
-            cand = list(coeffs) + [1]
-            if _is_irreducible(cand, p):
-                mod_poly = cand
-                break
-        if mod_poly is None:
-            raise InvariantError(f"no irreducible of degree {k} over GF({p})")
-
-        def mul(a, b):
-            prod = _poly_mul(decode(a), decode(b), p)
-            rem = _poly_mod(prod, mod_poly, p)
-            return encode(rem + [0] * (k - len(rem)))
-
-    squares = {mul(x, x) for x in range(1, q)}
-    return tuple(0 if x == 0 else (1 if x in squares else -1) for x in range(q))
-
-
-def _gf_sub_table(q: int) -> np.ndarray:
-    """q x q table of a - b over GF(q), elements as base-p digit codes."""
-    p, k = _prime_power(q)
-    digits = np.zeros((q, k), dtype=np.int64)
-    for x in range(q):
-        v = x
-        for i in range(k):
-            digits[x, i] = v % p
-            v //= p
-    diff = (digits[:, None, :] - digits[None, :, :]) % p
+    codes = np.arange(q, dtype=np.int64)
     weights = p ** np.arange(k, dtype=np.int64)
-    return (diff * weights).sum(axis=2)
+    digits = codes[:, None] // weights % p
+    for low in itertools.product(range(p), repeat=k):
+        if low[0] == 0:
+            continue
+        square, shifted = 0, digits  # shifted holds a x^i
+        for i in range(k):
+            square = (square + digits[:, i, None] * shifted) % p
+            top = shifted[:, -1:]  # x^k = -low(x)
+            shifted = np.hstack([np.zeros_like(top), shifted[:, :-1]])
+            shifted = (shifted - top * low) % p
+        squares = square @ weights
+        if (squares == 0).sum() == 1 and (squares == codes).sum() == 2:
+            break
+    else:
+        raise InvariantError(f"no irreducible of degree {k} over GF({p})")
+    chi = np.full(q, -1, dtype=np.int64)
+    chi[squares] = 1
+    chi[0] = 0
+    digits.setflags(write=False)
+    chi.setflags(write=False)
+    return digits, chi
 
 
 def _jacobsthal(q: int) -> np.ndarray:
-    chi = np.array(_quadratic_character(q), dtype=np.int64)
-    return chi[_gf_sub_table(q)]
+    """chi(a - b) over GF(q) for element codes a, b."""
+    digits, chi = _field(q)
+    p, k = _prime_power(q)
+    diff = (digits[:, None, :] - digits[None, :, :]) % p
+    return chi[diff @ p ** np.arange(k, dtype=np.int64)]
+
+
+def _paley_core(q: int, first_column: int) -> np.ndarray:
+    """The Jacobsthal matrix of GF(q) bordered by a first row of ones and
+    a first column of first_column, with a 0 in the corner."""
+    S = np.zeros((q + 1, q + 1), dtype=np.int64)
+    S[0, 1:] = 1
+    S[1:, 0] = first_column
+    S[1:, 1:] = _jacobsthal(q)
+    return S
 
 
 def paley_type1(q: int) -> np.ndarray:
     """Order q+1 Hadamard matrix from GF(q), q an odd prime power = 3 mod 4."""
     if _prime_power(q) is None or q % 4 != 3:
         raise BadOrder(f"paley_type1 needs a prime power q = 3 mod 4, got {q}")
-    Qj = _jacobsthal(q)
-    S = np.zeros((q + 1, q + 1), dtype=np.int64)
-    S[0, 1:] = 1
-    S[1:, 0] = -1
-    S[1:, 1:] = Qj
-    H = S + np.eye(q + 1, dtype=np.int64)
+    H = _paley_core(q, -1) + np.eye(q + 1, dtype=np.int64)
     if not is_hadamard(H):
         raise InvariantError("Paley construction is not Hadamard")
     return _frozen(H)
@@ -209,11 +164,7 @@ def paley_type2(q: int) -> np.ndarray:
     """Order 2(q+1) Hadamard matrix from GF(q), q an odd prime power = 1 mod 4."""
     if _prime_power(q) is None or q % 4 != 1:
         raise BadOrder(f"paley_type2 needs a prime power q = 1 mod 4, got {q}")
-    Qj = _jacobsthal(q)
-    S = np.zeros((q + 1, q + 1), dtype=np.int64)
-    S[0, 1:] = 1
-    S[1:, 0] = 1
-    S[1:, 1:] = Qj
+    S = _paley_core(q, 1)
     eye = np.eye(q + 1, dtype=np.int64)
     H = np.block([[S + eye, S - eye], [S - eye, -S - eye]])
     if not is_hadamard(H):

@@ -21,6 +21,7 @@ from chogen import cli
 from chogen.catalog import EXPECTED_DEVIATIONS, TABLE1, candidate_recipes
 from chogen.cli import main
 from chogen.designs import ChoiceDesign, equivalent
+from chogen.hadamard import hadamard_plan, paley_type1, paley_type2
 from chogen.models import ModelKind
 from chogen.serialization import dumps, loads
 from conftest import deadline
@@ -289,6 +290,23 @@ def test_generate_matches_committed_design_bytes(capsys, tmp_path, name, argv):
         assert code == 0 and "N=512" in out
     else:
         assert path.read_bytes() == (INPUTS / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("argv, plan, digest", [
+    (["--model", "main-effects", "--m", "28", "--n", "20"],
+     (paley_type1, (27,)),
+     "0ff614930e93daccce0c83cf5ddcc8c76102022794d5f69c515aacbc416977fc"),
+    (["--model", "broader", "--m", "52", "--n", "40"],
+     (paley_type2, (25,)),
+     "8a8e381680847a126b36254b20ed44c06a323a2ea8369acd043adbec14d380ad"),
+])
+def test_generate_pins_extension_field_seed_bytes(capsys, argv, plan, digest):
+    # Paley seeds over GF(27) and GF(25), of order m: another irreducible
+    # modulus would give another Hadamard seed and another design
+    assert hadamard_plan(int(argv[3])) == plan
+    code, out, _ = run(capsys, "generate", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_generate_spec_group_beyond_the_old_seed_memory(capsys):

@@ -1,5 +1,7 @@
 """Hadamard seed matrices: constructions and exact checks."""
 
+import hashlib
+import itertools
 import types
 
 import numpy as np
@@ -91,6 +93,131 @@ def test_paley_constructions():
         paley_type2(7)  # 7 = 3 mod 4
     with pytest.raises(BadOrder):
         paley_type1(15)  # not a prime power
+
+def _reference_chi(q):
+    """chi over GF(q) by the former polynomial routines: the modulus is the
+    first monic irreducible of degree k, its lower coefficients walked in
+    itertools.product order and tested by trial division, and each square
+    is a schoolbook product reduced modulo it.  For k = 1 the modulus is x,
+    which leaves the products a * a % p alone."""
+    p, k = hm._prime_power(q)
+
+    def mod(a, m):
+        a = list(a)
+        while len(a) >= len(m):
+            c, base = a[-1], len(a) - len(m)
+            for i in range(len(m)):
+                a[base + i] = (a[base + i] - c * m[i]) % p
+            a.pop()
+        return a
+
+    def mul(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] = (out[i + j] + x * y) % p
+        return out
+
+    def irreducible(f):
+        return all(any(mod(f, list(c) + [1]))
+                   for d in range(1, k // 2 + 1)
+                   for c in itertools.product(range(p), repeat=d))
+
+    modulus = next(f for f in (list(c) + [1] for c in
+                               itertools.product(range(p), repeat=k))
+                   if irreducible(f))
+    digits = [[x // p**i % p for i in range(k)] for x in range(q)]
+    squares = {sum(d * p**i for i, d in enumerate(mod(mul(a, a), modulus)))
+               for a in digits[1:]}
+    return [0] + [1 if x in squares else -1 for x in range(1, q)]
+
+
+def test_field_matches_the_polynomial_reference():
+    # the modulus fixes chi, and chi fixes the seeds of order 28, 52, 100, ...
+    qs = [q for q in range(2, 2200) if hm._prime_power(q)]
+    assert len(qs) == 360 and 2048 in qs and 2187 in qs
+    for q in qs:
+        p, k = hm._prime_power(q)
+        digits, chi = hm._field(q)
+        assert chi.tolist() == _reference_chi(q), q
+        assert np.array_equal(digits @ p ** np.arange(k), np.arange(q))
+        assert digits.shape == (q, k) and digits.min() >= 0
+        assert digits.max() == p - 1
+        assert not digits.flags.writeable and not chi.flags.writeable
+    with pytest.raises(BadOrder):
+        hm._field(12)
+
+
+# sha256 of each seed's int64 bytes, recorded before GF(q) was built by
+# _field; every Paley seed here, over a prime or an extension field, is
+# pinned, not only its Hadamard property
+SEED_SHA256 = {
+    1: "7c9fa136d4413fa6173637e883b6998d32e1d675f88cddff9dcbcf331820f4b8",
+    2: "44e41c721ef7ad53582de3a2470e7bf6e74ea4471f54c42469817ef5844da195",
+    4: "aa60fb6df530078eac7046de94dd6acfaf67c83ac155f77ae6b06e308b528d22",
+    8: "5d6b6ffc8a5aca0cce07fe3aa8a0722a8bef21e28805479246232aa17a5c2abb",
+    12: "931245cf933e176ea1fd7a61472ad000f4f544df300ae718987b0328b71579f3",
+    16: "a5d51a9007b290d37bd4ccd9a09e3c26c630bc5b0d5ee68ae24aa231d34af08e",
+    20: "4518effd48a16734d99da3206e06ef6b6f9beb3a715b522dbd426bd3984a2852",
+    24: "a76e81d047d7ff60c0881dd7bb0e4c6bdbd279c8e86b13e3bc754e4885c9da7b",
+    28: "5be27eefab5b96002b80f065bb3c979bf016992808db9ba5f5ce3ff3feee68d5",
+    32: "9d00b9c44ffc2bdd4ca515c288c0d35792ff13ba8079da005eea47945b528e3c",
+    36: "47de7a526de61ad297532d7b42fb3adecdfdc92c8ef0763f71f84eed1f02d62f",
+    40: "c9b747e92384541da6588d298d3533ed20861174eb3465c9650ab431a471b53d",
+    44: "a15032676944894b5cff9982705639f64898628a465f500c8998ce7ebdb5cb3d",
+    48: "d5d736cce4255e87bd07bc55d690be6e8ba855c9e81381ceba87083661bfa01b",
+    52: "44e296e19402dfe80842476d2eaac7e7ad5a7baa76eeeb2d8a5a28e7373c1fd1",
+    56: "05219e2b5b402d5687f6ba7c13f39a97cf347880c6f236eb24fabdbcae688633",
+    60: "9652b597fdc984b01f99bf107200f5c85fedbbf1b80fed1dff0fdd3d9f1f6240",
+    64: "67fe2a14a770214051e461d29c2f444256ea9f5208f251ce70b8a506fc851299",
+    68: "cd15ed6298103fb6651b286370a2861ee6ce43215763f1b7a99962cb7eddadbe",
+    72: "3d2c084e26e604ec5f548d080c5a63d4aed9141a59b0c8eb14f2b95eacfb497e",
+    76: "5241781977f1b9ec8c6d9166551349aa1c190a4fa21c3150daf6c054c3bfb51e",
+    80: "fcfcc1de3c6dd43e91e8e3822d9172f7ecde000a22d6d6305004955a6486be51",
+    84: "bf7778d3446dce39824c315ee654ead365e6fec02af4edd8de0d5a16c926d5ca",
+    88: "a2fce76771ff37e0f52eb0b2a8666116f96fad736fe0c11d1c6f11a362c13aa6",
+    96: "82126a11eeb745f32038125b5a32650546da567c67e402e0b7a5e8fbade39605",
+    100: "cbb2196db9ddb4aba9ebd7f83de5e9e71ed175d49b907d217c02738bbb68b789",
+    104: "5b884562b2d91da6f0207dd7167d72a084aa7e0dc1198ba9f8217deca5677897",
+    108: "6e72a3fb0c3a9aeae54dd5afcbb0c360b8b0431077f7ca3a10f3cc11e6fe76d8",
+    112: "844a2cf5175e29cf5c1f0ff68f7e431449ecb3649bb9e8b3ca369b16930b0918",
+    120: "8d4db89646a4f16c54033b8e1411b34bae448f7985eaf74e73b7613973741145",
+    124: "161c3225d4c621e4c3bea3146009a93cd4cd0e91c859475fdee40f8e4b1afc08",
+    128: "6b31409aba25a3616864f856e0b474898afba9b97cee7461e56479b239c12342",
+    132: "5a99a89bcfeff94d254b5b0fbfc5f13088e873e944240efac6eba122c41d03b5",
+    136: "7376b9e91a9720ac5470629ebb4e70c35eda06460665b391c12d0027540a6a39",
+    140: "b6fefa6fc014a6070e0a7f6af4ba3071db82562d0de1c3529ead240bd5d154e8",
+    144: "62637c392d7412c1dbfc7e4e6766c9b04b0f90881a1ba5de4793e5a207c26f2b",
+    148: "5124e989e3da1c7fc4a823bfb39f39b9636b110dae5e3fef8e260e55b53e9cde",
+    152: "8cc0f39e2f0dd4f7c359e2d115617a697c7890d28140ee1135d33db16a4e29f5",
+    160: "35ddc96a5fa7f865941047dbb6b8b42e12ebc3a1167f5d711ed44c659ec9b8ed",
+    164: "96cac49fc34f716aed81708b0b66592e1323f0d48909cb595b4b24994b81003f",
+    168: "7f968216a0ff2080c170a4e08b56f22ff6377b049ed65c4b16729de69dd48c9b",
+    176: "b273ed63fa811eafc14903be9b0bd1299a53a6ff33ce3979fbad3b5a0da5e063",
+    180: "ac0904704b98185c3339aba304a775c34e38447ae695438028be9fb2239566d4",
+    192: "12aea996125e49791723cc2fe02b57d206b8f1a97210019c64c6c3f8f1db6770",
+    196: "0ba10aab05845f0125c6538211977b7c85431f2ff279bad30256f8f6fee55d19",
+    200: "adfffa8c44c015c0848575e3ea8b8a473f0f830b292be97aa15953fd62765435",
+    204: "08af51fed58368d09537ecbc08ea301289901d89e3faafb825d19939aad5aba8",
+    208: "ae0343b867d34f9e3ca952e3e9fddf868b5d5b3ca9cea0c71e850cdf97d79169",
+    212: "dc5d105d85188ebe8cafe72fc814486b356c39c5180f6c5345fa4583f5b43ccf",
+    216: "8e64f66660f414e6710ff7bb60aac6e5e510ebfe8f5e35936490aa150df7eba2",
+    220: "6f4b12598e2bc5345952ba6a14ebc0d4a2351ded4151ac88617517c6e636ee5c",
+    224: "3394c39ca27cde52ff99a6370309f969bc467927710d263c51643e80cc976921",
+    228: "4fe53db332beec0fccd77d1cfc69cf8538317b9f4e69a489c10b8ec7a557022d",
+    240: "9e29a3d4e4401c2472d570c48a6913fe1b1391bb7cf989864fd4fec165543883",
+    244: "d4d20cc8fad4a8ed8557a1006d325f4c26459bca4ac2a595d27bb8f0beadd0e0",
+    248: "282d4ee0fbf001266878795eb86f2afb083ff019eb8c0ed1d5a02880af92ae0e",
+    252: "aa8e1962dd3d6fbb35b7604ce8edee5b8ee27eae60e0b6a657ba89415316a0ce",
+    256: "772001dfd891fd7d34e191d82cc0ec5303bceda2860790b1399eb550aa9e061b",
+}
+
+
+def test_seed_bytes_are_pinned():
+    assert sorted(SEED_SHA256) == supported_orders(256)
+    for order, digest in SEED_SHA256.items():
+        H = np.ascontiguousarray(hadamard(order), dtype="<i8")
+        assert hashlib.sha256(H.tobytes()).hexdigest() == digest, order
 
 
 def test_kronecker_product_of_hadamards():
