@@ -165,7 +165,7 @@ def candidate_recipes(kind: ModelKind, m: int, n: int, r=None) -> tuple:
         _require_specified_m(m, "two-factor interaction")
         nu = least_hadamard_order(n)
         return (ConstructionRecipe(f"spec-2f-m{m}", m,
-                                   ModelSpec.specified_two_factor(n),
+                                   ModelSpec.family(kind, n),
                                    2 * nu if m == 3 else nu),)
     if all(kind is not k for k in T1_KINDS):
         raise Unsupported(f"no catalog block for model kind {kind!r}")

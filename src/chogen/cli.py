@@ -2,8 +2,8 @@
 
 Exit codes: 0 success (certified design / matching table), 2
 certification failure or unexpected table deviation, 3 unsupported
-parameters (including those too large to allocate, and a generate whose
-every candidate fails to build), 4 I/O or parse errors.
+parameters (including those too large to allocate or to plan, and a
+generate whose every candidate fails to build), 4 I/O or parse errors.
 """
 
 from __future__ import annotations
@@ -212,8 +212,10 @@ def main(argv=None) -> int:
     except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (ChogenError, MemoryError) as exc:
-        # MemoryError: the parameters need more memory than there is
+    except (ChogenError, MemoryError, OverflowError) as exc:
+        # MemoryError: the parameters need more memory than there is;
+        # OverflowError: a number too large for a float, such as the square
+        # root that plans a Hadamard order past 10^308
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
 

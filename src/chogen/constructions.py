@@ -9,15 +9,15 @@ when the default would collide two options.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .designs import (ChoiceDesign, bits_string, complement, direct_add,
-                      distinct, lex_index, pack_bits, treatment,
-                      truncate_factors)
+from .designs import (ChoiceDesign, _index_array, bits_string, complement,
+                      distinct, lex_index, pack_bits, treatment)
 from .errors import (BadGenerators, BadGroup, RangeError, Unsupported,
                      WidthMismatch)
 from .hadamard import is_sylvester, least_hadamard_order, positive_columns
@@ -105,21 +105,30 @@ def spec_generator(n: int, r: int = 1) -> tuple:
     return (1,) * r + (0,) * (n - r)
 
 
+# how many seeds' rows and default columns are kept (_seed_rows,
+# _default_columns); the reference table reads 35 and 45
+SEED_MEMO = 64
+
+
+@functools.lru_cache(maxsize=SEED_MEMO, typed=True)
 def _seed_rows(order: int, cols: Sequence[int]) -> np.ndarray:
-    """Option indices of the seed's rows on 1-based columns, +1 as bit 1.
+    """Option indices of the seed's rows on 1-based columns, +1 as bit 1,
+    read-only; cols is a tuple or a range.
 
     The entries come from hadamard.positive_columns: Walsh characters for
     a Sylvester seed, the checked hadamard(order) for any other.
     """
-    return pack_bits(positive_columns(order, np.asarray(cols) - 1))
+    rows = pack_bits(positive_columns(order, np.asarray(cols) - 1))
+    rows.setflags(write=False)
+    return rows
 
 
 def _shifted(A1: np.ndarray, n: int, gens) -> np.ndarray:
     """Components A_1, its complement A_2, then A_1 + g and A_2 + g for
     each generator g in turn, as the columns of an index array."""
-    shifts = [0] + [lex_index(g) for g in gens]
-    return np.stack([A1 ^ g ^ c for g in shifts for c in (0, (1 << n) - 1)],
-                    axis=1)
+    shifts = [g ^ c for g in [0, *map(lex_index, gens)]
+              for c in (0, (1 << n) - 1)]
+    return A1[:, None] ^ _index_array(shifts, n)
 
 
 def _design(x, n: int, fold: bool = False) -> ChoiceDesign:
@@ -212,6 +221,12 @@ def _resolve_columns(order: int, n: int, columns: Optional[Sequence[int]],
         if first_column == "excluded" and 1 in cols:
             raise RangeError("this seed excludes column 1")
         return cols
+    return _default_columns(order, n, first_column)
+
+
+@functools.lru_cache(maxsize=SEED_MEMO, typed=True)
+def _default_columns(order: int, n: int, first_column: str) -> tuple:
+    """_resolve_columns' choice when no columns are given."""
     first = 2 if first_column == "excluded" else 1
     pool = range(first, order + 1)
     default = tuple(pool[:n])
@@ -289,21 +304,46 @@ def single_set_design(n: int, order: int = None, columns=None) -> ChoiceDesign:
     return _design([np.append(rows, rows ^ ((1 << n) - 1))], n)
 
 
-def hadamard_single_set_design(n: int, order: int = None,
-                               columns=None) -> ChoiceDesign:
-    """One choice set of the order-many seed rows: N=1, m=order, n < order;
-    optimal for main effects (the foldover pair covers the broader model)."""
+def _single_rows(n: int, order, columns) -> np.ndarray:
+    """The one set of hadamard_single_set_design, as a (1, order) index
+    array."""
     nu = least_hadamard_order(n + 1) if order is None else order
     if n > nu - 1:
         raise RangeError(f"single Hadamard set needs n <= order-1, got n={n}")
     cols = _resolve_columns(nu, n, columns, "excluded")
-    return _design([_seed_rows(nu, cols)], n)
+    return _seed_rows(nu, cols)[None, :]
+
+
+def hadamard_single_set_design(n: int, order: int = None,
+                               columns=None) -> ChoiceDesign:
+    """One choice set of the order-many seed rows: N=1, m=order, n < order;
+    optimal for main effects (the foldover pair covers the broader model)."""
+    return _design(_single_rows(n, order, columns), n)
 
 
 def foldover_pair_design(n: int, order: int = None, columns=None) -> ChoiceDesign:
     """Seed rows and their complements as two sets: N=2, m=order, n < order."""
-    return _design(hadamard_single_set_design(n, order, columns).array, n,
-                   fold=True)
+    return _design(_single_rows(n, order, columns), n, fold=True)
+
+
+def _direct_add_rows(n: int, m: int) -> np.ndarray:
+    """The index array of theorem2_half_design: the seed's set on m - 1
+    factors, each step its direct sums (direct_add) with itself and with
+    its complement, then the first n factors (truncate_factors)."""
+    if m < 2:
+        raise RangeError(f"set size must be at least 2, got {m}")
+    if n <= m - 1:
+        raise RangeError(
+            f"direct-addition designs need n > {m - 1}; use a single-set "
+            f"or foldover construction for n={n}"
+        )
+    x, width = _seed_rows(m, range(2, m + 1))[None, :], m - 1
+    for _ in range(direct_add_alpha(n, m)):
+        x = _index_array(x, 2 * width)
+        x = np.vstack(((x << width) | x,
+                       (x << width) | (x ^ ((1 << width) - 1))))
+        width *= 2
+    return x >> (width - n)
 
 
 def theorem2_half_design(n: int, m: int) -> ChoiceDesign:
@@ -312,23 +352,12 @@ def theorem2_half_design(n: int, m: int) -> ChoiceDesign:
     m must be a supported Hadamard order; alpha is minimal with
     n <= 2^alpha (m-1).  Optimal for main effects.
     """
-    if m < 2:
-        raise RangeError(f"set size must be at least 2, got {m}")
-    if n <= m - 1:
-        raise RangeError(
-            f"direct-addition designs need n > {m - 1}; use a single-set "
-            f"or foldover construction for n={n}"
-        )
-    d = _design([_seed_rows(m, range(2, m + 1))], m - 1)
-    for _ in range(direct_add_alpha(n, m)):
-        d = _design(np.vstack((direct_add(d, d).array,
-                               direct_add(d, complement(d)).array)), 2 * d.n)
-    return truncate_factors(d, n)
+    return _design(_direct_add_rows(n, m), n)
 
 
 def theorem2_design(n: int, m: int) -> ChoiceDesign:
     """The direct-addition design with its complement: N = 2^(alpha+1)."""
-    return _design(theorem2_half_design(n, m).array, n, fold=True)
+    return _design(_direct_add_rows(n, m), n, fold=True)
 
 
 def specified_design(n: int, m: int, r: int = 1, order: int = None,

@@ -14,6 +14,7 @@ S and in int_product.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -148,14 +149,18 @@ def option_sign_matrix(d: ChoiceDesign, effects) -> np.ndarray:
 
 
 def pattern_weights(d: ChoiceDesign, masks: np.ndarray) -> np.ndarray:
-    """w(e) = sigma(e) sum_i (-1)^|e & delta_i| (_walsh), int64 in -m..m,
-    for a design whose sets are b_p xor delta (d.translates): each set's sign
-    sum is then S[q, p] = w(e_q) (-1)^|e_q & b_p|, so |S[q, p]| = |w(e_q)|."""
+    """w(e) = sigma(e) sum_i (-1)^|e & delta_i|, int64 in -m..m, for a design
+    whose sets are b_p xor delta (d.translates): each set's sign sum is then
+    S[q, p] = w(e_q) (-1)^|e_q & b_p|, so |S[q, p]| = |w(e_q)|.  sigma(e)
+    (-1)^|e & t| = (-1)^|e & ~t|, so w is the Walsh transform (_walsh) of
+    the complemented pattern."""
     delta = d.translates[0][1]
-    return _effect_signs(masks) * _walsh(delta, d.n, masks)(masks)
+    return _walsh(delta ^ ((1 << d.n) - 1), d.n, masks)(masks).astype(
+        np.int64, copy=False)
 
 
-def set_sums(d: ChoiceDesign, masks: np.ndarray) -> np.ndarray:
+def set_sums(d: ChoiceDesign, masks: np.ndarray,
+             weights: np.ndarray = None) -> np.ndarray:
     """S[q, p]: the sum of the contrast signs of the effect of mask masks[q]
     over set p, shape (Q, N); the masks are on the design's n factors.
 
@@ -164,9 +169,10 @@ def set_sums(d: ChoiceDesign, masks: np.ndarray) -> np.ndarray:
     the odd parities are counted into S and turned into sigma(e) (m - 2 odd)
     in place, every intermediate within -m..m, so S is int8 up to m = 127.
     When all sets translate one pattern delta (d.translates), S is the
-    weight pattern_weights times the signs at the translations b_p alone.
-    verify forms S only for the product route, and reads the weights on a
-    pattern's translates.
+    weight pattern_weights times the signs at the translations b_p alone;
+    weights, when given, is pattern_weights(d, masks), read instead of
+    formed again.  verify forms S only for the product route, and reads the
+    weights on a pattern's translates.
     """
     columns = np.ascontiguousarray(d.indices.T)  # (m, N)
     # -(m+1) needs a signed type whose maximum is at least m
@@ -174,7 +180,7 @@ def set_sums(d: ChoiceDesign, masks: np.ndarray) -> np.ndarray:
     signs, m = _effect_signs(masks), d.m
     pattern = d.translates[0]
     if pattern is not None:
-        signs = pattern_weights(d, masks)
+        signs = pattern_weights(d, masks) if weights is None else weights
         columns, m = pattern[0][None, :], 1
     signs = signs.astype(S.dtype)[:, None]
     step = max(1, _CHUNK // d.N)
@@ -201,20 +207,38 @@ def _distinct(points: np.ndarray, n: int) -> np.ndarray:
     return distinct(points)
 
 
-def _fwht(w: np.ndarray) -> np.ndarray:
-    """The unnormalised Walsh-Hadamard transform of every row, in place.
+# bits of the indices transformed by one product with _characters
+_GROUP_BITS = 6
 
-    w is a C-contiguous integer array whose last axis has 2^n entries
-    (Fino & Algazi 1976); a (k, 2^n) array transforms k histograms at once.
+
+@functools.lru_cache(maxsize=None)
+def _characters(g: int) -> np.ndarray:
+    """(-1)^|x & y| over x, y < 2^g, the Sylvester matrix of order 2^g, as
+    a read-only float64 array."""
+    x = np.arange(1 << g)
+    H = 1.0 - 2.0 * (np.bitwise_count(x[:, None] & x) & 1)
+    H.setflags(write=False)
+    return H
+
+
+def _fwht(w: np.ndarray) -> np.ndarray:
+    """The unnormalised Walsh-Hadamard transform of every row, as int64.
+
+    w is an integer array whose last axis has 2^n entries (Fino & Algazi
+    1976); a (k, 2^n) array transforms k histograms at once.  The transform
+    is the Kronecker product of those of its groups of at most _GROUP_BITS
+    index bits, so each group is one float64 product with _characters.
+    Every partial sum is an integer no larger than the row's absolute sum,
+    an option count far below 2^53, so each product is exact.
     """
-    h = 1
-    while h < w.shape[-1]:
-        v = w.reshape(-1, 2, h)
-        low = v[:, 0].copy()
-        v[:, 0] += v[:, 1]
-        np.subtract(low, v[:, 1], out=v[:, 1])
-        h *= 2
-    return w
+    bits = w.shape[-1].bit_length() - 1
+    done = min(_GROUP_BITS, bits)
+    f = w.reshape(-1, 1 << done).astype(np.float64) @ _characters(done)
+    while done < bits:
+        g = min(_GROUP_BITS, bits - done)
+        f = _characters(g) @ f.reshape(-1, 1 << g, 1 << done)
+        done += g
+    return f.reshape(w.shape).astype(np.int64)
 
 
 def _walsh(options: np.ndarray, n: int, points: np.ndarray):
@@ -223,11 +247,13 @@ def _walsh(options: np.ndarray, n: int, points: np.ndarray):
 
     A fast transform costs n 2^n, direct sums at the distinct points U
     |U| N m and an n-step search a point; the transform is taken when no
-    dearer than the larger, so wide designs never allocate a 2^n histogram."""
-    distinct = _distinct(points, n)
-    if n * (1 << n) <= max(distinct.size * options.size, n * points.size):
-        W = np.bincount(options, minlength=1 << n)  # every sum in -N m..N m
-        return _fwht(W.astype(np.min_scalar_type(-options.size - 1))).__getitem__
+    dearer than the larger, so wide designs never allocate a 2^n histogram,
+    and always when it is one product (_fwht), 2^n <= 2^_GROUP_BITS.  With
+    2^n <= |points| it is taken before U is formed."""
+    if (1 << n) <= max(points.size, 1 << _GROUP_BITS) or (
+            n * (1 << n) <= (distinct := _distinct(points, n)).size
+            * options.size):
+        return _fwht(np.bincount(options, minlength=1 << n)).__getitem__
     odd = np.empty(distinct.size, dtype=np.min_scalar_type(options.size))
     small = np.min_scalar_type((1 << n) - 1)  # narrow types sum fastest
     pts, opts = distinct.astype(small), options.astype(small)
@@ -257,6 +283,12 @@ def lambda_star(d: ChoiceDesign) -> ScaledIntMatrix:
     return ScaledIntMatrix(Z, Fraction(1, d.N * m * m))
 
 
+def _leads(r: np.ndarray, c: np.ndarray) -> bool:
+    """Whether the row masks r are the first columns c, as in C* or in
+    interest against interest then nuisance."""
+    return c is r or np.array_equal(c[:r.size], r)
+
+
 def _join(d: ChoiceDesign, r: np.ndarray, c: np.ndarray):
     """Yield the block's nonzero entries (i, j, v), a chunk of rows at a time.
 
@@ -266,41 +298,49 @@ def _join(d: ChoiceDesign, r: np.ndarray, c: np.ndarray):
     m G(u) - G(e_i) G(e_j) if it is: G, the Walsh transform of that set's
     complemented options, is sigma(u) W(u), W that of its options (README).
     So row i meets only the columns whose label, their parities against the
-    basis, is its own; sorted stably by label, they come in order.
+    basis, is its own; sorted stably by label, they come in order.  Rows
+    that lead the columns take their labels from the columns'.
     """
     basis = d.translates[1]
     key = 1 << np.arange(basis.size)
-    lr, lc = ((np.bitwise_count(x[:, None] & basis) & 1) @ key for x in (r, c))
-    order = np.argsort(lc, kind="stable")
-    lo, hi = (np.searchsorted(lc[order], lr, side) for side in ("left", "right"))
-    width = np.arange((hi - lo).max())  # the largest class
+    lc = (np.bitwise_count(c[:, None] & basis) & 1) @ key
+    lr = lc[:r.size] if _leads(r, c) else (
+        np.bitwise_count(r[:, None] & basis) & 1) @ key
+    order = lc.argsort(kind="stable")
+    ranked = lc[order]
+    lo = ranked.searchsorted(lr, "left")
+    size = ranked.searchsorted(lr, "right") - lo
+    width = np.arange(size.max())  # the largest class
     step = max(1, _CHUNK // max(1, width.size))
+    complemented = d.indices[0] ^ ((1 << d.n) - 1)
     for a in range(0, r.size, step):
-        i, t = np.nonzero(width < (hi - lo)[a:a + step, None])
-        j = order[lo[i + a] + t]
-        u = r[i + a] ^ c[j]
-        G = _walsh(d.indices[0] ^ ((1 << d.n) - 1), d.n,
-                   np.concatenate((u, r[a:a + step], c)))
-        v = np.multiply(G(u), d.m, dtype=np.int64)
-        v -= G(r[a:a + step]).astype(np.int64)[i] * G(c)[j]
-        hit = np.flatnonzero(v)
-        yield i[hit] + a, j[hit], d.N * v[hit]
+        i, t = (width < size[a:a + step, None]).nonzero()
+        i += a
+        j = order[lo[i] + t]
+        ri, cj = r[i], c[j]
+        points = np.concatenate((ri ^ cj, ri, cj))
+        Gu, Gi, Gj = _walsh(complemented, d.n, points)(points).astype(
+            np.int64, copy=False).reshape(3, -1)
+        v = Gu * d.m
+        v -= Gi * Gj
+        hit = v.nonzero()[0]
+        yield i[hit], j[hit], d.N * v[hit]
 
 
-def _product(d: ChoiceDesign, r: np.ndarray, c: np.ndarray, Sr: np.ndarray,
-             Sc: np.ndarray):
+def _product(d: ChoiceDesign, r: np.ndarray, c: np.ndarray, Sr, Sc):
     """Yield the nonzero entries (i, j, v) of m G - S_r S_c', _CHUNK at a time.
 
     G[i, j] = sigma(e_i) sigma(e_j) W[u] = sigma(u) W[u], u = e_i xor e_j, is
     the Walsh transform of the complemented options, looked up at the points
     of a first pass (_walsh).  S_r S_c' is formed N/4 rows at a time from S
     copied once to floats: each int_product call's pass over S_c is then 4/N
-    of its multiply, and its product no larger than the copy of S_c."""
+    of its multiply, and its product no larger than the copy of S_c.  Sr None
+    means rows that lead the columns, whose S is the first rows of S_c's."""
     sub = max(1, _CHUNK // c.size)
     G = _walsh(d.indices.ravel() ^ ((1 << d.n) - 1), d.n, np.concatenate(
         [_distinct(r[k:k + sub, None] ^ c, d.n) for k in range(0, r.size, sub)]))
-    Sr = Sr.astype(np.promote_types(Sr.dtype, np.float32))  # exact
-    Sc = Sr if c is r else Sc.astype(Sr.dtype)
+    Sc = Sc.astype(np.promote_types(Sc.dtype, np.float32))  # exact
+    Sr = Sc[:r.size] if Sr is None else Sr.astype(Sc.dtype)
     for lo in range(0, r.size, step := sub * max(1, d.N // (4 * sub))):
         P = int_product(Sr[lo:lo + step], Sc.T)
         for k in range(lo, lo + P.shape[0], sub):
@@ -311,7 +351,7 @@ def _product(d: ChoiceDesign, r: np.ndarray, c: np.ndarray, Sr: np.ndarray,
 
 
 def cstar_entries(d: ChoiceDesign, r: np.ndarray, c: np.ndarray,
-                  row_sums: np.ndarray = None):
+                  sums: np.ndarray = None):
     """The nonzero entries of the C* block of row masks r and column masks
     c: an iterator of int64 arrays (i, j, v), a chunk of rows at a time,
     row-major over all chunks.  Neither route holds the block.
@@ -319,17 +359,14 @@ def cstar_entries(d: ChoiceDesign, r: np.ndarray, c: np.ndarray,
     The entries are joined (_join) when the sets translate one pattern by
     one coset, each member equally often (d.translates), and else come from
     m G - S_r S_c' (_product), with the per-set sign sums S of set_sums;
-    row_sums, when given, is set_sums(d, r).  Rows that lead the columns,
-    as C* or interest against interest then nuisance, take their S from
-    the columns' S, formed once.  The join reads no S.
+    sums, when given, is set_sums(d, c).  Rows that lead the columns, as C*
+    or interest against interest then nuisance, take their S from the
+    columns' S, formed once.  The join reads no S.
     """
     if d.translates[1] is not None:
         return _join(d, r, c)
-    if row_sums is None and np.array_equal(c[:r.size], r):
-        Sc = set_sums(d, c)
-        return _product(d, r, c, Sc[:r.size], Sc)
-    Sr = set_sums(d, r) if row_sums is None else row_sums
-    return _product(d, r, c, Sr, Sr if c is r else set_sums(d, c))
+    Sr = None if _leads(r, c) else set_sums(d, r)
+    return _product(d, r, c, Sr, set_sums(d, c) if sums is None else sums)
 
 
 def cstar_block(d: ChoiceDesign, rows, cols) -> np.ndarray:

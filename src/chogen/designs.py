@@ -160,17 +160,19 @@ def _pattern(d: "ChoiceDesign"):
 def _coset(b: np.ndarray):
     """A GF(2) basis of V when the multiset b is one coset of a subspace V,
     each member equally often, else None: sorted, a subspace lists its
-    echelon basis at 1, 2, 4, ..., and doubling that rebuilds it in order."""
+    echelon basis at 1, 2, 4, ..., and member i is the xor of those at the
+    bits of i, so of member i less its lowest bit and member i & -i."""
     s = np.sort(b)
-    mult = int(np.searchsorted(s, s[0], "right"))
+    mult = int(s.searchsorted(s[0], "right"))
     k = (b.size // mult).bit_length() - 1
-    if b.size != mult << k or (s.reshape(-1, mult) != s[::mult, None]).any():
+    if b.size != mult << k or mult > 1 and (
+            s.reshape(-1, mult) != s[::mult, None]).any():
         return None
     V = np.sort(s[::mult] ^ s[0])
-    basis, span = V[1 << np.arange(k)], V[:1]
-    for v in basis:
-        span = np.concatenate((span, span ^ v))
-    return basis if np.array_equal(span, V) else None
+    i = np.arange(1, 1 << k)
+    if (V[1:] != V[i & (i - 1)] ^ V[i & -i]).any():
+        return None
+    return V[1 << np.arange(k)]
 
 
 class ChoiceDesign:

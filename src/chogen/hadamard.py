@@ -14,6 +14,7 @@ builds and checks no matrix for them.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 
@@ -255,13 +256,20 @@ def supported_orders(limit: int = MAX_SEARCH_ORDER) -> list:
     return orders
 
 
+@functools.lru_cache(maxsize=None)
+def _search_orders() -> tuple:
+    """supported_orders(), listed once."""
+    return tuple(supported_orders())
+
+
 def least_hadamard_order(n: int) -> int:
     """Smallest supported order >= n; the seed order for n-factor designs."""
     if n < 1:
         raise BadOrder(f"n must be positive, got {n}")
-    for nu in supported_orders():
-        if nu >= n:
-            return nu
+    orders = _search_orders()
+    k = bisect.bisect_left(orders, n)
+    if k < len(orders):
+        return orders[k]
     raise Unsupported(
         f"no supported Hadamard order >= {n} within the cap {MAX_SEARCH_ORDER}"
     )

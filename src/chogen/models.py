@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import numbers
 from dataclasses import dataclass, field
@@ -205,21 +206,20 @@ class ModelSpec:
 
         kind is a ModelKind or its value; r is the group size of
         SPECIFIED_GROUP and is ignored by the other families.  CUSTOM
-        and unknown names raise Unsupported.
+        and unknown names raise Unsupported.  Equal calls whose n and r
+        are plain ints (r None outside SPECIFIED_GROUP) share one model,
+        the FAMILY_MEMO most recently used kept (_family); any other n or
+        r builds its model, or raises, as it is.
         """
         try:
             kind = ModelKind(kind)
         except ValueError:
             raise Unsupported(f"unknown model {kind!r}") from None
-        if kind is ModelKind.SPECIFIED_GROUP:
-            return cls.specified_group(n, r)
-        makers = {ModelKind.MAIN_EFFECTS: cls.main_effects,
-                  ModelKind.BROADER_MAIN_EFFECTS: cls.broader_main_effects,
-                  ModelKind.SPECIFIED_TWO_FACTOR: cls.specified_two_factor,
-                  ModelKind.SPECIFIED_ONE_FACTOR: cls.specified_one_factor}
-        if kind not in makers:
-            raise Unsupported(f"unknown model {kind.value!r}")
-        return makers[kind](n)
+        if kind is not ModelKind.SPECIFIED_GROUP:
+            r = None
+        if type(n) is int and (r is None or type(r) is int):
+            return _family(cls, kind, n, r)
+        return _family.__wrapped__(cls, kind, n, r)
 
     @classmethod
     def custom(cls, n: int, interest: Iterable[FactorialEffect],
@@ -233,6 +233,24 @@ class ModelSpec:
         if set(interest) & set(nuisance):
             raise BadModel("interest and nuisance effects must be disjoint")
         return cls(ModelKind.CUSTOM, n, *masks)
+
+
+# how many family models ModelSpec.family keeps; the reference table has 44
+FAMILY_MEMO = 64
+
+
+@functools.lru_cache(maxsize=FAMILY_MEMO)
+def _family(cls, kind: ModelKind, n: int, r: Optional[int]) -> ModelSpec:
+    """The family model of a checked kind, built by its constructor."""
+    if kind is ModelKind.SPECIFIED_GROUP:
+        return cls.specified_group(n, r)
+    makers = {ModelKind.MAIN_EFFECTS: cls.main_effects,
+              ModelKind.BROADER_MAIN_EFFECTS: cls.broader_main_effects,
+              ModelKind.SPECIFIED_TWO_FACTOR: cls.specified_two_factor,
+              ModelKind.SPECIFIED_ONE_FACTOR: cls.specified_one_factor}
+    if kind not in makers:
+        raise Unsupported(f"unknown model {kind.value!r}")
+    return makers[kind](n)
 
 
 def _group_masks(n: int, r: int) -> list:

@@ -229,21 +229,25 @@ def _connected(d: ChoiceDesign, effects: np.ndarray,
 
 
 def _read_entries(chunks, Q: int) -> tuple:
-    """C*'s diagonal, the count of its nonzero pairs i < j, and the first
-    MAX_LISTED_PAIRS of them with their values, from row-major chunks."""
+    """From row-major chunks of C* over interest then nuisance columns: the
+    diagonal, the count of the nonzero interest pairs i < j < Q, the first
+    MAX_LISTED_PAIRS of them with their values, and whether any entry lies
+    at a column j >= Q, in the cross block."""
     diag = np.zeros(Q, dtype=np.int64)
-    listed, count = [], 0
+    listed, count, cross = [], 0, False
     for i, j, v in chunks:
         on = i == j
         diag[i[on]] = v[on]
-        upper = np.flatnonzero(i < j)
+        inner = j < Q
+        cross = cross or not inner.all()
+        upper = (inner & (i < j)).nonzero()[0]
         if count < MAX_LISTED_PAIRS:
             first = upper[:MAX_LISTED_PAIRS]
             listed.append((i[first], j[first], v[first]))
         count += upper.size
-    q1, q2, values = (np.concatenate(a)[:MAX_LISTED_PAIRS]
-                      for a in zip(*listed))
-    return diag, count, q1, q2, values
+    q1, q2, values = listed[0] if len(listed) == 1 else (
+        np.concatenate(a)[:MAX_LISTED_PAIRS] for a in zip(*listed))
+    return diag, count, q1, q2, values, cross
 
 
 def verify(d: ChoiceDesign, model: ModelSpec) -> OptimalityReport:
@@ -252,43 +256,53 @@ def verify(d: ChoiceDesign, model: ModelSpec) -> OptimalityReport:
     UniversallyOptimal iff the exact C is diagonal, every per-set count is
     balanced, the trace equals max_trace, and any cross block vanishes;
     otherwise the treatment graph's D decides (_connected), by an exactly
-    checked witness or by its ranks.  The
-    design's translates (ChoiceDesign.translates) are read once, and each
-    set_sums and cstar_entries call reads them from the design; the product
-    route's S goes to cstar_entries as row_sums.  The model's masks
-    (ModelSpec.masks_on) feed cstar_entries, whose stream of row chunks
-    gives the diagonal, the trace and the offending pairs, with no Q x Q
+    checked witness or by its ranks.  The design's translates
+    (ChoiceDesign.translates) are read once, and each set_sums and
+    cstar_entries call reads them from the design.  The model's masks
+    (ModelSpec.masks_on), interest then nuisance, are the columns of one
+    cstar_entries stream whose rows are the interest masks; its row chunks,
+    split at column Q (_read_entries), give the diagonal, the trace, the
+    offending pairs and whether the cross block vanishes, with no Q x Q
     array on either route.  Balance and the diagonal's check against
     N m^2 - sum_p S^2 read the per-set sign sums S through the Q pattern
-    weights w when the sets translate one pattern, and else S itself, the
-    one (Q, N) array, formed for the product route only.  The eta counts of
-    the listed pairs come from the sums of their effects and joint effects,
-    the xor of their masks; each distinct listed effect is decoded once.
-    The zero counts (np_table) are built when first read.
+    weights w when the sets translate one pattern, and else S itself.  S,
+    the one (Q, N) array, over the nuisance columns too, is formed for the
+    product route only, where it goes to cstar_entries, and on a pattern's
+    translates from the same weights.  The eta counts of the listed pairs
+    come from the sums of their effects and joint effects, the xor of their
+    masks; each distinct listed effect is decoded once.  The zero counts
+    (np_table) are built when first read.
     """
     effects, nuisance = model.masks_on(d.n)
     n, m, N, Q = d.n, d.m, d.N, model.Q
+    columns = np.concatenate((effects, nuisance)) if nuisance.size else effects
     pattern, basis = d.translates
 
     # the per-set sign sums S, value m - 2*n_p, for the product route only
-    S = None if basis is not None else contrasts.set_sums(d, effects)
     # balanced means |S| = m mod 2, and S = m (mod 2), so |S| <= m mod 2;
     # on one pattern's translates |S[q, p]| = |w_q| in every set p
+    S = None
     if pattern is not None:
-        w = contrasts.pattern_weights(d, effects)
+        w = contrasts.pattern_weights(d, effects if basis is not None
+                                      else columns)
+        if basis is None:
+            S = contrasts.set_sums(d, columns, w)
+        w = w[:Q]
         balance_ok = bool(np.abs(w).max() <= m % 2)
         squares = N * w * w
     else:  # sum_p S^2, a chunk of rows at a time
-        balance_ok = bool(-(m % 2) <= S.min() and S.max() <= m % 2)
+        S = contrasts.set_sums(d, columns)
+        Si = S[:Q]
+        balance_ok = bool(-(m % 2) <= Si.min() and Si.max() <= m % 2)
         step = max(1, contrasts._CHUNK // N)
-        squares = np.concatenate([(S[lo:lo + step].astype(np.int64) ** 2).sum(
+        squares = np.concatenate([(Si[lo:lo + step].astype(np.int64) ** 2).sum(
             axis=1) for lo in range(0, Q, step)])
 
-    diag, offending_count, q1, q2, values = _read_entries(
-        contrasts.cstar_entries(d, effects, effects, S), Q)
+    diag, offending_count, q1, q2, values, cross = _read_entries(
+        contrasts.cstar_entries(d, effects, columns, S), Q)
     # same diagonal via the per-set zero counts, as an internal cross-check:
     # sum_p 4 n_p (m - n_p) = N m^2 - sum_p S^2
-    if not np.array_equal(diag, N * m * m - squares):
+    if (diag != N * m * m - squares).any():
         raise InvariantError("C* diagonal disagrees with the zero counts")
 
     diagonal = not offending_count  # C* is symmetric
@@ -314,14 +328,12 @@ def verify(d: ChoiceDesign, model: ModelSpec) -> OptimalityReport:
         offending = tuple((name[a], name[b], p, q) for a, b, p, q in zip(
             q1.tolist(), q2.tolist(), eta_plus.tolist(), eta_minus.tolist()))
 
-    scale = Fraction(1, (1 << n) * N * m * m)
-    trace = int(diag.sum()) * scale
+    trace = Fraction(int(diag.sum()), (1 << n) * N * m * m)
     bound = max_trace(Q, n, m)
     if trace > bound:
         raise InvariantError("trace above the attainable bound")
 
-    cross_zero = None if not nuisance.size else not any(
-        v.size for _, _, v in contrasts.cstar_entries(d, effects, nuisance, S))
+    cross_zero = not cross if nuisance.size else None
 
     if diagonal and balance_ok and trace == bound and cross_zero is not False:
         verdict = Verdict.UNIVERSALLY_OPTIMAL

@@ -1,7 +1,12 @@
 """Reference-table catalog: cell lookups and block reproduction."""
 
+import contextlib
 import dataclasses
+import hashlib
+import io
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 
@@ -406,3 +411,35 @@ def test_family_cells_build_no_effect_objects(monkeypatch):
     assert made == [] and encoded == []
     models.effect(1, 2)  # the counter itself counts
     assert made == [1]
+
+
+# sha256 of `chogen table --block all --format json` and, per non-blank
+# cell, of its winning recipe, the design's shape and its index bytes, as
+# written by the code before verify read C* and the cross block from one
+# stream; every rewrite of the table's route keeps them
+TABLE1_PINS = json.loads(
+    (Path(__file__).with_name("table1_pins.json")).read_text())
+
+
+def test_table_json_bytes_are_pinned():
+    from chogen.cli import main
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["table", "--block", "all", "--format", "json"]) == 0
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert digest == TABLE1_PINS["table_json_sha256"]
+
+
+def test_every_cell_keeps_its_recipe_and_design_bytes():
+    got = {}
+    for kind, rows in TABLE1.items():
+        for m, row in rows.items():
+            for n, listed in zip(TABLE_NS, row):
+                if listed is None:
+                    continue
+                winner, _ = first_certified(candidate_recipes(kind, m, n))
+                recipe, d, _ = winner
+                head = f"{recipe.describe()}\n{d.N} {d.m} {d.n}\n".encode()
+                got[f"{kind.value} m={m} n={n}"] = hashlib.sha256(
+                    head + d.indices.astype("<i8").tobytes()).hexdigest()
+    assert got == TABLE1_PINS["cells"]

@@ -427,6 +427,16 @@ def test_generate_too_large_to_allocate_exits_3():
     assert proc.stderr.count("\n") == 1
 
 
+def test_generate_with_an_order_past_float_range_exits_3(capsys):
+    # hadamard_plan's square root of a 401-digit order overflows a float;
+    # the command refuses it at once, with one error line and no traceback
+    with deadline(10):
+        code, out, err = run(capsys, "generate", "--model", "main-effects",
+                             "--m", str(10 ** 400), "--n", "1330")
+    assert code == 3 and not out
+    assert err == "error: int too large to convert to float\n"
+
+
 # Runs the command line, then reports on its last stderr line the exit
 # code, whether numpy.ma was imported, how many independence witnesses
 # were sought and how many ranks were taken.

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chogen.contrasts import (DENSE_MAX_N, ScaledIntMatrix, _fwht,
-                              contrast_matrix, contrast_vector,
+from chogen.contrasts import (DENSE_MAX_N, _GROUP_BITS, ScaledIntMatrix,
+                              _fwht, contrast_matrix, contrast_vector,
                               cross_block_star, cstar_block, cstar_entries,
                               cstar_matrix,
                               effective_choice_set, effective_position,
@@ -297,9 +297,39 @@ def _walsh_branch(d, rows, cols):
         return "join"
     points = len(np.unique(r[:, None] ^ c[None, :]))
     # _walsh's rule: a full transform costs n 2^n, direct sums |U| N m and
-    # a search of n steps a point, each point once on these small blocks
-    pays = d.n * (1 << d.n) <= max(points * d.N * d.m, d.n * points)
+    # a search of n steps a point, each point once on these small blocks;
+    # a transform of one product, n <= _GROUP_BITS, is always taken
+    pays = d.n <= _GROUP_BITS or (
+        d.n * (1 << d.n) <= max(points * d.N * d.m, d.n * points))
     return "fwht" if pays else "direct"
+
+
+def _butterfly(w):
+    """The Walsh-Hadamard transform of every row by the in-place integer
+    butterfly, one index bit a step: the reference for _fwht."""
+    w = np.array(w, dtype=np.int64)
+    h = 1
+    while h < w.shape[-1]:
+        v = w.reshape(-1, 2, h)
+        low = v[:, 0].copy()
+        v[:, 0] += v[:, 1]
+        np.subtract(low, v[:, 1], out=v[:, 1])
+        h *= 2
+    return w
+
+
+@given(st.integers(0, 15), st.integers(1, 3), st.integers(0, 2**32 - 1),
+       st.sampled_from([1, 255, 2**37]))
+@settings(max_examples=60, deadline=None)
+def test_fwht_products_equal_the_butterfly(n, rows, seed, top):
+    # the grouped float64 products are exact while a row sums below 2^53,
+    # here up to 2^52, whatever the number of index bits and of rows
+    rng = np.random.default_rng(seed)
+    w = rng.integers(0, top, size=(rows, 1 << n), endpoint=True)
+    got = _fwht(w)
+    assert got.dtype == np.int64 and got.shape == w.shape
+    assert np.array_equal(got, _butterfly(w))
+    assert np.array_equal(_fwht(w[0]), _butterfly(w[0]))
 
 
 def _is_coset(b):

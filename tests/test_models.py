@@ -299,3 +299,56 @@ def test_models_are_equal_and_hash_by_kind_n_r_and_masks():
     assert ModelSpec.specified_group(5, 1) != ModelSpec.specified_one_factor(5)
     seen = {ModelSpec.main_effects(4): 1, ModelSpec.custom(4, mains): 2}
     assert seen[ModelSpec.main_effects(4)] == 1 and len(seen) == 2
+
+
+def test_equal_family_calls_share_one_bounded_memo():
+    from chogen import models
+    group = ModelSpec.family("spec-group", 6, 2)
+    assert ModelSpec.family(ModelKind.SPECIFIED_GROUP, 6, 2) is group
+    assert ModelSpec.family("spec-group", 6, 3) is not group
+    # r means nothing outside the group family, so it is no part of the key
+    mains = ModelSpec.family("main-effects", 5)
+    assert ModelSpec.family("main-effects", 5, 3) is mains
+    assert ModelSpec.family("main-effects", 5, [1]) is mains
+    for n in range(2, 2 + 2 * models.FAMILY_MEMO):
+        assert ModelSpec.family("spec-2f", n) == ModelSpec.specified_two_factor(n)
+    info = models._family.cache_info()
+    assert info.maxsize == models.FAMILY_MEMO
+    assert info.currsize <= models.FAMILY_MEMO
+
+
+def _outcome(make):
+    """The model make() returns, or the type and message of its error."""
+    try:
+        return make()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("r", [True, False, 1.0, 2.5, [1], (1,), "1", None,
+                               np.int64(1)])
+def test_the_memo_keys_only_plain_int_group_sizes(r):
+    # r = 1 is cached first, and True, 1.0 and np.int64(1) hash and compare
+    # equal to it; each of them still meets the group constructor itself
+    ModelSpec.family("spec-group", 4, 1)
+    got = _outcome(lambda: ModelSpec.family("spec-group", 4, r))
+    assert got == _outcome(lambda: ModelSpec.specified_group(4, r))
+    assert isinstance(got, ModelSpec) or got[0] is BadGroup
+
+
+@pytest.mark.parametrize("n", [True, 3.0, -1, 0, [3]])
+def test_the_memo_keys_only_plain_int_widths(n):
+    ModelSpec.family("main-effects", 1)
+    ModelSpec.family("main-effects", 3)
+    got = _outcome(lambda: ModelSpec.family("main-effects", n))
+    want = _outcome(lambda: ModelSpec.main_effects(n))
+    if isinstance(want, ModelSpec):
+        assert got == want and got.n is n
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize("name", [["x"], ["main-effects"], {"a": 1}, "custom"])
+def test_unhashable_or_unknown_family_names_are_unsupported(name):
+    with pytest.raises(Unsupported, match="unknown model"):
+        ModelSpec.family(name, 4)

@@ -1007,3 +1007,89 @@ def test_set_sums_and_report_match_the_former_formulas(route, build):
     assert not report.np_table.flags.writeable
     for field, value in expected.items():
         assert getattr(report, field) == value, field
+
+
+@st.composite
+def split_cases(draw):
+    """(route, design, model, shuffled): a design on one of verify's three
+    routes, with a model that has nuisance effects.
+
+    'join' sets translate one pattern by a coset of a random subspace, each
+    member once or twice; 'translates' sets translate it by three distinct
+    options, no coset; 'product' sets are random.  The model is the broader
+    one or a custom one of random disjoint interest and nuisance effects.
+    Set order is always shuffled, and when shuffled so are the options of
+    every set, which may move the design to another route."""
+    route = draw(st.sampled_from(("join", "translates", "product")))
+    n = draw(st.integers(3, 5))
+    m = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if route == "product":
+        x = np.array([rng.choice(1 << n, m, replace=False)
+                      for _ in range(draw(st.integers(2, 8)))])
+    else:
+        delta = np.concatenate(([0], rng.choice(np.arange(1, 1 << n), m - 1,
+                                                replace=False)))
+        if route == "join":
+            span = np.zeros(1, dtype=np.int64)
+            for _ in range(draw(st.integers(0, 3))):
+                v = int(rng.integers(1, 1 << n))
+                if v not in span:
+                    span = np.concatenate((span, span ^ v))
+            b = np.repeat(span ^ int(rng.integers(0, 1 << n)),
+                          draw(st.integers(1, 2)))
+        else:
+            b = rng.choice(1 << n, 3, replace=False)
+        x = b[:, None] ^ delta
+    x = x[rng.permutation(len(x))]
+    shuffled = draw(st.booleans())
+    if shuffled:
+        x = rng.permuted(x, axis=1)
+    if draw(st.booleans()) or n < 2:
+        model = ModelSpec.broader_main_effects(n)
+    else:
+        effects = [FactorialEffect(c) for k in range(1, n + 1)
+                   for c in itertools.combinations(range(1, n + 1), k)]
+        picks = rng.permutation(len(effects))
+        q = draw(st.integers(1, 6))
+        qn = draw(st.integers(1, 8))
+        model = ModelSpec.custom(n, [effects[i] for i in picks[:q]],
+                                 [effects[i] for i in picks[q:q + qn]])
+    return route, ChoiceDesign.from_indices(x, n), model, shuffled
+
+
+@given(split_cases())
+@settings(max_examples=80, deadline=None)
+def test_one_stream_splits_at_column_q_on_every_route(case):
+    # verify reads C*, its offending pairs and the cross block from one
+    # stream over interest then nuisance columns; each field agrees with the
+    # former formulas and with the oracle over interest + nuisance
+    from chogen import contrasts
+    route, d, model, shuffled = case
+    pattern, basis = d.translates
+    if not shuffled:
+        assert (pattern is not None, basis is not None) == {
+            "join": (True, True), "translates": (True, False),
+            "product": (pattern is not None, False)}[route]
+    report = verify(d, model)
+    expected = _former_report(d, model)
+    for field in ("diagonal", "offending_count", "offending_pairs", "trace",
+                  "cross_block_zero", "balance_ok", "verdict"):
+        assert getattr(report, field) == expected[field], field
+    Q = model.Q
+    full = oracle_cstar(d, model.interest + model.nuisance)
+    C = full.ints[:Q, :Q]
+    assert report.trace == full.scale * int(np.trace(C))
+    q1, q2 = np.nonzero(np.triu(C, 1))
+    assert report.offending_count == q1.size
+    assert report.diagonal == (q1.size == 0)
+    listed = [(model.interest[a], model.interest[b], int(C[a, b]))
+              for a, b in zip(q1[:MAX_LISTED_PAIRS], q2[:MAX_LISTED_PAIRS])]
+    assert listed == [(e1, e2, 4 * (p - q))
+                      for e1, e2, p, q in report.offending_pairs]
+    assert report.cross_block_zero == (not full.ints[:Q, Q:].any())
+    masks, nuisance = model.masks_on(d.n)
+    chunks = list(contrasts.cstar_entries(
+        d, masks, np.concatenate((masks, nuisance))))
+    assert (max(j.max(initial=-1) for _, j, _ in chunks) >= Q) == (
+        not report.cross_block_zero)
