@@ -9,7 +9,7 @@ of a subspace, as generator shifts of Sylvester rows do, and otherwise a
 Walsh transform of the option histogram less a product of per-set sign
 sums.  Neither route holds a whole block.  Floats appear only in
 info_matrix's numeric branch and as exact integers in _product's copy of
-S and in int_product.
+S, in int_product and in _fwht's products.
 """
 
 from __future__ import annotations
@@ -248,9 +248,9 @@ def _walsh(options: np.ndarray, n: int, points: np.ndarray):
     A fast transform costs n 2^n, direct sums at the distinct points U
     |U| N m and an n-step search a point; the transform is taken when no
     dearer than the larger, so wide designs never allocate a 2^n histogram,
-    and always when it is one product (_fwht), 2^n <= 2^_GROUP_BITS.  With
-    2^n <= |points| it is taken before U is formed."""
-    if (1 << n) <= max(points.size, 1 << _GROUP_BITS) or (
+    and always when it is at most two products (_fwht), n <= 2 _GROUP_BITS.
+    With 2^n <= |points| it is taken before U is formed."""
+    if n <= 2 * _GROUP_BITS or (1 << n) <= points.size or (
             n * (1 << n) <= (distinct := _distinct(points, n)).size
             * options.size):
         return _fwht(np.bincount(options, minlength=1 << n)).__getitem__

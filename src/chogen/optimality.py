@@ -6,9 +6,11 @@ per-set zero count is balanced, the trace reaches the attainable bound,
 and, when nuisance effects are present, the cross block vanishes
 exactly.  These conditions are sufficient; a design failing them is
 reported as not certified, with connectedness decided exactly.
-verify takes the model's effects as bit masks and reads C* once, as the
-stream of its nonzero entries (contrasts.cstar_entries), for the diagonal
-and the offending pairs; no Q x Q array is held.
+verify takes the model's effects as bit masks and reads C* and the cross
+block once, as one stream of nonzero entries over the interest then
+nuisance columns (contrasts.cstar_entries), split at column Q for the
+diagonal, the offending pairs and whether the cross block vanishes; no
+Q x Q array is held.
 
 C* is the sum of d d' over the component pairs, d the difference of their
 contrast-sign vectors.  The treatment graph joins the T distinct treatments

@@ -298,8 +298,8 @@ def _walsh_branch(d, rows, cols):
     points = len(np.unique(r[:, None] ^ c[None, :]))
     # _walsh's rule: a full transform costs n 2^n, direct sums |U| N m and
     # a search of n steps a point, each point once on these small blocks;
-    # a transform of one product, n <= _GROUP_BITS, is always taken
-    pays = d.n <= _GROUP_BITS or (
+    # a transform of at most two products, n <= 2 _GROUP_BITS, always pays
+    pays = d.n <= 2 * _GROUP_BITS or (
         d.n * (1 << d.n) <= max(points * d.N * d.m, d.n * points))
     return "fwht" if pays else "direct"
 
@@ -461,7 +461,8 @@ def test_walsh_branches_both_match_the_oracle():
     seen = set()
     for n, m, N, family in [(3, 4, 6, "spec-all"), (4, 3, 8, "broader"),
                             (6, 2, 2, "main-effects"), (7, 3, 12, "spec-all"),
-                            (9, 2, 3, "spec-2f"), (5, 4, 5, "spec-group")]:
+                            (9, 2, 3, "spec-2f"), (5, 4, 5, "spec-group"),
+                            (13, 2, 3, "spec-2f")]:
         d = random_design(rng, n, m, N)
         model = _family(family, n, 2)
         seen.add(_walsh_branch(d, model.interest, model.interest))

@@ -1093,3 +1093,21 @@ def test_one_stream_splits_at_column_q_on_every_route(case):
         d, masks, np.concatenate((masks, nuisance))))
     assert (max(j.max(initial=-1) for _, j, _ in chunks) >= Q) == (
         not report.cross_block_zero)
+
+
+def test_translates_without_a_coset_take_one_pattern_transform(monkeypatch):
+    # the product route on one pattern's translates forms the weights of
+    # the interest and nuisance masks once; balance reads their first Q and
+    # set_sums the rest, and only the listed pairs' sums take another
+    from chogen import contrasts
+    d = ChoiceDesign.from_indices(np.array([[0, 3], [4, 7], [8, 11]]), 4)
+    model = ModelSpec.broader_main_effects(4)
+    assert d.translates[0] is not None and d.translates[1] is None
+    sizes, real = [], contrasts.pattern_weights
+    monkeypatch.setattr(contrasts, "pattern_weights",
+                        lambda d, masks: sizes.append(len(masks))
+                        or real(d, masks))
+    report = verify(d, model)
+    assert report.offending_count > 0
+    assert sizes == [model.Q + len(model.nuisance_masks),
+                     3 * min(report.offending_count, MAX_LISTED_PAIRS)]
