@@ -311,7 +311,8 @@ def test_equal_family_calls_share_one_bounded_memo():
     assert ModelSpec.family("main-effects", 5, 3) is mains
     assert ModelSpec.family("main-effects", 5, [1]) is mains
     for n in range(2, 2 + 2 * models.FAMILY_MEMO):
-        assert ModelSpec.family("spec-2f", n) == ModelSpec.specified_two_factor(n)
+        made = ModelSpec.family("spec-2f", n)
+        assert made == ModelSpec.specified_two_factor(n)
     info = models._family.cache_info()
     assert info.maxsize == models.FAMILY_MEMO
     assert info.currsize <= models.FAMILY_MEMO
