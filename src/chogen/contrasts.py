@@ -155,8 +155,7 @@ def pattern_weights(d: ChoiceDesign, masks: np.ndarray) -> np.ndarray:
     (-1)^|e & t| = (-1)^|e & ~t|, so w is the Walsh transform (_walsh) of
     the complemented pattern."""
     delta = d.translates[0][1]
-    return _walsh(delta ^ ((1 << d.n) - 1), d.n, masks)(masks).astype(
-        np.int64, copy=False)
+    return _walsh(delta ^ ((1 << d.n) - 1), d.n, masks)(masks)
 
 
 def set_sums(d: ChoiceDesign, masks: np.ndarray,
@@ -233,7 +232,7 @@ def _fwht(w: np.ndarray) -> np.ndarray:
     """
     bits = w.shape[-1].bit_length() - 1
     done = min(_GROUP_BITS, bits)
-    f = w.reshape(-1, 1 << done).astype(np.float64) @ _characters(done)
+    f = w.reshape(-1, 1 << done) @ _characters(done)  # float64, exact
     while done < bits:
         g = min(_GROUP_BITS, bits - done)
         f = _characters(g) @ f.reshape(-1, 1 << g, 1 << done)
@@ -319,8 +318,7 @@ def _join(d: ChoiceDesign, r: np.ndarray, c: np.ndarray):
         j = order[lo[i] + t]
         ri, cj = r[i], c[j]
         points = np.concatenate((ri ^ cj, ri, cj))
-        Gu, Gi, Gj = _walsh(complemented, d.n, points)(points).astype(
-            np.int64, copy=False).reshape(3, -1)
+        Gu, Gi, Gj = _walsh(complemented, d.n, points)(points).reshape(3, -1)
         v = Gu * d.m
         v -= Gi * Gj
         hit = v.nonzero()[0]

@@ -142,12 +142,13 @@ def _pattern(d: "ChoiceDesign"):
     m options, which lie in b_p xor delta since delta holds 0: m sorts of
     the N m options, at most N 2^n steps.
     """
-    delta = d.indices[0] ^ d.indices[0, 0]
-    if (d.indices ^ d.indices[:, :1] == delta).all():
-        return np.ascontiguousarray(d.indices[:, 0]), delta
+    x = d.indices
+    delta = x[0] ^ x[0, 0]
+    if (x ^ x[:, :1] == delta).all():
+        return np.ascontiguousarray(x[:, 0]), delta
     if d.m * d.m > 1 << d.n:
         return None
-    S = np.sort(d.indices, axis=1)
+    S = np.sort(x, axis=1)
     delta = np.sort(S[0] ^ S[0, 0])
     b, found = S[:, 0].copy(), np.zeros(d.N, dtype=bool)
     for t in S.T:

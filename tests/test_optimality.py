@@ -1067,10 +1067,10 @@ def test_one_stream_splits_at_column_q_on_every_route(case):
     from chogen import contrasts
     route, d, model, shuffled = case
     pattern, basis = d.translates
-    if not shuffled:
-        assert (pattern is not None, basis is not None) == {
-            "join": (True, True), "translates": (True, False),
-            "product": (pattern is not None, False)}[route]
+    if not shuffled and route != "product":
+        # random sets may by chance translate one pattern, even by a coset
+        assert (pattern is not None, basis is not None) == (
+            True, route == "join")
     report = verify(d, model)
     expected = _former_report(d, model)
     for field in ("diagonal", "offending_count", "offending_pairs", "trace",
