@@ -106,7 +106,7 @@ def spec_generator(n: int, r: int = 1) -> tuple:
 
 
 # how many seeds' rows and default columns are kept (_seed_rows,
-# _default_columns); the reference table reads 35 and 45
+# _default_columns); the reference table reads 37 and 29
 SEED_MEMO = 64
 
 
