@@ -201,7 +201,10 @@ def first_certified(recipes) -> tuple:
     report) or None, and rejected lists (recipe, reason) for every recipe
     tried before it, the reason being a BelowRankBound refusal, the
     build's ChogenError or the uncertified report.  Errors raised by
-    verify propagate.
+    verify propagate.  verify reads C* only for a balanced design at the
+    trace bound; an uncertified report reads it, and may raise its
+    InvariantError, on the first read of its C* fields
+    (OptimalityReport.diagonal and the rest).
 
     A recipe whose claimed_N(m-1) is below the model's Q is refused
     without being built: build raises unless the design has the claimed

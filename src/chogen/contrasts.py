@@ -167,6 +167,10 @@ def set_sums(d: ChoiceDesign, masks: np.ndarray,
     smallest signed type that fits -m..m.  A chunk of effects at a time,
     the odd parities are counted into S and turned into sigma(e) (m - 2 odd)
     in place, every intermediate within -m..m, so S is int8 up to m = 127.
+    The parities of a chunk of effects against a block of sets, and of
+    options when one set has more than _CHUNK, are one array of at most
+    _CHUNK entries, reduced over its options, so the number of numpy calls
+    follows the entries and not m.
     When all sets translate one pattern delta (d.translates), S is the
     weight pattern_weights times the signs at the translations b_p alone;
     weights, when given, is pattern_weights(d, masks), read instead of
@@ -182,14 +186,20 @@ def set_sums(d: ChoiceDesign, masks: np.ndarray,
         signs = pattern_weights(d, masks) if weights is None else weights
         columns, m = pattern[0][None, :], 1
     signs = signs.astype(S.dtype)[:, None]
-    step = max(1, _CHUNK // d.N)
+    # (options, effects, sets) parities, option-major so that their sum
+    # over the options adds whole (effects, sets) slices
+    width = min(m, _CHUNK)
+    sets = min(d.N, _CHUNK // width)
+    step = max(1, _CHUNK // (width * sets))
     for lo in range(0, len(masks), step):
         block = masks[lo:lo + step, None]
         acc = S[lo:lo + step]
-        for col in columns:
-            bit = np.bitwise_count(block & col)
-            bit &= 1
-            acc += bit
+        for p in range(0, d.N, sets):
+            for o in range(0, m, width):
+                bits = np.bitwise_count(block & columns[o:o + width, None,
+                                                       p:p + sets])
+                bits &= 1
+                acc[:, p:p + sets] += bits.sum(axis=0, dtype=S.dtype)
         odd = acc.copy()
         np.subtract(m, acc, out=acc)  # m - odd
         acc -= odd

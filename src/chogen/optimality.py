@@ -6,11 +6,15 @@ per-set zero count is balanced, the trace reaches the attainable bound,
 and, when nuisance effects are present, the cross block vanishes
 exactly.  These conditions are sufficient; a design failing them is
 reported as not certified, with connectedness decided exactly.
-verify takes the model's effects as bit masks and reads C* and the cross
-block once, as one stream of nonzero entries over the interest then
-nuisance columns (contrasts.cstar_entries), split at column Q for the
-diagonal, the offending pairs and whether the cross block vanishes; no
-Q x Q array is held.
+verify takes the model's effects as bit masks and reads balance and the
+trace from the per-set sign sums, whose squares give the diagonal of C*.
+Only a balanced design at the trace bound can be certified, so only such
+a design has verify read C* and the cross block, once, as one stream of
+nonzero entries over the interest then nuisance columns
+(contrasts.cstar_entries), split at column Q for the diagonal, the
+offending pairs and whether the cross block vanishes; no Q x Q array is
+held.  Any other report reads the same stream, with the same checks, on
+the first read of those fields.
 
 C* is the sum of d d' over the component pairs, d the difference of their
 contrast-sign vectors.  The treatment graph joins the T distinct treatments
@@ -55,22 +59,54 @@ MAX_LISTED_PAIRS = 64
 
 @dataclass(frozen=True, eq=False)
 class OptimalityReport:
-    """Everything verify() measured, plus the verdict it implies."""
+    """The verdict of verify() and the balance and trace that it read.
+
+    diagonal, offending_pairs, offending_count and cross_block_zero come
+    from one C* stream, which verify reads only for a balanced design at
+    the trace bound; for any other design they are built on the first read
+    of any of them, from the report's design and model, with the same
+    checks (_stream_fields).  np_table is built on its first read.  The
+    report holds no array, so copies and pickles build them alike."""
 
     model: ModelSpec
     design: ChoiceDesign = field(repr=False)
     n: int
     m: int
     N: int
-    diagonal: bool
-    offending_pairs: tuple  # (effect, effect, eta_plus, eta_minus) per bad pair
-    offending_count: int  # all unbalanced pairs, even past the listing cap
     balance_ok: bool
     trace: Fraction
     trace_bound: Fraction
-    cross_block_zero: Optional[bool]  # None when the model has no nuisance
     total_component_pairs: int
     verdict: Verdict
+
+    @cached_property
+    def _stream(self) -> tuple:
+        """(diagonal, offending_pairs, offending_count, cross_block_zero)."""
+        effects, nuisance = self.model.masks_on(self.n)
+        columns = _columns(effects, nuisance)
+        _, squares, S = _sums(self.design, effects, columns)
+        return _stream_fields(self.design, effects, nuisance, columns,
+                              squares, S)
+
+    @property
+    def diagonal(self) -> bool:
+        return self._stream[0]
+
+    @property
+    def offending_pairs(self) -> tuple:
+        """(effect, effect, eta_plus, eta_minus) per listed unbalanced pair,
+        the first MAX_LISTED_PAIRS."""
+        return self._stream[1]
+
+    @property
+    def offending_count(self) -> int:
+        """All unbalanced pairs, even past the listing cap."""
+        return self._stream[2]
+
+    @property
+    def cross_block_zero(self) -> Optional[bool]:
+        """None when the model has no nuisance."""
+        return self._stream[3]
 
     @cached_property
     def np_table(self) -> np.ndarray:
@@ -252,64 +288,52 @@ def _read_entries(chunks, Q: int) -> tuple:
     return diag, count, q1, q2, values, cross
 
 
-def verify(d: ChoiceDesign, model: ModelSpec) -> OptimalityReport:
-    """Certify a design against a model with exact arithmetic only.
+def _sums(d: ChoiceDesign, effects: np.ndarray, columns: np.ndarray) -> tuple:
+    """(balance_ok, squares, S) of the Q interest masks effects, which lead
+    the columns: squares[q] = sum_p S[q, p]^2, so C*[q, q] = N m^2 -
+    squares[q], and S the (Q, N) per-set sign sums over the columns when
+    the C* stream takes the product route, else None.
 
-    UniversallyOptimal iff the exact C is diagonal, every per-set count is
-    balanced, the trace equals max_trace, and any cross block vanishes;
-    otherwise the treatment graph's D decides (_connected), by an exactly
-    checked witness or by its ranks.  The design's translates
-    (ChoiceDesign.translates) are read once, and each set_sums and
-    cstar_entries call reads them from the design.  The model's masks
-    (ModelSpec.masks_on), interest then nuisance, are the columns of one
-    cstar_entries stream whose rows are the interest masks; its row chunks,
-    split at column Q (_read_entries), give the diagonal, the trace, the
-    offending pairs and whether the cross block vanishes, with no Q x Q
-    array on either route.  Balance and the diagonal's check against
-    N m^2 - sum_p S^2 read the per-set sign sums S through the Q pattern
-    weights w when the sets translate one pattern, and else S itself.  S,
-    the one (Q, N) array, over the nuisance columns too, is formed for the
-    product route only, where it goes to cstar_entries, and on a pattern's
-    translates from the same weights.  The eta counts of the listed pairs
-    come from the sums of their effects and joint effects, the xor of their
-    masks; each distinct listed effect is decoded once.  The zero counts
-    (np_table) are built when first read.
-    """
-    effects, nuisance = model.masks_on(d.n)
-    n, m, N, Q = d.n, d.m, d.N, model.Q
-    columns = np.concatenate((effects, nuisance)) if nuisance.size else effects
+    Balanced means |S| <= m mod 2, as S = m (mod 2).  On one pattern's
+    translates |S[q, p]| = |w_q| in every set p, so both read the Q pattern
+    weights w, and S is formed from the same weights when the translations
+    form no coset; otherwise S is formed and squared a chunk of rows at a
+    time."""
+    Q, m, N = effects.size, d.m, d.N
     pattern, basis = d.translates
-
-    # the per-set sign sums S, value m - 2*n_p, for the product route only
-    # balanced means |S| = m mod 2, and S = m (mod 2), so |S| <= m mod 2;
-    # on one pattern's translates |S[q, p]| = |w_q| in every set p
-    S = None
     if pattern is not None:
         w = contrasts.pattern_weights(d, effects if basis is not None
                                       else columns)
-        if basis is None:
-            S = contrasts.set_sums(d, columns, w)
+        S = None if basis is not None else contrasts.set_sums(d, columns, w)
         w = w[:Q]
-        balance_ok = bool(np.abs(w).max() <= m % 2)
-        squares = N * w * w
-    else:  # sum_p S^2, a chunk of rows at a time
-        S = contrasts.set_sums(d, columns)
-        Si = S[:Q]
-        balance_ok = bool(-(m % 2) <= Si.min() and Si.max() <= m % 2)
-        step = max(1, contrasts._CHUNK // N)
-        squares = np.concatenate([(Si[lo:lo + step].astype(np.int64) ** 2).sum(
-            axis=1) for lo in range(0, Q, step)])
+        return bool(np.abs(w).max() <= m % 2), N * w * w, S
+    S = contrasts.set_sums(d, columns)
+    Si = S[:Q]
+    step = max(1, contrasts._CHUNK // N)
+    squares = np.concatenate([(Si[lo:lo + step].astype(np.int64) ** 2).sum(
+        axis=1) for lo in range(0, Q, step)])
+    return bool(-(m % 2) <= Si.min() and Si.max() <= m % 2), squares, S
 
-    diag, offending_count, q1, q2, values, cross = _read_entries(
+
+def _stream_fields(d: ChoiceDesign, effects: np.ndarray, nuisance: np.ndarray,
+                   columns: np.ndarray, squares: np.ndarray, S) -> tuple:
+    """(diagonal, offending_pairs, offending_count, cross_block_zero) from
+    one cstar_entries stream whose rows are the interest masks effects and
+    whose columns are the interest then nuisance masks, split at column Q
+    (_read_entries); squares and S are _sums'.
+
+    Its diagonal must equal N m^2 - squares element-wise, the zero counts'
+    sum_p 4 n_p (m - n_p).  The eta counts of the listed pairs come from the
+    sums of their effects and joint effects, the xor of their masks, and
+    must give the listed entries; each distinct listed effect is decoded
+    once."""
+    n, m, N, Q = d.n, d.m, d.N, effects.size
+    diag, count, q1, q2, values, cross = _read_entries(
         contrasts.cstar_entries(d, effects, columns, S), Q)
-    # same diagonal via the per-set zero counts, as an internal cross-check:
-    # sum_p 4 n_p (m - n_p) = N m^2 - sum_p S^2
     if (diag != N * m * m - squares).any():
         raise InvariantError("C* diagonal disagrees with the zero counts")
-
-    diagonal = not offending_count  # C* is symmetric
     offending = ()
-    if not diagonal:
+    if count:  # C* is symmetric, so these are all its off-diagonal entries
         # per set, the quadrant counts of the signs x, y of a pair follow
         # from the sums of x, y and their product xy, the joint effect's
         pairs = np.concatenate((effects[q1], effects[q2],
@@ -324,33 +348,62 @@ def verify(d: ChoiceDesign, model: ModelSpec) -> OptimalityReport:
         eta_minus = (pm * mp).sum(axis=1)
         if not np.array_equal(4 * (eta_plus - eta_minus), values):
             raise InvariantError("C* entry disagrees with its eta counts")
-        # each distinct listed effect is decoded once
         listed = list(dict.fromkeys(q1.tolist() + q2.tolist()))
         name = dict(zip(listed, decoded(effects[listed], n)))
         offending = tuple((name[a], name[b], p, q) for a, b, p, q in zip(
             q1.tolist(), q2.tolist(), eta_plus.tolist(), eta_minus.tolist()))
+    return not count, offending, count, (
+        not cross if nuisance.size else None)
 
-    trace = Fraction(int(diag.sum()), (1 << n) * N * m * m)
+
+def _columns(effects: np.ndarray, nuisance: np.ndarray) -> np.ndarray:
+    """The stream's columns: the interest then the nuisance masks."""
+    return np.concatenate((effects, nuisance)) if nuisance.size else effects
+
+
+def verify(d: ChoiceDesign, model: ModelSpec) -> OptimalityReport:
+    """Certify a design against a model with exact arithmetic only.
+
+    UniversallyOptimal iff every per-set count is balanced, the trace
+    equals max_trace, the exact C is diagonal and any cross block
+    vanishes; otherwise the treatment graph's D decides (_connected), by an
+    exactly checked witness or by its ranks.  Balance and the trace come
+    from the per-set sign sums S, or the pattern weights on one pattern's
+    translates (_sums): the diagonal of C* is N m^2 - sum_p S^2.  Only a
+    balanced design at the trace bound reads C*, whose off-diagonal entries
+    and cross block can then decide: one cstar_entries stream over the
+    model's masks (ModelSpec.masks_on), interest then nuisance, with the
+    interest masks as rows, split at column Q (_stream_fields), with no
+    Q x Q array on either route.  Any other design's report builds those
+    fields, with the same checks, on their first read, and np_table too.
+    The design's translates (ChoiceDesign.translates) are read once, and
+    each set_sums and cstar_entries call reads them from the design.
+    """
+    effects, nuisance = model.masks_on(d.n)
+    n, m, N, Q = d.n, d.m, d.N, model.Q
+    columns = _columns(effects, nuisance)
+    balance_ok, squares, S = _sums(d, effects, columns)
+    trace = Fraction(int((N * m * m - squares).sum()), (1 << n) * N * m * m)
     bound = max_trace(Q, n, m)
     if trace > bound:
         raise InvariantError("trace above the attainable bound")
 
-    cross_zero = not cross if nuisance.size else None
-
-    if diagonal and balance_ok and trace == bound and cross_zero is not False:
+    # only there can C*'s other entries and the cross block decide
+    fields = None
+    if balance_ok and trace == bound:
+        fields = _stream_fields(d, effects, nuisance, columns, squares, S)
+    # diagonal, and no nonzero cross block
+    if fields is not None and fields[0] and fields[3] is not False:
         verdict = Verdict.UNIVERSALLY_OPTIMAL
     elif _connected(d, effects, nuisance):
         verdict = Verdict.CONNECTED_NOT_OPTIMAL
     else:
         verdict = Verdict.NOT_CONNECTED
 
-    return OptimalityReport(
-        model=model, design=d, n=n, m=m, N=N,
-        diagonal=diagonal, offending_pairs=offending,
-        offending_count=offending_count,
-        balance_ok=balance_ok,
+    report = OptimalityReport(
+        model=model, design=d, n=n, m=m, N=N, balance_ok=balance_ok,
         trace=trace, trace_bound=bound,
-        cross_block_zero=cross_zero,
-        total_component_pairs=N * m * (m - 1) // 2,
-        verdict=verdict,
-    )
+        total_component_pairs=N * m * (m - 1) // 2, verdict=verdict)
+    if fields is not None:  # what the first read would have cached
+        vars(report)["_stream"] = fields
+    return report

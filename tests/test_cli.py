@@ -378,6 +378,36 @@ def test_verify_uncertified_design_exits_2(capsys, tmp_path):
     assert "verdict: NotConnected" in out
 
 
+def test_verify_prints_the_fields_an_uncertified_report_builds_on_read(
+        capsys, tmp_path):
+    # a random broader design below the trace bound: verify decides it
+    # without C*, and the summary's first read of the stream's fields gives
+    # the lines verify printed when it formed C* itself
+    path = tmp_path / "random.json"
+    path.write_text(json.dumps({"sets": [
+        ["0111", "1001", "1000"], ["0100", "0101", "1001"],
+        ["1111", "1010", "1001"], ["0010", "1001", "0000"],
+        ["1111", "0100", "1000"], ["0111", "0011", "1011"],
+        ["1111", "1000", "1101"], ["1111", "0110", "1010"]],
+        "meta": {"model": "broader"}}))
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 2
+    assert out == (
+        "model: broader, n=4, Q=4\n"
+        "design: N=8, m=3, n=4, component pairs N*=24\n"
+        "diagonal: False (6 offending pairs)\n"
+        "balance: False\n"
+        "trace: 25/144 (bound 2/9)\n"
+        "cross block zero: False\n"
+        "  unbalanced pair F1,F2: eta+=0, eta-=7\n"
+        "  unbalanced pair F1,F3: eta+=1, eta-=3\n"
+        "  unbalanced pair F1,F4: eta+=5, eta-=1\n"
+        "  unbalanced pair F2,F3: eta+=5, eta-=0\n"
+        "  unbalanced pair F2,F4: eta+=6, eta-=1\n"
+        "  unbalanced pair F3,F4: eta+=4, eta-=2\n"
+        "verdict: ConnectedNotOptimal\n")
+
+
 def _wide_design_file(tmp_path, n):
     path = tmp_path / "wide.json"
     path.write_text(json.dumps({"sets": [["0" * n, "1" * n]],

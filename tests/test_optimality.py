@@ -786,7 +786,10 @@ def test_64_factors_are_unsupported():
 
 
 def test_invariant_checks_survive_python_O():
-    # corrupt every exact product by one; the diagonal cross-check must fire
+    # corrupt every exact product by one; the diagonal cross-check must fire.
+    # The design is unbalanced, so its summary forms C*, not verify; a
+    # design at the trace bound with one corrupted diagonal entry fails in
+    # verify itself
     script = textwrap.dedent("""
         from chogen import contrasts
         from chogen.designs import ChoiceDesign
@@ -799,6 +802,17 @@ def test_invariant_checks_survive_python_O():
         # not one pattern's translates, so C* is formed by int_product
         d = ChoiceDesign.from_sets([("00", "11"), ("01", "10"), ("00", "01")])
         try:
+            verify(d, ModelSpec.main_effects(2)).summary()
+        except InvariantError:
+            print("InvariantError")
+        entries = contrasts.cstar_entries
+
+        def off_by_one(*args):
+            for i, j, v in entries(*args):
+                yield i, j, v - (i == j)
+        contrasts.cstar_entries = off_by_one
+        d = ChoiceDesign.from_sets([("00", "11"), ("01", "10")])
+        try:
             verify(d, ModelSpec.main_effects(2))
         except InvariantError:
             print("InvariantError")
@@ -807,7 +821,7 @@ def test_invariant_checks_survive_python_O():
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "InvariantError"
+    assert out.stdout.split() == ["InvariantError"] * 2
 
 
 @pytest.mark.parametrize("row", [0, -1])
@@ -833,8 +847,9 @@ def test_diagonal_cross_check_reads_every_row_chunk(monkeypatch, row):
     assert entries.__name__ == "_product"
     assert [np.unique(i).size for i, _, _ in entries] == [1] * model.Q
     monkeypatch.setattr(contrasts, "cstar_entries", off_by_one)
+    # the design is not at the trace bound: C* is read for its summary
     with pytest.raises(InvariantError, match="diagonal"):
-        verify(d, model)
+        verify(d, model).summary()
 
 
 @pytest.mark.parametrize("m", [64, 127, 128])
@@ -1098,7 +1113,9 @@ def test_one_stream_splits_at_column_q_on_every_route(case):
 def test_translates_without_a_coset_take_one_pattern_transform(monkeypatch):
     # the product route on one pattern's translates forms the weights of
     # the interest and nuisance masks once; balance reads their first Q and
-    # set_sums the rest, and only the listed pairs' sums take another
+    # set_sums the rest, and only the listed pairs' sums take another.  The
+    # design is unbalanced, so verify forms the weights for balance alone,
+    # and the first read of the stream's fields forms them again, once
     from chogen import contrasts
     d = ChoiceDesign.from_indices(np.array([[0, 3], [4, 7], [8, 11]]), 4)
     model = ModelSpec.broader_main_effects(4)
@@ -1107,7 +1124,157 @@ def test_translates_without_a_coset_take_one_pattern_transform(monkeypatch):
     monkeypatch.setattr(contrasts, "pattern_weights",
                         lambda d, masks: sizes.append(len(masks))
                         or real(d, masks))
+    columns = model.Q + len(model.nuisance_masks)
     report = verify(d, model)
+    assert not report.balance_ok and sizes == [columns]
     assert report.offending_count > 0
-    assert sizes == [model.Q + len(model.nuisance_masks),
+    assert sizes == [columns, columns,
                      3 * min(report.offending_count, MAX_LISTED_PAIRS)]
+
+
+FAMILIES = [("main-effects", None), ("broader", None), ("spec-all", None),
+            ("spec-2f", None), ("spec-group", 2)]
+
+
+@st.composite
+def family_cases(draw):
+    """(design, model): a certified catalog design of a family, with its
+    sets and perhaps its options shuffled, which may move it to the product
+    route, or a split_cases design on any route; the model is one of the
+    five families' on the design's factors."""
+    from chogen.catalog import candidate_recipes, first_certified
+    family, r = draw(st.sampled_from(FAMILIES))
+    if draw(st.booleans()):
+        n, m = draw(st.integers(3, 4)), draw(st.integers(3, 4))
+        model = ModelSpec.family(family, n, r)
+        (_, d, _), _ = first_certified(candidate_recipes(model.kind, m, n, r))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        x = d.indices[rng.permutation(d.N)]
+        if draw(st.booleans()):
+            x = rng.permuted(x, axis=1)
+        return ChoiceDesign.from_indices(x, n), model
+    _, d, _, _ = draw(split_cases())
+    return d, ModelSpec.family(family, d.n, r)
+
+
+STREAM_FIELDS = ("diagonal", "offending_pairs", "offending_count",
+                 "cross_block_zero")
+
+
+@given(family_cases(), st.sampled_from(STREAM_FIELDS))
+@settings(max_examples=50, deadline=None)
+def test_stream_fields_built_on_read_match_independent_counts(case, first):
+    # each field built by verify, or on the first read of any of them,
+    # agrees with the oracle's off-diagonal nonzeros, eta_counts and
+    # cross_block_star, and copies and pickles taken before or after that
+    # read build the same fields
+    d, model = case
+    report = verify(d, model)
+    unread = (copy.copy(report), pickle.loads(pickle.dumps(report)))
+    getattr(report, first)
+    Q = model.Q
+    C = oracle_cstar(d, model.interest).ints
+    q1, q2 = np.nonzero(np.triu(C, 1))
+    assert report.offending_count == q1.size
+    assert report.diagonal == (q1.size == 0)
+    assert [(e1, e2) for e1, e2, _, _ in report.offending_pairs] == [
+        (model.interest[a], model.interest[b])
+        for a, b in zip(q1[:MAX_LISTED_PAIRS], q2[:MAX_LISTED_PAIRS])]
+    for e1, e2, eta_plus, eta_minus in report.offending_pairs:
+        assert eta_counts(d, e1, e2) == (eta_plus, eta_minus)
+    if model.nuisance:
+        X = cross_block_star(d, model.interest, model.nuisance)
+        assert X.shape == (Q, len(model.nuisance))
+        assert report.cross_block_zero is (not X.any())
+    else:
+        assert report.cross_block_zero is None
+    assert report.certified == (report.diagonal and report.balance_ok
+                                and report.trace == report.trace_bound
+                                and report.cross_block_zero is not False)
+    read = (copy.copy(report), pickle.loads(pickle.dumps(report)))
+    for other in unread + read:
+        assert other.verdict is report.verdict
+        for name in STREAM_FIELDS:
+            assert getattr(other, name) == getattr(report, name), name
+
+
+def _count_streams(monkeypatch) -> list:
+    from chogen import contrasts
+    calls, real = [], contrasts.cstar_entries
+
+    def counted(*args):
+        calls.append(args[1].size)
+        return real(*args)
+
+    monkeypatch.setattr(contrasts, "cstar_entries", counted)
+    return calls
+
+
+@pytest.mark.parametrize("first", STREAM_FIELDS)
+def test_uncertified_verify_streams_on_the_first_read_only(monkeypatch, first):
+    # a random broader design on the product route misses the trace bound:
+    # verify forms no C*, the first read of any of the four fields forms
+    # it once, and no later read, of it or of the others, forms it again
+    from chogen import contrasts
+    d = random_design(random.Random(3), 5, 3, 12)
+    model = ModelSpec.broader_main_effects(d.n)
+    masks = masks_of(model.interest, d.n)
+    assert contrasts.cstar_entries(d, masks, masks).__name__ == "_product"
+    calls = _count_streams(monkeypatch)
+    report = verify(d, model)
+    assert report.trace < report.trace_bound and calls == []
+    getattr(report, first)
+    assert calls == [model.Q]
+    for name in STREAM_FIELDS * 2:
+        getattr(report, name)
+    report.summary()
+    assert calls == [model.Q]
+
+
+@pytest.mark.parametrize("name", ["spec-all-m3-n12", "broader-m6-n8"])
+def test_certified_verify_streams_once_inside_verify(monkeypatch, name):
+    d, meta = chogen.load(str(INPUTS / f"{name}.json"))
+    model = ModelSpec.family(meta["model"], d.n, meta.get("r"))
+    calls = _count_streams(monkeypatch)
+    report = verify(d, model)
+    assert report.certified and calls == [model.Q]
+    for field in STREAM_FIELDS:
+        getattr(report, field)
+    report.summary()
+    assert calls == [model.Q]
+
+
+@pytest.mark.parametrize("sets,where,match", [
+    # at the trace bound and balanced: verify reads C* and fails itself
+    ([("00", "11"), ("01", "10")], "verify", "diagonal"),
+    ([("00", "11")], "verify", "eta counts"),
+    # unbalanced: the first read of the fields reads C* and fails
+    ([("00", "11"), ("00", "01")], "read", "diagonal"),
+    ([("00", "01"), ("00", "11")], "read", "eta counts"),
+])
+def test_corrupted_stream_fails_where_it_is_read(monkeypatch, sets, where,
+                                                 match):
+    # one diagonal entry less by one fails the zero-count check; an
+    # off-diagonal one fails the eta counts
+    from chogen import contrasts
+    from chogen.errors import InvariantError
+    real = contrasts.cstar_entries
+    diagonal = match == "diagonal"
+
+    def corrupted(*args):
+        for i, j, v in real(*args):
+            hit = np.flatnonzero((i == j) == diagonal)[:1]
+            v[hit] -= 1
+            yield i, j, v
+
+    d = ChoiceDesign.from_sets(sets)
+    model = ModelSpec.main_effects(2)
+    monkeypatch.setattr(contrasts, "cstar_entries", corrupted)
+    if where == "verify":
+        with pytest.raises(InvariantError, match=match):
+            verify(d, model)
+        return
+    report = verify(d, model)
+    assert not report.balance_ok
+    with pytest.raises(InvariantError, match=match):
+        report.offending_pairs
